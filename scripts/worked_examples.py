@@ -6,7 +6,7 @@ Usage: python3 scripts/worked_examples.py
 import sys
 
 from artquot import (
-    build_quotient,
+    QuotientModule,
     diagram_ascii,
     dual_corners,
     hilbert,
@@ -29,7 +29,7 @@ EXAMPLES = [
 
 def show(title, text):
     variables, ideal = parse_input(text)
-    module = build_quotient(variables, ideal)
+    module = QuotientModule(variables, ideal)
     print(f"== {title}")
     print(f"   input: {text}")
     print(f"   dim {module.dim}, hilbert {hilbert(module)}")

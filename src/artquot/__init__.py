@@ -29,9 +29,6 @@ from .linalg import Subspace, kernel, rref
 from .quotient import (
     HilbertSeries,
     QuotientModule,
-    act,
-    annihilator,
-    build_quotient,
     hilbert,
     is_gorenstein,
     monomial_span,
@@ -59,7 +56,6 @@ from .ring import (
 )
 from .reduced import (
     is_coreduced_subspace,
-    is_ideal_reduced,
     largest_reduced_submodule,
     outside_corners,
     reduced_membership_oracle,
@@ -70,7 +66,8 @@ from .torsion import (
     TtfTag,
     adic_completion,
     classify,
-    from_quotient,
+    is_j_coreduced,
+    is_j_reduced,
     level_collapse_check,
     matlis_dual,
     torsion_part,
@@ -94,11 +91,8 @@ __all__ = [
     "Subspace",
     "TtfTag",
     "VariableSet",
-    "act",
     "adic_completion",
-    "annihilator",
     "apolarity",
-    "build_quotient",
     "classify",
     "diagram_ascii",
     "diagram_cells",
@@ -106,14 +100,14 @@ __all__ = [
     "diagram_svg_pair",
     "dual_corners",
     "envelope_zero",
-    "from_quotient",
     "hilbert",
     "hilbert_duality_check",
     "inner_span",
     "inverse_system",
     "is_coreduced_subspace",
     "is_gorenstein",
-    "is_ideal_reduced",
+    "is_j_coreduced",
+    "is_j_reduced",
     "jacobson_radical",
     "kernel",
     "largest_reduced_submodule",

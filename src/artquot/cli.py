@@ -23,14 +23,12 @@ from .inverse import (
     inner_span,
     inverse_system,
 )
-from .linalg import mat_vec
-from .quotient import HilbertSeries, QuotientModule, hilbert, poly_action_matrix
+from .quotient import HilbertSeries, QuotientModule, hilbert
 from .radical import satisfies_radical_formula
 from .ring import (
     AlgebraError,
     InternalCheckError,
     MonomialIdeal,
-    ParseError,
     Polynomial,
     VariableSet,
     monomial_str,
@@ -43,7 +41,7 @@ from .ring import (
 )
 from .reduced import largest_reduced_submodule, outside_corners
 from .suites import SUITE_NAMES, run_suite
-from .torsion import classify, from_quotient
+from .torsion import classify
 
 _YES = {True: "yes", False: "no"}
 
@@ -181,8 +179,7 @@ def cmd_classify(args) -> int:
         gens = parse_polynomial_list(args.ideal, module.variables)
     else:
         gens = tuple(poly_monomial(g) for g in module.ideal.min_gens)
-    fm = from_quotient(module)
-    tag = classify(fm, gens)
+    tag = classify(module, gens)
     gen_strs = [g.to_str(module.variables.names) for g in gens]
     payload = {
         "ring": list(module.variables.names),
@@ -342,9 +339,8 @@ def _positive_degree_dim(module: QuotientModule) -> int:
 
 def _m_kills_reduced(module: QuotientModule, reduced) -> bool:
     for poly in variable_polys(module.n):
-        mat = poly_action_matrix(module, poly)
         for row in reduced.rows:
-            if any(c != 0 for c in mat_vec(mat, row)):
+            if any(c != 0 for c in module.act(poly, row)):
                 return False
     return True
 
@@ -423,6 +419,16 @@ def _add_io(sub, with_json: bool = True):
         )
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artquot",
@@ -486,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named random-instance suite")
     p.add_argument("--suite", required=True, help="suite name")
-    p.add_argument("--count", type=int, default=100, help="instances to run")
+    p.add_argument(
+        "--count", type=_count, default=100, help="instances to run (at least 0)"
+    )
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument(
         "--json", action="store_true", help="machine-readable output"
@@ -501,17 +509,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AlgebraError, InternalCheckError, OSError) as exc:
+        # ParseError is an AlgebraError
+        bug = isinstance(exc, InternalCheckError)
+        print(f"{'internal check failed' if bug else 'error'}: {exc}", file=sys.stderr)
         return 1
 
 

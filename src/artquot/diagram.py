@@ -53,7 +53,6 @@ def diagram_ascii(module: QuotientModule, dual: bool = False) -> str:
     names = (
         module.variables.dual_names() if dual else module.variables.names
     )
-    from .ring import monomial_str
 
     def text(e):
         label = monomial_str(names, e)
@@ -81,7 +80,6 @@ def diagram_svg(module: QuotientModule, dual: bool = False) -> str:
     names = (
         module.variables.dual_names() if dual else module.variables.names
     )
-    from .ring import monomial_str
 
     rows = _grid(module)
     ncols = max(len(r) for r in rows)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .linalg import Matrix, identity_matrix, is_invertible, mat_mul
+from .linalg import Operator, is_invertible, op_mul, operator_from_rows, operator_rows
 from .quotient import QuotientModule, staircase
 from .ring import MonomialIdeal, Polynomial, VariableSet, minimalize, poly_monomial
 from .torsion import FiniteModule, conjugate
@@ -86,7 +86,7 @@ def sample_modules(
 _ENTRY_POOL = (-2, -1, 0, 0, 1, 1, 2)
 
 
-def _random_base_matrix(rng: random.Random, dim: int) -> Matrix:
+def _random_base_matrix(rng: random.Random, dim: int) -> Operator:
     """Upper triangular; nilpotent, invertible, or a mixed block of both."""
     mode = rng.choice(("nilpotent", "invertible", "mixed"))
     rows = [[Fraction(0)] * dim for _ in range(dim)]
@@ -96,10 +96,10 @@ def _random_base_matrix(rng: random.Random, dim: int) -> Matrix:
             rows[i][j] = Fraction(rng.choice(_ENTRY_POOL))
         if i >= split:
             rows[i][i] = Fraction(rng.choice((-2, -1, 1, 2)))
-    return tuple(tuple(r) for r in rows)
+    return operator_from_rows(rows)
 
 
-def _random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
+def _random_unimodular(rng: random.Random, dim: int) -> tuple[Operator, Operator]:
     """A change of basis and its inverse, built as unit triangular factors."""
     lower = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     upper = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
@@ -107,9 +107,7 @@ def _random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
         for j in range(i):
             lower[i][j] = Fraction(rng.choice((-1, 0, 0, 1)))
             upper[j][i] = Fraction(rng.choice((-1, 0, 0, 1)))
-    lo = tuple(tuple(r) for r in lower)
-    up = tuple(tuple(r) for r in upper)
-    p = mat_mul(lo, up)
+    p = op_mul(operator_from_rows(lower), operator_from_rows(upper))
 
     def invert_unit_triangular(mat, is_lower):
         d = len(mat)
@@ -122,9 +120,11 @@ def _random_unimodular(rng: random.Random, dim: int) -> tuple[Matrix, Matrix]:
                     if k != i and mat[i][k]:
                         s += mat[i][k] * inv[k][col]
                 inv[i][col] = (Fraction(int(i == col)) - s) / mat[i][i]
-        return tuple(tuple(r) for r in inv)
+        return operator_from_rows(inv)
 
-    p_inv = mat_mul(invert_unit_triangular(up, False), invert_unit_triangular(lo, True))
+    p_inv = op_mul(
+        invert_unit_triangular(upper, False), invert_unit_triangular(lower, True)
+    )
     return p, p_inv
 
 
@@ -136,21 +136,15 @@ def random_finite_module(
     n = rng.randint(1, 3)
     dim = rng.randint(1, max_dim)
     base = _random_base_matrix(rng, dim)
+    line = FiniteModule(1, dim, (base,))
     mats = [base]
     for _ in range(n - 1):
         coeffs = [Fraction(rng.choice(_ENTRY_POOL)) for _ in range(3)]
-        out = [[coeffs[0] * Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-        power = identity_matrix(dim)
-        for c in coeffs[1:]:
-            power = mat_mul(power, base)
-            for i in range(dim):
-                for j in range(dim):
-                    out[i][j] += c * power[i][j]
-        mats.append(tuple(tuple(r) for r in out))
+        mats.append(line.poly_matrix(Polynomial(((k,), c) for k, c in enumerate(coeffs))))
     module = FiniteModule(n, dim, tuple(mats))
     if conjugated:
         p, p_inv = _random_unimodular(rng, dim)
-        if not is_invertible(p):
+        if not is_invertible(operator_rows(p)):
             raise AssertionError("unimodular construction failed")
         module = conjugate(module, p, p_inv)
     return module

@@ -22,7 +22,6 @@ from .linalg import Subspace, kernel
 from .quotient import (
     HilbertSeries,
     QuotientModule,
-    act,
     hilbert,
     monomial_span,
     staircase,
@@ -473,7 +472,7 @@ def top_degree_check(variables: VariableSet, ideal: MonomialIdeal) -> TopDegreeR
     xs = variable_polys(n)
     current = Subspace.full(module.dim)
     for _ in range(n):
-        vecs = [act(module, xv, row) for xv in xs for row in current.rows]
+        vecs = [module.act(xv, row) for xv in xs for row in current.rows]
         current = Subspace(module.dim, vecs)
     top_piece = monomial_span(
         module, (e for e in module.basis if total_degree(e) == n)
@@ -509,7 +508,7 @@ def top_degree_check(variables: VariableSet, ideal: MonomialIdeal) -> TopDegreeR
     diag = Polynomial({tuple(int(t == i) for t in range(n)): Fraction(1) for i in range(n)})
     elem = Subspace.full(module.dim)
     for _ in range(n):
-        elem = Subspace(module.dim, [act(module, diag, row) for row in elem.rows])
+        elem = Subspace(module.dim, [module.act(diag, row) for row in elem.rows])
     return TopDegreeReport(
         n=n,
         top_degree=n,

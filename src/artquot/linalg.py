@@ -200,53 +200,78 @@ def rank(matrix_rows: Sequence[Sequence], width: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense matrix helpers (row-major tuples of Fraction tuples)
+# sparse operators
+#
+# An Operator is a square matrix stored by columns: entry j is the dict
+# {row: Fraction} of the nonzero entries of column j, the image of the j-th
+# basis vector.  No zero is ever stored and no column is mutated after
+# construction, so two operators are equal exactly when they are equal as
+# matrices.  Sparse vectors use the same {index: Fraction} form.
 
-def identity_matrix(d: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)
-    )
-
-
-def zero_matrix(d: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
-
-
-def mat_vec(mat: Matrix, vec: Sequence) -> Vector:
-    return tuple(sum((r[j] * vec[j] for j in range(len(vec)) if vec[j]), Fraction(0)) for r in mat)
+Operator = tuple  # tuple[dict[int, Fraction], ...]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in bt)
-        for row in a
-    )
+def sparse_apply(op: Operator, vec: dict) -> dict:
+    """The sparse vector op * vec; vec holds no zeros."""
+    out: dict = {}
+    summed = False
+    for j, c in vec.items():
+        for i, a in op[j].items():
+            # entries of 1 are common (every shift operator) and a Fraction
+            # product costs several times a comparison
+            x = c if a == 1 else a * c
+            if i in out:
+                out[i] += x
+                summed = True
+            else:
+                out[i] = x
+    # a product of nonzeros is nonzero; only a sum can cancel
+    return {i: x for i, x in out.items() if x} if summed else out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def op_apply(op: Operator, vec: Sequence) -> Vector:
+    """The dense vector op * vec."""
+    out = [Fraction(0)] * len(op)
+    for j, c in enumerate(vec):
+        if c:
+            for i, a in op[j].items():
+                out[i] += c if a == 1 else a * c
+    return tuple(out)
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+def op_mul(a: Operator, b: Operator) -> Operator:
+    """The composition a * b: b acts first."""
+    return tuple(sparse_apply(a, col) for col in b)
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = identity_matrix(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
+def op_transpose(op: Operator) -> Operator:
+    cols: list[dict] = [{} for _ in op]
+    for j, col in enumerate(op):
+        for i, x in col.items():
+            cols[i][j] = x
+    return tuple(cols)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
+def dense(vec: dict, d: int) -> Vector:
+    zero = Fraction(0)
+    return tuple(vec.get(i, zero) for i in range(d))
 
 
-def column_space(mat: Matrix) -> Subspace:
-    """Span of the columns, as a subspace of k^(number of rows)."""
-    return Subspace(len(mat), list(zip(*mat)))
+def operator_from_rows(rows: Sequence[Sequence]) -> Operator:
+    """The operator of a square row-major matrix."""
+    cols: list[dict] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise AlgebraError("matrix is not square")
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = Fraction(x)
+    return tuple(cols)
+
+
+def operator_rows(op: Operator) -> Matrix:
+    """Row-major dense matrix of the operator, for row reduction."""
+    return tuple(dense(row, len(op)) for row in op_transpose(op))
 
 
 def is_invertible(mat: Matrix) -> bool:

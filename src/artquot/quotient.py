@@ -1,9 +1,10 @@
 """Finite quotients R/I by Artinian monomial ideals.
 
 The standard-monomial (staircase) basis is enumerated by a bounded box
-walk; multiplication is a per-variable shift table mapping a basis slot to
-another slot or to zero.  Module elements are coordinate tuples of
-Fractions over that basis.
+walk.  R/I is a FiniteModule whose variables act as staircase shifts: the
+operator of x_i sends each basis monomial to its x_i-multiple, or to zero
+when that lies in I.  Module elements are coordinate tuples of Fractions
+over that basis.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from .linalg import Subspace, kernel
+from .linalg import Subspace
 from .ring import (
     AlgebraError,
     ExponentVector,
@@ -27,6 +28,7 @@ from .ring import (
     total_degree,
     variable_polys,
 )
+from .torsion import FiniteModule, annihilator_of
 
 
 @dataclass(frozen=True)
@@ -80,10 +82,8 @@ def staircase(variables: VariableSet, ideal: MonomialIdeal) -> list[ExponentVect
     return sorted(cells, key=grlex_key)
 
 
-class QuotientModule:
-    """R/I on its staircase basis, with shift tables for each variable."""
-
-    __slots__ = ("variables", "ideal", "basis", "index", "var_action")
+class QuotientModule(FiniteModule):
+    """R/I on its staircase basis; each variable acts by a staircase shift."""
 
     def __init__(self, variables: VariableSet, ideal: MonomialIdeal):
         if ideal.n != variables.n:
@@ -94,23 +94,17 @@ class QuotientModule:
         self.ideal = ideal
         self.basis = tuple(staircase(variables, ideal))
         self.index = {e: i for i, e in enumerate(self.basis)}
-        action = []
+        one = Fraction(1)
+        shifts = []
         for i in range(variables.n):
-            step = [0] * variables.n
-            step[i] = 1
-            step = tuple(step)
-            action.append(
-                tuple(self.index.get(ev_add(e, step)) for e in self.basis)
-            )
-        self.var_action = tuple(action)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+            step = tuple(int(j == i) for j in range(variables.n))
+            targets = (self.index.get(ev_add(e, step)) for e in self.basis)
+            shifts.append(tuple({} if t is None else {t: one} for t in targets))
+        super().__init__(variables.n, len(self.basis), tuple(shifts))
 
     @property
     def n(self) -> int:
-        return self.variables.n
+        return self.nvars
 
     def label(self, exps: ExponentVector) -> str:
         return monomial_str(self.variables.names, exps)
@@ -156,71 +150,13 @@ class QuotientModule:
         return f"QuotientModule(dim={self.dim}, vars={self.variables.names})"
 
 
-def build_quotient(variables: VariableSet, ideal: MonomialIdeal) -> QuotientModule:
-    """Staircase model of R/I; raises NotArtinianError when R/I is infinite."""
-    return QuotientModule(variables, ideal)
-
-
-def act(module: QuotientModule, poly: Polynomial, vec: Sequence) -> tuple:
-    """Multiply the element `vec` by the polynomial `poly` inside R/I."""
-    if len(vec) != module.dim:
-        raise AlgebraError("element has wrong length")
-    out = [Fraction(0)] * module.dim
-    for exps, coeff in poly.terms.items():
-        if len(exps) != module.n:
-            raise AlgebraError("polynomial arity does not match the ring")
-        for b, cb in enumerate(vec):
-            if cb:
-                target = module.index.get(ev_add(module.basis[b], exps))
-                if target is not None:
-                    out[target] += coeff * cb
-    return tuple(out)
-
-
-def poly_action_matrix(module: QuotientModule, poly: Polynomial) -> tuple:
-    """Row-major matrix of multiplication by `poly` on the staircase basis."""
-    d = module.dim
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for exps, coeff in poly.terms.items():
-        if len(exps) != module.n:
-            raise AlgebraError("polynomial arity does not match the ring")
-        for b in range(d):
-            target = module.index.get(ev_add(module.basis[b], exps))
-            if target is not None:
-                rows[target][b] += coeff
-    return tuple(tuple(r) for r in rows)
-
-
-def ideal_times_module(
-    module: QuotientModule, gens: Iterable[Polynomial]
-) -> Subspace:
-    """The submodule J*M as a subspace: span of g*b over generators and basis."""
-    vecs = []
-    for g in gens:
-        for b in range(module.dim):
-            unit = [Fraction(0)] * module.dim
-            unit[b] = Fraction(1)
-            vecs.append(act(module, g, unit))
-    return Subspace(module.dim, vecs)
-
-
-def annihilator(module: QuotientModule, gens: Iterable[Polynomial]) -> Subspace:
-    """(0 :_M J) = kernel of the stacked action matrices of the generators."""
-    stacked = []
-    for g in gens:
-        stacked.extend(poly_action_matrix(module, g))
-    if not stacked:
-        return Subspace.full(module.dim)
-    return kernel(stacked, module.dim)
-
-
 def hilbert(module: QuotientModule) -> HilbertSeries:
     return HilbertSeries.from_degrees(total_degree(e) for e in module.basis)
 
 
 def socle(module: QuotientModule) -> Subspace:
     """(0 :_M m), the annihilator of the irrelevant maximal ideal."""
-    return annihilator(module, variable_polys(module.n))
+    return annihilator_of(module, variable_polys(module.n))
 
 
 def is_gorenstein(module: QuotientModule) -> bool:

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Subspace
+from .linalg import Subspace, op_apply
 from .quotient import (
     QuotientModule,
-    act,
-    ideal_times_module,
     monomial_span,
     positive_degree_span,
+    subspace_monomials,
 )
 from .ring import (
     AlgebraError,
@@ -31,6 +30,7 @@ from .ring import (
     variable_polys,
 )
 from .reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
+from .torsion import image_of
 
 DEFAULT_ENUMERATION_BOUND = 14
 
@@ -44,15 +44,14 @@ def envelope_zero(
     nilpotent on every basis class, and no sampled unit (a polynomial with
     nonzero constant term) has a vanishing power on a nonzero element.
     """
-    span = ideal_times_module(module, variable_polys(module.n))
+    span = image_of(module, variable_polys(module.n))
     # every variable multiple of a basis class lands in the envelope
-    for i in range(module.n):
+    for op in module.action:
         for b in range(module.dim):
-            vec = module.basis_element(module.basis[b])
-            power = vec
+            power = module.basis_element(module.basis[b])
             dead = False
             for _ in range(module.dim + 1):
-                power = act(module, variable_polys(module.n)[i], power)
+                power = op_apply(op, power)
                 if not any(power):
                     dead = True
                     break
@@ -71,7 +70,7 @@ def envelope_zero(
             continue
         power = vec
         for _ in range(module.dim):
-            power = act(module, r, power)
+            power = module.act(r, power)
             if not any(power):
                 raise InternalCheckError(
                     "a unit-like polynomial had a vanishing power on a nonzero element"
@@ -96,9 +95,8 @@ def _cover_masks(module: QuotientModule) -> list[int]:
     masks = []
     for b in range(module.dim):
         m = 0
-        for i in range(module.n):
-            t = module.var_action[i][b]
-            if t is not None:
+        for op in module.action:
+            for t in op[b]:
                 m |= 1 << t
         masks.append(m)
     return masks
@@ -159,8 +157,11 @@ def semiprime_bruteforce(
             f"module dimension {module.dim} exceeds the enumeration bound {bound}"
         )
     mm = positive_degree_span(module)
+    mm_exps = subspace_monomials(module, mm)
+    if mm_exps is None:
+        raise InternalCheckError("expected a monomial-spanned subspace")
     mm_mask = 0
-    for e in _mask_from_span(module, mm):
+    for e in mm_exps:
         mm_mask |= 1 << module.index[e]
     full = (1 << module.dim) - 1
     semiprime = []
@@ -182,16 +183,6 @@ def semiprime_bruteforce(
     return SemiprimeReport(inter_space, spaces, count)
 
 
-def _mask_from_span(module: QuotientModule, span: Subspace) -> list[ExponentVector]:
-    exps = []
-    for row in span.rows:
-        hits = [i for i, c in enumerate(row) if c]
-        if len(hits) != 1 or row[hits[0]] != 1:
-            raise InternalCheckError("expected a monomial-spanned subspace")
-        exps.append(module.basis[hits[0]])
-    return exps
-
-
 def envelope_of_submodule_bruteforce(
     module: QuotientModule, submodule_mask_exps: Sequence[ExponentVector],
     degree_bound: int = 6,
@@ -200,18 +191,18 @@ def envelope_of_submodule_bruteforce(
     n_space = monomial_span(module, submodule_mask_exps)
     vecs = list(n_space.rows)
     for r_exps in monomials_up_to_degree(module.n, degree_bound):
-        r = poly_monomial(r_exps)
+        r = module.poly_matrix(poly_monomial(r_exps))
         for b in range(module.dim):
             vec = module.basis_element(module.basis[b])
             power = vec
             landed = False
             for _ in range(module.dim + 1):
-                power = act(module, r, power)
+                power = op_apply(r, power)
                 if n_space.contains(power):
                     landed = True
                     break
             if landed:
-                vecs.append(act(module, r, vec))
+                vecs.append(op_apply(r, vec))
     return Subspace(module.dim, vecs)
 
 

@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .linalg import Subspace
-from .quotient import QuotientModule, act, annihilator, monomial_span
+from .quotient import QuotientModule, monomial_span, socle
 from .ring import (
     AlgebraError,
     ExponentVector,
@@ -43,7 +43,7 @@ def outside_corners(module: QuotientModule) -> CornerReport:
     corners = []
     inner = []
     for b, exps in enumerate(module.basis):
-        if all(module.var_action[i][b] is None for i in range(module.n)):
+        if not any(op[b] for op in module.action):
             corners.append(exps)
         else:
             inner.append(exps)
@@ -53,7 +53,7 @@ def outside_corners(module: QuotientModule) -> CornerReport:
 def largest_reduced_submodule(module: QuotientModule) -> Subspace:
     """Span of the outside corners; checked against (0 :_M m) exactly."""
     span = monomial_span(module, outside_corners(module).corners)
-    ann = annihilator(module, variable_polys(module.n))
+    ann = socle(module)
     if span != ann:
         raise InternalCheckError(
             "corner span and maximal-ideal annihilator disagree: "
@@ -112,19 +112,10 @@ def reduced_membership_oracle(
     if not any(vec):
         return True
     for a in _witness_candidates(module, degree_bound, trials, seed):
-        av = act(module, a, vec)
-        if any(av) and not any(act(module, a, av)):
+        av = module.act(a, vec)
+        if any(av) and not any(module.act(a, av)):
             return False
     return True
-
-
-def is_ideal_reduced(module: QuotientModule, gens: Iterable[Polynomial]) -> bool:
-    """Whether (0 :_M J) = (0 :_M J^2); J^2 runs over pairwise products."""
-    gens = list(gens)
-    squares = [
-        gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))
-    ]
-    return annihilator(module, gens) == annihilator(module, squares)
 
 
 def is_coreduced_subspace(
@@ -148,16 +139,16 @@ def is_coreduced_subspace(
     xs = variable_polys(module.n)
     for row in space.rows:
         for xv in xs:
-            if not space.contains(act(module, xv, row)):
+            if not space.contains(module.act(xv, row)):
                 raise AlgebraError("subspace is not a submodule")
     exact = all(
-        not any(act(module, xv, row)) for row in space.rows for xv in xs
+        not any(module.act(xv, row)) for row in space.rows for xv in xs
     )
     violated = False
     for a in _witness_candidates(module, degree_bound, trials, seed):
-        a_im = Subspace(module.dim, [act(module, a, r) for r in space.rows])
+        a_im = Subspace(module.dim, [module.act(a, r) for r in space.rows])
         aa = a * a
-        aa_im = Subspace(module.dim, [act(module, aa, r) for r in space.rows])
+        aa_im = Subspace(module.dim, [module.act(aa, r) for r in space.rows])
         if a_im != aa_im:
             violated = True
             if exact:

@@ -278,10 +278,6 @@ def minimalize(gens: Iterable[ExponentVector]) -> MonomialIdeal:
     return MonomialIdeal(tuple(sorted(keep, key=grlex_key)))
 
 
-def contains_monomial(ideal: MonomialIdeal, exps: ExponentVector) -> bool:
-    return ideal.contains(tuple(exps))
-
-
 def pure_power_bounds(variables: VariableSet, ideal: MonomialIdeal) -> tuple[int, ...]:
     """Least pure-power exponent of each variable in the ideal.
 
@@ -319,6 +315,10 @@ def render(variables: VariableSet, ideal: MonomialIdeal) -> str:
 
 # ---------------------------------------------------------------------------
 # parsing
+
+# ASCII only: str.isdigit and \d also accept other scripts' digits
+_DIGITS_RE = re.compile(r"[0-9]+")
+
 
 class _Cursor:
     __slots__ = ("text", "pos")
@@ -359,7 +359,7 @@ class _Cursor:
 
     def integer(self) -> int:
         self.skip_ws()
-        m = re.compile(r"\d+").match(self.text, self.pos)
+        m = _DIGITS_RE.match(self.text, self.pos)
         if not m:
             raise ParseError("expected an integer", self.pos)
         self.pos = m.end()
@@ -374,7 +374,7 @@ def _parse_monomial(cur: _Cursor, variables: VariableSet) -> ExponentVector:
         cur.skip_ws()
         start = cur.pos
         ch = cur.peek()
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             value = cur.integer()
             if not first or value != 1:
                 raise ParseError(
@@ -483,7 +483,7 @@ def _parse_poly_term(cur: _Cursor, variables: VariableSet):
         cur.skip_ws()
         start = cur.pos
         ch = cur.peek()
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = cur.integer()
             if cur.try_char("/"):
                 den = cur.integer()

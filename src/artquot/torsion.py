@@ -1,95 +1,105 @@
-"""Finite modules as commuting matrix actions: torsion, completion, duality.
+"""Finite modules over k[x_1..x_n]: action, annihilators, torsion, duality.
 
-A FiniteModule is n pairwise-commuting square matrices over the rationals,
-one per variable.  The torsion functor stabilizes the ascending chain of
-annihilators of ideal powers; the completion functor quotients by the
-stabilized image chain.  Matlis duality is the linear dual: transpose every
-action matrix.
+A FiniteModule is n pairwise-commuting sparse operators over the
+rationals, one per variable; a staircase quotient R/I is one (see
+quotient.QuotientModule).  The action, the annihilator (0 : J), the image
+J M and J-(co)reducedness live here once for every module.  The torsion
+functor stabilizes the ascending chain of annihilators of ideal powers;
+the completion functor quotients by the stabilized image chain.  Matlis
+duality is the linear dual: transpose every operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .linalg import (
-    Matrix,
+    Operator,
     Subspace,
-    identity_matrix,
+    Vector,
+    dense,
     kernel,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_vec,
-    rank,
-    transpose,
-    zero_matrix,
+    op_apply,
+    op_mul,
+    op_transpose,
+    operator_from_rows,
+    operator_rows,
+    sparse_apply,
 )
-from .quotient import QuotientModule
 from .ring import AlgebraError, InternalCheckError, Polynomial
-from .reduced import monomials_up_to_degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteModule:
-    """A finite-dimensional module over k[x_1..x_n] given by action matrices."""
+    """A finite-dimensional module over k[x_1..x_n] given by commuting operators."""
 
     nvars: int
     dim: int
-    action: tuple[Matrix, ...]
+    action: tuple[Operator, ...]
 
     def __post_init__(self):
         if len(self.action) != self.nvars:
             raise AlgebraError("need one action matrix per variable")
-        for mat in self.action:
-            if len(mat) != self.dim or any(len(r) != self.dim for r in mat):
-                raise AlgebraError("action matrix has wrong shape")
+        for op in self.action:
+            if len(op) != self.dim or not all(
+                0 <= i < self.dim and x for col in op for i, x in col.items()
+            ):
+                raise AlgebraError(
+                    "action operator has the wrong shape or a stored zero"
+                )
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
-                ab = mat_mul(self.action[i], self.action[j])
-                ba = mat_mul(self.action[j], self.action[i])
+                ab = op_mul(self.action[i], self.action[j])
+                ba = op_mul(self.action[j], self.action[i])
                 if ab != ba:
                     raise AlgebraError(
                         f"action matrices {i} and {j} do not commute"
                     )
 
-    def poly_matrix(self, poly: Polynomial) -> Matrix:
-        """Evaluate a polynomial at the action matrices."""
-        out = zero_matrix(self.dim)
+    def poly_matrix(self, poly: Polynomial) -> Operator:
+        """Evaluate a polynomial at the action operators."""
+        one = Fraction(1)
+        return tuple(self._act(poly, {j: one}) for j in range(self.dim))
+
+    def act(self, poly: Polynomial, vec: Sequence) -> Vector:
+        """Multiply the element `vec` by the polynomial `poly`."""
+        if len(vec) != self.dim:
+            raise AlgebraError("element has wrong length")
+        start = {j: c for j, c in enumerate(vec) if c}
+        return dense(self._act(poly, start), self.dim)
+
+    def _act(self, poly: Polynomial, vec: dict) -> dict:
+        out: dict = {}
         for exps, coeff in poly.terms.items():
             if len(exps) != self.nvars:
                 raise AlgebraError("polynomial arity does not match the module")
-            term = identity_matrix(self.dim)
-            for i, e in enumerate(exps):
+            img = vec if coeff == 1 else {j: coeff * c for j, c in vec.items()}
+            for op, e in zip(self.action, exps):
                 for _ in range(e):
-                    term = mat_mul(term, self.action[i])
-            out = mat_add(out, mat_scale(term, coeff))
-        return out
+                    img = sparse_apply(op, img)
+            for i, c in img.items():
+                out[i] = out[i] + c if i in out else c
+        return {i: c for i, c in out.items() if c}
 
 
-def from_quotient(module: QuotientModule) -> FiniteModule:
-    """Transcribe the staircase shift tables into 0/1 action matrices."""
-    d = module.dim
-    mats = []
-    for i in range(module.n):
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        for b, target in enumerate(module.var_action[i]):
-            if target is not None:
-                rows[target][b] = Fraction(1)
-        mats.append(tuple(tuple(r) for r in rows))
-    return FiniteModule(module.n, d, tuple(mats))
-
-
-def _gen_matrices(module: FiniteModule, gens: Iterable[Polynomial]) -> list[Matrix]:
+def _gen_matrices(module: FiniteModule, gens: Iterable[Polynomial]) -> list[Operator]:
     return [module.poly_matrix(g) for g in gens]
+
+
+def _pairwise_products(gens: list[Polynomial]) -> list[Polynomial]:
+    """Generators of J^2 from generators of J."""
+    return [
+        gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))
+    ]
 
 
 def annihilator_of(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
     """(0 : J) = joint kernel of the generator actions."""
-    stacked = []
-    for mat in _gen_matrices(module, gens):
-        stacked.extend(mat)
+    stacked = [
+        row for op in _gen_matrices(module, gens) for row in operator_rows(op)
+    ]
     if not stacked:
         return Subspace.full(module.dim)
     return kernel(stacked, module.dim)
@@ -97,10 +107,24 @@ def annihilator_of(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace
 
 def image_of(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
     """J M = sum of the generator images."""
-    vecs = []
-    for mat in _gen_matrices(module, gens):
-        vecs.extend(zip(*mat))
-    return Subspace(module.dim, vecs)
+    d = module.dim
+    return Subspace(
+        d, [dense(col, d) for op in _gen_matrices(module, gens) for col in op]
+    )
+
+
+def is_j_reduced(module: FiniteModule, gens: Iterable[Polynomial]) -> bool:
+    """Whether (0 : J) = (0 : J^2)."""
+    gens = list(gens)
+    return annihilator_of(module, gens) == annihilator_of(
+        module, _pairwise_products(gens)
+    )
+
+
+def is_j_coreduced(module: FiniteModule, gens: Iterable[Polynomial]) -> bool:
+    """Whether J M = J^2 M."""
+    gens = list(gens)
+    return image_of(module, gens) == image_of(module, _pairwise_products(gens))
 
 
 def torsion_part(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
@@ -116,10 +140,8 @@ def torsion_part_with_exponent(
     current = Subspace.zero(module.dim)
     exponent = 0
     for k in range(1, module.dim + 2):
-        res = current.residual_matrix()
-        stacked = []
-        for mat in mats:
-            stacked.extend(mat_mul(res, mat))
+        res = operator_from_rows(current.residual_matrix())
+        stacked = [row for op in mats for row in operator_rows(op_mul(res, op))]
         nxt = kernel(stacked, module.dim) if stacked else Subspace.full(module.dim)
         if nxt == current:
             break
@@ -130,43 +152,21 @@ def torsion_part_with_exponent(
     return current, exponent
 
 
-def submodule_module(module: FiniteModule, space: Subspace) -> FiniteModule:
-    """Restrict the action to an invariant subspace, in its row basis."""
-    mats = []
-    for mat in module.action:
-        rows = []
-        for r in space.rows:
-            img = mat_vec(mat, r)
-            rows.append(space.coords(img))  # raises if not invariant
-        # rows currently express images of basis vectors; transpose to act on
-        # coordinate columns
-        mats.append(transpose(tuple(rows)))
-    return FiniteModule(module.nvars, space.dim, tuple(mats))
-
-
 def quotient_module(module: FiniteModule, space: Subspace) -> FiniteModule:
     """Induced action on M / N via the free coordinates of N's echelon form."""
-    for mat in module.action:
+    for op in module.action:
         for r in space.rows:
-            if not space.contains(mat_vec(mat, r)):
+            if not space.contains(op_apply(op, r)):
                 raise AlgebraError("subspace is not a submodule")
     d = module.dim
     free = [c for c in range(d) if c not in set(space.pivots)]
-    if not free:
-        return FiniteModule(module.nvars, 0, tuple(() for _ in module.action))
-
-    def project(vec):
-        red = space.reduce(vec)
-        return [red[c] for c in free]
-
     mats = []
-    for mat in module.action:
+    for op in module.action:
         cols = []
         for c in free:
-            unit = [Fraction(0)] * d
-            unit[c] = Fraction(1)
-            cols.append(project(mat_vec(mat, unit)))
-        mats.append(tuple(zip(*cols)))
+            red = space.reduce(dense(op[c], d))
+            cols.append({k: red[f] for k, f in enumerate(free) if red[f]})
+        mats.append(tuple(cols))
     return FiniteModule(module.nvars, len(free), tuple(mats))
 
 
@@ -178,7 +178,7 @@ def adic_completion(
     current = Subspace.full(module.dim)
     exponent = 0
     for k in range(1, module.dim + 2):
-        vecs = [mat_vec(mat, r) for mat in mats for r in current.rows]
+        vecs = [op_apply(op, r) for op in mats for r in current.rows]
         nxt = Subspace(module.dim, vecs)
         if nxt == current:
             break
@@ -190,28 +190,12 @@ def adic_completion(
 
 
 def matlis_dual(module: FiniteModule) -> FiniteModule:
-    """Linear dual: every action matrix transposed."""
+    """Linear dual: every action operator transposed."""
     return FiniteModule(
         module.nvars,
         module.dim,
-        tuple(transpose(mat) for mat in module.action),
+        tuple(op_transpose(op) for op in module.action),
     )
-
-
-def is_ideal_reduced_module(module: FiniteModule, gens: Iterable[Polynomial]) -> bool:
-    gens = list(gens)
-    squares = [
-        gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))
-    ]
-    return annihilator_of(module, gens) == annihilator_of(module, squares)
-
-
-def is_ideal_coreduced_module(module: FiniteModule, gens: Iterable[Polynomial]) -> bool:
-    gens = list(gens)
-    squares = [
-        gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))
-    ]
-    return image_of(module, gens) == image_of(module, squares)
 
 
 @dataclass(frozen=True)
@@ -241,8 +225,8 @@ def classify(module: FiniteModule, gens: Iterable[Polynomial]) -> TtfTag:
     coreduced tag wins in that case, and the predicate bits carry the rest.
     """
     gens = list(gens)
-    reduced = is_ideal_reduced_module(module, gens)
-    coreduced = is_ideal_coreduced_module(module, gens)
+    reduced = is_j_reduced(module, gens)
+    coreduced = is_j_coreduced(module, gens)
     gamma = torsion_part(module, gens)
     lam, _ = adic_completion(module, gens)
     image = image_of(module, gens)
@@ -327,8 +311,8 @@ def level_collapse_check(
     acts by zero (and the ideal sits inside the variables' span) all the
     left-hand levels coincide with M itself."""
     gens = list(gens)
-    reduced = is_ideal_reduced_module(module, gens)
-    coreduced = is_ideal_coreduced_module(module, gens)
+    reduced = is_j_reduced(module, gens)
+    coreduced = is_j_coreduced(module, gens)
     gamma = torsion_part(module, gens)
     ann = annihilator_of(module, gens)
     lam, _ = adic_completion(module, gens)
@@ -343,9 +327,9 @@ def level_collapse_check(
         if lam.dim != top_level:
             raise InternalCheckError("coreduced module with a deeper completion")
         collapses.append("completion == top quotient")
-    semisimple = all(
-        all(not x for row in mat for x in row) for mat in module.action
-    ) and all(g.constant_term() == 0 for g in gens)
+    semisimple = all(not col for op in module.action for col in op) and all(
+        g.constant_term() == 0 for g in gens
+    )
     if semisimple:
         if not (gamma.dim == ann.dim == module.dim):
             raise InternalCheckError("semisimple module with proper torsion levels")
@@ -362,28 +346,7 @@ def level_collapse_check(
     )
 
 
-def conjugate(module: FiniteModule, p: Matrix, p_inv: Matrix) -> FiniteModule:
-    """Change of basis: every action matrix becomes P A P^{-1}."""
-    mats = tuple(
-        mat_mul(mat_mul(p, mat), p_inv) for mat in module.action
-    )
+def conjugate(module: FiniteModule, p: Operator, p_inv: Operator) -> FiniteModule:
+    """Change of basis: every action operator A becomes P A P^{-1}."""
+    mats = tuple(op_mul(op_mul(p, op), p_inv) for op in module.action)
     return FiniteModule(module.nvars, module.dim, mats)
-
-
-def word_rank_profile(module: FiniteModule) -> dict:
-    """Rank of every monomial word of length <= dim in the action matrices.
-
-    The actions commute, so words collapse to exponent vectors.  Two
-    isomorphic modules share this profile; it is the cheap invariant used
-    to compare a module with its double dual.
-    """
-    profile = {}
-    for exps in monomials_up_to_degree(module.nvars, module.dim):
-        if not any(exps):
-            continue
-        word = identity_matrix(module.dim)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                word = mat_mul(word, module.action[i])
-        profile[exps] = rank(word, module.dim)
-    return profile

@@ -1,0 +1,212 @@
+"""Dense-matrix reference for the sparse module layer.
+
+This is the earlier implementation of finite modules, kept for tests: each
+variable acts by a row-major tuple of Fraction rows, products are dense
+`mat_mul`, and the torsion and completion functors run the same chains as
+artquot.torsion on those matrices.  The differential tests require the
+sparse operators to give the same matrices, subspaces and tags.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from artquot.linalg import (
+    Subspace,
+    kernel,
+    operator_from_rows,
+    operator_rows,
+    rank,
+)
+from artquot.reduced import monomials_up_to_degree
+from artquot.torsion import FiniteModule
+
+Matrix = tuple  # tuple[tuple[Fraction, ...], ...], row-major
+
+
+def identity_matrix(d: int) -> Matrix:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+
+
+def zero_matrix(d: int) -> Matrix:
+    return tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
+
+
+def mat_vec(mat: Matrix, vec) -> tuple:
+    return tuple(
+        sum((r[j] * vec[j] for j in range(len(vec)) if vec[j]), Fraction(0))
+        for r in mat
+    )
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in bt)
+        for row in a
+    )
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(a: Matrix, c) -> Matrix:
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_pow(a: Matrix, k: int) -> Matrix:
+    out = identity_matrix(len(a))
+    for _ in range(k):
+        out = mat_mul(out, a)
+    return out
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
+
+
+@dataclass(frozen=True)
+class DenseModule:
+    """A finite module given by dense action matrices."""
+
+    nvars: int
+    dim: int
+    action: tuple[Matrix, ...]
+
+    @classmethod
+    def of(cls, module: FiniteModule) -> "DenseModule":
+        return cls(
+            module.nvars,
+            module.dim,
+            tuple(operator_rows(op) for op in module.action),
+        )
+
+    def poly_matrix(self, poly) -> Matrix:
+        out = zero_matrix(self.dim)
+        for exps, coeff in poly.terms.items():
+            term = identity_matrix(self.dim)
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    term = mat_mul(term, self.action[i])
+            out = mat_add(out, mat_scale(term, coeff))
+        return out
+
+
+def _squares(gens):
+    return [gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))]
+
+
+def annihilator_of(module: DenseModule, gens) -> Subspace:
+    stacked = []
+    for g in gens:
+        stacked.extend(module.poly_matrix(g))
+    if not stacked:
+        return Subspace.full(module.dim)
+    return kernel(stacked, module.dim)
+
+
+def image_of(module: DenseModule, gens) -> Subspace:
+    vecs = []
+    for g in gens:
+        vecs.extend(zip(*module.poly_matrix(g)))
+    return Subspace(module.dim, vecs)
+
+
+def torsion_part_with_exponent(module: DenseModule, gens):
+    mats = [module.poly_matrix(g) for g in gens]
+    current = Subspace.zero(module.dim)
+    exponent = 0
+    for k in range(1, module.dim + 2):
+        res = current.residual_matrix()
+        stacked = []
+        for mat in mats:
+            stacked.extend(mat_mul(res, mat))
+        nxt = kernel(stacked, module.dim) if stacked else Subspace.full(module.dim)
+        if nxt == current:
+            break
+        current = nxt
+        exponent = k
+    return current, exponent
+
+
+def quotient_module(module: DenseModule, space: Subspace) -> DenseModule:
+    d = module.dim
+    free = [c for c in range(d) if c not in set(space.pivots)]
+    if not free:
+        return DenseModule(module.nvars, 0, tuple(() for _ in module.action))
+    mats = []
+    for mat in module.action:
+        cols = []
+        for c in free:
+            unit = [Fraction(0)] * d
+            unit[c] = Fraction(1)
+            red = space.reduce(mat_vec(mat, unit))
+            cols.append([red[f] for f in free])
+        mats.append(tuple(zip(*cols)))
+    return DenseModule(module.nvars, len(free), tuple(mats))
+
+
+def adic_completion(module: DenseModule, gens):
+    mats = [module.poly_matrix(g) for g in gens]
+    current = Subspace.full(module.dim)
+    exponent = 0
+    for k in range(1, module.dim + 2):
+        vecs = [mat_vec(mat, r) for mat in mats for r in current.rows]
+        nxt = Subspace(module.dim, vecs)
+        if nxt == current:
+            break
+        current = nxt
+        exponent = k
+    return quotient_module(module, current), exponent
+
+
+def classify_fields(module: DenseModule, gens) -> tuple:
+    """(tag, J-reduced, J-coreduced, gamma dim, lambda dim), as TtfTag holds them."""
+    gens = list(gens)
+    reduced = annihilator_of(module, gens) == annihilator_of(module, _squares(gens))
+    coreduced = image_of(module, gens) == image_of(module, _squares(gens))
+    gamma, _ = torsion_part_with_exponent(module, gens)
+    lam, _ = adic_completion(module, gens)
+    image = image_of(module, gens)
+    if reduced and gamma.dim == module.dim:
+        tag = "T_I"
+    elif coreduced and image.dim == module.dim:
+        tag = "FrakT_I"
+    elif reduced and gamma.dim == 0:
+        tag = "F_I"
+    else:
+        tag = "none"
+    return tag, reduced, coreduced, gamma.dim, lam.dim
+
+
+def submodule_module(module: FiniteModule, space: Subspace) -> FiniteModule:
+    """Restrict the action to an invariant subspace, in its row basis."""
+    mats = []
+    for mat in DenseModule.of(module).action:
+        # images of the basis vectors, as coordinate rows; transposed to act
+        # on coordinate columns
+        rows = [space.coords(mat_vec(mat, r)) for r in space.rows]
+        mats.append(operator_from_rows(transpose(tuple(rows))))
+    return FiniteModule(module.nvars, space.dim, tuple(mats))
+
+
+def word_rank_profile(module: FiniteModule) -> dict:
+    """Rank of every monomial word of length <= dim in the action matrices.
+
+    The actions commute, so words collapse to exponent vectors.  Two
+    isomorphic modules share this profile.
+    """
+    dense = DenseModule.of(module)
+    profile = {}
+    for exps in monomials_up_to_degree(module.nvars, module.dim):
+        if not any(exps):
+            continue
+        word = identity_matrix(module.dim)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                word = mat_mul(word, dense.action[i])
+        profile[exps] = rank(word, module.dim)
+    return profile

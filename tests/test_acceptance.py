@@ -10,7 +10,7 @@ import io
 import time
 
 from artquot import (
-    build_quotient,
+    QuotientModule,
     dual_corners,
     hilbert_duality_check,
     inner_span,
@@ -32,7 +32,7 @@ SMALL4 = "ring x1,x2; ideal x1^2, x1*x2, x2^3"
 
 def _module(text):
     variables, ideal = parse_input(text)
-    return build_quotient(variables, ideal)
+    return QuotientModule(variables, ideal)
 
 
 def _system(text):

@@ -1,11 +1,17 @@
 """End-to-end command tests driven through main(argv)."""
 
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from artquot.cli import main
+from artquot.quotient import staircase
+from artquot.ring import parse_input
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
 STAIR11 = "ring x,y; ideal x^4, x^3*y, x^2*y^2, x*y^3, y^5"
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -216,6 +222,26 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_negative_count_is_usage_error(capsys):
+    for bad in ("-3", "three"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "radical", "--count", bad])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--count" in err
+    assert main(["verify", "--suite", "radical", "--count", "0"]) == 0
+    assert "0/0 pass" in capsys.readouterr()[0]
+
+
+@pytest.mark.parametrize(
+    "text", ["ring x,y; ideal x^\u0663, y^2", "ring x,y; ideal x^\u00b3, y^2"]
+)
+def test_non_ascii_digits_exit_one(text, monkeypatch, capsys):
+    rc, out, err = run(["basis"], text, monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_outputs_are_deterministic(monkeypatch, capsys):
     outs = []
     for _ in range(2):
@@ -233,3 +259,29 @@ def test_outputs_are_deterministic(monkeypatch, capsys):
         )
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_stdout_matches_benchmark_digests(monkeypatch, capsys):
+    """Replay a fixed subset of the benchmark's recorded ops through main and
+    compare stdout digests byte for byte.
+
+    Rule: of the ops whose quotient has dim <= 12, every 8th key in sorted
+    order.  Keys sort by command, so every command is covered.
+    """
+    recorded = json.loads(DIGESTS.read_text())["ops"]
+    small = [
+        key for key in sorted(recorded)
+        if len(staircase(*parse_input(key.split(" <- ", 1)[1]))) <= 12
+    ]
+    chosen = small[::8]
+    commands = {key.split(" <- ")[0] for key in chosen}
+    assert {c.split()[0] for c in commands} == {
+        "basis", "socle", "dual", "hilbert", "classify", "radical", "diagram",
+        "report",
+    }
+    assert any(c.startswith("classify --ideal") for c in commands)
+    for key in chosen:
+        argv, text = key.split(" <- ", 1)
+        rc, out, _ = run(argv.split(), text, monkeypatch, capsys)
+        assert rc == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded[key], key

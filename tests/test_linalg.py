@@ -13,16 +13,20 @@ from hypothesis import given, settings, strategies as st
 
 from artquot.linalg import (
     Subspace,
-    identity_matrix,
+    dense,
     is_invertible,
     kernel,
-    mat_mul,
-    mat_pow,
-    mat_vec,
+    op_apply,
+    op_mul,
+    op_transpose,
+    operator_from_rows,
+    operator_rows,
     rank,
     rref,
-    transpose,
+    sparse_apply,
 )
+from artquot.ring import poly_monomial
+from artquot.torsion import FiniteModule
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -114,7 +118,7 @@ def test_residual_matrix_cuts_out_the_span(vectors):
     space = Subspace(4, vectors)
     res = space.residual_matrix()
     for row in space.rows:
-        assert all(x == 0 for x in mat_vec(res, row))
+        assert all(x == 0 for x in op_apply(operator_from_rows(res), row))
     cut = kernel(res, 4)
     assert cut == space
 
@@ -138,23 +142,32 @@ def test_kernel_annihilates_and_rank_nullity(matrix_rows):
 
 def test_matrix_helpers():
     rng = random.Random(5)
-    a = tuple(
+    rows_a = tuple(
         tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3)
     )
-    b = tuple(
+    rows_b = tuple(
         tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3)
     )
-    eye = identity_matrix(3)
-    assert mat_mul(a, eye) == a and mat_mul(eye, a) == a
-    assert mat_pow(a, 3) == mat_mul(a, mat_mul(a, a))
-    assert mat_pow(a, 0) == eye
-    assert transpose(transpose(a)) == a
+    a, b = operator_from_rows(rows_a), operator_from_rows(rows_b)
+    assert operator_rows(a) == rows_a
+    assert all(x for col in a for x in col.values())  # no stored zeros
+    eye = operator_from_rows([[int(i == j) for j in range(3)] for i in range(3)])
+    assert op_mul(a, eye) == a and op_mul(eye, a) == a
+    line = FiniteModule(1, 3, (a,))
+    assert line.poly_matrix(poly_monomial((3,))) == op_mul(a, op_mul(a, a))
+    assert line.poly_matrix(poly_monomial((0,))) == eye
+    assert op_transpose(op_transpose(a)) == a
     # (a b)^T = b^T a^T
-    assert transpose(mat_mul(a, b)) == mat_mul(transpose(b), transpose(a))
+    assert op_transpose(op_mul(a, b)) == op_mul(op_transpose(b), op_transpose(a))
+    # columns are the images of the unit vectors
+    for j in range(3):
+        unit = tuple(Fraction(int(i == j)) for i in range(3))
+        assert op_apply(a, unit) == dense(a[j], 3)
+        assert sparse_apply(a, {j: Fraction(1)}) == a[j]
 
 
 def test_is_invertible():
-    assert is_invertible(identity_matrix(4))
+    assert is_invertible([[int(i == j) for j in range(4)] for i in range(4)])
     singular = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))
     assert not is_invertible(singular)
 

@@ -90,6 +90,12 @@ def test_no_alias_above_three_variables():
         '{"ring": "x", "ideal": ["x"]}',
         '{"ring": ["x"], "ideal": []}',
         "{not json",
+        # digits are ASCII only: Arabic-Indic three, superscript three
+        "ring x,y; ideal x^\u0663, y^2",
+        "ring x,y; ideal x^\u00b3, y^2",
+        "ring x,y; ideal x\u00b3, y^2",
+        "ring x; ideal \u0661",
+        '{"ring": ["x"], "ideal": ["x^\u0663"]}',
     ],
 )
 def test_parse_rejects_bad_input(text):
@@ -210,6 +216,9 @@ def test_polynomial_parse_fractions_and_signs():
         parse_polynomial("1/0*x", variables)
     with pytest.raises(ParseError):
         parse_polynomial("x +", variables)
+    for text in ("x^\u0663", "\u0663*x", "x^\u00b2", "1/\u0662*x"):
+        with pytest.raises(ParseError):
+            parse_polynomial(text, variables)
 
 
 def test_polynomial_list_parsing():

@@ -1,11 +1,12 @@
 """Torsion parts, completions, Matlis duals, and the class tags.
 
-Matrix-level modules double as the oracle for the staircase quotients:
-from_quotient is checked against the shift tables, the functor values
-against hand-computed kernels and images.
+Staircase quotients are finite modules themselves: their operators are
+checked against the shift tables, the functor values against hand-computed
+kernels and images.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,14 +15,14 @@ from artquot.instances import (
     random_finite_module,
     random_monomial_ideal_polys,
 )
-from artquot.linalg import Subspace, mat_mul, zero_matrix
-from artquot.quotient import QuotientModule, poly_action_matrix
+from artquot.linalg import Subspace, op_mul, operator_from_rows, operator_rows
+from artquot.quotient import QuotientModule
 from artquot.ring import (
     AlgebraError,
+    ev_add,
     parse_input,
     parse_polynomial,
     poly_monomial,
-    variable_polys,
 )
 from artquot.torsion import (
     FiniteModule,
@@ -30,19 +31,17 @@ from artquot.torsion import (
     annihilator_of,
     classify,
     conjugate,
-    from_quotient,
     image_of,
-    is_ideal_coreduced_module,
-    is_ideal_reduced_module,
+    is_j_coreduced,
+    is_j_reduced,
     level_collapse_check,
     matlis_dual,
     quotient_module,
-    submodule_module,
     torsion_part,
     torsion_part_with_exponent,
     verify_ttf_duality,
-    word_rank_profile,
 )
+from dense_reference import submodule_module, word_rank_profile
 
 STAIR11 = "ring x,y; ideal x^4, x^3*y, x^2*y^2, x*y^3, y^5"
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -52,47 +51,57 @@ def module_from(text):
     return QuotientModule(*parse_input(text))
 
 
-def fm_from(text):
-    return from_quotient(module_from(text))
-
-
 def scalar_module(*diags):
     """One variable acting as a diagonal matrix."""
     d = len(diags)
     mat = tuple(
         tuple(diags[i] if i == j else 0 for j in range(d)) for i in range(d)
     )
-    return FiniteModule(1, d, (mat,))
+    return FiniteModule(1, d, (operator_from_rows(mat),))
 
 
 def test_from_quotient_matches_action_matrices():
+    # the quotient's operators are the 0/1 shift matrices of the staircase
     m = module_from(FLAT7)
-    fm = from_quotient(m)
-    assert fm.dim == m.dim and fm.nvars == m.n
-    for i, poly in enumerate(variable_polys(m.n)):
-        assert fm.action[i] == poly_action_matrix(m, poly)
+    assert isinstance(m, FiniteModule)
+    assert m.dim == 7 and m.nvars == m.n == 2
+    for i in range(m.n):
+        step = tuple(int(j == i) for j in range(m.n))
+        rows = [[0] * m.dim for _ in range(m.dim)]
+        for b, e in enumerate(m.basis):
+            target = m.index.get(ev_add(e, step))
+            if target is not None:
+                rows[target][b] = 1
+        assert operator_rows(m.action[i]) == tuple(map(tuple, rows))
 
 
 def test_commutation_is_validated():
     a = ((0, 1), (0, 0))
     b = ((1, 0), (0, 2))
     with pytest.raises(AlgebraError):
-        FiniteModule(2, 2, (a, b))
+        FiniteModule(2, 2, (operator_from_rows(a), operator_from_rows(b)))
+
+
+def test_operators_are_validated():
+    with pytest.raises(AlgebraError):
+        FiniteModule(1, 2, (({}, {2: Fraction(1)}),))  # row out of range
+    with pytest.raises(AlgebraError):
+        FiniteModule(1, 2, (({}, {0: Fraction(0)}),))  # stored zero
+    with pytest.raises(AlgebraError):
+        FiniteModule(1, 2, (({},),))  # one column short
 
 
 def test_poly_matrix_respects_products():
-    fm = fm_from(FLAT7)
     m = module_from(FLAT7)
     p = parse_polynomial("x*y + 2*x", m.variables)
     q = parse_polynomial("y - 1", m.variables)
-    assert fm.poly_matrix(p * q) == mat_mul(fm.poly_matrix(p), fm.poly_matrix(q))
+    assert m.poly_matrix(p * q) == op_mul(m.poly_matrix(p), m.poly_matrix(q))
 
 
 def test_annihilator_and_image_known_values():
     m = module_from(FLAT7)
-    fm = from_quotient(m)
     y = parse_polynomial("y", m.variables)
-    ann = annihilator_of(fm, [y])
+    ann = annihilator_of(m, [y])
     expected = Subspace(
         m.dim,
         [m.basis_element(e) for e in [(0, 1), (1, 1), (3, 0), (2, 1)]],
@@ -100,9 +109,8 @@ def test_annihilator_and_image_known_values():
     assert ann == expected
 
     big = module_from(STAIR11)
-    fm1 = from_quotient(big)
     j = [poly_monomial((3, 0)), poly_monomial((0, 4))]
-    image = image_of(fm1, j)
+    image = image_of(big, j)
     assert image == Subspace(
         big.dim, [big.basis_element((3, 0)), big.basis_element((0, 4))]
     )
@@ -113,12 +121,11 @@ def test_torsion_part_is_everything_for_nilpotent_actions():
     # stabilized torsion chain reaches the whole module even though the
     # first level is smaller
     m = module_from(FLAT7)
-    fm = from_quotient(m)
     y = parse_polynomial("y", m.variables)
-    space, exponent = torsion_part_with_exponent(fm, [y])
+    space, exponent = torsion_part_with_exponent(m, [y])
     assert space.dim == m.dim
     assert exponent == 2  # y^2 = 0 on this module
-    assert annihilator_of(fm, [y]).dim == 4
+    assert annihilator_of(m, [y]).dim == 4
 
 
 def test_torsion_part_of_invertible_action_is_zero():
@@ -143,14 +150,14 @@ def test_submodule_and_quotient_modules():
     gamma = torsion_part(fm, [x])
     sub = submodule_module(fm, gamma)
     assert sub.dim == 2
-    assert all(all(v == 0 for v in row) for row in sub.action[0])
+    assert sub.action[0] == ({}, {})
     quo = quotient_module(fm, gamma)
     assert quo.dim == 1
-    assert quo.action[0] == ((5,),)
+    assert quo.action[0] == ({0: 5},)
 
 
 def test_quotient_module_rejects_non_invariant_subspaces():
-    fm = fm_from(FLAT7)
+    fm = module_from(FLAT7)
     bad = Subspace(fm.dim, [tuple(int(i == 0) for i in range(fm.dim))])
     with pytest.raises(AlgebraError):
         quotient_module(fm, bad)
@@ -171,19 +178,17 @@ def test_matlis_dual_is_an_involution_with_swapped_functors():
 
 def test_reduced_and_coreduced_predicates():
     m = module_from(FLAT7)
-    fm = from_quotient(m)
     y = parse_polynomial("y", m.variables)
-    assert not is_ideal_reduced_module(fm, [y])
+    assert not is_j_reduced(m, [y])
     defining = [poly_monomial(g) for g in m.ideal.min_gens]
-    assert is_ideal_reduced_module(fm, defining)
-    assert is_ideal_coreduced_module(fm, defining)  # both images are zero
+    assert is_j_reduced(m, defining)
+    assert is_j_coreduced(m, defining)  # both images are zero
 
 
 def test_classify_whole_quotient_is_torsion():
     m = module_from(FLAT7)
-    fm = from_quotient(m)
     defining = [poly_monomial(g) for g in m.ideal.min_gens]
-    tag = classify(fm, defining)
+    tag = classify(m, defining)
     assert tag.tag == "T_I"
     assert tag.j_reduced and tag.j_coreduced
     assert tag.gamma_dim == m.dim and tag.lambda_dim == m.dim
@@ -235,23 +240,21 @@ def test_duality_exchanges_the_classes():
 
 def test_duality_skips_when_hypotheses_fail():
     m = module_from(FLAT7)
-    fm = from_quotient(m)
     y = parse_polynomial("y", m.variables)
-    report = verify_ttf_duality(fm, [y])  # not reduced relative to <y>
+    report = verify_ttf_duality(m, [y])  # not reduced relative to <y>
     assert not report.hypothesis_met
     assert report.items == ("skipped", "skipped", "skipped")
 
 
 def test_level_collapse_on_known_cases():
     m = module_from(FLAT7)
-    fm = from_quotient(m)
     defining = [poly_monomial(g) for g in m.ideal.min_gens]
-    report = level_collapse_check(fm, defining)
+    report = level_collapse_check(m, defining)
     assert report.j_reduced and report.j_coreduced
     assert "torsion-part == annihilator" in report.collapses
     assert "completion == top quotient" in report.collapses
 
-    flat = FiniteModule(1, 2, (zero_matrix(2),))
+    flat = FiniteModule(1, 2, (({}, {}),))
     x = poly_monomial((1,))
     rep = level_collapse_check(flat, [x])
     assert rep.semisimple_case
@@ -281,8 +284,7 @@ def test_word_rank_profile_sees_the_difference():
 
 
 def test_zero_module_classifies_cleanly():
-    m = module_from("ring x; ideal x")
-    fm = from_quotient(m)
+    fm = module_from("ring x; ideal x")
     # dim 1 module where x acts as zero; quotient by the torsion part is 0
     quo = quotient_module(fm, torsion_part(fm, [poly_monomial((1,))]))
     assert quo.dim == 0
