@@ -64,8 +64,8 @@ from .suites import SUITE_NAMES, run_suite
 from .torsion import (
     FiniteModule,
     TtfTag,
-    adic_completion,
     classify,
+    completion,
     is_j_coreduced,
     is_j_reduced,
     level_collapse_check,
@@ -91,9 +91,9 @@ __all__ = [
     "Subspace",
     "TtfTag",
     "VariableSet",
-    "adic_completion",
     "apolarity",
     "classify",
+    "completion",
     "diagram_ascii",
     "diagram_cells",
     "diagram_svg",

@@ -3,8 +3,8 @@
 Every command reads the ideal from --in FILE or stdin (except `verify`,
 which generates its own instances) and prints a text report, or JSON with
 --json.  Exit codes: 0 success, 1 domain error or failed verification,
-2 usage error.  Stdout is deterministic for a fixed input and seed;
-timing notes go to stderr.
+2 usage error, 3 failed internal check (a bug in the program).  Stdout is
+deterministic for a fixed input and seed; timing notes go to stderr.
 """
 
 from __future__ import annotations
@@ -513,7 +513,7 @@ def main(argv=None) -> int:
         # ParseError is an AlgebraError
         bug = isinstance(exc, InternalCheckError)
         print(f"{'internal check failed' if bug else 'error'}: {exc}", file=sys.stderr)
-        return 1
+        return 3 if bug else 1
 
 
 if __name__ == "__main__":

@@ -151,19 +151,6 @@ class Subspace:
             raise AlgebraError("vector is not in the subspace")
         return tuple(out)
 
-    def residual_matrix(self) -> Matrix:
-        """Matrix of v -> v - (projection onto the span); its kernel is the span."""
-        d = self.ambient
-        rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-        for row, p in zip(self.rows, self.pivots):
-            for i in range(d):
-                f = rows[i][p]
-                if f:
-                    rows[i] = [xi - f * ri for xi, ri in zip(rows[i], row)]
-        # rows currently hold images of unit vectors as *rows*; the residual
-        # map is symmetric in this representation only if we transpose
-        return tuple(zip(*rows))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -242,6 +229,18 @@ def op_apply(op: Operator, vec: Sequence) -> Vector:
 def op_mul(a: Operator, b: Operator) -> Operator:
     """The composition a * b: b acts first."""
     return tuple(sparse_apply(a, col) for col in b)
+
+
+def op_power(op: Operator, k: int) -> Operator:
+    """op**k by repeated squaring; op**0 is the identity."""
+    out = tuple({j: Fraction(1)} for j in range(len(op)))
+    while k:
+        if k & 1:
+            out = op_mul(out, op)
+        k >>= 1
+        if k:
+            op = op_mul(op, op)
+    return out
 
 
 def op_transpose(op: Operator) -> Operator:

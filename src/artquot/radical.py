@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Subspace, op_apply
+from .linalg import Subspace, op_apply, op_power
 from .quotient import (
     QuotientModule,
     monomial_span,
@@ -47,16 +47,8 @@ def envelope_zero(
     span = image_of(module, variable_polys(module.n))
     # every variable multiple of a basis class lands in the envelope
     for op in module.action:
-        for b in range(module.dim):
-            power = module.basis_element(module.basis[b])
-            dead = False
-            for _ in range(module.dim + 1):
-                power = op_apply(op, power)
-                if not any(power):
-                    dead = True
-                    break
-            if not dead:
-                raise InternalCheckError("a variable failed to be nilpotent")
+        if any(op_power(op, module.dim)):
+            raise InternalCheckError("a variable failed to be nilpotent")
     rng = random.Random(seed)
     for _ in range(trials):
         r = _random_poly(rng, module.n, 2, constant=True)

@@ -4,9 +4,9 @@ A FiniteModule is n pairwise-commuting sparse operators over the
 rationals, one per variable; a staircase quotient R/I is one (see
 quotient.QuotientModule).  The action, the annihilator (0 : J), the image
 J M and J-(co)reducedness live here once for every module.  The torsion
-functor stabilizes the ascending chain of annihilators of ideal powers;
-the completion functor quotients by the stabilized image chain.  Matlis
-duality is the linear dual: transpose every operator.
+part Gamma_J M and the completion M / J^inf M come from Fitting's lemma:
+the joint kernel and the image span of the d-th powers of the generator
+operators.  Matlis duality is the linear dual: transpose every operator.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .linalg import (
     kernel,
     op_apply,
     op_mul,
+    op_power,
     op_transpose,
-    operator_from_rows,
     operator_rows,
     sparse_apply,
 )
@@ -88,68 +88,81 @@ def _gen_matrices(module: FiniteModule, gens: Iterable[Polynomial]) -> list[Oper
     return [module.poly_matrix(g) for g in gens]
 
 
-def _pairwise_products(gens: list[Polynomial]) -> list[Polynomial]:
-    """Generators of J^2 from generators of J."""
-    return [
-        gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))
-    ]
+def _joint_kernel(ops: list[Operator], d: int) -> Subspace:
+    stacked = [row for op in ops for row in operator_rows(op)]
+    return kernel(stacked, d) if stacked else Subspace.full(d)
+
+
+def _image_span(ops: list[Operator], d: int) -> Subspace:
+    return Subspace(d, [dense(col, d) for op in ops for col in op])
+
+
+def _products(ops: list[Operator]) -> list[Operator]:
+    """Operators of the generators of J^2 from those of J."""
+    n = len(ops)
+    return [op_mul(ops[i], ops[j]) for i in range(n) for j in range(i, n)]
+
+
+def _fitting(ops: list[Operator], d: int) -> tuple[Subspace, Subspace]:
+    """(Gamma_J M, J^inf M) as (joint kernel, image span) of the d-th powers.
+
+    Fitting's lemma: on a space of dimension d an operator G splits it as
+    ker G^d (+) im G^d, both invariant under every operator commuting with
+    G.  Intersecting the kernels gives the elements killed by a power of J,
+    summing the images gives the intersection of the J^k M, and the two
+    must split M.
+    """
+    powers = [op_power(op, d) for op in ops]
+    gamma = _joint_kernel(powers, d)
+    tail = _image_span(powers, d)
+    if gamma.dim + tail.dim != d or gamma.sum(tail).dim != d:
+        raise InternalCheckError(
+            "M is not the direct sum of its torsion part and J^inf M"
+        )
+    return gamma, tail
+
+
+def _levels(module: FiniteModule, gens: Iterable[Polynomial]):
+    """(0 : J), J M, J-reducedness, J-coreducedness, Gamma_J M and J^inf M,
+    from one evaluation of the generators."""
+    ops = _gen_matrices(module, gens)
+    d = module.dim
+    squares = _products(ops)
+    ann = _joint_kernel(ops, d)
+    image = _image_span(ops, d)
+    gamma, tail = _fitting(ops, d)
+    reduced = ann == _joint_kernel(squares, d)
+    coreduced = image == _image_span(squares, d)
+    return ann, image, reduced, coreduced, gamma, tail
 
 
 def annihilator_of(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
     """(0 : J) = joint kernel of the generator actions."""
-    stacked = [
-        row for op in _gen_matrices(module, gens) for row in operator_rows(op)
-    ]
-    if not stacked:
-        return Subspace.full(module.dim)
-    return kernel(stacked, module.dim)
+    return _joint_kernel(_gen_matrices(module, gens), module.dim)
 
 
 def image_of(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
     """J M = sum of the generator images."""
-    d = module.dim
-    return Subspace(
-        d, [dense(col, d) for op in _gen_matrices(module, gens) for col in op]
-    )
+    return _image_span(_gen_matrices(module, gens), module.dim)
 
 
 def is_j_reduced(module: FiniteModule, gens: Iterable[Polynomial]) -> bool:
     """Whether (0 : J) = (0 : J^2)."""
-    gens = list(gens)
-    return annihilator_of(module, gens) == annihilator_of(
-        module, _pairwise_products(gens)
-    )
+    ops = _gen_matrices(module, gens)
+    d = module.dim
+    return _joint_kernel(ops, d) == _joint_kernel(_products(ops), d)
 
 
 def is_j_coreduced(module: FiniteModule, gens: Iterable[Polynomial]) -> bool:
     """Whether J M = J^2 M."""
-    gens = list(gens)
-    return image_of(module, gens) == image_of(module, _pairwise_products(gens))
+    ops = _gen_matrices(module, gens)
+    d = module.dim
+    return _image_span(ops, d) == _image_span(_products(ops), d)
 
 
 def torsion_part(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
-    """Stabilized union of (0 : J^k); elements killed by some power of J."""
-    space, _ = torsion_part_with_exponent(module, gens)
-    return space
-
-
-def torsion_part_with_exponent(
-    module: FiniteModule, gens: Iterable[Polynomial]
-) -> tuple[Subspace, int]:
-    mats = _gen_matrices(module, gens)
-    current = Subspace.zero(module.dim)
-    exponent = 0
-    for k in range(1, module.dim + 2):
-        res = operator_from_rows(current.residual_matrix())
-        stacked = [row for op in mats for row in operator_rows(op_mul(res, op))]
-        nxt = kernel(stacked, module.dim) if stacked else Subspace.full(module.dim)
-        if nxt == current:
-            break
-        current = nxt
-        exponent = k
-    if exponent > module.dim:
-        raise InternalCheckError("torsion chain failed to stabilize in dim steps")
-    return current, exponent
+    """Gamma_J M: the elements killed by some power of J."""
+    return _fitting(_gen_matrices(module, gens), module.dim)[0]
 
 
 def quotient_module(module: FiniteModule, space: Subspace) -> FiniteModule:
@@ -170,23 +183,10 @@ def quotient_module(module: FiniteModule, space: Subspace) -> FiniteModule:
     return FiniteModule(module.nvars, len(free), tuple(mats))
 
 
-def adic_completion(
-    module: FiniteModule, gens: Iterable[Polynomial]
-) -> tuple[FiniteModule, int]:
-    """(M / J^inf M, stabilization exponent of the descending chain J^k M)."""
-    mats = _gen_matrices(module, gens)
-    current = Subspace.full(module.dim)
-    exponent = 0
-    for k in range(1, module.dim + 2):
-        vecs = [op_apply(op, r) for op in mats for r in current.rows]
-        nxt = Subspace(module.dim, vecs)
-        if nxt == current:
-            break
-        current = nxt
-        exponent = k
-    if exponent > module.dim:
-        raise InternalCheckError("image chain failed to stabilize in dim steps")
-    return quotient_module(module, current), exponent
+def completion(module: FiniteModule, gens: Iterable[Polynomial]) -> FiniteModule:
+    """Lambda_J M = M / J^inf M."""
+    _, tail = _fitting(_gen_matrices(module, gens), module.dim)
+    return quotient_module(module, tail)
 
 
 def matlis_dual(module: FiniteModule) -> FiniteModule:
@@ -224,12 +224,7 @@ def classify(module: FiniteModule, gens: Iterable[Polynomial]) -> TtfTag:
     at once (the whole-ring ideal on a one-dimensional module does); the
     coreduced tag wins in that case, and the predicate bits carry the rest.
     """
-    gens = list(gens)
-    reduced = is_j_reduced(module, gens)
-    coreduced = is_j_coreduced(module, gens)
-    gamma = torsion_part(module, gens)
-    lam, _ = adic_completion(module, gens)
-    image = image_of(module, gens)
+    _, image, reduced, coreduced, gamma, tail = _levels(module, gens)
     if reduced and gamma.dim == module.dim:
         tag = "T_I"
     elif coreduced and image.dim == module.dim:
@@ -243,7 +238,7 @@ def classify(module: FiniteModule, gens: Iterable[Polynomial]) -> TtfTag:
         j_reduced=reduced,
         j_coreduced=coreduced,
         gamma_dim=gamma.dim,
-        lambda_dim=lam.dim,
+        lambda_dim=module.dim - tail.dim,
     )
 
 
@@ -277,10 +272,9 @@ def verify_ttf_duality(
     dual_in_t = theirs.j_reduced and theirs.gamma_dim == dual.dim
     in_f = mine.j_reduced and mine.gamma_dim == 0
     dual_in_f = theirs.j_reduced and theirs.gamma_dim == 0
-    image = image_of(module, gens)
-    dual_image = image_of(dual, gens)
-    in_frak = mine.j_coreduced and image.dim == module.dim
-    dual_in_frak = theirs.j_coreduced and dual_image.dim == dual.dim
+    # J M = M exactly when J^inf M = M, that is when the completion is 0
+    in_frak = mine.j_coreduced and mine.lambda_dim == 0
+    dual_in_frak = theirs.j_coreduced and theirs.lambda_dim == 0
     items = (
         "pass" if in_t == dual_in_t else "fail",
         "pass" if in_f == dual_in_frak else "fail",
@@ -311,12 +305,8 @@ def level_collapse_check(
     acts by zero (and the ideal sits inside the variables' span) all the
     left-hand levels coincide with M itself."""
     gens = list(gens)
-    reduced = is_j_reduced(module, gens)
-    coreduced = is_j_coreduced(module, gens)
-    gamma = torsion_part(module, gens)
-    ann = annihilator_of(module, gens)
-    lam, _ = adic_completion(module, gens)
-    image = image_of(module, gens)
+    ann, image, reduced, coreduced, gamma, tail = _levels(module, gens)
+    lambda_dim = module.dim - tail.dim
     top_level = module.dim - image.dim
     collapses = []
     if reduced:
@@ -324,7 +314,7 @@ def level_collapse_check(
             raise InternalCheckError("reduced module with a deeper torsion part")
         collapses.append("torsion-part == annihilator")
     if coreduced:
-        if lam.dim != top_level:
+        if lambda_dim != top_level:
             raise InternalCheckError("coreduced module with a deeper completion")
         collapses.append("completion == top quotient")
     semisimple = all(not col for op in module.action for col in op) and all(
@@ -340,7 +330,7 @@ def level_collapse_check(
         semisimple_case=semisimple,
         gamma_dim=gamma.dim,
         socle_level_dim=ann.dim,
-        lambda_dim=lam.dim,
+        lambda_dim=lambda_dim,
         top_level_dim=top_level,
         collapses=tuple(collapses),
     )

@@ -2,8 +2,9 @@
 
 This is the earlier implementation of finite modules, kept for tests: each
 variable acts by a row-major tuple of Fraction rows, products are dense
-`mat_mul`, and the torsion and completion functors run the same chains as
-artquot.torsion on those matrices.  The differential tests require the
+`mat_mul`, and the torsion and completion functors run the stabilization
+chains (ascending annihilators of J^k, descending images J^k M) that
+artquot.torsion replaced by Fitting's lemma.  The differential tests require the
 sparse operators to give the same matrices, subspaces and tags.
 """
 
@@ -115,12 +116,26 @@ def image_of(module: DenseModule, gens) -> Subspace:
     return Subspace(module.dim, vecs)
 
 
+def residual_matrix(space: Subspace) -> Matrix:
+    """Matrix of v -> v - (projection onto the span); its kernel is the span."""
+    d = space.ambient
+    rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for row, p in zip(space.rows, space.pivots):
+        for i in range(d):
+            f = rows[i][p]
+            if f:
+                rows[i] = [xi - f * ri for xi, ri in zip(rows[i], row)]
+    # rows currently hold images of unit vectors as *rows*; the residual
+    # map is symmetric in this representation only if we transpose
+    return tuple(zip(*rows))
+
+
 def torsion_part_with_exponent(module: DenseModule, gens):
     mats = [module.poly_matrix(g) for g in gens]
     current = Subspace.zero(module.dim)
     exponent = 0
     for k in range(1, module.dim + 2):
-        res = current.residual_matrix()
+        res = residual_matrix(current)
         stacked = []
         for mat in mats:
             stacked.extend(mat_mul(res, mat))

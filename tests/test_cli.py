@@ -9,7 +9,7 @@ import pytest
 
 from artquot.cli import main
 from artquot.quotient import staircase
-from artquot.ring import parse_input
+from artquot.ring import InternalCheckError, parse_input
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
@@ -207,6 +207,17 @@ def test_unit_ideal_exits_one(monkeypatch, capsys):
     rc, _, err = run(["basis"], "ring x,y; ideal 1", monkeypatch, capsys)
     assert rc == 1
     assert "zero ring" in err
+
+
+def test_internal_check_failure_exits_three(monkeypatch, capsys):
+    def broken(module, gens):
+        raise InternalCheckError("forced")
+
+    monkeypatch.setattr("artquot.cli.classify", broken)
+    rc, out, err = run(["classify"], FLAT7, monkeypatch, capsys)
+    assert rc == 3
+    assert out == ""
+    assert err == "internal check failed: forced\n"
 
 
 def test_missing_input_file_exits_one(capsys):

@@ -18,6 +18,7 @@ from artquot.linalg import (
     kernel,
     op_apply,
     op_mul,
+    op_power,
     op_transpose,
     operator_from_rows,
     operator_rows,
@@ -27,6 +28,7 @@ from artquot.linalg import (
 )
 from artquot.ring import poly_monomial
 from artquot.torsion import FiniteModule
+from dense_reference import residual_matrix
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -116,7 +118,7 @@ def test_membership_by_reduction(vectors, probe):
 @given(vectors_st(4))
 def test_residual_matrix_cuts_out_the_span(vectors):
     space = Subspace(4, vectors)
-    res = space.residual_matrix()
+    res = residual_matrix(space)
     for row in space.rows:
         assert all(x == 0 for x in op_apply(operator_from_rows(res), row))
     cut = kernel(res, 4)
@@ -156,6 +158,11 @@ def test_matrix_helpers():
     line = FiniteModule(1, 3, (a,))
     assert line.poly_matrix(poly_monomial((3,))) == op_mul(a, op_mul(a, a))
     assert line.poly_matrix(poly_monomial((0,))) == eye
+    # repeated squaring agrees with repeated multiplication
+    assert op_power(a, 0) == eye and op_power(a, 1) == a
+    for k in (3, 6, 7):
+        assert op_power(a, k) == line.poly_matrix(poly_monomial((k,)))
+    assert op_power((), 0) == ()
     assert op_transpose(op_transpose(a)) == a
     # (a b)^T = b^T a^T
     assert op_transpose(op_mul(a, b)) == op_mul(op_transpose(b), op_transpose(a))

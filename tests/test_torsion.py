@@ -19,6 +19,7 @@ from artquot.linalg import Subspace, op_mul, operator_from_rows, operator_rows
 from artquot.quotient import QuotientModule
 from artquot.ring import (
     AlgebraError,
+    InternalCheckError,
     ev_add,
     parse_input,
     parse_polynomial,
@@ -27,9 +28,9 @@ from artquot.ring import (
 from artquot.torsion import (
     FiniteModule,
     TtfTag,
-    adic_completion,
     annihilator_of,
     classify,
+    completion,
     conjugate,
     image_of,
     is_j_coreduced,
@@ -38,7 +39,6 @@ from artquot.torsion import (
     matlis_dual,
     quotient_module,
     torsion_part,
-    torsion_part_with_exponent,
     verify_ttf_duality,
 )
 from dense_reference import submodule_module, word_rank_profile
@@ -118,30 +118,36 @@ def test_annihilator_and_image_known_values():
 
 def test_torsion_part_is_everything_for_nilpotent_actions():
     # every variable is nilpotent on an Artinian staircase quotient, so the
-    # stabilized torsion chain reaches the whole module even though the
-    # first level is smaller
+    # torsion part is the whole module even though the first level is smaller
     m = module_from(FLAT7)
     y = parse_polynomial("y", m.variables)
-    space, exponent = torsion_part_with_exponent(m, [y])
-    assert space.dim == m.dim
-    assert exponent == 2  # y^2 = 0 on this module
+    assert torsion_part(m, [y]).dim == m.dim
+    assert annihilator_of(m, [y * y]).dim == m.dim  # y^2 = 0 on this module
     assert annihilator_of(m, [y]).dim == 4
+
+
+def test_split_check_fires_when_the_power_is_too_small(monkeypatch):
+    # with G^1 in place of G^d the two halves are ker y (dim 4) and
+    # im y (dim 3); their dimensions add up to 7, but im y lies in ker y
+    m = module_from(FLAT7)
+    y = parse_polynomial("y", m.variables)
+    monkeypatch.setattr("artquot.torsion.op_power", lambda op, k: op)
+    with pytest.raises(InternalCheckError, match="direct sum"):
+        classify(m, [y])
 
 
 def test_torsion_part_of_invertible_action_is_zero():
     fm = scalar_module(2, 3)
     x = poly_monomial((1,))
     assert torsion_part(fm, [x]).dim == 0
-    lam, _ = adic_completion(fm, [x])
-    assert lam.dim == 0  # x M = M, the chain never shrinks
+    assert completion(fm, [x]).dim == 0  # x M = M
 
 
 def test_mixed_action_splits():
     fm = scalar_module(0, 5)
     x = poly_monomial((1,))
     assert torsion_part(fm, [x]).dim == 1
-    lam, _ = adic_completion(fm, [x])
-    assert lam.dim == 1
+    assert completion(fm, [x]).dim == 1
 
 
 def test_submodule_and_quotient_modules():
@@ -172,8 +178,8 @@ def test_matlis_dual_is_an_involution_with_swapped_functors():
         assert matlis_dual(dual).action == fm.action
         # annihilators pair with images, torsion with completion
         assert annihilator_of(fm, gens).dim == fm.dim - image_of(dual, gens).dim
-        assert torsion_part(fm, gens).dim == adic_completion(dual, gens)[0].dim
-        assert adic_completion(fm, gens)[0].dim == torsion_part(dual, gens).dim
+        assert torsion_part(fm, gens).dim == completion(dual, gens).dim
+        assert completion(fm, gens).dim == torsion_part(dual, gens).dim
 
 
 def test_reduced_and_coreduced_predicates():
