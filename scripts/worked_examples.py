@@ -8,10 +8,8 @@ import sys
 from artquot import (
     QuotientModule,
     diagram_ascii,
-    dual_corners,
     hilbert,
     hilbert_duality_check,
-    inner_span,
     inverse_system,
     outside_corners,
     parse_input,
@@ -41,11 +39,11 @@ def show(title, text):
     print(f"   socle dim {soc.dim}")
     system = inverse_system(variables, ideal)
     print(f"   dual basis: {', '.join(system.labels())}")
-    print(f"   m acting on the dual spans {inner_span(system).dim} of them")
+    print(f"   m acting on the dual spans {system.inner.dim} of them")
     sd = socle_dual(module)
     print(f"   reduced-part duals: {', '.join(sd.labels())}")
-    assert dual_corners(system) == report.corners
-    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module)
+    assert system.corners == report.corners
+    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
     print(f"   series: module {hs_m} = dual {hs_d}; socle {hs_r} = {hs_rd}")
     print()
 

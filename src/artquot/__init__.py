@@ -15,9 +15,7 @@ from .diagram import (
 from .inverse import (
     InverseSystem,
     apolarity,
-    dual_corners,
     hilbert_duality_check,
-    inner_span,
     inverse_system,
     perp_of_submodule,
     socle_dual,
@@ -98,11 +96,9 @@ __all__ = [
     "diagram_cells",
     "diagram_svg",
     "diagram_svg_pair",
-    "dual_corners",
     "envelope_zero",
     "hilbert",
     "hilbert_duality_check",
-    "inner_span",
     "inverse_system",
     "is_coreduced_subspace",
     "is_gorenstein",

@@ -16,20 +16,13 @@ import time
 from fractions import Fraction
 
 from .diagram import diagram_ascii, diagram_cells, diagram_svg, diagram_svg_pair
-from .inverse import (
-    apolarity,
-    dual_corners,
-    hilbert_duality_check,
-    inner_span,
-    inverse_system,
-)
+from .inverse import hilbert_duality_check, inverse_system
 from .quotient import HilbertSeries, QuotientModule, hilbert
 from .radical import satisfies_radical_formula
 from .ring import (
     AlgebraError,
     InternalCheckError,
     MonomialIdeal,
-    Polynomial,
     VariableSet,
     monomial_str,
     parse_input,
@@ -125,9 +118,9 @@ def cmd_socle(args) -> int:
 def cmd_dual(args) -> int:
     module = _read_module(args)
     system = inverse_system(module.variables, module.ideal)
-    corners = dual_corners(system)
+    corners = system.corners
     corner_set = set(corners)
-    inner = [e for e in system.dual_basis if e not in corner_set]
+    inner = [e for e in system.basis if e not in corner_set]
     payload = {
         "ring": list(module.variables.names),
         "ideal": _ideal_strs(module.variables, module.ideal),
@@ -150,7 +143,8 @@ def cmd_dual(args) -> int:
 
 def cmd_hilbert(args) -> int:
     module = _read_module(args)
-    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module)
+    system = inverse_system(module.variables, module.ideal)
+    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
     payload = {
         "ring": list(module.variables.names),
         "ideal": _ideal_strs(module.variables, module.ideal),
@@ -258,11 +252,12 @@ def _report_rows(module: QuotientModule) -> list[dict]:
     system = inverse_system(module.variables, module.ideal)
     corner_report = outside_corners(module)
     reduced = largest_reduced_submodule(module)
-    d_corners = dual_corners(system)
-    inner = inner_span(system)
-    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module)
+    inner = system.inner
+    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
+    # the dual elements killed by every variable are exactly the constants
+    dual_socle_ok = outside_corners(system).corners == ((0,) * module.n,)
     p_labels = [module.label(e) for e in corner_report.corners]
-    d_labels = [system.label(e) for e in d_corners]
+    d_labels = [system.label(e) for e in system.corners]
     dim = module.dim
     rows = [
         {
@@ -277,7 +272,7 @@ def _report_rows(module: QuotientModule) -> list[dict]:
             "left": "reduced part generated by " + ", ".join(p_labels),
             "right": "dual quotient generated by " + ", ".join(d_labels),
             "remark": "generated by the outside corner elements",
-            "ok": sorted(corner_report.corners) == sorted(d_corners),
+            "ok": sorted(corner_report.corners) == sorted(system.corners),
         },
         {
             "row": 3,
@@ -305,7 +300,7 @@ def _report_rows(module: QuotientModule) -> list[dict]:
             "left": "M surjects onto M/mbar = k",
             "right": "reduced part of the dual embeds as span{1}",
             "remark": "a surjection and an embedding respectively",
-            "ok": _dual_socle_is_constants(module, system),
+            "ok": dual_socle_ok,
         },
         {
             "row": 7,
@@ -319,7 +314,7 @@ def _report_rows(module: QuotientModule) -> list[dict]:
             "left": f"reduced part = socle, dim {reduced.dim}",
             "right": "dual reduced part = dual socle, dim 1",
             "remark": "the reduced submodule and the socle coincide",
-            "ok": _dual_socle_is_constants(module, system),
+            "ok": dual_socle_ok,
         },
         {
             "row": 9,
@@ -343,18 +338,6 @@ def _m_kills_reduced(module: QuotientModule, reduced) -> bool:
             if any(c != 0 for c in module.act(poly, row)):
                 return False
     return True
-
-
-def _dual_socle_is_constants(module: QuotientModule, system) -> bool:
-    """The dual elements killed by every variable are exactly the constants."""
-    killed = []
-    for e in system.dual_basis:
-        if all(
-            apolarity(v, poly_monomial(e)) == Polynomial()
-            for v in variable_polys(module.n)
-        ):
-            killed.append(e)
-    return killed == [(0,) * module.n]
 
 
 def cmd_report(args) -> int:

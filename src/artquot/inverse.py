@@ -18,13 +18,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .linalg import Subspace, kernel
+from .linalg import Operator, Subspace, kernel
 from .quotient import (
     HilbertSeries,
     QuotientModule,
     hilbert,
     monomial_span,
-    staircase,
 )
 from .ring import (
     AlgebraError,
@@ -34,14 +33,15 @@ from .ring import (
     Polynomial,
     VariableSet,
     divides,
+    ev_add,
     grlex_key,
     minimalize,
-    monomial_str,
     poly_monomial,
     total_degree,
     variable_polys,
 )
 from .reduced import monomials_up_to_degree, outside_corners
+from .torsion import FiniteModule, image_of
 
 
 def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
@@ -61,48 +61,47 @@ def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
     return Polynomial(items)
 
 
-@dataclass(frozen=True)
-class InverseSystem:
-    """The finitely generated inverse system I-perp of a monomial ideal."""
+class InverseSystem(QuotientModule):
+    """I-perp on the dual staircase basis, a module under contraction.
 
-    variables: VariableSet
-    source_ideal: MonomialIdeal
-    dual_basis: tuple[ExponentVector, ...]
+    Basis, index and elements are those of R/I; only the operators and the
+    labels differ.  Column e of action[i] is contraction by x_i, which is
+    e_i X^(e - s_i) for the i-th unit exponent vector s_i.  inverse_system
+    builds it and stores the checked structures below.
+    """
+
     grading: HilbertSeries
+    inner: Subspace  # the contraction image m o I-perp
+    corners: tuple[ExponentVector, ...]  # dual basis monomials outside it
 
-    @property
-    def dim(self) -> int:
-        return len(self.dual_basis)
+    def _operator(self, i: int) -> Operator:
+        cols = []
+        for e in self.basis:
+            if e[i] == 0:
+                cols.append({})
+                continue
+            pos = self.index.get(tuple(v - int(j == i) for j, v in enumerate(e)))
+            if pos is None:
+                raise InternalCheckError("dual staircase is not downward closed")
+            cols.append({pos: Fraction(e[i])})
+        return tuple(cols)
 
-    def label(self, exps: ExponentVector) -> str:
-        return monomial_str(self.variables.dual_names(), exps)
-
-    def labels(self) -> list[str]:
-        return [self.label(e) for e in self.dual_basis]
-
-    def index(self, exps: ExponentVector):
-        try:
-            return self.dual_basis.index(tuple(exps))
-        except ValueError:
-            return None
-
-    def unit_vector(self, exps: ExponentVector) -> tuple:
-        pos = self.index(exps)
-        if pos is None:
-            raise AlgebraError(f"{exps} is not in the dual basis")
-        return tuple(
-            Fraction(1) if i == pos else Fraction(0) for i in range(self.dim)
-        )
+    def _names(self) -> tuple[str, ...]:
+        return self.variables.dual_names()
 
 
 def inverse_system(variables: VariableSet, ideal: MonomialIdeal) -> InverseSystem:
     """I-perp, spanned by the dual monomials of the staircase of I.
 
-    Two exact checks run on construction: every generator of I contracts
-    every dual basis monomial to zero, and every non-staircase dual monomial
-    of bounded degree survives contraction by some generator.
+    Exact checks run once, on construction: the contraction operators
+    commute, every generator of I contracts every dual basis monomial to
+    zero, every non-staircase dual monomial of bounded degree survives
+    contraction by some generator, and the contraction image is the span of
+    the non-maximal duals.  The dual corners are then the basis monomials
+    off the pivots of that image.
     """
-    basis = tuple(staircase(variables, ideal))
+    system = InverseSystem(variables, ideal)
+    basis = system.basis
     gens = [poly_monomial(g) for g in ideal.min_gens]
     for e in basis:
         dual = poly_monomial(e)
@@ -112,67 +111,29 @@ def inverse_system(variables: VariableSet, ideal: MonomialIdeal) -> InverseSyste
                     f"dual staircase monomial {e} not annihilated by a generator"
                 )
     maxdeg = max((total_degree(e) for e in basis), default=0)
-    in_basis = set(basis)
     for e in monomials_up_to_degree(variables.n, maxdeg):
-        if e in in_basis:
+        if e in system.index:
             continue
         dual = poly_monomial(e)
         if all(apolarity(g, dual).is_zero for g in gens):
             raise InternalCheckError(
                 f"non-staircase dual monomial {e} annihilated by every generator"
             )
-    grading = HilbertSeries.from_degrees(total_degree(e) for e in basis)
-    return InverseSystem(variables, ideal, basis, grading)
-
-
-def inner_span(system: InverseSystem) -> Subspace:
-    """Span of all single-variable contractions of the dual staircase.
-
-    This is the image of the maximal ideal acting on the inverse system;
-    it is checked to coincide with the span of the non-maximal dual
-    monomials (everything except the dual outside corners).
-    """
-    n = system.variables.n
-    dim = system.dim
-    vecs = []
-    for e in system.dual_basis:
-        for i in range(n):
-            if e[i] == 0:
-                continue
-            target = tuple(v - int(j == i) for j, v in enumerate(e))
-            pos = system.index(target)
-            if pos is None:
-                raise InternalCheckError("dual staircase is not downward closed")
-            vec = [Fraction(0)] * dim
-            vec[pos] = Fraction(e[i])
-            vecs.append(vec)
-    span = Subspace(dim, vecs)
-    in_basis = set(system.dual_basis)
+    n = variables.n
+    inner = image_of(system, variable_polys(n))
+    steps = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     non_maximal = [
-        e
-        for e in system.dual_basis
-        if any(
-            tuple(v + int(j == i) for j, v in enumerate(e)) in in_basis
-            for i in range(n)
-        )
+        e for e in basis if any(ev_add(e, s) in system.index for s in steps)
     ]
-    expected = Subspace(dim, [system.unit_vector(e) for e in non_maximal])
-    if span != expected:
+    if inner != monomial_span(system, non_maximal):
         raise InternalCheckError(
             "contraction image differs from the span of non-maximal duals"
         )
-    return span
-
-
-def dual_corners(system: InverseSystem) -> tuple[ExponentVector, ...]:
-    """Dual basis monomials outside the contraction image; the duals of the
-    outside corners of the staircase."""
-    span = inner_span(system)
-    return tuple(
-        e
-        for e in system.dual_basis
-        if not span.contains(system.unit_vector(e))
-    )
+    pivots = set(inner.pivots)
+    system.grading = hilbert(system)
+    system.inner = inner
+    system.corners = tuple(e for k, e in enumerate(basis) if k not in pivots)
+    return system
 
 
 @dataclass(frozen=True)
@@ -195,27 +156,24 @@ def socle_dual(module: QuotientModule) -> SocleDual:
     """
     system = inverse_system(module.variables, module.ideal)
     corners = outside_corners(module).corners
-    duals = dual_corners(system)
-    if sorted(duals, key=grlex_key) != sorted(corners, key=grlex_key):
+    if sorted(system.corners, key=grlex_key) != sorted(corners, key=grlex_key):
         raise InternalCheckError(
             "dual corner set does not mirror the staircase corners"
         )
-    span = inner_span(system)
-    return SocleDual(system, duals, span.dim)
+    return SocleDual(system, system.corners, system.inner.dim)
 
 
 def hilbert_duality_check(
-    module: QuotientModule,
+    module: QuotientModule, system: InverseSystem
 ) -> tuple[HilbertSeries, HilbertSeries, HilbertSeries, HilbertSeries]:
     """(HS of M, of I-perp, of the reduced part, of its dual); the first two
     and the last two must agree."""
-    system = inverse_system(module.variables, module.ideal)
     hs_module = hilbert(module)
     hs_dual = system.grading
     corners = outside_corners(module).corners
     hs_reduced = HilbertSeries.from_degrees(total_degree(e) for e in corners)
     hs_reduced_dual = HilbertSeries.from_degrees(
-        total_degree(e) for e in dual_corners(system)
+        total_degree(e) for e in system.corners
     )
     if hs_module != hs_dual:
         raise InternalCheckError("Hilbert series of M and I-perp differ")
@@ -452,6 +410,17 @@ class TopDegreeReport:
     readings_differ: bool
 
 
+def _iterated_image(
+    module: FiniteModule, polys: Sequence[Polynomial], times: int
+) -> Subspace:
+    """J^times M for the ideal J generated by `polys`."""
+    space = Subspace.full(module.dim)
+    for _ in range(times):
+        vecs = [module.act(p, row) for p in polys for row in space.rows]
+        space = Subspace(module.dim, vecs)
+    return space
+
+
 def top_degree_check(variables: VariableSet, ideal: MonomialIdeal) -> TopDegreeReport:
     """For the ideal of all monomials of degree n+1: multiplying M by the
     maximal ideal n times leaves exactly the top graded piece.
@@ -470,10 +439,7 @@ def top_degree_check(variables: VariableSet, ideal: MonomialIdeal) -> TopDegreeR
         )
     module = QuotientModule(variables, ideal)
     xs = variable_polys(n)
-    current = Subspace.full(module.dim)
-    for _ in range(n):
-        vecs = [module.act(xv, row) for xv in xs for row in current.rows]
-        current = Subspace(module.dim, vecs)
+    current = _iterated_image(module, xs, n)
     top_piece = monomial_span(
         module, (e for e in module.basis if total_degree(e) == n)
     )
@@ -484,31 +450,14 @@ def top_degree_check(variables: VariableSet, ideal: MonomialIdeal) -> TopDegreeR
         )
     # dual side: n contractions shrink the inverse system to the constants
     system = inverse_system(variables, ideal)
-    dual_space = Subspace.full(system.dim)
-    for _ in range(n):
-        vecs = []
-        for row in dual_space.rows:
-            f = Polynomial(
-                {e: c for e, c in zip(system.dual_basis, row) if c}
-            )
-            for i in range(n):
-                step = tuple(int(t == i) for t in range(n))
-                img = apolarity(poly_monomial(step), f)
-                vec = [Fraction(0)] * system.dim
-                for e, c in img.terms.items():
-                    vec[system.index(e)] = c
-                vecs.append(vec)
-        dual_space = Subspace(system.dim, vecs)
-    one = system.unit_vector((0,) * n)
+    dual_space = _iterated_image(system, xs, n)
+    one = system.basis_element((0,) * n)
     if dual_space != Subspace(system.dim, [one]):
         raise InternalCheckError(
             "iterated contraction does not end at the constants"
         )
     # single-element reading
-    diag = Polynomial({tuple(int(t == i) for t in range(n)): Fraction(1) for i in range(n)})
-    elem = Subspace.full(module.dim)
-    for _ in range(n):
-        elem = Subspace(module.dim, [module.act(diag, row) for row in elem.rows])
+    elem = _iterated_image(module, [sum(xs, Polynomial())], n)
     return TopDegreeReport(
         n=n,
         top_degree=n,

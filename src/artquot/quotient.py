@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from .linalg import Subspace
+from .linalg import Operator, Subspace
 from .ring import (
     AlgebraError,
     ExponentVector,
@@ -94,20 +94,25 @@ class QuotientModule(FiniteModule):
         self.ideal = ideal
         self.basis = tuple(staircase(variables, ideal))
         self.index = {e: i for i, e in enumerate(self.basis)}
+        ops = tuple(self._operator(i) for i in range(variables.n))
+        super().__init__(variables.n, len(self.basis), ops)
+
+    def _operator(self, i: int) -> Operator:
+        """x_i shifts each standard monomial up, or to zero inside I."""
         one = Fraction(1)
-        shifts = []
-        for i in range(variables.n):
-            step = tuple(int(j == i) for j in range(variables.n))
-            targets = (self.index.get(ev_add(e, step)) for e in self.basis)
-            shifts.append(tuple({} if t is None else {t: one} for t in targets))
-        super().__init__(variables.n, len(self.basis), tuple(shifts))
+        step = tuple(int(j == i) for j in range(self.variables.n))
+        targets = (self.index.get(ev_add(e, step)) for e in self.basis)
+        return tuple({} if t is None else {t: one} for t in targets)
+
+    def _names(self) -> tuple[str, ...]:
+        return self.variables.names
 
     @property
     def n(self) -> int:
         return self.nvars
 
     def label(self, exps: ExponentVector) -> str:
-        return monomial_str(self.variables.names, exps)
+        return monomial_str(self._names(), exps)
 
     def labels(self) -> list[str]:
         return [self.label(e) for e in self.basis]
@@ -137,7 +142,7 @@ class QuotientModule(FiniteModule):
         terms = {
             self.basis[i]: c for i, c in enumerate(vec) if c
         }
-        return Polynomial(terms).to_str(self.variables.names) if terms else "0"
+        return Polynomial(terms).to_str(self._names()) if terms else "0"
 
     def to_json(self) -> dict:
         return {
@@ -147,7 +152,7 @@ class QuotientModule(FiniteModule):
         }
 
     def __repr__(self):
-        return f"QuotientModule(dim={self.dim}, vars={self.variables.names})"
+        return f"{type(self).__name__}(dim={self.dim}, vars={self._names()})"
 
 
 def hilbert(module: QuotientModule) -> HilbertSeries:

@@ -25,7 +25,6 @@ from .linalg import (
     op_mul,
     op_power,
     op_transpose,
-    operator_rows,
     sparse_apply,
 )
 from .ring import AlgebraError, InternalCheckError, Polynomial
@@ -88,13 +87,14 @@ def _gen_matrices(module: FiniteModule, gens: Iterable[Polynomial]) -> list[Oper
     return [module.poly_matrix(g) for g in gens]
 
 
+# Zero rows and columns change no kernel or span; they stay out of rref.
 def _joint_kernel(ops: list[Operator], d: int) -> Subspace:
-    stacked = [row for op in ops for row in operator_rows(op)]
+    stacked = [dense(row, d) for op in ops for row in op_transpose(op) if row]
     return kernel(stacked, d) if stacked else Subspace.full(d)
 
 
 def _image_span(ops: list[Operator], d: int) -> Subspace:
-    return Subspace(d, [dense(col, d) for op in ops for col in op])
+    return Subspace(d, [dense(col, d) for op in ops for col in op if col])
 
 
 def _products(ops: list[Operator]) -> list[Operator]:
@@ -248,6 +248,7 @@ class DualityReport:
 
     hypothesis_met: bool
     items: tuple[str, str, str]  # each "pass" | "fail" | "skipped"
+    tag: TtfTag  # the classification of M itself
 
     @property
     def ok(self) -> bool:
@@ -265,7 +266,7 @@ def verify_ttf_duality(
     gens = list(gens)
     mine = classify(module, gens)
     if not (mine.j_reduced and mine.j_coreduced):
-        return DualityReport(False, ("skipped", "skipped", "skipped"))
+        return DualityReport(False, ("skipped", "skipped", "skipped"), mine)
     dual = matlis_dual(module)
     theirs = classify(dual, gens)
     in_t = mine.j_reduced and mine.gamma_dim == module.dim
@@ -280,7 +281,7 @@ def verify_ttf_duality(
         "pass" if in_f == dual_in_frak else "fail",
         "pass" if in_frak == dual_in_f else "fail",
     )
-    return DualityReport(True, items)
+    return DualityReport(True, items, mine)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,7 @@ import time
 
 from artquot import (
     QuotientModule,
-    dual_corners,
     hilbert_duality_check,
-    inner_span,
     inverse_system,
     monomial_span,
     outside_corners,
@@ -72,12 +70,12 @@ def test_criterion_02_inverse_system_exact():
     with _Budget("criterion 2: inverse system of the 4-dim example, exact", 1.0):
         system = _system(SMALL4)
         assert system.labels() == ["1", "X1", "X2", "X2^2"]
-        span = inner_span(system)  # the image m o I-perp
+        span = system.inner  # the image m o I-perp
         assert span.dim == 2
-        assert span.contains(system.unit_vector((0, 0)))  # 1
-        assert span.contains(system.unit_vector((0, 1)))  # X2
-        assert not span.contains(system.unit_vector((1, 0)))
-        assert dual_corners(system) == ((1, 0), (0, 2))  # cosets X1, X2^2
+        assert span.contains(system.basis_element((0, 0)))  # 1
+        assert span.contains(system.basis_element((0, 1)))  # X2
+        assert not span.contains(system.basis_element((1, 0)))
+        assert system.corners == ((1, 0), (0, 2))  # cosets X1, X2^2
 
 
 def test_criterion_03_duality_mirror_exact():
@@ -86,8 +84,8 @@ def test_criterion_03_duality_mirror_exact():
         assert module.dim == 7
         assert outside_corners(module).corners == ((3, 0), (2, 1))
         system = _system(FLAT7)
-        assert dual_corners(system) == ((3, 0), (2, 1))
-        hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module)
+        assert system.corners == ((3, 0), (2, 1))
+        hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
         assert hs_m.coeffs == (1, 2, 2, 2)
         assert hs_d.coeffs == (1, 2, 2, 2)
         assert hs_r.coeffs == (0, 0, 0, 2)

@@ -5,16 +5,18 @@ built on top of it is compared against those primitives, never against
 itself.
 """
 
+import io
 from fractions import Fraction
 
 import pytest
 
+from artquot import inverse
+from artquot.cli import main
 from artquot.instances import sample_ideals, sample_modules
 from artquot.inverse import (
+    InverseSystem,
     apolarity,
-    dual_corners,
     hilbert_duality_check,
-    inner_span,
     inverse_system,
     perp_of_submodule,
     socle_dual,
@@ -24,15 +26,18 @@ from artquot.inverse import (
 )
 from artquot.linalg import Subspace
 from artquot.quotient import QuotientModule, hilbert
+from artquot.reduced import monomials_up_to_degree, outside_corners
 from artquot.ring import (
     AlgebraError,
+    InternalCheckError,
     Polynomial,
     VariableSet,
     minimalize,
     parse_input,
     poly_monomial,
+    variable_polys,
 )
-from artquot.reduced import monomials_up_to_degree
+from artquot.suites import run_suite
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
 SMALL4 = '{"ring": ["x1","x2"], "ideal": ["x1^2", "x1*x2", "x2^3"]}'
@@ -69,19 +74,19 @@ def test_contraction_is_linear_and_multiplicative():
 
 def test_known_inverse_system():
     system = inverse_system(*parse_input(SMALL4))
-    assert system.dual_basis == ((0, 0), (1, 0), (0, 1), (0, 2))
+    assert system.basis == ((0, 0), (1, 0), (0, 1), (0, 2))
     assert system.labels() == ["1", "X1", "X2", "X2^2"]
     assert system.grading.coeffs == (1, 2, 1)
 
 
 def test_known_inner_span_and_dual_corners():
     system = inverse_system(*parse_input(SMALL4))
-    span = inner_span(system)
+    span = system.inner
     assert span.dim == 2
-    assert span.contains(system.unit_vector((0, 0)))
-    assert span.contains(system.unit_vector((0, 1)))
-    assert not span.contains(system.unit_vector((1, 0)))
-    assert dual_corners(system) == ((1, 0), (0, 2))
+    assert span.contains(system.basis_element((0, 0)))
+    assert span.contains(system.basis_element((0, 1)))
+    assert not span.contains(system.basis_element((1, 0)))
+    assert system.corners == ((1, 0), (0, 2))
 
 
 def test_socle_dual_generators():
@@ -96,18 +101,20 @@ def test_every_ideal_generator_annihilates_the_dual_basis():
     for _, variables, ideal in sample_ideals(25, seed=31):
         system = inverse_system(variables, ideal)
         for g in ideal.min_gens:
-            for e in system.dual_basis:
+            for e in system.basis:
                 assert apolarity(poly_monomial(g), poly_monomial(e)) == Polynomial()
 
 
 def test_dual_basis_mirrors_the_staircase():
     for _, m in sample_modules(25, seed=32):
         system = inverse_system(m.variables, m.ideal)
-        assert system.dual_basis == m.basis
+        assert system.basis == m.basis
 
 
 def test_hilbert_duality_on_known_module():
-    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module_from(FLAT7))
+    module = module_from(FLAT7)
+    system = inverse_system(module.variables, module.ideal)
+    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
     assert hs_m.coeffs == (1, 2, 2, 2)
     assert hs_d.coeffs == (1, 2, 2, 2)
     assert hs_r.coeffs == (0, 0, 0, 2)
@@ -116,7 +123,8 @@ def test_hilbert_duality_on_known_module():
 
 def test_hilbert_duality_everywhere():
     for _, m in sample_modules(30, seed=33):
-        hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(m)
+        system = inverse_system(m.variables, m.ideal)
+        hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(m, system)
         assert hs_m == hs_d and hs_r == hs_rd
         assert hs_m == hilbert(m)
 
@@ -124,7 +132,7 @@ def test_hilbert_duality_everywhere():
 def test_perp_round_trips_to_the_ideal():
     for _, m in sample_modules(30, seed=34):
         system = inverse_system(m.variables, m.ideal)
-        duals = [poly_monomial(e) for e in system.dual_basis]
+        duals = [poly_monomial(e) for e in system.basis]
         result = perp_of_submodule(m.variables, duals)
         assert result.exact
         assert result.ideal == m.ideal
@@ -210,6 +218,57 @@ def test_top_degree_check_rejects_other_ideals():
 def test_unit_ideal_has_trivial_dual():
     variables = VariableSet(("x", "y"))
     system = inverse_system(variables, minimalize([(1, 0), (0, 1)]))
-    assert system.dual_basis == ((0, 0),)
-    assert dual_corners(system) == ((0, 0),)
-    assert inner_span(system).dim == 0
+    assert system.basis == ((0, 0),)
+    assert system.corners == ((0, 0),)
+    assert system.inner.dim == 0
+
+
+def test_contraction_operators_match_apolarity():
+    for _, variables, ideal in sample_ideals(25, seed=35):
+        system = inverse_system(variables, ideal)
+        for op, x in zip(system.action, variable_polys(variables.n)):
+            for e, col in zip(system.basis, op):
+                image = apolarity(x, poly_monomial(e))
+                assert col == {system.index[f]: c for f, c in image.terms.items()}
+
+
+def test_dual_corners_are_the_staircase_corners():
+    for _, variables, ideal in sample_ideals(25, seed=35):
+        system = inverse_system(variables, ideal)
+        module = QuotientModule(variables, ideal)
+        assert system.corners == outside_corners(module).corners
+
+
+def test_contraction_image_check_is_live(monkeypatch):
+    monkeypatch.setattr(
+        inverse, "image_of", lambda module, gens: Subspace.full(module.dim)
+    )
+    with pytest.raises(InternalCheckError, match="non-maximal duals"):
+        inverse_system(*parse_input(FLAT7))
+
+
+def _count_systems(monkeypatch) -> list:
+    built = []
+    post_init = InverseSystem.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(InverseSystem, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("command", ["report", "dual", "hilbert"])
+def test_each_command_builds_one_inverse_system(command, monkeypatch, capsys):
+    built = _count_systems(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
+    assert main([command]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_hs_duality_case_builds_one_inverse_system(monkeypatch):
+    built = _count_systems(monkeypatch)
+    assert run_suite("hs-duality", 5, 0).ok
+    assert len(built) == 5

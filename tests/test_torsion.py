@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from artquot import suites, torsion
 from artquot.instances import (
     _random_unimodular,
     random_finite_module,
@@ -298,3 +299,18 @@ def test_zero_module_classifies_cleanly():
     assert tag.gamma_dim == 0 and tag.lambda_dim == 0
     report = verify_ttf_duality(quo, [poly_monomial((1,))])
     assert report.ok
+
+
+def test_ttf_suite_classifies_each_module_once(monkeypatch):
+    calls = []
+    original = torsion.classify
+
+    def counted(module, gens):
+        calls.append(module)
+        return original(module, gens)
+
+    monkeypatch.setattr(torsion, "classify", counted)
+    monkeypatch.setattr(suites, "classify", counted)
+    assert suites.run_suite("ttf-duality", 20, 0).ok
+    # the module, its conjugate, and its dual when the hypothesis holds
+    assert len(calls) == 55
