@@ -10,6 +10,7 @@ deterministic for a fixed input and seed; timing notes go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -335,7 +336,7 @@ def _positive_degree_dim(module: QuotientModule) -> int:
 def _m_kills_reduced(module: QuotientModule, reduced) -> bool:
     for poly in variable_polys(module.n):
         for row in reduced.rows:
-            if any(c != 0 for c in module.act(poly, row)):
+            if module.act(poly, row):
                 return False
     return True
 
@@ -412,7 +413,9 @@ def _count(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="artquot",
         description=(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .linalg import Operator, is_invertible, op_mul, operator_from_rows, operator_rows
+from .linalg import Operator, is_invertible, op_mul, operator_from_rows
 from .quotient import QuotientModule, staircase
 from .ring import MonomialIdeal, Polynomial, VariableSet, minimalize, poly_monomial
 from .torsion import FiniteModule, conjugate
@@ -144,7 +144,7 @@ def random_finite_module(
     module = FiniteModule(n, dim, tuple(mats))
     if conjugated:
         p, p_inv = _random_unimodular(rng, dim)
-        if not is_invertible(operator_rows(p)):
+        if not is_invertible(p):
             raise AssertionError("unimodular construction failed")
         module = conjugate(module, p, p_inv)
     return module

@@ -270,13 +270,14 @@ def perp_of_submodule(
                     targets.setdefault(e, len(targets))
         for img_row in images:
             for e in targets:
-                rows.append(
-                    [img.terms.get(e, Fraction(0)) for img in img_row]
-                )
-        ker = kernel(rows, len(monos)) if rows else Subspace.full(len(monos))
+                rows.append({
+                    k: img.terms[e]
+                    for k, img in enumerate(img_row)
+                    if e in img.terms
+                })
+        ker = kernel(rows, len(monos))
         layer = tuple(
-            Polynomial({m: c for m, c in zip(monos, row) if c})
-            for row in ker.rows
+            Polynomial({monos[k]: c for k, c in row.items()}) for row in ker.rows
         )
         layers.append(layer)
     return PerpResult(

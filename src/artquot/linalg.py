@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Row reduction runs fraction-free: each incoming row is scaled to integers,
-eliminated against the current pivot rows by integer cross-multiplication
-(with gcd normalization to keep entries small), and only the final
-normalization to reduced echelon form touches Fractions.  Everything is
-exact; there is no floating point.
+There is one vector form: a sparse vector is a dict {index: Fraction} that
+stores no zeros, the form an operator column also takes.  Row reduction runs
+fraction-free on the stored entries only: each incoming row is scaled to
+integers, eliminated against the current pivot rows by integer
+cross-multiplication (with gcd normalization to keep entries small), and only
+the final normalization to reduced echelon form touches Fractions.  Everything
+is exact; there is no floating point.
 """
 
 from __future__ import annotations
@@ -15,72 +17,82 @@ from typing import Iterable, Sequence
 
 from .ring import AlgebraError
 
-Vector = tuple  # tuple[Fraction, ...]
-Matrix = tuple  # tuple[Vector, ...], row-major
 
-
-def _integerize(row: Sequence) -> list[int]:
+def _integerize(vec: dict) -> dict[int, int]:
     den = 1
-    vals = [Fraction(x) for x in row]
-    for x in vals:
+    for x in vec.values():
         den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in vals]
+    return {i: int(x * den) for i, x in vec.items() if x}
 
 
-def _gcd_normalize(row: list[int]) -> list[int]:
+def _gcd_normalize(row: dict[int, int], lead: int) -> dict[int, int]:
+    """The primitive integer multiple of row with a positive entry at lead."""
     g = 0
-    for x in row:
+    for x in row.values():
         g = gcd(g, x)
-    if g == 0:
-        return row
-    lead = next(x for x in row if x)
-    if lead < 0:
+    if row[lead] < 0:
         g = -g
-    return [x // g for x in row]
+    return row if g == 1 else {i: x // g for i, x in row.items()}
 
 
-def _lead(row: Sequence[int], start: int = 0) -> int | None:
-    for c in range(start, len(row)):
-        if row[c]:
-            return c
-    return None
+def rref(vectors: Iterable[dict], width: int):
+    """Canonical reduced row echelon form of sparse vectors.
 
-
-def rref(vectors: Iterable[Sequence], width: int):
-    """Canonical reduced row echelon form.
-
-    Returns (rows, pivots): rows are tuples of Fractions with pivot entries
-    1 and zeros above and below each pivot; pivots are the pivot columns in
+    Returns (rows, pivots): rows are sparse vectors with pivot entries 1 and
+    no other entry in a pivot column; pivots are the pivot columns in
     increasing order.  Zero rows are dropped.
     """
-    pivot_rows: dict[int, list[int]] = {}
+    pivot_rows: dict[int, dict[int, int]] = {}
     for vec in vectors:
-        if len(vec) != width:
-            raise AlgebraError("vector has wrong length")
         row = _integerize(vec)
-        c = _lead(row)
-        while c is not None and c in pivot_rows:
+        if not row:
+            continue
+        c = min(row)
+        if c < 0 or max(row) >= width:
+            raise AlgebraError(f"vector index out of range({width})")
+        row = _gcd_normalize(row, c)
+        while c in pivot_rows:
             p = pivot_rows[c]
             a, b = p[c], row[c]
-            row = [a * x - b * y for x, y in zip(row, p)]
-            row = _gcd_normalize(row)
-            c = _lead(row, c + 1)
-        if c is not None:
-            pivot_rows[c] = _gcd_normalize(row)
+            # row = a * row - b * p, which clears column c
+            if a != 1:
+                row = {i: a * x for i, x in row.items()}
+            for i, y in p.items():
+                x = row.get(i, 0) - b * y
+                if x:
+                    row[i] = x
+                else:
+                    del row[i]
+            if not row:
+                break
+            c = min(row)
+            row = _gcd_normalize(row, c)
+        if row:
+            pivot_rows[c] = row
     pivots = tuple(sorted(pivot_rows))
     rows = []
     for c in pivots:
         r = pivot_rows[c]
         piv = r[c]
-        rows.append([Fraction(x, piv) for x in r])
+        rows.append({i: Fraction(x, piv) for i, x in r.items()})
     # eliminate above the pivots
     for j in range(len(pivots) - 1, -1, -1):
-        cj = pivots[j]
-        for i in range(j):
-            f = rows[i][cj]
+        cj, rj = pivots[j], rows[j]
+        for ri in rows[:j]:
+            f = ri.get(cj)
             if f:
-                rows[i] = [xi - f * xj for xi, xj in zip(rows[i], rows[j])]
-    return tuple(tuple(r) for r in rows), pivots
+                _axpy(ri, -f, rj)
+    return tuple(rows), pivots
+
+
+def _axpy(v: dict, f, row: dict) -> None:
+    """v += f * row in place, keeping v free of zeros."""
+    for i, x in row.items():
+        y = v.get(i, 0) + f * x
+        if y:
+            v[i] = y
+        else:
+            del v[i]
 
 
 class Subspace:
@@ -88,7 +100,7 @@ class Subspace:
 
     __slots__ = ("ambient", "rows", "pivots")
 
-    def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
+    def __init__(self, ambient: int, vectors: Iterable[dict] = ()):
         self.ambient = ambient
         self.rows, self.pivots = rref(vectors, ambient)
 
@@ -98,26 +110,25 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        unit = [[Fraction(int(i == j)) for j in range(ambient)] for i in range(ambient)]
-        return cls(ambient, unit)
+        return cls(ambient, ({i: Fraction(1)} for i in range(ambient)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Sequence) -> Vector:
-        """Residual of vec after reduction by the stored rows; zero iff vec is in the span."""
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.ambient:
-            raise AlgebraError("vector has wrong length")
+    def reduce(self, vec: dict) -> dict:
+        """vec minus its part along the stored rows; empty iff vec is in the span."""
+        if vec and (min(vec) < 0 or max(vec) >= self.ambient):
+            raise AlgebraError(f"vector index out of range({self.ambient})")
+        v = {i: x for i, x in vec.items() if x}
         for row, p in zip(self.rows, self.pivots):
-            f = v[p]
+            f = v.get(p)
             if f:
-                v = [xi - f * ri for xi, ri in zip(v, row)]
-        return tuple(v)
+                _axpy(v, -f, row)
+        return v
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -125,65 +136,42 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise AlgebraError("ambient dimensions differ")
-        return Subspace(self.ambient, list(self.rows) + list(other.rows))
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: reduce [U|U; W|0]; rows with zero left half span U cap W."""
-        if self.ambient != other.ambient:
-            raise AlgebraError("ambient dimensions differ")
-        d = self.ambient
-        block = [list(r) + list(r) for r in self.rows]
-        block += [list(r) + [Fraction(0)] * d for r in other.rows]
-        rows, _ = rref(block, 2 * d)
-        vecs = [r[d:] for r in rows if not any(r[:d])]
-        return Subspace(d, vecs)
-
-    def coords(self, vec: Sequence) -> Vector:
-        """Coordinates of vec in the row basis; raises if vec is outside."""
-        v = [Fraction(x) for x in vec]
-        out = []
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            out.append(f)
-            if f:
-                v = [xi - f * ri for xi, ri in zip(v, row)]
-        if any(v):
-            raise AlgebraError("vector is not in the subspace")
-        return tuple(out)
+        return Subspace(self.ambient, self.rows + other.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
+            and self.pivots == other.pivots
             and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def kernel(matrix_rows: Sequence[Sequence], width: int) -> Subspace:
-    """Null space {v : A v = 0} of the matrix with the given rows."""
-    rows, pivots = rref(matrix_rows, width)
+def kernel(vectors: Iterable[dict], width: int) -> Subspace:
+    """Null space {v : A v = 0} of the matrix whose rows are the given vectors."""
+    rows, pivots = rref(vectors, width)
     pivot_set = set(pivots)
     vecs = []
     for f in range(width):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * width
-        v[f] = Fraction(1)
+        v = {f: Fraction(1)}
         for row, p in zip(rows, pivots):
-            v[p] = -row[f]
+            x = row.get(f)
+            if x:
+                v[p] = -x
         vecs.append(v)
     return Subspace(width, vecs)
 
 
-def rank(matrix_rows: Sequence[Sequence], width: int) -> int:
-    rows, _ = rref(matrix_rows, width)
-    return len(rows)
+def rank(vectors: Iterable[dict], width: int) -> int:
+    return len(rref(vectors, width)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +204,6 @@ def sparse_apply(op: Operator, vec: dict) -> dict:
     return {i: x for i, x in out.items() if x} if summed else out
 
 
-def op_apply(op: Operator, vec: Sequence) -> Vector:
-    """The dense vector op * vec."""
-    out = [Fraction(0)] * len(op)
-    for j, c in enumerate(vec):
-        if c:
-            for i, a in op[j].items():
-                out[i] += c if a == 1 else a * c
-    return tuple(out)
-
-
 def op_mul(a: Operator, b: Operator) -> Operator:
     """The composition a * b: b acts first."""
     return tuple(sparse_apply(a, col) for col in b)
@@ -251,11 +229,6 @@ def op_transpose(op: Operator) -> Operator:
     return tuple(cols)
 
 
-def dense(vec: dict, d: int) -> Vector:
-    zero = Fraction(0)
-    return tuple(vec.get(i, zero) for i in range(d))
-
-
 def operator_from_rows(rows: Sequence[Sequence]) -> Operator:
     """The operator of a square row-major matrix."""
     cols: list[dict] = [{} for _ in rows]
@@ -268,10 +241,5 @@ def operator_from_rows(rows: Sequence[Sequence]) -> Operator:
     return tuple(cols)
 
 
-def operator_rows(op: Operator) -> Matrix:
-    """Row-major dense matrix of the operator, for row reduction."""
-    return tuple(dense(row, len(op)) for row in op_transpose(op))
-
-
-def is_invertible(mat: Matrix) -> bool:
-    return rank(mat, len(mat)) == len(mat)
+def is_invertible(op: Operator) -> bool:
+    return rank(op, len(op)) == len(op)

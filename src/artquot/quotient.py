@@ -3,8 +3,8 @@
 The standard-monomial (staircase) basis is enumerated by a bounded box
 walk.  R/I is a FiniteModule whose variables act as staircase shifts: the
 operator of x_i sends each basis monomial to its x_i-multiple, or to zero
-when that lies in I.  Module elements are coordinate tuples of Fractions
-over that basis.
+when that lies in I.  Module elements are sparse vectors {position:
+Fraction} over that basis.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from math import prod
+from typing import Iterable
 
 from .linalg import Operator, Subspace
 from .ring import (
@@ -71,9 +72,19 @@ class HilbertSeries:
         return " + ".join(parts)
 
 
+# The staircase is found by walking its bounding box; a larger box is
+# refused before any cell is made.
+MAX_BOX_CELLS = 10**6
+
+
 def staircase(variables: VariableSet, ideal: MonomialIdeal) -> list[ExponentVector]:
     """Standard monomials of R/I in canonical order."""
     bounds = pure_power_bounds(variables, ideal)
+    if prod(bounds) > MAX_BOX_CELLS:
+        raise AlgebraError(
+            f"the staircase box has more than {MAX_BOX_CELLS} cells; "
+            "the quotient is too large to enumerate"
+        )
     cells = [
         e
         for e in product(*(range(b) for b in bounds))
@@ -117,31 +128,27 @@ class QuotientModule(FiniteModule):
     def labels(self) -> list[str]:
         return [self.label(e) for e in self.basis]
 
-    def zero_element(self) -> tuple:
-        return (Fraction(0),) * self.dim
+    def zero_element(self) -> dict:
+        return {}
 
-    def basis_element(self, exps: ExponentVector) -> tuple:
+    def basis_element(self, exps: ExponentVector) -> dict:
         pos = self.index.get(tuple(exps))
         if pos is None:
             raise AlgebraError(f"{exps} is not a standard monomial")
-        return tuple(
-            Fraction(1) if i == pos else Fraction(0) for i in range(self.dim)
-        )
+        return {pos: Fraction(1)}
 
-    def element(self, coeffs: dict) -> tuple:
+    def element(self, coeffs: dict) -> dict:
         """Element from a map exponent-vector -> coefficient."""
-        out = [Fraction(0)] * self.dim
+        out: dict = {}
         for exps, c in coeffs.items():
             pos = self.index.get(tuple(exps))
             if pos is None:
                 raise AlgebraError(f"{exps} is not a standard monomial")
-            out[pos] += Fraction(c)
-        return tuple(out)
+            out[pos] = out.get(pos, 0) + Fraction(c)
+        return {i: c for i, c in out.items() if c}
 
-    def element_str(self, vec: Sequence) -> str:
-        terms = {
-            self.basis[i]: c for i, c in enumerate(vec) if c
-        }
+    def element_str(self, vec: dict) -> str:
+        terms = {self.basis[i]: c for i, c in vec.items() if c}
         return Polynomial(terms).to_str(self._names()) if terms else "0"
 
     def to_json(self) -> dict:
@@ -179,10 +186,11 @@ def subspace_monomials(module: QuotientModule, space: Subspace):
     a single basis monomial."""
     found = []
     for row in space.rows:
-        hits = [i for i, c in enumerate(row) if c]
-        if len(hits) != 1 or row[hits[0]] != 1:
+        # an RREF row with a single entry is a unit vector
+        if len(row) != 1:
             return None
-        found.append(module.basis[hits[0]])
+        (i,) = row
+        found.append(module.basis[i])
     return sorted(found, key=grlex_key)
 
 

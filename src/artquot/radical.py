@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Subspace, op_apply, op_power
+from .linalg import Subspace, op_power, sparse_apply
 from .quotient import (
     QuotientModule,
     monomial_span,
@@ -54,16 +54,16 @@ def envelope_zero(
         r = _random_poly(rng, module.n, 2, constant=True)
         if r.constant_term() == 0:
             continue
-        vec = tuple(
-            Fraction(rng.choice(_COEFF_POOL)) if rng.random() < 0.5 else Fraction(0)
-            for _ in range(module.dim)
-        )
-        if not any(vec):
+        vec = {}
+        for j in range(module.dim):
+            if rng.random() < 0.5:
+                vec[j] = Fraction(rng.choice(_COEFF_POOL))
+        if not vec:
             continue
         power = vec
         for _ in range(module.dim):
             power = module.act(r, power)
-            if not any(power):
+            if not power:
                 raise InternalCheckError(
                     "a unit-like polynomial had a vanishing power on a nonzero element"
                 )
@@ -189,12 +189,12 @@ def envelope_of_submodule_bruteforce(
             power = vec
             landed = False
             for _ in range(module.dim + 1):
-                power = op_apply(r, power)
+                power = sparse_apply(r, power)
                 if n_space.contains(power):
                     landed = True
                     break
             if landed:
-                vecs.append(op_apply(r, vec))
+                vecs.append(sparse_apply(r, vec))
     return Subspace(module.dim, vecs)
 
 

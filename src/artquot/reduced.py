@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
-
 from .linalg import Subspace
 from .quotient import QuotientModule, monomial_span, socle
 from .ring import (
@@ -97,7 +95,7 @@ def _witness_candidates(
 
 def reduced_membership_oracle(
     module: QuotientModule,
-    vec: Sequence,
+    vec: dict,
     degree_bound: int = 4,
     trials: int = 8,
     seed: int = 0,
@@ -109,11 +107,11 @@ def reduced_membership_oracle(
     (alternating with and without constant term); True otherwise.  One-sided:
     a True answer is only as strong as the search space.
     """
-    if not any(vec):
+    if not vec:
         return True
     for a in _witness_candidates(module, degree_bound, trials, seed):
         av = module.act(a, vec)
-        if any(av) and not any(module.act(a, av)):
+        if av and not module.act(a, av):
             return False
     return True
 
@@ -142,7 +140,7 @@ def is_coreduced_subspace(
             if not space.contains(module.act(xv, row)):
                 raise AlgebraError("subspace is not a submodule")
     exact = all(
-        not any(module.act(xv, row)) for row in space.rows for xv in xs
+        not module.act(xv, row) for row in space.rows for xv in xs
     )
     violated = False
     for a in _witness_candidates(module, degree_bound, trials, seed):

@@ -13,15 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .linalg import (
     Operator,
     Subspace,
-    Vector,
-    dense,
     kernel,
-    op_apply,
     op_mul,
     op_power,
     op_transpose,
@@ -60,16 +57,12 @@ class FiniteModule:
     def poly_matrix(self, poly: Polynomial) -> Operator:
         """Evaluate a polynomial at the action operators."""
         one = Fraction(1)
-        return tuple(self._act(poly, {j: one}) for j in range(self.dim))
+        return tuple(self.act(poly, {j: one}) for j in range(self.dim))
 
-    def act(self, poly: Polynomial, vec: Sequence) -> Vector:
-        """Multiply the element `vec` by the polynomial `poly`."""
-        if len(vec) != self.dim:
-            raise AlgebraError("element has wrong length")
-        start = {j: c for j, c in enumerate(vec) if c}
-        return dense(self._act(poly, start), self.dim)
-
-    def _act(self, poly: Polynomial, vec: dict) -> dict:
+    def act(self, poly: Polynomial, vec: dict) -> dict:
+        """Multiply the sparse element `vec` by the polynomial `poly`."""
+        if vec and (min(vec) < 0 or max(vec) >= self.dim):
+            raise AlgebraError(f"element index out of range({self.dim})")
         out: dict = {}
         for exps, coeff in poly.terms.items():
             if len(exps) != self.nvars:
@@ -89,12 +82,11 @@ def _gen_matrices(module: FiniteModule, gens: Iterable[Polynomial]) -> list[Oper
 
 # Zero rows and columns change no kernel or span; they stay out of rref.
 def _joint_kernel(ops: list[Operator], d: int) -> Subspace:
-    stacked = [dense(row, d) for op in ops for row in op_transpose(op) if row]
-    return kernel(stacked, d) if stacked else Subspace.full(d)
+    return kernel([row for op in ops for row in op_transpose(op) if row], d)
 
 
 def _image_span(ops: list[Operator], d: int) -> Subspace:
-    return Subspace(d, [dense(col, d) for op in ops for col in op if col])
+    return Subspace(d, [col for op in ops for col in op if col])
 
 
 def _products(ops: list[Operator]) -> list[Operator]:
@@ -169,18 +161,17 @@ def quotient_module(module: FiniteModule, space: Subspace) -> FiniteModule:
     """Induced action on M / N via the free coordinates of N's echelon form."""
     for op in module.action:
         for r in space.rows:
-            if not space.contains(op_apply(op, r)):
+            if not space.contains(sparse_apply(op, r)):
                 raise AlgebraError("subspace is not a submodule")
-    d = module.dim
-    free = [c for c in range(d) if c not in set(space.pivots)]
-    mats = []
-    for op in module.action:
-        cols = []
-        for c in free:
-            red = space.reduce(dense(op[c], d))
-            cols.append({k: red[f] for k, f in enumerate(free) if red[f]})
-        mats.append(tuple(cols))
-    return FiniteModule(module.nvars, len(free), tuple(mats))
+    pivots = set(space.pivots)
+    free = [c for c in range(module.dim) if c not in pivots]
+    slot = {c: k for k, c in enumerate(free)}
+    # a residual has entries in free columns only
+    mats = tuple(
+        tuple({slot[f]: x for f, x in space.reduce(op[c]).items()} for c in free)
+        for op in module.action
+    )
+    return FiniteModule(module.nvars, len(free), mats)
 
 
 def completion(module: FiniteModule, gens: Iterable[Polynomial]) -> FiniteModule:

@@ -1,29 +1,125 @@
-"""Dense-matrix reference for the sparse module layer.
+"""Dense-matrix reference for the sparse module and linear-algebra layers.
 
 This is the earlier implementation of finite modules, kept for tests: each
 variable acts by a row-major tuple of Fraction rows, products are dense
 `mat_mul`, and the torsion and completion functors run the stabilization
 chains (ascending annihilators of J^k, descending images J^k M) that
-artquot.torsion replaced by Fitting's lemma.  The differential tests require the
-sparse operators to give the same matrices, subspaces and tags.
+artquot.torsion replaced by Fitting's lemma.  The earlier row reduction on
+dense tuples is kept too.  The differential tests require the sparse code
+to give the same matrices, subspaces, echelon forms and tags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Iterable, Sequence
 
 from artquot.linalg import (
     Subspace,
     kernel,
+    op_transpose,
     operator_from_rows,
-    operator_rows,
     rank,
 )
 from artquot.reduced import monomials_up_to_degree
+from artquot.ring import AlgebraError
 from artquot.torsion import FiniteModule
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...], row-major
+
+
+def sparse(vec: Sequence) -> dict:
+    """The sparse form {index: Fraction} of a dense vector."""
+    return {i: Fraction(x) for i, x in enumerate(vec) if x}
+
+
+def dense(vec: dict, d: int) -> tuple:
+    """The dense form, of length d, of a sparse vector."""
+    return tuple(Fraction(vec.get(i, 0)) for i in range(d))
+
+
+def operator_rows(op) -> Matrix:
+    """Row-major dense matrix of a sparse operator."""
+    return tuple(dense(row, len(op)) for row in op_transpose(op))
+
+
+# ---------------------------------------------------------------------------
+# dense fraction-free row reduction
+
+def _integerize(row: Sequence) -> list[int]:
+    den = 1
+    vals = [Fraction(x) for x in row]
+    for x in vals:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return [int(x * den) for x in vals]
+
+
+def _gcd_normalize(row: list[int]) -> list[int]:
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+    if g == 0:
+        return row
+    lead = next(x for x in row if x)
+    if lead < 0:
+        g = -g
+    return [x // g for x in row]
+
+
+def _lead(row: Sequence[int], start: int = 0) -> int | None:
+    for c in range(start, len(row)):
+        if row[c]:
+            return c
+    return None
+
+
+def rref(vectors: Iterable[Sequence], width: int):
+    """Canonical reduced row echelon form of dense rows, as tuples."""
+    pivot_rows: dict[int, list[int]] = {}
+    for vec in vectors:
+        if len(vec) != width:
+            raise AlgebraError("vector has wrong length")
+        row = _integerize(vec)
+        c = _lead(row)
+        while c is not None and c in pivot_rows:
+            p = pivot_rows[c]
+            a, b = p[c], row[c]
+            row = [a * x - b * y for x, y in zip(row, p)]
+            row = _gcd_normalize(row)
+            c = _lead(row, c + 1)
+        if c is not None:
+            pivot_rows[c] = _gcd_normalize(row)
+    pivots = tuple(sorted(pivot_rows))
+    rows = []
+    for c in pivots:
+        r = pivot_rows[c]
+        piv = r[c]
+        rows.append([Fraction(x, piv) for x in r])
+    # eliminate above the pivots
+    for j in range(len(pivots) - 1, -1, -1):
+        cj = pivots[j]
+        for i in range(j):
+            f = rows[i][cj]
+            if f:
+                rows[i] = [xi - f * xj for xi, xj in zip(rows[i], rows[j])]
+    return tuple(tuple(r) for r in rows), pivots
+
+
+def coords(space: Subspace, vec: dict) -> tuple:
+    """Coordinates of a sparse vec in the row basis; raises if vec is outside.
+
+    RREF rows are unit vectors on the pivot columns, so the coordinates are
+    the entries of vec there.
+    """
+    if space.reduce(vec):
+        raise AlgebraError("vector is not in the subspace")
+    return tuple(Fraction(vec.get(p, 0)) for p in space.pivots)
+
+
+# ---------------------------------------------------------------------------
+# dense modules
 
 
 def identity_matrix(d: int) -> Matrix:
@@ -103,16 +199,14 @@ def _squares(gens):
 def annihilator_of(module: DenseModule, gens) -> Subspace:
     stacked = []
     for g in gens:
-        stacked.extend(module.poly_matrix(g))
-    if not stacked:
-        return Subspace.full(module.dim)
+        stacked.extend(sparse(r) for r in module.poly_matrix(g))
     return kernel(stacked, module.dim)
 
 
 def image_of(module: DenseModule, gens) -> Subspace:
     vecs = []
     for g in gens:
-        vecs.extend(zip(*module.poly_matrix(g)))
+        vecs.extend(sparse(c) for c in zip(*module.poly_matrix(g)))
     return Subspace(module.dim, vecs)
 
 
@@ -121,6 +215,7 @@ def residual_matrix(space: Subspace) -> Matrix:
     d = space.ambient
     rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     for row, p in zip(space.rows, space.pivots):
+        row = dense(row, d)
         for i in range(d):
             f = rows[i][p]
             if f:
@@ -138,8 +233,8 @@ def torsion_part_with_exponent(module: DenseModule, gens):
         res = residual_matrix(current)
         stacked = []
         for mat in mats:
-            stacked.extend(mat_mul(res, mat))
-        nxt = kernel(stacked, module.dim) if stacked else Subspace.full(module.dim)
+            stacked.extend(sparse(r) for r in mat_mul(res, mat))
+        nxt = kernel(stacked, module.dim)
         if nxt == current:
             break
         current = nxt
@@ -158,8 +253,8 @@ def quotient_module(module: DenseModule, space: Subspace) -> DenseModule:
         for c in free:
             unit = [Fraction(0)] * d
             unit[c] = Fraction(1)
-            red = space.reduce(mat_vec(mat, unit))
-            cols.append([red[f] for f in free])
+            red = space.reduce(sparse(mat_vec(mat, unit)))
+            cols.append([red.get(f, Fraction(0)) for f in free])
         mats.append(tuple(zip(*cols)))
     return DenseModule(module.nvars, len(free), tuple(mats))
 
@@ -169,7 +264,11 @@ def adic_completion(module: DenseModule, gens):
     current = Subspace.full(module.dim)
     exponent = 0
     for k in range(1, module.dim + 2):
-        vecs = [mat_vec(mat, r) for mat in mats for r in current.rows]
+        vecs = [
+            sparse(mat_vec(mat, dense(r, module.dim)))
+            for mat in mats
+            for r in current.rows
+        ]
         nxt = Subspace(module.dim, vecs)
         if nxt == current:
             break
@@ -203,7 +302,10 @@ def submodule_module(module: FiniteModule, space: Subspace) -> FiniteModule:
     for mat in DenseModule.of(module).action:
         # images of the basis vectors, as coordinate rows; transposed to act
         # on coordinate columns
-        rows = [space.coords(mat_vec(mat, r)) for r in space.rows]
+        rows = [
+            coords(space, sparse(mat_vec(mat, dense(r, module.dim))))
+            for r in space.rows
+        ]
         mats.append(operator_from_rows(transpose(tuple(rows))))
     return FiniteModule(module.nvars, space.dim, tuple(mats))
 
@@ -214,7 +316,7 @@ def word_rank_profile(module: FiniteModule) -> dict:
     The actions commute, so words collapse to exponent vectors.  Two
     isomorphic modules share this profile.
     """
-    dense = DenseModule.of(module)
+    action = DenseModule.of(module).action
     profile = {}
     for exps in monomials_up_to_degree(module.nvars, module.dim):
         if not any(exps):
@@ -222,6 +324,6 @@ def word_rank_profile(module: FiniteModule) -> dict:
         word = identity_matrix(module.dim)
         for i, e in enumerate(exps):
             for _ in range(e):
-                word = mat_mul(word, dense.action[i])
-        profile[exps] = rank(word, module.dim)
+                word = mat_mul(word, action[i])
+        profile[exps] = rank([sparse(r) for r in word], module.dim)
     return profile

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from artquot.cli import main
+from artquot.cli import build_parser, main
 from artquot.quotient import staircase
 from artquot.ring import InternalCheckError, parse_input
 
@@ -251,6 +251,36 @@ def test_non_ascii_digits_exit_one(text, monkeypatch, capsys):
     rc, out, err = run(["basis"], text, monkeypatch, capsys)
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    # a 20-digit exponent, and a box one column over the cell limit
+    ["ring x; ideal x^99999999999999999999", "ring x,y; ideal x^1001, y^1000"],
+)
+def test_oversized_staircase_exits_one(text, monkeypatch, capsys):
+    def no_box(*ranges):
+        raise AssertionError("the staircase box was enumerated")
+
+    monkeypatch.setattr("artquot.quotient.product", no_box)
+    rc, out, err = run(["basis"], text, monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too large to enumerate" in err
+
+
+def test_parser_is_reused_without_carrying_options(monkeypatch, capsys):
+    calls = (["classify", "--ideal", "x"], ["classify"])
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv, FLAT7, monkeypatch, capsys))
+    assert fresh[0][1] != fresh[1][1]
+    build_parser.cache_clear()
+    reused = [run(argv, FLAT7, monkeypatch, capsys) for argv in calls]
+    assert reused == fresh
+    assert build_parser.cache_info().misses == 1
+    assert build_parser.cache_info().hits == 1
 
 
 def test_outputs_are_deterministic(monkeypatch, capsys):

@@ -1,9 +1,10 @@
-"""The sparse module layer against the dense reference it replaced.
+"""The sparse module and linear-algebra layers against the dense reference.
 
 Every comparison is exact: operators as dense rows, subspaces as canonical
 RREF rows, completions by their induced action, tags field by field.  The
 torsion part and the completion, computed by Fitting's lemma, are compared
-with the reference's stabilization chains.
+with the reference's stabilization chains, and the sparse `rref` with the
+dense one on the rows and columns the torsion core reduces.
 """
 
 import random
@@ -13,10 +14,12 @@ import pytest
 
 import dense_reference as ref
 from artquot.instances import random_finite_module, random_monomial_ideal_polys
-from artquot.linalg import operator_rows
+from artquot.linalg import op_power, op_transpose, rref
 from artquot.quotient import QuotientModule
 from artquot.ring import Polynomial, parse_input, poly_monomial, variable_polys
 from artquot.torsion import (
+    _gen_matrices,
+    _products,
     annihilator_of,
     classify,
     completion,
@@ -49,7 +52,7 @@ def assert_matches_reference(module, gens, rng):
     dense = ref.DenseModule.of(module)
     for _ in range(2):
         poly = random_poly(rng, module.nvars)
-        assert operator_rows(module.poly_matrix(poly)) == dense.poly_matrix(poly)
+        assert ref.operator_rows(module.poly_matrix(poly)) == dense.poly_matrix(poly)
     assert annihilator_of(module, gens) == ref.annihilator_of(dense, gens)
     assert image_of(module, gens) == ref.image_of(dense, gens)
     gamma, _ = ref.torsion_part_with_exponent(dense, gens)
@@ -60,6 +63,40 @@ def assert_matches_reference(module, gens, rng):
     assert (
         tag.tag, tag.j_reduced, tag.j_coreduced, tag.gamma_dim, tag.lambda_dim
     ) == ref.classify_fields(dense, gens)
+
+
+def assert_rref_matches_reference(module, gens):
+    """The torsion core reduces the stacked transposed rows (joint kernels)
+    and the columns (image spans) of the generator operators, of their
+    pairwise products and of their d-th powers."""
+    d = module.dim
+    ops = _gen_matrices(module, gens)
+    for family in (ops, _products(ops), [op_power(op, d) for op in ops]):
+        stacked = [row for op in family for row in op_transpose(op) if row]
+        columns = [col for op in family for col in op if col]
+        for vectors in (stacked, columns):
+            rows, pivots = rref(vectors, d)
+            want_rows, want_pivots = ref.rref([ref.dense(v, d) for v in vectors], d)
+            assert pivots == want_pivots
+            assert tuple(ref.dense(r, d) for r in rows) == want_rows
+            assert all(all(r.values()) for r in rows)  # no stored zeros
+
+
+def test_rref_matches_dense_reference_on_torsion_inputs():
+    for seed in range(200):
+        rng = random.Random(seed)
+        module = random_finite_module(rng)
+        gens = random_monomial_ideal_polys(rng, module.nvars)
+        assert_rref_matches_reference(module, gens)
+    for text in LADDER:
+        module = QuotientModule(*parse_input(text))
+        xs = variable_polys(module.n)
+        for gens in (
+            [poly_monomial(g) for g in module.ideal.min_gens],
+            [xs[0] + xs[1]],
+            list(xs),
+        ):
+            assert_rref_matches_reference(module, gens)
 
 
 def test_random_modules_match_dense_reference():

@@ -1,8 +1,9 @@
 """Exact linear algebra against a plain Gaussian-elimination oracle.
 
-The oracle below does textbook reduced row echelon form with Fraction
-pivots and no integer tricks.  RREF is unique for a given row space, so
-agreeing with the oracle on every input is the strongest possible check.
+The oracle below does textbook reduced row echelon form on dense rows with
+Fraction pivots and no integer tricks; the sparse vectors drawn here are
+expanded for it.  RREF is unique for a given row space, so agreeing with
+the oracle on every input is the strongest possible check.
 """
 
 from fractions import Fraction
@@ -13,32 +14,37 @@ from hypothesis import given, settings, strategies as st
 
 from artquot.linalg import (
     Subspace,
-    dense,
     is_invertible,
     kernel,
-    op_apply,
     op_mul,
     op_power,
     op_transpose,
     operator_from_rows,
-    operator_rows,
     rank,
     rref,
     sparse_apply,
 )
-from artquot.ring import poly_monomial
+from artquot.ring import AlgebraError, poly_monomial
 from artquot.torsion import FiniteModule
-from dense_reference import residual_matrix
+from dense_reference import coords, dense, operator_rows, residual_matrix, sparse
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 )
 
 
-def vectors_st(width, max_rows=5):
-    return st.lists(
-        st.tuples(*([fractions] * width)), min_size=0, max_size=max_rows
+def sparse_vectors(width):
+    """Sparse vectors of the given width, mostly with few entries."""
+    return st.dictionaries(
+        st.integers(0, width - 1), fractions.filter(bool), max_size=min(width, 4)
     )
+
+
+@st.composite
+def matrices(draw, max_width=12, max_rows=6):
+    """(width, rows): up to max_rows sparse vectors of one width <= max_width."""
+    width = draw(st.integers(1, max_width))
+    return width, draw(st.lists(sparse_vectors(width), max_size=max_rows))
 
 
 def naive_rref(vectors, width):
@@ -67,61 +73,89 @@ def naive_rref(vectors, width):
     return tuple(tuple(r) for r in pivot_rows), tuple(pivot_cols)
 
 
-@given(vectors_st(4))
-def test_rref_matches_naive_elimination(vectors):
-    assert rref(vectors, 4) == naive_rref(vectors, 4)
+@given(matrices())
+def test_rref_matches_naive_elimination(matrix):
+    width, vectors = matrix
+    rows, pivots = rref(vectors, width)
+    expected = naive_rref([dense(v, width) for v in vectors], width)
+    assert (tuple(dense(r, width) for r in rows), pivots) == expected
 
 
-@given(vectors_st(3, max_rows=6))
-def test_rref_shape(vectors):
-    rows, pivots = rref(vectors, 3)
+@given(matrices(max_rows=8))
+def test_rref_shape(matrix):
+    width, vectors = matrix
+    rows, pivots = rref(vectors, width)
     for r, lead in zip(rows, pivots):
-        assert next(i for i, x in enumerate(r) if x) == lead
+        assert min(r) == lead and max(r) < width
         assert r[lead] == 1
+        assert all(r.values())  # no stored zeros
         # pivot column is cleared everywhere else
-        assert all(other[lead] == 0 for other in rows if other is not r)
+        assert all(lead not in other for other in rows if other is not r)
     assert list(pivots) == sorted(pivots)
 
 
 def test_rref_known_case():
-    rows, pivots = rref([(2, 4, 6), (1, 2, 4)], 3)
-    assert rows == ((Fraction(1), Fraction(2), Fraction(0)),
-                    (Fraction(0), Fraction(0), Fraction(1)))
+    rows, pivots = rref([{0: 2, 1: 4, 2: 6}, {0: 1, 1: 2, 2: 4}], 3)
+    assert rows == ({0: Fraction(1), 1: Fraction(2)}, {2: Fraction(1)})
     assert pivots == (0, 2)
 
 
-@given(vectors_st(4), vectors_st(4))
-def test_subspace_dimension_formula(u_vecs, w_vecs):
-    u = Subspace(4, u_vecs)
-    w = Subspace(4, w_vecs)
+def test_out_of_range_index_is_rejected():
+    for bad in ({3: Fraction(1)}, {0: Fraction(1), -1: Fraction(2)}):
+        with pytest.raises(AlgebraError):
+            rref([bad], 3)
+        with pytest.raises(AlgebraError):
+            Subspace(3, [bad])
+        with pytest.raises(AlgebraError):
+            kernel([bad], 3)
+        with pytest.raises(AlgebraError):
+            Subspace.full(3).reduce(bad)
+        line = FiniteModule(1, 3, (({}, {}, {}),))
+        with pytest.raises(AlgebraError):
+            line.act(poly_monomial((1,)), bad)
+
+
+@given(matrices(), st.data())
+def test_subspace_dimension_formula(matrix, data):
+    width, u_vecs = matrix
+    w_vecs = data.draw(st.lists(sparse_vectors(width), max_size=6))
+    u = Subspace(width, u_vecs)
+    w = Subspace(width, w_vecs)
     s = u.sum(w)
-    i = u.intersection(w)
-    assert u.dim + w.dim == s.dim + i.dim
+    assert max(u.dim, w.dim) <= s.dim <= u.dim + w.dim
     assert s.contains_subspace(u) and s.contains_subspace(w)
-    assert u.contains_subspace(i) and w.contains_subspace(i)
+    assert s == Subspace(width, u_vecs + w_vecs)
 
 
-@given(vectors_st(4), st.tuples(*([fractions] * 4)))
-def test_membership_by_reduction(vectors, probe):
-    space = Subspace(4, vectors)
+@given(matrices(), st.data())
+def test_membership_by_reduction(matrix, data):
+    width, vectors = matrix
+    probe = data.draw(sparse_vectors(width))
+    space = Subspace(width, vectors)
     red = space.reduce(probe)
-    assert space.contains(probe) == all(x == 0 for x in red)
+    assert space.contains(probe) == (not red)
+    assert all(red.values()) and not set(red) & set(space.pivots)
+    # probe - red lies in the span
+    diff = dict(probe)
+    for k, x in red.items():
+        diff[k] = diff.get(k, 0) - x
+    assert space.contains({k: x for k, x in diff.items() if x})
     if space.contains(probe):
-        coords = space.coords(probe)
-        rebuilt = [Fraction(0)] * 4
-        for c, row in zip(coords, space.rows):
-            for k, x in enumerate(row):
+        rebuilt = [Fraction(0)] * width
+        for c, row in zip(coords(space, probe), space.rows):
+            for k, x in row.items():
                 rebuilt[k] += c * x
-        assert tuple(rebuilt) == tuple(Fraction(x) for x in probe)
+        assert tuple(rebuilt) == dense(probe, width)
 
 
-@given(vectors_st(4))
-def test_residual_matrix_cuts_out_the_span(vectors):
-    space = Subspace(4, vectors)
+@given(matrices(max_width=6))
+def test_residual_matrix_cuts_out_the_span(matrix):
+    width, vectors = matrix
+    space = Subspace(width, vectors)
     res = residual_matrix(space)
     for row in space.rows:
-        assert all(x == 0 for x in op_apply(operator_from_rows(res), row))
-    cut = kernel(res, 4)
+        assert not sparse_apply(operator_from_rows(res), row)
+    cut = kernel([sparse(r) for r in res], width)
     assert cut == space
 
 
@@ -129,17 +163,19 @@ def test_zero_and_full():
     z = Subspace.zero(3)
     f = Subspace.full(3)
     assert z.dim == 0 and f.dim == 3
+    assert f.rows == ({0: 1}, {1: 1}, {2: 1})
     assert f.contains_subspace(z)
-    assert z.sum(f) == f and z.intersection(f) == z
+    assert z.sum(f) == f and z.sum(z) == z
 
 
-@given(st.lists(st.tuples(*([fractions] * 3)), min_size=0, max_size=4))
-def test_kernel_annihilates_and_rank_nullity(matrix_rows):
-    ker = kernel(matrix_rows, 3)
+@given(matrices())
+def test_kernel_annihilates_and_rank_nullity(matrix):
+    width, matrix_rows = matrix
+    ker = kernel(matrix_rows, width)
     for v in ker.rows:
         for row in matrix_rows:
-            assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
-    assert rank(matrix_rows, 3) + ker.dim == 3
+            assert sum(Fraction(a) * v.get(k, 0) for k, a in row.items()) == 0
+    assert rank(matrix_rows, width) + ker.dim == width
 
 
 def test_matrix_helpers():
@@ -168,33 +204,35 @@ def test_matrix_helpers():
     assert op_transpose(op_mul(a, b)) == op_mul(op_transpose(b), op_transpose(a))
     # columns are the images of the unit vectors
     for j in range(3):
-        unit = tuple(Fraction(int(i == j)) for i in range(3))
-        assert op_apply(a, unit) == dense(a[j], 3)
         assert sparse_apply(a, {j: Fraction(1)}) == a[j]
+        assert line.act(poly_monomial((1,)), {j: Fraction(1)}) == a[j]
 
 
 def test_is_invertible():
-    assert is_invertible([[int(i == j) for j in range(4)] for i in range(4)])
-    singular = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))
+    eye = operator_from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+    assert is_invertible(eye)
+    singular = operator_from_rows(((1, 2), (2, 4)))
     assert not is_invertible(singular)
 
 
 def test_subspace_equality_is_row_space_equality():
-    a = Subspace(3, [(1, 1, 0), (0, 0, 1)])
-    b = Subspace(3, [(2, 2, 2), (0, 0, 5)])
+    a = Subspace(3, [{0: 1, 1: 1}, {2: 1}])
+    b = Subspace(3, [{0: 2, 1: 2, 2: 2}, {2: 5}])
     assert a == b
     assert hash(a) == hash(b)
-    assert a != Subspace(3, [(1, 0, 0)])
+    assert a != Subspace(3, [{0: 1}])
 
 
 def test_coords_rejects_outside_vectors():
-    space = Subspace(3, [(1, 0, 0)])
-    with pytest.raises(Exception):
-        space.coords((0, 1, 0))
+    space = Subspace(3, [{0: Fraction(1)}])
+    assert coords(space, {0: Fraction(4)}) == (4,)
+    with pytest.raises(AlgebraError):
+        coords(space, {1: Fraction(1)})
 
 
 @settings(max_examples=40)
-@given(vectors_st(5, max_rows=7))
-def test_rref_idempotent(vectors):
-    rows, pivots = rref(vectors, 5)
-    assert rref(rows, 5) == (rows, pivots)
+@given(matrices(max_rows=7))
+def test_rref_idempotent(matrix):
+    width, vectors = matrix
+    rows, pivots = rref(vectors, width)
+    assert rref(rows, width) == (rows, pivots)
