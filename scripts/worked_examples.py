@@ -14,7 +14,6 @@ from artquot import (
     outside_corners,
     parse_input,
     socle,
-    socle_dual,
 )
 from artquot.cli import main as cli_main
 
@@ -40,10 +39,10 @@ def show(title, text):
     system = inverse_system(variables, ideal)
     print(f"   dual basis: {', '.join(system.labels())}")
     print(f"   m acting on the dual spans {system.inner.dim} of them")
-    sd = socle_dual(module)
-    print(f"   reduced-part duals: {', '.join(sd.labels())}")
+    duals = ", ".join(system.label(e) for e in system.corners)
+    print(f"   reduced-part duals: {duals}")
     assert system.corners == report.corners
-    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
+    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, report.corners)
     print(f"   series: module {hs_m} = dual {hs_d}; socle {hs_r} = {hs_rd}")
     print()
 

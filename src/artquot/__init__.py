@@ -18,8 +18,6 @@ from .inverse import (
     hilbert_duality_check,
     inverse_system,
     perp_of_submodule,
-    socle_dual,
-    top_degree_check,
     truncated_dual,
     truncated_dual_report,
 )
@@ -28,7 +26,6 @@ from .quotient import (
     HilbertSeries,
     QuotientModule,
     hilbert,
-    is_gorenstein,
     monomial_span,
     socle,
     staircase,
@@ -63,12 +60,7 @@ from .torsion import (
     FiniteModule,
     TtfTag,
     classify,
-    completion,
-    is_j_coreduced,
-    is_j_reduced,
-    level_collapse_check,
     matlis_dual,
-    torsion_part,
     verify_ttf_duality,
 )
 
@@ -91,7 +83,6 @@ __all__ = [
     "VariableSet",
     "apolarity",
     "classify",
-    "completion",
     "diagram_ascii",
     "diagram_cells",
     "diagram_svg",
@@ -101,13 +92,9 @@ __all__ = [
     "hilbert_duality_check",
     "inverse_system",
     "is_coreduced_subspace",
-    "is_gorenstein",
-    "is_j_coreduced",
-    "is_j_reduced",
     "jacobson_radical",
     "kernel",
     "largest_reduced_submodule",
-    "level_collapse_check",
     "matlis_dual",
     "minimalize",
     "monomial_span",
@@ -122,10 +109,7 @@ __all__ = [
     "satisfies_radical_formula",
     "semiprime_bruteforce",
     "socle",
-    "socle_dual",
     "staircase",
-    "top_degree_check",
-    "torsion_part",
     "truncated_dual",
     "truncated_dual_report",
     "verify_ttf_duality",

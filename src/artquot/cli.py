@@ -95,7 +95,7 @@ def cmd_basis(args) -> int:
 def cmd_socle(args) -> int:
     module = _read_module(args)
     report = outside_corners(module)
-    span = largest_reduced_submodule(module)
+    span = largest_reduced_submodule(module, report.corners)
     socle_hs = HilbertSeries.from_degrees(total_degree(e) for e in report.corners)
     corner_labels = [module.label(e) for e in report.corners]
     payload = {
@@ -145,7 +145,8 @@ def cmd_dual(args) -> int:
 def cmd_hilbert(args) -> int:
     module = _read_module(args)
     system = inverse_system(module.variables, module.ideal)
-    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
+    corners = outside_corners(module).corners
+    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
     payload = {
         "ring": list(module.variables.names),
         "ideal": _ideal_strs(module.variables, module.ideal),
@@ -251,13 +252,13 @@ def cmd_diagram(args) -> int:
 
 def _report_rows(module: QuotientModule) -> list[dict]:
     system = inverse_system(module.variables, module.ideal)
-    corner_report = outside_corners(module)
-    reduced = largest_reduced_submodule(module)
+    corners = outside_corners(module).corners
+    reduced = largest_reduced_submodule(module, corners)
     inner = system.inner
-    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
+    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
     # the dual elements killed by every variable are exactly the constants
     dual_socle_ok = outside_corners(system).corners == ((0,) * module.n,)
-    p_labels = [module.label(e) for e in corner_report.corners]
+    p_labels = [module.label(e) for e in corners]
     d_labels = [system.label(e) for e in system.corners]
     dim = module.dim
     rows = [
@@ -273,7 +274,7 @@ def _report_rows(module: QuotientModule) -> list[dict]:
             "left": "reduced part generated by " + ", ".join(p_labels),
             "right": "dual quotient generated by " + ", ".join(d_labels),
             "remark": "generated by the outside corner elements",
-            "ok": sorted(corner_report.corners) == sorted(system.corners),
+            "ok": sorted(corners) == sorted(system.corners),
         },
         {
             "row": 3,

@@ -9,6 +9,10 @@ variables) by differentiation-style contraction:
 extended bilinearly.  In characteristic zero the inverse system of a
 monomial ideal is spanned by the dual staircase monomials, and the corner
 combinatorics of the staircase mirrors over to the dual side.
+
+`inverse_system` builds I-perp once, as a module of contraction operators,
+with its grading, its contraction image and its corners (the generators of
+its largest reduced quotient); the inverse-system readings are read off it.
 """
 
 from __future__ import annotations
@@ -34,14 +38,13 @@ from .ring import (
     VariableSet,
     divides,
     ev_add,
-    grlex_key,
     minimalize,
     poly_monomial,
     total_degree,
     variable_polys,
 )
-from .reduced import monomials_up_to_degree, outside_corners
-from .torsion import FiniteModule, image_of
+from .reduced import monomials_up_to_degree
+from .torsion import image_of
 
 
 def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
@@ -136,41 +139,13 @@ def inverse_system(variables: VariableSet, ideal: MonomialIdeal) -> InverseSyste
     return system
 
 
-@dataclass(frozen=True)
-class SocleDual:
-    """Generators of the largest reduced quotient of the inverse system."""
-
-    system: InverseSystem
-    generators: tuple[ExponentVector, ...]  # corner duals, coset representatives
-    modulus_dim: int  # dimension of the contraction image being quotiented out
-
-    def labels(self) -> list[str]:
-        return [self.system.label(e) for e in self.generators]
-
-
-def socle_dual(module: QuotientModule) -> SocleDual:
-    """Corner-dual coset generators of I-perp mod its contraction image.
-
-    The generator set is checked to match the outside corners of the
-    staircase one for one.
-    """
-    system = inverse_system(module.variables, module.ideal)
-    corners = outside_corners(module).corners
-    if sorted(system.corners, key=grlex_key) != sorted(corners, key=grlex_key):
-        raise InternalCheckError(
-            "dual corner set does not mirror the staircase corners"
-        )
-    return SocleDual(system, system.corners, system.inner.dim)
-
-
 def hilbert_duality_check(
-    module: QuotientModule, system: InverseSystem
+    module: QuotientModule, system: InverseSystem, corners: Sequence[ExponentVector]
 ) -> tuple[HilbertSeries, HilbertSeries, HilbertSeries, HilbertSeries]:
     """(HS of M, of I-perp, of the reduced part, of its dual); the first two
-    and the last two must agree."""
+    and the last two must agree.  `corners` are the outside corners of M."""
     hs_module = hilbert(module)
     hs_dual = system.grading
-    corners = outside_corners(module).corners
     hs_reduced = HilbertSeries.from_degrees(total_degree(e) for e in corners)
     hs_reduced_dual = HilbertSeries.from_degrees(
         total_degree(e) for e in system.corners
@@ -395,77 +370,3 @@ def truncated_dual_report(n: int, split_index: int, degree_bound: int) -> DualTr
         witnesses=tuple(witnesses),
     )
 
-
-# ---------------------------------------------------------------------------
-# top-degree check for power-of-the-maximal-ideal quotients
-
-@dataclass(frozen=True)
-class TopDegreeReport:
-    n: int
-    top_degree: int
-    ideal_power_dim: int
-    top_piece_dim: int
-    corner_span_dim: int
-    dual_final_dim: int
-    element_power_dim: int
-    readings_differ: bool
-
-
-def _iterated_image(
-    module: FiniteModule, polys: Sequence[Polynomial], times: int
-) -> Subspace:
-    """J^times M for the ideal J generated by `polys`."""
-    space = Subspace.full(module.dim)
-    for _ in range(times):
-        vecs = [module.act(p, row) for p in polys for row in space.rows]
-        space = Subspace(module.dim, vecs)
-    return space
-
-
-def top_degree_check(variables: VariableSet, ideal: MonomialIdeal) -> TopDegreeReport:
-    """For the ideal of all monomials of degree n+1: multiplying M by the
-    maximal ideal n times leaves exactly the top graded piece.
-
-    The iterated-ideal reading m^n M is the asserted equality; the
-    single-element reading ((x_1+...+x_n)^n M) is computed alongside and
-    flagged when it differs.
-    """
-    n = variables.n
-    expected = {
-        e for e in monomials_up_to_degree(n, n + 1) if sum(e) == n + 1
-    }
-    if set(ideal.min_gens) != expected:
-        raise AlgebraError(
-            f"ideal is not generated by all monomials of degree {n + 1}"
-        )
-    module = QuotientModule(variables, ideal)
-    xs = variable_polys(n)
-    current = _iterated_image(module, xs, n)
-    top_piece = monomial_span(
-        module, (e for e in module.basis if total_degree(e) == n)
-    )
-    corner_span = monomial_span(module, outside_corners(module).corners)
-    if current != top_piece or current != corner_span:
-        raise InternalCheckError(
-            "iterated maximal-ideal image is not the top graded piece"
-        )
-    # dual side: n contractions shrink the inverse system to the constants
-    system = inverse_system(variables, ideal)
-    dual_space = _iterated_image(system, xs, n)
-    one = system.basis_element((0,) * n)
-    if dual_space != Subspace(system.dim, [one]):
-        raise InternalCheckError(
-            "iterated contraction does not end at the constants"
-        )
-    # single-element reading
-    elem = _iterated_image(module, [sum(xs, Polynomial())], n)
-    return TopDegreeReport(
-        n=n,
-        top_degree=n,
-        ideal_power_dim=current.dim,
-        top_piece_dim=top_piece.dim,
-        corner_span_dim=corner_span.dim,
-        dual_final_dim=dual_space.dim,
-        element_power_dim=elem.dim,
-        readings_differ=elem != current,
-    )

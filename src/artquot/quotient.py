@@ -171,10 +171,6 @@ def socle(module: QuotientModule) -> Subspace:
     return annihilator_of(module, variable_polys(module.n))
 
 
-def is_gorenstein(module: QuotientModule) -> bool:
-    return socle(module).dim == 1
-
-
 def monomial_span(module: QuotientModule, exps_list: Iterable[ExponentVector]) -> Subspace:
     """Span of classes of standard monomials."""
     vecs = [module.basis_element(e) for e in exps_list]

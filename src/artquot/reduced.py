@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 from .linalg import Subspace
 from .quotient import QuotientModule, monomial_span, socle
 from .ring import (
@@ -48,9 +49,11 @@ def outside_corners(module: QuotientModule) -> CornerReport:
     return CornerReport(tuple(corners), tuple(inner))
 
 
-def largest_reduced_submodule(module: QuotientModule) -> Subspace:
-    """Span of the outside corners; checked against (0 :_M m) exactly."""
-    span = monomial_span(module, outside_corners(module).corners)
+def largest_reduced_submodule(
+    module: QuotientModule, corners: Sequence[ExponentVector]
+) -> Subspace:
+    """Span of the outside corners of M; checked against (0 :_M m) exactly."""
+    span = monomial_span(module, corners)
     ann = socle(module)
     if span != ann:
         raise InternalCheckError(

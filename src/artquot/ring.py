@@ -218,10 +218,6 @@ def poly_monomial(exps: ExponentVector, coeff=1) -> Polynomial:
     return Polynomial({tuple(exps): Fraction(coeff)})
 
 
-def poly_one(n: int) -> Polynomial:
-    return poly_monomial((0,) * n)
-
-
 def poly_variable(n: int, i: int) -> Polynomial:
     exps = [0] * n
     exps[i] = 1

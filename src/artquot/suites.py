@@ -57,7 +57,8 @@ class SuiteResult:
 def _socle_equality_case(seed: int, module: QuotientModule):
     """Corner span, maximal-ideal annihilator, and the element oracle agree."""
     report = outside_corners(module)
-    span = largest_reduced_submodule(module)  # asserts span == annihilator
+    # asserts span == annihilator
+    span = largest_reduced_submodule(module, report.corners)
     if span.dim != len(report.corners):
         raise InternalCheckError("corner span has the wrong dimension")
     bound = max(max(g) for g in module.ideal.min_gens)
@@ -79,17 +80,16 @@ def _hs_duality_case(seed: int, module: QuotientModule):
     perp = perp_of_submodule(module.variables, duals)
     if not perp.exact or perp.ideal != module.ideal:
         raise InternalCheckError("inverse system does not round-trip to the ideal")
-    hilbert_duality_check(module, system)  # raises on mismatch
-    if sorted(system.corners, key=grlex_key) != sorted(
-        outside_corners(module).corners, key=grlex_key
-    ):
+    corners = outside_corners(module).corners
+    hilbert_duality_check(module, system, corners)  # raises on mismatch
+    if sorted(system.corners, key=grlex_key) != sorted(corners, key=grlex_key):
         raise InternalCheckError("dual corners do not mirror the staircase corners")
 
 
 def _coreduced_case(seed: int, module: QuotientModule):
     """The socle is coreduced: killed by the maximal ideal and stable under
     sampled aN = a^2 N comparisons."""
-    socle_span = largest_reduced_submodule(module)
+    socle_span = largest_reduced_submodule(module, outside_corners(module).corners)
     bound = max(max(g) for g in module.ideal.min_gens)
     if not is_coreduced_subspace(
         module, socle_span, degree_bound=max(2, bound), trials=20, seed=seed

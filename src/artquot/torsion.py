@@ -2,11 +2,12 @@
 
 A FiniteModule is n pairwise-commuting sparse operators over the
 rationals, one per variable; a staircase quotient R/I is one (see
-quotient.QuotientModule).  The action, the annihilator (0 : J), the image
-J M and J-(co)reducedness live here once for every module.  The torsion
-part Gamma_J M and the completion M / J^inf M come from Fitting's lemma:
-the joint kernel and the image span of the d-th powers of the generator
-operators.  Matlis duality is the linear dual: transpose every operator.
+quotient.QuotientModule).  The action, the annihilator (0 : J) and the
+image J M live here once for every module.  The torsion part Gamma_J M and
+the completion M / J^inf M come from Fitting's lemma: the joint kernel and
+the image span of the d-th powers of the generator operators.  `classify`
+reads them with J-(co)reducedness off one evaluation of the generators.
+Matlis duality is the linear dual: transpose every operator.
 """
 
 from __future__ import annotations
@@ -138,48 +139,6 @@ def image_of(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
     return _image_span(_gen_matrices(module, gens), module.dim)
 
 
-def is_j_reduced(module: FiniteModule, gens: Iterable[Polynomial]) -> bool:
-    """Whether (0 : J) = (0 : J^2)."""
-    ops = _gen_matrices(module, gens)
-    d = module.dim
-    return _joint_kernel(ops, d) == _joint_kernel(_products(ops), d)
-
-
-def is_j_coreduced(module: FiniteModule, gens: Iterable[Polynomial]) -> bool:
-    """Whether J M = J^2 M."""
-    ops = _gen_matrices(module, gens)
-    d = module.dim
-    return _image_span(ops, d) == _image_span(_products(ops), d)
-
-
-def torsion_part(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
-    """Gamma_J M: the elements killed by some power of J."""
-    return _fitting(_gen_matrices(module, gens), module.dim)[0]
-
-
-def quotient_module(module: FiniteModule, space: Subspace) -> FiniteModule:
-    """Induced action on M / N via the free coordinates of N's echelon form."""
-    for op in module.action:
-        for r in space.rows:
-            if not space.contains(sparse_apply(op, r)):
-                raise AlgebraError("subspace is not a submodule")
-    pivots = set(space.pivots)
-    free = [c for c in range(module.dim) if c not in pivots]
-    slot = {c: k for k, c in enumerate(free)}
-    # a residual has entries in free columns only
-    mats = tuple(
-        tuple({slot[f]: x for f, x in space.reduce(op[c]).items()} for c in free)
-        for op in module.action
-    )
-    return FiniteModule(module.nvars, len(free), mats)
-
-
-def completion(module: FiniteModule, gens: Iterable[Polynomial]) -> FiniteModule:
-    """Lambda_J M = M / J^inf M."""
-    _, tail = _fitting(_gen_matrices(module, gens), module.dim)
-    return quotient_module(module, tail)
-
-
 def matlis_dual(module: FiniteModule) -> FiniteModule:
     """Linear dual: every action operator transposed."""
     return FiniteModule(
@@ -214,8 +173,22 @@ def classify(module: FiniteModule, gens: Iterable[Polynomial]) -> TtfTag:
     A module can satisfy the torsion-free and coreduced-torsion definitions
     at once (the whole-ring ideal on a one-dimensional module does); the
     coreduced tag wins in that case, and the predicate bits carry the rest.
+
+    Checked on the way: Gamma_J M = (0 : J) = M when every variable acts by
+    zero and no generator has a constant term; Gamma_J M = (0 : J) when M
+    is reduced; J^inf M = J M when M is coreduced.
     """
-    _, image, reduced, coreduced, gamma, tail = _levels(module, gens)
+    gens = list(gens)
+    ann, image, reduced, coreduced, gamma, tail = _levels(module, gens)
+    semisimple = all(not col for op in module.action for col in op) and all(
+        g.constant_term() == 0 for g in gens
+    )
+    if semisimple and not gamma.dim == ann.dim == module.dim:
+        raise InternalCheckError("semisimple module with proper torsion levels")
+    if reduced and gamma.dim != ann.dim:
+        raise InternalCheckError("reduced module with a deeper torsion part")
+    if coreduced and tail.dim != image.dim:
+        raise InternalCheckError("coreduced module with a deeper completion")
     if reduced and gamma.dim == module.dim:
         tag = "T_I"
     elif coreduced and image.dim == module.dim:
@@ -273,59 +246,6 @@ def verify_ttf_duality(
         "pass" if in_frak == dual_in_f else "fail",
     )
     return DualityReport(True, items, mine)
-
-
-@dataclass(frozen=True)
-class LevelCollapseReport:
-    """Dimensions of the filtration levels that merge under (co)reducedness."""
-
-    j_reduced: bool
-    j_coreduced: bool
-    semisimple_case: bool
-    gamma_dim: int
-    socle_level_dim: int  # dim (0 : J)
-    lambda_dim: int
-    top_level_dim: int  # dim M / J M
-    collapses: tuple[str, ...]
-
-
-def level_collapse_check(
-    module: FiniteModule, gens: Iterable[Polynomial]
-) -> LevelCollapseReport:
-    """When M is reduced the whole torsion part is already killed by J;
-    when M is coreduced the completion is just M / J M; when every variable
-    acts by zero (and the ideal sits inside the variables' span) all the
-    left-hand levels coincide with M itself."""
-    gens = list(gens)
-    ann, image, reduced, coreduced, gamma, tail = _levels(module, gens)
-    lambda_dim = module.dim - tail.dim
-    top_level = module.dim - image.dim
-    collapses = []
-    if reduced:
-        if gamma.dim != ann.dim:
-            raise InternalCheckError("reduced module with a deeper torsion part")
-        collapses.append("torsion-part == annihilator")
-    if coreduced:
-        if lambda_dim != top_level:
-            raise InternalCheckError("coreduced module with a deeper completion")
-        collapses.append("completion == top quotient")
-    semisimple = all(not col for op in module.action for col in op) and all(
-        g.constant_term() == 0 for g in gens
-    )
-    if semisimple:
-        if not (gamma.dim == ann.dim == module.dim):
-            raise InternalCheckError("semisimple module with proper torsion levels")
-        collapses.append("all torsion levels == M")
-    return LevelCollapseReport(
-        j_reduced=reduced,
-        j_coreduced=coreduced,
-        semisimple_case=semisimple,
-        gamma_dim=gamma.dim,
-        socle_level_dim=ann.dim,
-        lambda_dim=lambda_dim,
-        top_level_dim=top_level,
-        collapses=tuple(collapses),
-    )
 
 
 def conjugate(module: FiniteModule, p: Operator, p_inv: Operator) -> FiniteModule:

@@ -85,7 +85,8 @@ def test_criterion_03_duality_mirror_exact():
         assert outside_corners(module).corners == ((3, 0), (2, 1))
         system = _system(FLAT7)
         assert system.corners == ((3, 0), (2, 1))
-        hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
+        corners = outside_corners(module).corners
+        hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
         assert hs_m.coeffs == (1, 2, 2, 2)
         assert hs_d.coeffs == (1, 2, 2, 2)
         assert hs_r.coeffs == (0, 0, 0, 2)

@@ -19,8 +19,6 @@ from artquot.inverse import (
     hilbert_duality_check,
     inverse_system,
     perp_of_submodule,
-    socle_dual,
-    top_degree_check,
     truncated_dual,
     truncated_dual_report,
 )
@@ -90,11 +88,12 @@ def test_known_inner_span_and_dual_corners():
 
 
 def test_socle_dual_generators():
-    sd = socle_dual(module_from(SMALL4))
-    assert sd.labels() == ["X1", "X2^2"]
-    assert sd.modulus_dim == 2
-    sd2 = socle_dual(module_from(FLAT7))
-    assert sd2.labels() == ["X^3", "X^2*Y"]
+    # the corner duals generate the largest reduced quotient I-perp / m o I-perp
+    system = inverse_system(*parse_input(SMALL4))
+    assert [system.label(e) for e in system.corners] == ["X1", "X2^2"]
+    assert system.inner.dim == 2
+    system = inverse_system(*parse_input(FLAT7))
+    assert [system.label(e) for e in system.corners] == ["X^3", "X^2*Y"]
 
 
 def test_every_ideal_generator_annihilates_the_dual_basis():
@@ -114,7 +113,8 @@ def test_dual_basis_mirrors_the_staircase():
 def test_hilbert_duality_on_known_module():
     module = module_from(FLAT7)
     system = inverse_system(module.variables, module.ideal)
-    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system)
+    corners = outside_corners(module).corners
+    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
     assert hs_m.coeffs == (1, 2, 2, 2)
     assert hs_d.coeffs == (1, 2, 2, 2)
     assert hs_r.coeffs == (0, 0, 0, 2)
@@ -124,7 +124,8 @@ def test_hilbert_duality_on_known_module():
 def test_hilbert_duality_everywhere():
     for _, m in sample_modules(30, seed=33):
         system = inverse_system(m.variables, m.ideal)
-        hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(m, system)
+        corners = outside_corners(m).corners
+        hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(m, system, corners)
         assert hs_m == hs_d and hs_r == hs_rd
         assert hs_m == hilbert(m)
 
@@ -192,27 +193,6 @@ def test_truncation_report_witnesses_check_out():
             # truncated dual: a power kills it while the variable does not
             assert apolarity(poly_monomial(killer), poly_monomial(e)) == Polynomial()
             assert apolarity(poly_monomial(single), poly_monomial(e)) != Polynomial()
-
-
-def test_top_degree_check_small_cases():
-    for n, piece in [(2, 3), (3, 10)]:
-        variables = VariableSet.default(n)
-        gens = minimalize(
-            e for e in monomials_up_to_degree(n, n + 1) if sum(e) == n + 1
-        )
-        report = top_degree_check(variables, gens)
-        assert report.ideal_power_dim == piece
-        assert report.top_piece_dim == piece
-        assert report.corner_span_dim == piece
-        assert report.dual_final_dim == 1
-        assert report.element_power_dim == 1
-        assert report.readings_differ
-
-
-def test_top_degree_check_rejects_other_ideals():
-    variables, ideal = parse_input("ring x,y; ideal x^2, y^2")
-    with pytest.raises(AlgebraError):
-        top_degree_check(variables, ideal)
 
 
 def test_unit_ideal_has_trivial_dual():

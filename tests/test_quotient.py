@@ -18,7 +18,6 @@ from artquot.quotient import (
     HilbertSeries,
     QuotientModule,
     hilbert,
-    is_gorenstein,
     monomial_span,
     positive_degree_span,
     socle,
@@ -155,8 +154,8 @@ def test_socle_of_known_modules():
     s = socle(m)
     assert s.dim == 4
     assert subspace_monomials(m, s) == [(3, 0), (2, 1), (1, 2), (0, 4)]
-    assert not is_gorenstein(m)
-    assert is_gorenstein(module_from("ring x,y; ideal x^2, y^2"))
+    assert s.dim != 1  # not Gorenstein
+    assert socle(module_from("ring x,y; ideal x^2, y^2")).dim == 1
 
 
 def test_ideal_times_module_known_value():

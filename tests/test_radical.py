@@ -1,7 +1,11 @@
 """Envelope of zero, Jacobson radical, and the semiprime enumeration."""
 
+import io
+
 import pytest
 
+from artquot import radical
+from artquot.cli import main
 from artquot.instances import SamplerConfig, sample_modules
 from artquot.quotient import QuotientModule, monomial_span, positive_degree_span
 from artquot.radical import (
@@ -13,6 +17,7 @@ from artquot.radical import (
     _upsets,
 )
 from artquot.ring import AlgebraError, parse_input
+from artquot.suites import run_suite
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
 SMALL4 = '{"ring": ["x1","x2"], "ideal": ["x1^2", "x1*x2", "x2^3"]}'
@@ -26,7 +31,7 @@ def test_envelope_is_the_positive_degree_span():
     for _, m in sample_modules(30, seed=41, config=SamplerConfig(dim_bound=30)):
         env = envelope_zero(m)
         assert env == positive_degree_span(m)
-        assert env == jacobson_radical(m)
+        assert env == jacobson_radical(m, env)
 
 
 def test_upset_count_on_known_staircase():
@@ -102,3 +107,33 @@ def test_trivial_module():
     assert report.envelope_dim == 0
     assert report.semiprime_dim == 0
     assert report.satisfies
+
+
+def _count_envelopes(monkeypatch) -> list:
+    built = []
+    original = radical.envelope_zero
+
+    def counted(module, *args, **kwargs):
+        built.append(module)
+        return original(module, *args, **kwargs)
+
+    monkeypatch.setattr(radical, "envelope_zero", counted)
+    return built
+
+
+@pytest.mark.parametrize("argv", [["radical"], ["radical", "--seed", "3"]])
+def test_radical_command_builds_one_envelope(argv, monkeypatch, capsys):
+    built = _count_envelopes(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_radical_formula_builds_one_envelope(monkeypatch):
+    built = _count_envelopes(monkeypatch)
+    for seed in (0, 5):
+        satisfies_radical_formula(module_from(SMALL4), seed=seed)
+    assert len(built) == 2
+    assert run_suite("radical", 3, 0).ok
+    assert len(built) == 5

@@ -1,12 +1,19 @@
 """Corner sets, the reduced part, and the element-level reducedness oracle."""
 
+import io
+import sys
+
 import pytest
 
+from artquot import reduced
+from artquot.cli import main
 from artquot.instances import sample_modules
 from artquot.linalg import Subspace
 from artquot.quotient import QuotientModule, positive_degree_span, socle
 from artquot.ring import (
     AlgebraError,
+    VariableSet,
+    minimalize,
     parse_input,
     parse_polynomial,
     poly_monomial,
@@ -18,7 +25,8 @@ from artquot.reduced import (
     outside_corners,
     reduced_membership_oracle,
 )
-from artquot.torsion import is_j_reduced
+from artquot.suites import run_suite
+from artquot.torsion import classify
 
 STAIR11 = "ring x,y; ideal x^4, x^3*y, x^2*y^2, x*y^3, y^5"
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -35,6 +43,15 @@ def test_known_corner_sets():
     )
     assert outside_corners(module_from(FLAT7)).corners == ((3, 0), (2, 1))
     assert outside_corners(module_from(SMALL4)).corners == ((1, 0), (0, 2))
+    # all monomials of degree n + 1: the corners are the degree-n monomials
+    for n, count in ((2, 3), (3, 10)):
+        m = QuotientModule(VariableSet.default(n), minimalize(
+            e for e in monomials_up_to_degree(n, n + 1) if sum(e) == n + 1
+        ))
+        corners = outside_corners(m).corners
+        assert len(corners) == count
+        assert corners == tuple(e for e in m.basis if sum(e) == n)
+        assert largest_reduced_submodule(m, corners).dim == count
 
 
 def test_corners_and_inner_partition_the_basis():
@@ -45,14 +62,15 @@ def test_corners_and_inner_partition_the_basis():
 
 def test_reduced_part_equals_socle():
     for _, m in sample_modules(40, seed=22):
-        span = largest_reduced_submodule(m)  # raises if the two sides differ
+        corners = outside_corners(m).corners
+        span = largest_reduced_submodule(m, corners)  # raises if the sides differ
         assert span == socle(m)
-        assert span.dim == len(outside_corners(m).corners)
+        assert span.dim == len(corners)
 
 
 def test_corner_span_is_killed_by_every_variable():
     m = module_from(STAIR11)
-    span = largest_reduced_submodule(m)
+    span = largest_reduced_submodule(m, outside_corners(m).corners)
     for i in range(m.n):
         poly = poly_monomial(tuple(int(j == i) for j in range(m.n)))
         for row in span.rows:
@@ -86,17 +104,17 @@ def test_membership_oracle_on_mixed_elements():
 def test_ideal_reducedness_cases():
     m = module_from(FLAT7)
     defining = [poly_monomial(g) for g in m.ideal.min_gens]
-    assert is_j_reduced(m, defining)
+    assert classify(m, defining).j_reduced
     y = parse_polynomial("y", m.variables)
-    assert not is_j_reduced(m, [y])  # y^2 = 0 but y kills less than that
+    assert not classify(m, [y]).j_reduced  # y^2 = 0 but y kills less than that
     flat = module_from("ring x,y; ideal x, y^2")
     x = parse_polynomial("x", flat.variables)
-    assert is_j_reduced(flat, [x])  # x already acts as zero
+    assert classify(flat, [x]).j_reduced  # x already acts as zero
 
 
 def test_socle_is_coreduced():
     for _, m in sample_modules(25, seed=24):
-        span = largest_reduced_submodule(m)
+        span = largest_reduced_submodule(m, outside_corners(m).corners)
         assert is_coreduced_subspace(m, span, degree_bound=2, trials=10)
 
 
@@ -134,3 +152,41 @@ def test_oracle_fixed_set_is_exactly_the_corner_set():
             if reduced_membership_oracle(m, m.basis_element(e), degree_bound=bound)
         )
         assert fixed == outside_corners(m).corners
+
+
+def _count_corners(monkeypatch) -> list:
+    """Record the module of every outside_corners call, wherever imported."""
+    seen = []
+    original = reduced.outside_corners
+
+    def counted(module):
+        seen.append(module)
+        return original(module)
+
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith("artquot"):
+            continue
+        if getattr(mod, "outside_corners", None) is original:
+            monkeypatch.setattr(mod, "outside_corners", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "command, modules", [("report", 2), ("socle", 1), ("hilbert", 1)]
+)
+def test_each_command_finds_the_corners_once_per_module(
+    command, modules, monkeypatch, capsys
+):
+    # report also reads the corners of the inverse system, a second module
+    seen = _count_corners(monkeypatch)
+    monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
+    assert main([command]) == 0
+    capsys.readouterr()
+    assert len(seen) == len({id(m) for m in seen}) == modules
+
+
+@pytest.mark.parametrize("suite", ["socle-equality", "hs-duality", "coreduced"])
+def test_each_suite_case_finds_the_corners_once(suite, monkeypatch):
+    seen = _count_corners(monkeypatch)
+    assert run_suite(suite, 4, 0).ok
+    assert len(seen) == len({id(m) for m in seen}) == 4

@@ -2,7 +2,8 @@
 
 Staircase quotients are finite modules themselves: their operators are
 checked against the shift tables, the functor values against hand-computed
-kernels and images.
+kernels and images.  `classify` carries the torsion-theory claims, so the
+torsion part and the completion are read off its fields.
 """
 
 import random
@@ -31,17 +32,12 @@ from artquot.torsion import (
     TtfTag,
     annihilator_of,
     classify,
-    completion,
     conjugate,
     image_of,
-    is_j_coreduced,
-    is_j_reduced,
-    level_collapse_check,
     matlis_dual,
-    quotient_module,
-    torsion_part,
     verify_ttf_duality,
 )
+import dense_reference as ref
 from dense_reference import operator_rows, submodule_module, word_rank_profile
 
 STAIR11 = "ring x,y; ideal x^4, x^3*y, x^2*y^2, x*y^3, y^5"
@@ -122,7 +118,7 @@ def test_torsion_part_is_everything_for_nilpotent_actions():
     # torsion part is the whole module even though the first level is smaller
     m = module_from(FLAT7)
     y = parse_polynomial("y", m.variables)
-    assert torsion_part(m, [y]).dim == m.dim
+    assert classify(m, [y]).gamma_dim == m.dim
     assert annihilator_of(m, [y * y]).dim == m.dim  # y^2 = 0 on this module
     assert annihilator_of(m, [y]).dim == 4
 
@@ -140,34 +136,29 @@ def test_split_check_fires_when_the_power_is_too_small(monkeypatch):
 def test_torsion_part_of_invertible_action_is_zero():
     fm = scalar_module(2, 3)
     x = poly_monomial((1,))
-    assert torsion_part(fm, [x]).dim == 0
-    assert completion(fm, [x]).dim == 0  # x M = M
+    tag = classify(fm, [x])
+    assert tag.gamma_dim == 0
+    assert tag.lambda_dim == 0  # x M = M
 
 
 def test_mixed_action_splits():
     fm = scalar_module(0, 5)
     x = poly_monomial((1,))
-    assert torsion_part(fm, [x]).dim == 1
-    assert completion(fm, [x]).dim == 1
+    tag = classify(fm, [x])
+    assert tag.gamma_dim == 1
+    assert tag.lambda_dim == 1
 
 
 def test_submodule_and_quotient_modules():
     fm = scalar_module(0, 5, 0)
     x = poly_monomial((1,))
-    gamma = torsion_part(fm, [x])
+    gamma = torsion._levels(fm, [x])[4]
     sub = submodule_module(fm, gamma)
     assert sub.dim == 2
     assert sub.action[0] == ({}, {})
-    quo = quotient_module(fm, gamma)
+    quo = ref.quotient_module(ref.DenseModule.of(fm), gamma)
     assert quo.dim == 1
-    assert quo.action[0] == ({0: 5},)
-
-
-def test_quotient_module_rejects_non_invariant_subspaces():
-    fm = module_from(FLAT7)
-    bad = Subspace(fm.dim, [{0: Fraction(1)}])
-    with pytest.raises(AlgebraError):
-        quotient_module(fm, bad)
+    assert quo.action[0] == ((5,),)
 
 
 def test_matlis_dual_is_an_involution_with_swapped_functors():
@@ -179,17 +170,19 @@ def test_matlis_dual_is_an_involution_with_swapped_functors():
         assert matlis_dual(dual).action == fm.action
         # annihilators pair with images, torsion with completion
         assert annihilator_of(fm, gens).dim == fm.dim - image_of(dual, gens).dim
-        assert torsion_part(fm, gens).dim == completion(dual, gens).dim
-        assert completion(fm, gens).dim == torsion_part(dual, gens).dim
+        mine, theirs = classify(fm, gens), classify(dual, gens)
+        assert mine.gamma_dim == theirs.lambda_dim
+        assert mine.lambda_dim == theirs.gamma_dim
 
 
 def test_reduced_and_coreduced_predicates():
     m = module_from(FLAT7)
     y = parse_polynomial("y", m.variables)
-    assert not is_j_reduced(m, [y])
+    assert not classify(m, [y]).j_reduced
     defining = [poly_monomial(g) for g in m.ideal.min_gens]
-    assert is_j_reduced(m, defining)
-    assert is_j_coreduced(m, defining)  # both images are zero
+    tag = classify(m, defining)
+    assert tag.j_reduced
+    assert tag.j_coreduced  # both images are zero
 
 
 def test_classify_whole_quotient_is_torsion():
@@ -254,19 +247,58 @@ def test_duality_skips_when_hypotheses_fail():
 
 
 def test_level_collapse_on_known_cases():
+    # reduced and coreduced: Gamma = (0 : J), and the completion is M / J M
     m = module_from(FLAT7)
     defining = [poly_monomial(g) for g in m.ideal.min_gens]
-    report = level_collapse_check(m, defining)
-    assert report.j_reduced and report.j_coreduced
-    assert "torsion-part == annihilator" in report.collapses
-    assert "completion == top quotient" in report.collapses
+    tag = classify(m, defining)
+    assert tag.j_reduced and tag.j_coreduced
+    assert tag.gamma_dim == annihilator_of(m, defining).dim
+    assert tag.lambda_dim == m.dim - image_of(m, defining).dim
 
+    # zero action: every torsion level is M
     flat = FiniteModule(1, 2, (({}, {}),))
     x = poly_monomial((1,))
-    rep = level_collapse_check(flat, [x])
-    assert rep.semisimple_case
-    assert "all torsion levels == M" in rep.collapses
-    assert rep.gamma_dim == rep.socle_level_dim == 2
+    tag = classify(flat, [x])
+    assert tag.gamma_dim == annihilator_of(flat, [x]).dim == 2
+
+
+def _fake_fitting(gamma_of, tail_of):
+    """A `_fitting` returning the given functions of the true split."""
+    fitting = torsion._fitting
+
+    def fake(ops, d):
+        gamma, tail = fitting(ops, d)
+        return gamma_of(gamma, d), tail_of(tail, d)
+
+    return fake
+
+
+def _same(space, d):
+    return space
+
+
+def test_semisimple_collapse_check_is_live(monkeypatch):
+    fake = _fake_fitting(lambda gamma, d: Subspace.zero(d), _same)
+    monkeypatch.setattr(torsion, "_fitting", fake)
+    flat = FiniteModule(1, 2, (({}, {}),))
+    with pytest.raises(InternalCheckError, match="semisimple module"):
+        classify(flat, [poly_monomial((1,))])
+
+
+def test_reduced_collapse_check_is_live(monkeypatch):
+    fake = _fake_fitting(lambda gamma, d: Subspace.zero(d), _same)
+    monkeypatch.setattr(torsion, "_fitting", fake)
+    m = module_from(FLAT7)
+    with pytest.raises(InternalCheckError, match="deeper torsion part"):
+        classify(m, [poly_monomial(g) for g in m.ideal.min_gens])
+
+
+def test_coreduced_collapse_check_is_live(monkeypatch):
+    fake = _fake_fitting(_same, lambda tail, d: Subspace.full(d))
+    monkeypatch.setattr(torsion, "_fitting", fake)
+    m = module_from(FLAT7)
+    with pytest.raises(InternalCheckError, match="deeper completion"):
+        classify(m, [poly_monomial(g) for g in m.ideal.min_gens])
 
 
 def test_classification_is_conjugation_invariant():
@@ -291,13 +323,11 @@ def test_word_rank_profile_sees_the_difference():
 
 
 def test_zero_module_classifies_cleanly():
-    fm = module_from("ring x; ideal x")
-    # dim 1 module where x acts as zero; quotient by the torsion part is 0
-    quo = quotient_module(fm, torsion_part(fm, [poly_monomial((1,))]))
-    assert quo.dim == 0
-    tag = classify(quo, [poly_monomial((1,))])
+    # the zero module over k[x]
+    zero = FiniteModule(1, 0, ((),))
+    tag = classify(zero, [poly_monomial((1,))])
     assert tag.gamma_dim == 0 and tag.lambda_dim == 0
-    report = verify_ttf_duality(quo, [poly_monomial((1,))])
+    report = verify_ttf_duality(zero, [poly_monomial((1,))])
     assert report.ok
 
 
