@@ -3,19 +3,23 @@
 The envelope of zero collects the products r*m where some power of r kills
 m; for an Artinian monomial quotient its span, the Jacobson radical, and
 the intersection of the semiprime submodules all equal the span of the
-positive-degree standard monomials.  Semiprime submodules are enumerated
-by brute force over the monomial submodules, which are exactly the
-up-closed subsets of the staircase under divisibility.
+positive-degree standard monomials.  Alongside the span, every variable is
+checked nilpotent and every seeded unit (a polynomial with nonzero constant
+term) is checked to act invertibly, by the exact rank of its operator: no
+power of a unit kills a nonzero element.  Semiprime submodules are
+enumerated by brute force over the monomial submodules, which are exactly
+the up-closed subsets of the staircase under divisibility; the spot checks
+draw from that one enumeration and read one table of monomial operators
+per module.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Subspace, op_power, sparse_apply
+from .linalg import Operator, Subspace, is_invertible, op_power, sparse_apply
 from .quotient import (
     QuotientModule,
     monomial_span,
@@ -29,7 +33,7 @@ from .ring import (
     poly_monomial,
     variable_polys,
 )
-from .reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
+from .reduced import _random_poly, monomials_up_to_degree
 from .torsion import image_of
 
 DEFAULT_ENUMERATION_BOUND = 14
@@ -40,9 +44,11 @@ def envelope_zero(
 ) -> Subspace:
     """Span of {r*m : r^k m = 0 for some k}, which is m*M here.
 
-    Sampling checks run alongside the exact span: every variable really is
-    nilpotent on every basis class, and no sampled unit (a polynomial with
-    nonzero constant term) has a vanishing power on a nonzero element.
+    Two exact checks run alongside the span.  Every variable is nilpotent:
+    its d-th power is the zero operator, d = dim M.  Every one of `trials`
+    seeded units r (polynomials with nonzero constant term) acts by an
+    invertible operator, so no power of r kills a nonzero element; the
+    rank of the operator covers every element at once.
     """
     span = image_of(module, variable_polys(module.n))
     # every variable multiple of a basis class lands in the envelope
@@ -52,21 +58,10 @@ def envelope_zero(
     rng = random.Random(seed)
     for _ in range(trials):
         r = _random_poly(rng, module.n, 2, constant=True)
-        if r.constant_term() == 0:
-            continue
-        vec = {}
-        for j in range(module.dim):
-            if rng.random() < 0.5:
-                vec[j] = Fraction(rng.choice(_COEFF_POOL))
-        if not vec:
-            continue
-        power = vec
-        for _ in range(module.dim):
-            power = module.act(r, power)
-            if not power:
-                raise InternalCheckError(
-                    "a unit-like polynomial had a vanishing power on a nonzero element"
-                )
+        if r.constant_term() != 0 and not is_invertible(module.poly_matrix(r)):
+            raise InternalCheckError(
+                "a unit-like polynomial had a vanishing power on a nonzero element"
+            )
     return span
 
 
@@ -127,6 +122,8 @@ class SemiprimeReport:
     intersection: Subspace
     semiprime: tuple[tuple[ExponentVector, ...], ...]
     submodules_scanned: int
+    # the proper monomial submodules scanned, as bitmasks in scan order
+    upsets: tuple[int, ...]
 
     @property
     def unique(self) -> bool:
@@ -156,13 +153,10 @@ def semiprime_bruteforce(
     for e in mm_exps:
         mm_mask |= 1 << module.index[e]
     full = (1 << module.dim) - 1
+    upsets = tuple(m for m in _upsets(module) if m != full)
     semiprime = []
     inter = full
-    count = 0
-    for mask in _upsets(module):
-        if mask == full:
-            continue
-        count += 1
+    for mask in upsets:
         if mm_mask & ~mask == 0:
             semiprime.append(mask)
             inter &= mask
@@ -172,18 +166,31 @@ def semiprime_bruteforce(
     inter_space = monomial_span(
         module, _mask_monomials(module, inter if semiprime else 0)
     )
-    return SemiprimeReport(inter_space, spaces, count)
+    return SemiprimeReport(inter_space, spaces, len(upsets), upsets)
+
+
+def _monomial_operators(module: QuotientModule) -> tuple[Operator, ...]:
+    """The operators of the monomials of degree <= 6, the spot checks' r."""
+    return tuple(
+        module.poly_matrix(poly_monomial(e))
+        for e in monomials_up_to_degree(module.n, 6)
+    )
 
 
 def envelope_of_submodule_bruteforce(
     module: QuotientModule, submodule_mask_exps: Sequence[ExponentVector],
-    degree_bound: int = 6,
+    operators: Sequence[Operator] | None = None,
 ) -> Subspace:
-    """Direct scan of {r*m : r monomial, m basis class, r^k m in N}."""
+    """Direct scan of {r*m : r monomial, m basis class, r^k m in N}.
+
+    r runs over `operators`, by default `_monomial_operators(module)`; a
+    caller scanning several submodules of one module builds them once.
+    """
     n_space = monomial_span(module, submodule_mask_exps)
     vecs = list(n_space.rows)
-    for r_exps in monomials_up_to_degree(module.n, degree_bound):
-        r = module.poly_matrix(poly_monomial(r_exps))
+    if operators is None:
+        operators = _monomial_operators(module)
+    for r in operators:
         for b in range(module.dim):
             vec = module.basis_element(module.basis[b])
             power = vec
@@ -221,13 +228,15 @@ def satisfies_radical_formula(
     within the enumeration bound) the intersection of the semiprime
     submodules must all coincide.  Quotients of M by monomial submodules
     are again staircase quotients, so this single check propagates to every
-    submodule; a few random submodule envelopes are spot-checked directly.
+    submodule; a few random submodule envelopes are spot-checked directly,
+    drawn from the enumerated submodules.
     """
     env = envelope_zero(module, seed=seed)
     jac = jacobson_radical(module, env)
     semiprime_dim = None
     unique = None
     skipped = module.dim > bound
+    done = 0
     if not skipped:
         report = semiprime_bruteforce(module, bound)
         semiprime_dim = report.intersection.dim
@@ -236,14 +245,11 @@ def satisfies_radical_formula(
             raise InternalCheckError(
                 "semiprime intersection differs from the envelope of zero"
             )
-    rng = random.Random(seed)
-    done = 0
-    if module.dim <= bound:
-        ups = [m for m in _upsets(module) if m != (1 << module.dim) - 1]
+        rng = random.Random(seed)
+        operators = _monomial_operators(module)
         for _ in range(spot_checks):
-            mask = rng.choice(ups)
-            exps = _mask_monomials(module, mask)
-            brute = envelope_of_submodule_bruteforce(module, exps)
+            exps = _mask_monomials(module, rng.choice(report.upsets))
+            brute = envelope_of_submodule_bruteforce(module, exps, operators)
             expected = monomial_span(module, exps).sum(env)
             if brute != expected:
                 raise InternalCheckError(

@@ -5,12 +5,15 @@ variable acts by a row-major tuple of Fraction rows, products are dense
 `mat_mul`, and the torsion and completion functors run the stabilization
 chains (ascending annihilators of J^k, descending images J^k M) that
 artquot.torsion replaced by Fitting's lemma.  The earlier row reduction on
-dense tuples is kept too.  The differential tests require the sparse code
-to give the same matrices, subspaces, echelon forms and tags.
+dense tuples is kept too, and so is the sampled-vector unit check that
+artquot.radical replaced by the rank of each unit's operator.  The
+differential tests require the sparse code to give the same matrices,
+subspaces, echelon forms and tags, and both unit checks to pass.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -23,8 +26,8 @@ from artquot.linalg import (
     operator_from_rows,
     rank,
 )
-from artquot.reduced import monomials_up_to_degree
-from artquot.ring import AlgebraError
+from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
+from artquot.ring import AlgebraError, InternalCheckError
 from artquot.torsion import FiniteModule
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...], row-major
@@ -327,3 +330,26 @@ def word_rank_profile(module: FiniteModule) -> dict:
                 word = mat_mul(word, action[i])
         profile[exps] = rank([sparse(r) for r in word], module.dim)
     return profile
+
+
+def sampled_unit_check(module: FiniteModule, trials: int = 20, seed: int = 0) -> None:
+    """Apply each seeded unit d times to a random nonzero vector; raise if a
+    power vanishes.  Samples what `radical.envelope_zero` checks exactly."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        r = _random_poly(rng, module.nvars, 2, constant=True)
+        if r.constant_term() == 0:
+            continue
+        vec = {}
+        for j in range(module.dim):
+            if rng.random() < 0.5:
+                vec[j] = Fraction(rng.choice(_COEFF_POOL))
+        if not vec:
+            continue
+        power = vec
+        for _ in range(module.dim):
+            power = module.act(r, power)
+            if not power:
+                raise InternalCheckError(
+                    "a unit-like polynomial had a vanishing power on a nonzero element"
+                )

@@ -109,6 +109,19 @@ def test_radical_command(monkeypatch, capsys):
     assert data["strf"] is True
 
 
+def test_radical_command_at_dim_400(monkeypatch, capsys):
+    rc, out, _ = run(["radical"], "ring x,y; ideal x^20, y^20", monkeypatch, capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    for line in (
+        "envelope dim 399",
+        "jacobson dim 399",
+        "semiprime dim skipped",
+        "spot checks 0",
+    ):
+        assert line in lines
+
+
 def test_report_rows(monkeypatch, capsys):
     rc, out, _ = run(["report", "--json"], SMALL4, monkeypatch, capsys)
     assert rc == 0

@@ -1,9 +1,11 @@
 """Envelope of zero, Jacobson radical, and the semiprime enumeration."""
 
 import io
+from collections import Counter
 
 import pytest
 
+import dense_reference as ref
 from artquot import radical
 from artquot.cli import main
 from artquot.instances import SamplerConfig, sample_modules
@@ -16,7 +18,8 @@ from artquot.radical import (
     semiprime_bruteforce,
     _upsets,
 )
-from artquot.ring import AlgebraError, parse_input
+from artquot.reduced import monomials_up_to_degree
+from artquot.ring import AlgebraError, parse_input, poly_monomial
 from artquot.suites import run_suite
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -34,6 +37,26 @@ def test_envelope_is_the_positive_degree_span():
         assert env == jacobson_radical(m, env)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_unit_check_agrees_with_sampled_vectors(seed):
+    # the replaced sampling loop and the exact rank check both pass
+    for _, m in sample_modules(30, seed=41, config=SamplerConfig(dim_bound=30)):
+        ref.sampled_unit_check(m, seed=seed)
+        envelope_zero(m, seed=seed)
+
+
+def test_unit_check_is_live(monkeypatch, capsys):
+    monkeypatch.setattr(radical, "is_invertible", lambda op: False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
+    assert main(["radical"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "internal check failed: "
+        "a unit-like polynomial had a vanishing power on a nonzero element\n"
+    )
+
+
 def test_upset_count_on_known_staircase():
     m = module_from(SMALL4)
     ups = list(_upsets(m))
@@ -46,6 +69,8 @@ def test_semiprime_enumeration_on_known_staircase():
     m = module_from(SMALL4)
     report = semiprime_bruteforce(m)
     assert report.submodules_scanned == 6
+    full = (1 << m.dim) - 1
+    assert report.upsets == tuple(u for u in _upsets(m) if u != full)
     assert report.unique
     assert len(report.semiprime) == 1
     assert report.semiprime[0] == ((1, 0), (0, 1), (0, 2))
@@ -109,21 +134,21 @@ def test_trivial_module():
     assert report.satisfies
 
 
-def _count_envelopes(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str) -> list:
     built = []
-    original = radical.envelope_zero
+    original = getattr(radical, name)
 
     def counted(module, *args, **kwargs):
         built.append(module)
         return original(module, *args, **kwargs)
 
-    monkeypatch.setattr(radical, "envelope_zero", counted)
+    monkeypatch.setattr(radical, name, counted)
     return built
 
 
 @pytest.mark.parametrize("argv", [["radical"], ["radical", "--seed", "3"]])
 def test_radical_command_builds_one_envelope(argv, monkeypatch, capsys):
-    built = _count_envelopes(monkeypatch)
+    built = _count_calls(monkeypatch, "envelope_zero")
     monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
     assert main(argv) == 0
     capsys.readouterr()
@@ -131,9 +156,38 @@ def test_radical_command_builds_one_envelope(argv, monkeypatch, capsys):
 
 
 def test_radical_formula_builds_one_envelope(monkeypatch):
-    built = _count_envelopes(monkeypatch)
+    built = _count_calls(monkeypatch, "envelope_zero")
     for seed in (0, 5):
         satisfies_radical_formula(module_from(SMALL4), seed=seed)
     assert len(built) == 2
     assert run_suite("radical", 3, 0).ok
     assert len(built) == 5
+
+
+def test_radical_formula_scans_the_upsets_once(monkeypatch):
+    scanned = _count_calls(monkeypatch, "_upsets")
+    for seed in (0, 5):
+        satisfies_radical_formula(module_from(SMALL4), seed=seed)
+    assert len(scanned) == 2
+    assert run_suite("radical", 3, 0).ok
+    assert len(scanned) == 5
+
+
+def test_spot_checks_build_each_monomial_operator_once(monkeypatch):
+    m = module_from(FLAT7)
+    built = Counter()
+    original = m.poly_matrix
+
+    def counted(poly):
+        built[poly] += 1
+        return original(poly)
+
+    monkeypatch.setattr(m, "poly_matrix", counted)
+    envelope_zero(m)
+    by_envelope = Counter(built)
+    built.clear()
+    report = satisfies_radical_formula(m, spot_checks=3)
+    assert report.spot_checks == 3
+    table = [poly_monomial(e) for e in monomials_up_to_degree(m.n, 6)]
+    assert len(table) == 28
+    assert all(built[p] - by_envelope[p] == 1 for p in table)
