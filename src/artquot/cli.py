@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .diagram import diagram_ascii, diagram_cells, diagram_svg, diagram_svg_pair
 from .inverse import hilbert_duality_check, inverse_system
+from .linalg import sparse_apply
 from .quotient import HilbertSeries, QuotientModule, hilbert
 from .radical import satisfies_radical_formula
 from .ring import (
@@ -31,7 +32,6 @@ from .ring import (
     poly_monomial,
     render,
     total_degree,
-    variable_polys,
 )
 from .reduced import largest_reduced_submodule, outside_corners
 from .suites import SUITE_NAMES, run_suite
@@ -40,14 +40,15 @@ from .torsion import classify
 _YES = {True: "yes", False: "no"}
 
 
-def _read_module(args) -> QuotientModule:
+def _read_input(args) -> tuple[VariableSet, MonomialIdeal]:
     if args.infile:
         with open(args.infile, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    variables, ideal = parse_input(text)
-    return QuotientModule(variables, ideal)
+            return parse_input(fh.read())
+    return parse_input(sys.stdin.read())
+
+
+def _read_module(args) -> QuotientModule:
+    return QuotientModule(*_read_input(args))
 
 
 def _dumps(payload: dict) -> str:
@@ -60,36 +61,25 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, default=fallback)
 
 
-def _emit(args, payload: dict, lines: list[str]) -> int:
+def _emit(args, module: QuotientModule, payload: dict, lines: list[str]) -> int:
+    """Print the payload or the lines, both headed by the ring and ideal."""
+    variables, ideal = module.variables, module.ideal
     if args.json:
-        print(_dumps(payload))
+        gens = [monomial_str(variables.names, g) for g in ideal.min_gens]
+        print(_dumps({"ring": list(variables.names), "ideal": gens, **payload}))
     else:
-        print("\n".join(lines))
+        print("\n".join([render(variables, ideal), *lines]))
     return 0
-
-
-def _header(module: QuotientModule) -> str:
-    return render(module.variables, module.ideal)
-
-
-def _ideal_strs(variables: VariableSet, ideal: MonomialIdeal) -> list[str]:
-    return [monomial_str(variables.names, g) for g in ideal.min_gens]
 
 
 def cmd_basis(args) -> int:
     module = _read_module(args)
-    payload = {
-        "ring": list(module.variables.names),
-        "ideal": _ideal_strs(module.variables, module.ideal),
-        **module.to_json(),
-    }
     lines = [
-        _header(module),
         f"dim {module.dim}",
         f"hilbert {hilbert(module)}",
         "basis " + ", ".join(module.labels()),
     ]
-    return _emit(args, payload, lines)
+    return _emit(args, module, module.to_json(), lines)
 
 
 def cmd_socle(args) -> int:
@@ -99,32 +89,26 @@ def cmd_socle(args) -> int:
     socle_hs = HilbertSeries.from_degrees(total_degree(e) for e in report.corners)
     corner_labels = [module.label(e) for e in report.corners]
     payload = {
-        "ring": list(module.variables.names),
-        "ideal": _ideal_strs(module.variables, module.ideal),
         "dim": span.dim,
         "corners": corner_labels,
         "hilbert": list(socle_hs.coeffs),
         "gorenstein": span.dim == 1,
     }
     lines = [
-        _header(module),
         f"socle dim {span.dim}",
         "corners " + ", ".join(corner_labels),
         f"socle hilbert {socle_hs}",
         f"gorenstein {_YES[span.dim == 1]}",
     ]
-    return _emit(args, payload, lines)
+    return _emit(args, module, payload, lines)
 
 
 def cmd_dual(args) -> int:
-    module = _read_module(args)
-    system = inverse_system(module.variables, module.ideal)
+    system = inverse_system(*_read_input(args))
     corners = system.corners
     corner_set = set(corners)
     inner = [e for e in system.basis if e not in corner_set]
     payload = {
-        "ring": list(module.variables.names),
-        "ideal": _ideal_strs(module.variables, module.ideal),
         "dim": system.dim,
         "dual_basis": system.labels(),
         "hilbert": list(system.grading.coeffs),
@@ -132,14 +116,13 @@ def cmd_dual(args) -> int:
         "inner": [system.label(e) for e in inner],
     }
     lines = [
-        _header(module),
         f"dual dim {system.dim}",
         "dual basis " + ", ".join(system.labels()),
         f"hilbert {system.grading}",
         "dual corners " + ", ".join(system.label(e) for e in corners),
         "inner " + ", ".join(system.label(e) for e in inner),
     ]
-    return _emit(args, payload, lines)
+    return _emit(args, system, payload, lines)
 
 
 def cmd_hilbert(args) -> int:
@@ -148,8 +131,6 @@ def cmd_hilbert(args) -> int:
     corners = outside_corners(module).corners
     hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
     payload = {
-        "ring": list(module.variables.names),
-        "ideal": _ideal_strs(module.variables, module.ideal),
         "module": list(hs_m.coeffs),
         "dual": list(hs_d.coeffs),
         "socle": list(hs_r.coeffs),
@@ -158,7 +139,6 @@ def cmd_hilbert(args) -> int:
         "socle_equals_dual": hs_r == hs_rd,
     }
     lines = [
-        _header(module),
         f"module {hs_m}",
         f"dual {hs_d}",
         f"socle {hs_r}",
@@ -166,7 +146,7 @@ def cmd_hilbert(args) -> int:
         f"module = dual {_YES[hs_m == hs_d]}",
         f"socle = socle dual {_YES[hs_r == hs_rd]}",
     ]
-    return _emit(args, payload, lines)
+    return _emit(args, module, payload, lines)
 
 
 def cmd_classify(args) -> int:
@@ -178,8 +158,6 @@ def cmd_classify(args) -> int:
     tag = classify(module, gens)
     gen_strs = [g.to_str(module.variables.names) for g in gens]
     payload = {
-        "ring": list(module.variables.names),
-        "ideal": _ideal_strs(module.variables, module.ideal),
         "relative_to": gen_strs,
         "tag": tag.tag,
         "reduced": tag.j_reduced,
@@ -188,7 +166,6 @@ def cmd_classify(args) -> int:
         "lambda_dim": tag.lambda_dim,
     }
     lines = [
-        _header(module),
         "relative to " + ", ".join(gen_strs),
         f"tag {tag.tag}",
         f"J-reduced {_YES[tag.j_reduced]}",
@@ -196,15 +173,13 @@ def cmd_classify(args) -> int:
         f"gamma dim {tag.gamma_dim}",
         f"lambda dim {tag.lambda_dim}",
     ]
-    return _emit(args, payload, lines)
+    return _emit(args, module, payload, lines)
 
 
 def cmd_radical(args) -> int:
     module = _read_module(args)
     report = satisfies_radical_formula(module, seed=args.seed)
     payload = {
-        "ring": list(module.variables.names),
-        "ideal": _ideal_strs(module.variables, module.ideal),
         "envelope_dim": report.envelope_dim,
         "jacobson_dim": report.jacobson_dim,
         "semiprime_dim": report.semiprime_dim,
@@ -222,7 +197,6 @@ def cmd_radical(args) -> int:
         else _YES[report.semiprime_unique]
     )
     lines = [
-        _header(module),
         f"envelope dim {report.envelope_dim}",
         f"jacobson dim {report.jacobson_dim}",
         f"semiprime dim {semiprime}",
@@ -230,7 +204,7 @@ def cmd_radical(args) -> int:
         f"spot checks {report.spot_checks}",
         f"satisfies radical formula {_YES[report.satisfies]}",
     ]
-    return _emit(args, payload, lines)
+    return _emit(args, module, payload, lines)
 
 
 def cmd_diagram(args) -> int:
@@ -335,34 +309,27 @@ def _positive_degree_dim(module: QuotientModule) -> int:
 
 
 def _m_kills_reduced(module: QuotientModule, reduced) -> bool:
-    for poly in variable_polys(module.n):
-        for row in reduced.rows:
-            if module.act(poly, row):
-                return False
-    return True
+    return not any(
+        sparse_apply(op, row) for op in module.action for row in reduced.rows
+    )
 
 
 def cmd_report(args) -> int:
     module = _read_module(args)
     rows = _report_rows(module)
-    payload = {
-        "ring": list(module.variables.names),
-        "ideal": _ideal_strs(module.variables, module.ideal),
-        "rows": rows,
-        "ok": all(r["ok"] for r in rows),
-    }
+    ok = all(r["ok"] for r in rows)
     width_l = max(len(r["left"]) for r in rows)
     width_r = max(len(r["right"]) for r in rows)
-    lines = [_header(module)]
+    lines = []
     for r in rows:
         lines.append(
             f"{r['row']}. {r['left']:<{width_l}}  <->  "
             f"{r['right']:<{width_r}}  [{'ok' if r['ok'] else 'FAIL'}] "
             f"{r['remark']}"
         )
-    lines.append("all rows ok" if payload["ok"] else "SOME ROWS FAILED")
-    rc = _emit(args, payload, lines)
-    return rc if payload["ok"] else 1
+    lines.append("all rows ok" if ok else "SOME ROWS FAILED")
+    _emit(args, module, {"rows": rows, "ok": ok}, lines)
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:

@@ -74,22 +74,30 @@ def diagram_ascii(module: QuotientModule, dual: bool = False) -> str:
     return "\n".join(lines)
 
 
-def diagram_svg(module: QuotientModule, dual: bool = False) -> str:
+def diagram_svg(module: QuotientModule) -> str:
     """One rect per staircase cell; corner cells get a distinct stroke."""
-    corners = set(outside_corners(module).corners)
-    names = (
-        module.variables.dual_names() if dual else module.variables.names
-    )
+    return _svg(module, [module.variables.names])
 
+
+def diagram_svg_pair(module: QuotientModule) -> str:
+    """Primal and dual staircases stacked in one document, primal on top."""
+    return _svg(module, [module.variables.names, module.variables.dual_names()])
+
+
+def _svg(module: QuotientModule, panels: list[tuple[str, ...]]) -> str:
+    """One copy of the staircase per panel of labels, stacked top to bottom
+    with one blank row between copies."""
+    corners = set(outside_corners(module).corners)
     rows = _grid(module)
     ncols = max(len(r) for r in rows)
-    nrows = len(rows)
+    step = len(rows) * CELL + CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{ncols * CELL}" height="{nrows * CELL}" '
+        f'width="{ncols * CELL}" height="{len(panels) * step - CELL}" '
         f'font-family="monospace" font-size="10">'
     ]
-    parts.extend(_svg_cells(module, names, corners, 0))
+    for k, names in enumerate(panels):
+        parts.extend(_svg_cells(module, names, corners, k * step))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -114,24 +122,3 @@ def _svg_cells(module, names, corners, y_offset: int) -> list[str]:
         )
     return parts
 
-
-def diagram_svg_pair(module: QuotientModule) -> str:
-    """Primal and dual staircases stacked in one document, primal on top."""
-    corners = set(outside_corners(module).corners)
-    rows = _grid(module)
-    ncols = max(len(r) for r in rows)
-    nrows = len(rows)
-    gap = CELL  # one blank row between the two diagrams
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{ncols * CELL}" height="{(2 * nrows) * CELL + gap}" '
-        f'font-family="monospace" font-size="10">'
-    ]
-    parts.extend(_svg_cells(module, module.variables.names, corners, 0))
-    parts.extend(
-        _svg_cells(
-            module, module.variables.dual_names(), corners, nrows * CELL + gap
-        )
-    )
-    parts.append("</svg>")
-    return "\n".join(parts)

@@ -27,12 +27,15 @@ from .ring import MonomialIdeal, Polynomial, VariableSet, minimalize, poly_monom
 from .torsion import FiniteModule, conjugate
 
 SEED_STRIDE = 1_000_003
+# The fixed shape of every draw: variables, pure-power exponent, and the
+# dimension of a random commuting family.
+MAX_VARS = 3
+MAX_EXPONENT = 6
+MAX_MODULE_DIM = 8
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    max_vars: int = 3
-    max_exponent: int = 6
     dim_bound: int = 60
 
 
@@ -44,11 +47,9 @@ def random_artinian_ideal(
     rng: random.Random, config: SamplerConfig = SamplerConfig()
 ) -> tuple[VariableSet, MonomialIdeal]:
     while True:
-        n = rng.randint(1, config.max_vars)
-        variables = (
-            VariableSet(("x", "y", "z")[:n]) if n <= 3 else VariableSet.default(n)
-        )
-        bounds = [rng.randint(1, config.max_exponent) for _ in range(n)]
+        n = rng.randint(1, MAX_VARS)
+        variables = VariableSet(("x", "y", "z")[:n])
+        bounds = [rng.randint(1, MAX_EXPONENT) for _ in range(n)]
         gens = []
         for i in range(n):
             e = [0] * n
@@ -129,12 +130,12 @@ def _random_unimodular(rng: random.Random, dim: int) -> tuple[Operator, Operator
 
 
 def random_finite_module(
-    rng: random.Random, max_dim: int = 8, conjugated: bool = True
+    rng: random.Random, conjugated: bool = True
 ) -> FiniteModule:
     """Commuting family: polynomials in one triangular base matrix, then an
     optional change of basis."""
-    n = rng.randint(1, 3)
-    dim = rng.randint(1, max_dim)
+    n = rng.randint(1, MAX_VARS)
+    dim = rng.randint(1, MAX_MODULE_DIM)
     base = _random_base_matrix(rng, dim)
     line = FiniteModule(1, dim, (base,))
     mats = [base]

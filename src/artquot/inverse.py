@@ -41,10 +41,12 @@ from .ring import (
     minimalize,
     poly_monomial,
     total_degree,
-    variable_polys,
 )
 from .reduced import monomials_up_to_degree
-from .torsion import image_of
+from .torsion import image_span
+
+# The degree up to which perp_of_submodule describes a non-monomial span.
+PERP_DEGREE_BOUND = 6
 
 
 def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
@@ -123,7 +125,7 @@ def inverse_system(variables: VariableSet, ideal: MonomialIdeal) -> InverseSyste
                 f"non-staircase dual monomial {e} annihilated by every generator"
             )
     n = variables.n
-    inner = image_of(system, variable_polys(n))
+    inner = image_span(system.action, system.dim)
     steps = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     non_maximal = [
         e for e in basis if any(ev_add(e, s) in system.index for s in steps)
@@ -207,14 +209,13 @@ def _complement_min_gens(closure: set, n: int) -> MonomialIdeal:
 
 
 def perp_of_submodule(
-    variables: VariableSet,
-    duals: Sequence[Polynomial],
-    degree_bound: int = 6,
+    variables: VariableSet, duals: Sequence[Polynomial]
 ) -> PerpResult:
     """Polynomials annihilating a finite set of dual elements under contraction.
 
     Contraction commutes with the ring action, so annihilating the listed
-    elements annihilates the submodule they generate.
+    elements annihilates the submodule they generate.  A non-monomial span
+    is described up to degree PERP_DEGREE_BOUND.
     """
     if not duals:
         raise AlgebraError("empty dual generator set")
@@ -232,7 +233,7 @@ def perp_of_submodule(
             by_degree=None,
         )
     layers = []
-    for deg in range(degree_bound + 1):
+    for deg in range(PERP_DEGREE_BOUND + 1):
         monos = [e for e in monomials_up_to_degree(n, deg) if sum(e) == deg]
         # kernel of c -> (coefficients of sum_m c_m (x^m o w)) over all w
         rows = []
@@ -258,7 +259,7 @@ def perp_of_submodule(
     return PerpResult(
         exact=False,
         ideal=None,
-        degree_bound=degree_bound,
+        degree_bound=PERP_DEGREE_BOUND,
         by_degree=tuple(layers),
     )
 

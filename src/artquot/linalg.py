@@ -35,13 +35,9 @@ def _gcd_normalize(row: dict[int, int], lead: int) -> dict[int, int]:
     return row if g == 1 else {i: x // g for i, x in row.items()}
 
 
-def rref(vectors: Iterable[dict], width: int):
-    """Canonical reduced row echelon form of sparse vectors.
-
-    Returns (rows, pivots): rows are sparse vectors with pivot entries 1 and
-    no other entry in a pivot column; pivots are the pivot columns in
-    increasing order.  Zero rows are dropped.
-    """
+def _echelon(vectors: Iterable[dict], width: int) -> dict[int, dict[int, int]]:
+    """The forward pass of rref: primitive integer rows keyed by their
+    leading columns, which are distinct, so the row count is the rank."""
     pivot_rows: dict[int, dict[int, int]] = {}
     for vec in vectors:
         row = _integerize(vec)
@@ -69,6 +65,17 @@ def rref(vectors: Iterable[dict], width: int):
             row = _gcd_normalize(row, c)
         if row:
             pivot_rows[c] = row
+    return pivot_rows
+
+
+def rref(vectors: Iterable[dict], width: int):
+    """Canonical reduced row echelon form of sparse vectors.
+
+    Returns (rows, pivots): rows are sparse vectors with pivot entries 1 and
+    no other entry in a pivot column; pivots are the pivot columns in
+    increasing order.  Zero rows are dropped.
+    """
+    pivot_rows = _echelon(vectors, width)
     pivots = tuple(sorted(pivot_rows))
     rows = []
     for c in pivots:
@@ -105,10 +112,6 @@ class Subspace:
         self.rows, self.pivots = rref(vectors, ambient)
 
     @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
-
-    @classmethod
     def full(cls, ambient: int) -> "Subspace":
         return cls(ambient, ({i: Fraction(1)} for i in range(ambient)))
 
@@ -129,9 +132,6 @@ class Subspace:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -168,10 +168,6 @@ def kernel(vectors: Iterable[dict], width: int) -> Subspace:
                 v[p] = -x
         vecs.append(v)
     return Subspace(width, vecs)
-
-
-def rank(vectors: Iterable[dict], width: int) -> int:
-    return len(rref(vectors, width)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,4 +238,4 @@ def operator_from_rows(rows: Sequence[Sequence]) -> Operator:
 
 
 def is_invertible(op: Operator) -> bool:
-    return rank(op, len(op)) == len(op)
+    return len(_echelon(op, len(op))) == len(op)

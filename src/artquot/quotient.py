@@ -20,16 +20,14 @@ from .ring import (
     AlgebraError,
     ExponentVector,
     MonomialIdeal,
-    Polynomial,
     VariableSet,
     ev_add,
     grlex_key,
     monomial_str,
     pure_power_bounds,
     total_degree,
-    variable_polys,
 )
-from .torsion import FiniteModule, annihilator_of
+from .torsion import FiniteModule, joint_kernel
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,6 @@ class HilbertSeries:
             return cls(())
         top = max(counts)
         return cls(tuple(counts.get(d, 0) for d in range(top + 1)))
-
-    def total(self) -> int:
-        return sum(self.coeffs)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -128,28 +123,11 @@ class QuotientModule(FiniteModule):
     def labels(self) -> list[str]:
         return [self.label(e) for e in self.basis]
 
-    def zero_element(self) -> dict:
-        return {}
-
     def basis_element(self, exps: ExponentVector) -> dict:
         pos = self.index.get(tuple(exps))
         if pos is None:
             raise AlgebraError(f"{exps} is not a standard monomial")
         return {pos: Fraction(1)}
-
-    def element(self, coeffs: dict) -> dict:
-        """Element from a map exponent-vector -> coefficient."""
-        out: dict = {}
-        for exps, c in coeffs.items():
-            pos = self.index.get(tuple(exps))
-            if pos is None:
-                raise AlgebraError(f"{exps} is not a standard monomial")
-            out[pos] = out.get(pos, 0) + Fraction(c)
-        return {i: c for i, c in out.items() if c}
-
-    def element_str(self, vec: dict) -> str:
-        terms = {self.basis[i]: c for i, c in vec.items() if c}
-        return Polynomial(terms).to_str(self._names()) if terms else "0"
 
     def to_json(self) -> dict:
         return {
@@ -167,8 +145,8 @@ def hilbert(module: QuotientModule) -> HilbertSeries:
 
 
 def socle(module: QuotientModule) -> Subspace:
-    """(0 :_M m), the annihilator of the irrelevant maximal ideal."""
-    return annihilator_of(module, variable_polys(module.n))
+    """(0 :_M m), the joint kernel of the variable operators."""
+    return joint_kernel(module.action, module.dim)
 
 
 def monomial_span(module: QuotientModule, exps_list: Iterable[ExponentVector]) -> Subspace:

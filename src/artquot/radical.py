@@ -26,37 +26,33 @@ from .quotient import (
     positive_degree_span,
     subspace_monomials,
 )
-from .ring import (
-    AlgebraError,
-    ExponentVector,
-    InternalCheckError,
-    poly_monomial,
-    variable_polys,
-)
+from .ring import AlgebraError, ExponentVector, InternalCheckError, poly_monomial
 from .reduced import _random_poly, monomials_up_to_degree
-from .torsion import image_of
+from .torsion import image_span
 
-DEFAULT_ENUMERATION_BOUND = 14
+# Monomial submodules are enumerated only up to this module dimension.
+ENUMERATION_BOUND = 14
+# Seeded units checked invertible, and submodule envelopes spot-checked.
+UNIT_TRIALS = 20
+SPOT_CHECKS = 3
 
 
-def envelope_zero(
-    module: QuotientModule, trials: int = 20, seed: int = 0
-) -> Subspace:
+def envelope_zero(module: QuotientModule, seed: int = 0) -> Subspace:
     """Span of {r*m : r^k m = 0 for some k}, which is m*M here.
 
     Two exact checks run alongside the span.  Every variable is nilpotent:
-    its d-th power is the zero operator, d = dim M.  Every one of `trials`
-    seeded units r (polynomials with nonzero constant term) acts by an
-    invertible operator, so no power of r kills a nonzero element; the
-    rank of the operator covers every element at once.
+    its d-th power is the zero operator, d = dim M.  Every one of
+    UNIT_TRIALS seeded units r (polynomials with nonzero constant term)
+    acts by an invertible operator, so no power of r kills a nonzero
+    element; the rank of the operator covers every element at once.
     """
-    span = image_of(module, variable_polys(module.n))
+    span = image_span(module.action, module.dim)
     # every variable multiple of a basis class lands in the envelope
     for op in module.action:
         if any(op_power(op, module.dim)):
             raise InternalCheckError("a variable failed to be nilpotent")
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(UNIT_TRIALS):
         r = _random_poly(rng, module.n, 2, constant=True)
         if r.constant_term() != 0 and not is_invertible(module.poly_matrix(r)):
             raise InternalCheckError(
@@ -130,9 +126,7 @@ class SemiprimeReport:
         return len(self.semiprime) == 1
 
 
-def semiprime_bruteforce(
-    module: QuotientModule, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> SemiprimeReport:
+def semiprime_bruteforce(module: QuotientModule) -> SemiprimeReport:
     """Enumerate proper monomial submodules N and keep those with M/N reduced.
 
     M/N is reduced exactly when the maximal ideal maps M into N, so the
@@ -141,9 +135,10 @@ def semiprime_bruteforce(
     to be proper, matching the usual properness convention for (semi)prime
     submodules.
     """
-    if module.dim > bound:
+    if module.dim > ENUMERATION_BOUND:
         raise AlgebraError(
-            f"module dimension {module.dim} exceeds the enumeration bound {bound}"
+            f"module dimension {module.dim} exceeds the enumeration bound "
+            f"{ENUMERATION_BOUND}"
         )
     mm = positive_degree_span(module)
     mm_exps = subspace_monomials(module, mm)
@@ -179,17 +174,15 @@ def _monomial_operators(module: QuotientModule) -> tuple[Operator, ...]:
 
 def envelope_of_submodule_bruteforce(
     module: QuotientModule, submodule_mask_exps: Sequence[ExponentVector],
-    operators: Sequence[Operator] | None = None,
+    operators: Sequence[Operator],
 ) -> Subspace:
     """Direct scan of {r*m : r monomial, m basis class, r^k m in N}.
 
-    r runs over `operators`, by default `_monomial_operators(module)`; a
-    caller scanning several submodules of one module builds them once.
+    r runs over `operators`, the table `_monomial_operators(module)`, which
+    a caller scanning several submodules of one module builds once.
     """
     n_space = monomial_span(module, submodule_mask_exps)
     vecs = list(n_space.rows)
-    if operators is None:
-        operators = _monomial_operators(module)
     for r in operators:
         for b in range(module.dim):
             vec = module.basis_element(module.basis[b])
@@ -217,10 +210,7 @@ class RadicalFormulaReport:
 
 
 def satisfies_radical_formula(
-    module: QuotientModule,
-    bound: int = DEFAULT_ENUMERATION_BOUND,
-    spot_checks: int = 3,
-    seed: int = 0,
+    module: QuotientModule, seed: int = 0
 ) -> RadicalFormulaReport:
     """Check the radical-formula chain on one staircase quotient.
 
@@ -235,10 +225,10 @@ def satisfies_radical_formula(
     jac = jacobson_radical(module, env)
     semiprime_dim = None
     unique = None
-    skipped = module.dim > bound
+    skipped = module.dim > ENUMERATION_BOUND
     done = 0
     if not skipped:
-        report = semiprime_bruteforce(module, bound)
+        report = semiprime_bruteforce(module)
         semiprime_dim = report.intersection.dim
         unique = report.unique
         if report.intersection != env:
@@ -247,7 +237,7 @@ def satisfies_radical_formula(
             )
         rng = random.Random(seed)
         operators = _monomial_operators(module)
-        for _ in range(spot_checks):
+        for _ in range(SPOT_CHECKS):
             exps = _mask_monomials(module, rng.choice(report.upsets))
             brute = envelope_of_submodule_bruteforce(module, exps, operators)
             expected = monomial_span(module, exps).sum(env)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
-from .linalg import Subspace
+from .linalg import Subspace, sparse_apply
 from .quotient import QuotientModule, monomial_span, socle
 from .ring import (
     AlgebraError,
@@ -23,7 +23,6 @@ from .ring import (
     Polynomial,
     grlex_key,
     poly_monomial,
-    variable_polys,
 )
 
 _COEFF_POOL = (-2, -1, 1, 2)
@@ -137,14 +136,10 @@ def is_coreduced_subspace(
         raise AlgebraError("subspace does not live in this module")
     if degree_bound < 1:
         raise AlgebraError("degree_bound must be at least 1")
-    xs = variable_polys(module.n)
-    for row in space.rows:
-        for xv in xs:
-            if not space.contains(module.act(xv, row)):
-                raise AlgebraError("subspace is not a submodule")
-    exact = all(
-        not module.act(xv, row) for row in space.rows for xv in xs
-    )
+    images = [sparse_apply(op, row) for row in space.rows for op in module.action]
+    if not all(space.contains(v) for v in images):
+        raise AlgebraError("subspace is not a submodule")
+    exact = not any(images)
     violated = False
     for a in _witness_candidates(module, degree_bound, trials, seed):
         a_im = Subspace(module.dim, [module.act(a, r) for r in space.rows])

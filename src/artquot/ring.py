@@ -110,10 +110,6 @@ class VariableSet:
     def n(self) -> int:
         return len(self.names)
 
-    @classmethod
-    def default(cls, n: int) -> "VariableSet":
-        return cls(tuple(f"x{i + 1}" for i in range(n)))
-
     def index_of(self, name: str) -> int:
         if name in self.names:
             return self.names.index(name)
@@ -148,12 +144,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(total_degree(e) for e in self.terms)
-
     def constant_term(self) -> Fraction:
         for exps, coeff in self.terms.items():
             if not any(exps):
@@ -179,10 +169,6 @@ class Polynomial:
             for eb, cb in other.terms.items():
                 items.append((ev_add(ea, eb), ca * cb))
         return Polynomial(items)
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial({e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -216,17 +202,6 @@ class Polynomial:
 
 def poly_monomial(exps: ExponentVector, coeff=1) -> Polynomial:
     return Polynomial({tuple(exps): Fraction(coeff)})
-
-
-def poly_variable(n: int, i: int) -> Polynomial:
-    exps = [0] * n
-    exps[i] = 1
-    return poly_monomial(tuple(exps))
-
-
-def variable_polys(n: int) -> tuple[Polynomial, ...]:
-    """Generators of the irrelevant maximal ideal (x_1, ..., x_n)."""
-    return tuple(poly_variable(n, i) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +268,6 @@ def pure_power_bounds(variables: VariableSet, ideal: MonomialIdeal) -> tuple[int
             raise NotArtinianError(variables.names[i])
         bounds.append(min(powers))
     return tuple(bounds)
-
-
-def is_artinian(variables: VariableSet, ideal: MonomialIdeal) -> bool:
-    try:
-        pure_power_bounds(variables, ideal)
-    except NotArtinianError:
-        return False
-    return True
 
 
 def render(variables: VariableSet, ideal: MonomialIdeal) -> str:

@@ -20,7 +20,7 @@ from .instances import (
     sample_modules,
 )
 from .quotient import QuotientModule
-from .radical import satisfies_radical_formula
+from .radical import ENUMERATION_BOUND, satisfies_radical_formula
 from .ring import InternalCheckError, grlex_key, poly_monomial
 from .reduced import (
     is_coreduced_subspace,
@@ -134,7 +134,8 @@ _SUITES = {
     "hs-duality": (_hs_duality_case, SamplerConfig()),
     "coreduced": (_coreduced_case, SamplerConfig()),
     "ttf-duality": (_ttf_case, None),
-    "radical": (_radical_case, SamplerConfig(dim_bound=14)),
+    # every draw must stay within the enumeration, or the case fails
+    "radical": (_radical_case, SamplerConfig(dim_bound=ENUMERATION_BOUND)),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))

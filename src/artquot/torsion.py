@@ -2,19 +2,21 @@
 
 A FiniteModule is n pairwise-commuting sparse operators over the
 rationals, one per variable; a staircase quotient R/I is one (see
-quotient.QuotientModule).  The action, the annihilator (0 : J) and the
-image J M live here once for every module.  The torsion part Gamma_J M and
-the completion M / J^inf M come from Fitting's lemma: the joint kernel and
-the image span of the d-th powers of the generator operators.  `classify`
-reads them with J-(co)reducedness off one evaluation of the generators.
-Matlis duality is the linear dual: transpose every operator.
+quotient.QuotientModule).  The joint kernel and the image span of a list
+of operators live here once: on the generator operators of J they are
+(0 : J) and J M, on `module.action` they are (0 : m) and m M.  The torsion
+part Gamma_J M and the completion M / J^inf M come from Fitting's lemma:
+the joint kernel and the image span of the d-th powers of the generator
+operators.  `classify` reads them with J-(co)reducedness off one
+evaluation of the generators.  Matlis duality is the linear dual:
+transpose every operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .linalg import (
     Operator,
@@ -77,16 +79,14 @@ class FiniteModule:
         return {i: c for i, c in out.items() if c}
 
 
-def _gen_matrices(module: FiniteModule, gens: Iterable[Polynomial]) -> list[Operator]:
-    return [module.poly_matrix(g) for g in gens]
-
-
 # Zero rows and columns change no kernel or span; they stay out of rref.
-def _joint_kernel(ops: list[Operator], d: int) -> Subspace:
+def joint_kernel(ops: Sequence[Operator], d: int) -> Subspace:
+    """The elements every operator kills: (0 : J) for J's generator operators."""
     return kernel([row for op in ops for row in op_transpose(op) if row], d)
 
 
-def _image_span(ops: list[Operator], d: int) -> Subspace:
+def image_span(ops: Sequence[Operator], d: int) -> Subspace:
+    """The sum of the operators' images: J M for J's generator operators."""
     return Subspace(d, [col for op in ops for col in op if col])
 
 
@@ -106,8 +106,8 @@ def _fitting(ops: list[Operator], d: int) -> tuple[Subspace, Subspace]:
     must split M.
     """
     powers = [op_power(op, d) for op in ops]
-    gamma = _joint_kernel(powers, d)
-    tail = _image_span(powers, d)
+    gamma = joint_kernel(powers, d)
+    tail = image_span(powers, d)
     if gamma.dim + tail.dim != d or gamma.sum(tail).dim != d:
         raise InternalCheckError(
             "M is not the direct sum of its torsion part and J^inf M"
@@ -118,25 +118,15 @@ def _fitting(ops: list[Operator], d: int) -> tuple[Subspace, Subspace]:
 def _levels(module: FiniteModule, gens: Iterable[Polynomial]):
     """(0 : J), J M, J-reducedness, J-coreducedness, Gamma_J M and J^inf M,
     from one evaluation of the generators."""
-    ops = _gen_matrices(module, gens)
+    ops = [module.poly_matrix(g) for g in gens]
     d = module.dim
     squares = _products(ops)
-    ann = _joint_kernel(ops, d)
-    image = _image_span(ops, d)
+    ann = joint_kernel(ops, d)
+    image = image_span(ops, d)
     gamma, tail = _fitting(ops, d)
-    reduced = ann == _joint_kernel(squares, d)
-    coreduced = image == _image_span(squares, d)
+    reduced = ann == joint_kernel(squares, d)
+    coreduced = image == image_span(squares, d)
     return ann, image, reduced, coreduced, gamma, tail
-
-
-def annihilator_of(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
-    """(0 : J) = joint kernel of the generator actions."""
-    return _joint_kernel(_gen_matrices(module, gens), module.dim)
-
-
-def image_of(module: FiniteModule, gens: Iterable[Polynomial]) -> Subspace:
-    """J M = sum of the generator images."""
-    return _image_span(_gen_matrices(module, gens), module.dim)
 
 
 def matlis_dual(module: FiniteModule) -> FiniteModule:

@@ -24,7 +24,6 @@ from artquot.linalg import (
     kernel,
     op_transpose,
     operator_from_rows,
-    rank,
 )
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
 from artquot.ring import AlgebraError, InternalCheckError
@@ -108,6 +107,11 @@ def rref(vectors: Iterable[Sequence], width: int):
             if f:
                 rows[i] = [xi - f * xj for xi, xj in zip(rows[i], rows[j])]
     return tuple(tuple(r) for r in rows), pivots
+
+
+def rank(vectors: Iterable[Sequence], width: int) -> int:
+    """Rank of dense rows: the number of pivots of the dense rref."""
+    return len(rref(vectors, width)[0])
 
 
 def coords(space: Subspace, vec: dict) -> tuple:
@@ -230,7 +234,7 @@ def residual_matrix(space: Subspace) -> Matrix:
 
 def torsion_part_with_exponent(module: DenseModule, gens):
     mats = [module.poly_matrix(g) for g in gens]
-    current = Subspace.zero(module.dim)
+    current = Subspace(module.dim)
     exponent = 0
     for k in range(1, module.dim + 2):
         res = residual_matrix(current)
@@ -328,7 +332,7 @@ def word_rank_profile(module: FiniteModule) -> dict:
         for i, e in enumerate(exps):
             for _ in range(e):
                 word = mat_mul(word, action[i])
-        profile[exps] = rank([sparse(r) for r in word], module.dim)
+        profile[exps] = rank(word, module.dim)
     return profile
 
 

@@ -10,6 +10,7 @@ import pytest
 from artquot.cli import build_parser, main
 from artquot.quotient import staircase
 from artquot.ring import InternalCheckError, parse_input
+from artquot.torsion import FiniteModule
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
@@ -149,6 +150,23 @@ def test_report_trivial_quotient(monkeypatch, capsys):
     data = json.loads(out)
     assert data["ok"] is True
     assert "dim M = 1" in data["rows"][0]["left"]
+
+
+@pytest.mark.parametrize("command", ["socle", "dual", "hilbert", "report"])
+def test_structure_commands_evaluate_no_polynomial(command, monkeypatch, capsys):
+    # the maximal ideal acts through the stored operators, never through
+    # polynomials rebuilt and evaluated one basis vector at a time
+    calls = []
+    original = FiniteModule.poly_matrix
+
+    def counted(self, poly):
+        calls.append(poly)
+        return original(self, poly)
+
+    monkeypatch.setattr(FiniteModule, "poly_matrix", counted)
+    rc, _, _ = run([command], STAIR11, monkeypatch, capsys)
+    assert rc == 0
+    assert calls == []
 
 
 def test_diagram_ascii(monkeypatch, capsys):

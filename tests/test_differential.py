@@ -16,15 +16,8 @@ import dense_reference as ref
 from artquot.instances import random_finite_module, random_monomial_ideal_polys
 from artquot.linalg import op_power, op_transpose, rref
 from artquot.quotient import QuotientModule
-from artquot.ring import Polynomial, parse_input, poly_monomial, variable_polys
-from artquot.torsion import (
-    _gen_matrices,
-    _levels,
-    _products,
-    annihilator_of,
-    classify,
-    image_of,
-)
+from artquot.ring import Polynomial, parse_input, poly_monomial
+from artquot.torsion import _levels, _products, classify, image_span, joint_kernel
 
 # The benchmark ladder's staircases up to dim 27: the pure-power boxes and
 # the three worked examples.
@@ -37,6 +30,10 @@ LADDER = (
     "ring x,y; ideal x^4, x^3*y, y^2",
     "ring x1,x2; ideal x1^2, x1*x2, x2^3",
 )
+
+
+def variable_polys(n):
+    return [poly_monomial(tuple(int(j == i) for j in range(n))) for i in range(n)]
 
 
 def random_poly(rng, n):
@@ -52,8 +49,9 @@ def assert_matches_reference(module, gens, rng):
     for _ in range(2):
         poly = random_poly(rng, module.nvars)
         assert ref.operator_rows(module.poly_matrix(poly)) == dense.poly_matrix(poly)
-    assert annihilator_of(module, gens) == ref.annihilator_of(dense, gens)
-    assert image_of(module, gens) == ref.image_of(dense, gens)
+    ops = [module.poly_matrix(g) for g in gens]
+    assert joint_kernel(ops, module.dim) == ref.annihilator_of(dense, gens)
+    assert image_span(ops, module.dim) == ref.image_of(dense, gens)
     gamma, _ = ref.torsion_part_with_exponent(dense, gens)
     assert _levels(module, gens)[4] == gamma
     tag = classify(module, gens)
@@ -67,7 +65,7 @@ def assert_rref_matches_reference(module, gens):
     and the columns (image spans) of the generator operators, of their
     pairwise products and of their d-th powers."""
     d = module.dim
-    ops = _gen_matrices(module, gens)
+    ops = [module.poly_matrix(g) for g in gens]
     for family in (ops, _products(ops), [op_power(op, d) for op in ops]):
         stacked = [row for op in family for row in op_transpose(op) if row]
         columns = [col for op in family for col in op if col]
@@ -109,6 +107,10 @@ def test_ladder_staircases_match_dense_reference(text):
     module = QuotientModule(*parse_input(text))
     rng = random.Random(text)
     xs = variable_polys(module.n)
+    # the maximal ideal read straight off the action: (0 : m) and m M
+    dense = ref.DenseModule.of(module)
+    assert joint_kernel(module.action, module.dim) == ref.annihilator_of(dense, xs)
+    assert image_span(module.action, module.dim) == ref.image_of(dense, xs)
     for gens in (
         [poly_monomial(g) for g in module.ideal.min_gens],
         [xs[0] + xs[1]],

@@ -20,13 +20,22 @@ from artquot.linalg import (
     op_power,
     op_transpose,
     operator_from_rows,
-    rank,
     rref,
     sparse_apply,
 )
+from artquot.instances import SamplerConfig, sample_modules
+from artquot.radical import UNIT_TRIALS
+from artquot.reduced import _random_poly
 from artquot.ring import AlgebraError, poly_monomial
 from artquot.torsion import FiniteModule
-from dense_reference import coords, dense, operator_rows, residual_matrix, sparse
+from dense_reference import (
+    coords,
+    dense,
+    operator_rows,
+    rank,
+    residual_matrix,
+    sparse,
+)
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -123,7 +132,7 @@ def test_subspace_dimension_formula(matrix, data):
     w = Subspace(width, w_vecs)
     s = u.sum(w)
     assert max(u.dim, w.dim) <= s.dim <= u.dim + w.dim
-    assert s.contains_subspace(u) and s.contains_subspace(w)
+    assert all(s.contains(r) for r in u.rows + w.rows)
     assert s == Subspace(width, u_vecs + w_vecs)
 
 
@@ -160,11 +169,11 @@ def test_residual_matrix_cuts_out_the_span(matrix):
 
 
 def test_zero_and_full():
-    z = Subspace.zero(3)
+    z = Subspace(3)
     f = Subspace.full(3)
     assert z.dim == 0 and f.dim == 3
+    assert z.rows == () and z.pivots == ()
     assert f.rows == ({0: 1}, {1: 1}, {2: 1})
-    assert f.contains_subspace(z)
     assert z.sum(f) == f and z.sum(z) == z
 
 
@@ -175,7 +184,7 @@ def test_kernel_annihilates_and_rank_nullity(matrix):
     for v in ker.rows:
         for row in matrix_rows:
             assert sum(Fraction(a) * v.get(k, 0) for k, a in row.items()) == 0
-    assert rank(matrix_rows, width) + ker.dim == width
+    assert len(rref(matrix_rows, width)[0]) + ker.dim == width
 
 
 def test_matrix_helpers():
@@ -213,6 +222,32 @@ def test_is_invertible():
     assert is_invertible(eye)
     singular = operator_from_rows(((1, 2), (2, 4)))
     assert not is_invertible(singular)
+
+
+@st.composite
+def square_operators(draw, max_dim=7):
+    """Square operators with small integer entries, often singular."""
+    d = draw(st.integers(1, max_dim))
+    entries = st.sampled_from((-2, -1, 0, 0, 0, 1, 1, 2))
+    row = st.lists(entries, min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=d, max_size=d))
+    return operator_from_rows(rows)
+
+
+@given(square_operators())
+def test_is_invertible_agrees_with_dense_rank(op):
+    assert is_invertible(op) == (rank(operator_rows(op), len(op)) == len(op))
+
+
+def test_is_invertible_agrees_with_dense_rank_on_unit_operators():
+    # the seeded units radical.envelope_zero checks, drawn the same way
+    for seed, m in sample_modules(12, seed=8, config=SamplerConfig(dim_bound=30)):
+        rng = random.Random(seed)
+        for _ in range(UNIT_TRIALS):
+            r = _random_poly(rng, m.n, 2, constant=True)
+            op = m.poly_matrix(r)
+            full = rank(operator_rows(op), m.dim) == m.dim
+            assert is_invertible(op) == full == (r.constant_term() != 0)
 
 
 def test_subspace_equality_is_row_space_equality():

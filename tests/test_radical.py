@@ -16,6 +16,7 @@ from artquot.radical import (
     jacobson_radical,
     satisfies_radical_formula,
     semiprime_bruteforce,
+    _monomial_operators,
     _upsets,
 )
 from artquot.reduced import monomials_up_to_degree
@@ -87,8 +88,9 @@ def test_semiprime_unique_everywhere_within_bound():
 
 def test_semiprime_respects_the_enumeration_bound():
     m = module_from("ring x,y; ideal x^5, y^5")  # dim 25
-    with pytest.raises(AlgebraError):
-        semiprime_bruteforce(m, bound=14)
+    assert m.dim > radical.ENUMERATION_BOUND == 14
+    with pytest.raises(AlgebraError, match="enumeration bound 14"):
+        semiprime_bruteforce(m)
 
 
 def test_submodule_envelope_matches_sum_with_radical():
@@ -96,13 +98,14 @@ def test_submodule_envelope_matches_sum_with_radical():
     env = envelope_zero(m)
     # N = the up-set generated by x^2: {x^2, x^3, x^2*y}
     exps = [(2, 0), (3, 0), (2, 1)]
-    brute = envelope_of_submodule_bruteforce(m, exps)
+    brute = envelope_of_submodule_bruteforce(m, exps, _monomial_operators(m))
     assert brute == monomial_span(m, exps).sum(env)
 
 
 def test_envelope_of_zero_submodule_is_the_radical():
     m = module_from(FLAT7)
-    assert envelope_of_submodule_bruteforce(m, []) == envelope_zero(m)
+    operators = _monomial_operators(m)
+    assert envelope_of_submodule_bruteforce(m, [], operators) == envelope_zero(m)
 
 
 def test_full_report_on_known_module():
@@ -118,7 +121,7 @@ def test_full_report_on_known_module():
 
 def test_report_skips_enumeration_above_bound():
     m = module_from("ring x,y; ideal x^5, y^5")
-    report = satisfies_radical_formula(m, bound=14)
+    report = satisfies_radical_formula(m)
     assert report.satisfies
     assert report.enumeration_skipped
     assert report.semiprime_dim is None
@@ -186,8 +189,8 @@ def test_spot_checks_build_each_monomial_operator_once(monkeypatch):
     envelope_zero(m)
     by_envelope = Counter(built)
     built.clear()
-    report = satisfies_radical_formula(m, spot_checks=3)
-    assert report.spot_checks == 3
+    report = satisfies_radical_formula(m)
+    assert report.spot_checks == radical.SPOT_CHECKS == 3
     table = [poly_monomial(e) for e in monomials_up_to_degree(m.n, 6)]
     assert len(table) == 28
     assert all(built[p] - by_envelope[p] == 1 for p in table)

@@ -30,10 +30,10 @@ from artquot.ring import (
 from artquot.torsion import (
     FiniteModule,
     TtfTag,
-    annihilator_of,
     classify,
     conjugate,
-    image_of,
+    image_span,
+    joint_kernel,
     matlis_dual,
     verify_ttf_duality,
 )
@@ -46,6 +46,16 @@ FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
 
 def module_from(text):
     return QuotientModule(*parse_input(text))
+
+
+def annihilator_of(module, gens):
+    """(0 : J), the joint kernel of the generator operators."""
+    return joint_kernel([module.poly_matrix(g) for g in gens], module.dim)
+
+
+def image_of(module, gens):
+    """J M, the image span of the generator operators."""
+    return image_span([module.poly_matrix(g) for g in gens], module.dim)
 
 
 def scalar_module(*diags):
@@ -278,7 +288,7 @@ def _same(space, d):
 
 
 def test_semisimple_collapse_check_is_live(monkeypatch):
-    fake = _fake_fitting(lambda gamma, d: Subspace.zero(d), _same)
+    fake = _fake_fitting(lambda gamma, d: Subspace(d), _same)
     monkeypatch.setattr(torsion, "_fitting", fake)
     flat = FiniteModule(1, 2, (({}, {}),))
     with pytest.raises(InternalCheckError, match="semisimple module"):
@@ -286,7 +296,7 @@ def test_semisimple_collapse_check_is_live(monkeypatch):
 
 
 def test_reduced_collapse_check_is_live(monkeypatch):
-    fake = _fake_fitting(lambda gamma, d: Subspace.zero(d), _same)
+    fake = _fake_fitting(lambda gamma, d: Subspace(d), _same)
     monkeypatch.setattr(torsion, "_fitting", fake)
     m = module_from(FLAT7)
     with pytest.raises(InternalCheckError, match="deeper torsion part"):
