@@ -31,18 +31,18 @@ def show(title, text):
     print(f"   input: {text}")
     print(f"   dim {module.dim}, hilbert {hilbert(module)}")
     if len(variables.names) == 2:
-        print(diagram_ascii(module))
-    report = outside_corners(module)
+        print(diagram_ascii(module, dual=False))
+    corners = outside_corners(module)
     soc = socle(module)
-    print(f"   corners: {', '.join(module.label(e) for e in report.corners)}")
+    print(f"   corners: {', '.join(module.label(e) for e in corners)}")
     print(f"   socle dim {soc.dim}")
-    system = inverse_system(variables, ideal)
+    system = inverse_system(module)
     print(f"   dual basis: {', '.join(system.labels())}")
     print(f"   m acting on the dual spans {system.inner.dim} of them")
     duals = ", ".join(system.label(e) for e in system.corners)
     print(f"   reduced-part duals: {duals}")
-    assert system.corners == report.corners
-    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, report.corners)
+    assert system.corners == corners
+    hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
     print(f"   series: module {hs_m} = dual {hs_d}; socle {hs_r} = {hs_rd}")
     print()
 

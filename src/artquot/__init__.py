@@ -10,7 +10,6 @@ from .diagram import (
     diagram_ascii,
     diagram_cells,
     diagram_svg,
-    diagram_svg_pair,
 )
 from .inverse import (
     InverseSystem,
@@ -86,7 +85,6 @@ __all__ = [
     "diagram_ascii",
     "diagram_cells",
     "diagram_svg",
-    "diagram_svg_pair",
     "envelope_zero",
     "hilbert",
     "hilbert_duality_check",

@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .diagram import diagram_ascii, diagram_cells, diagram_svg, diagram_svg_pair
+from .diagram import diagram_ascii, diagram_cells, diagram_svg
 from .inverse import hilbert_duality_check, inverse_system
 from .linalg import sparse_apply
 from .quotient import HilbertSeries, QuotientModule, hilbert
@@ -24,8 +24,6 @@ from .radical import satisfies_radical_formula
 from .ring import (
     AlgebraError,
     InternalCheckError,
-    MonomialIdeal,
-    VariableSet,
     monomial_str,
     parse_input,
     parse_polynomial_list,
@@ -40,15 +38,13 @@ from .torsion import classify
 _YES = {True: "yes", False: "no"}
 
 
-def _read_input(args) -> tuple[VariableSet, MonomialIdeal]:
+def _read_module(args) -> QuotientModule:
     if args.infile:
         with open(args.infile, encoding="utf-8") as fh:
-            return parse_input(fh.read())
-    return parse_input(sys.stdin.read())
-
-
-def _read_module(args) -> QuotientModule:
-    return QuotientModule(*_read_input(args))
+            text = fh.read()
+    else:
+        text = sys.stdin.read()
+    return QuotientModule(*parse_input(text))
 
 
 def _dumps(payload: dict) -> str:
@@ -74,20 +70,18 @@ def _emit(args, module: QuotientModule, payload: dict, lines: list[str]) -> int:
 
 def cmd_basis(args) -> int:
     module = _read_module(args)
-    lines = [
-        f"dim {module.dim}",
-        f"hilbert {hilbert(module)}",
-        "basis " + ", ".join(module.labels()),
-    ]
-    return _emit(args, module, module.to_json(), lines)
+    hs, labels = hilbert(module), module.labels()
+    payload = {"dim": module.dim, "basis": labels, "hilbert": list(hs.coeffs)}
+    lines = [f"dim {module.dim}", f"hilbert {hs}", "basis " + ", ".join(labels)]
+    return _emit(args, module, payload, lines)
 
 
 def cmd_socle(args) -> int:
     module = _read_module(args)
-    report = outside_corners(module)
-    span = largest_reduced_submodule(module, report.corners)
-    socle_hs = HilbertSeries.from_degrees(total_degree(e) for e in report.corners)
-    corner_labels = [module.label(e) for e in report.corners]
+    corners = outside_corners(module)
+    span = largest_reduced_submodule(module, corners)
+    socle_hs = HilbertSeries.from_degrees(total_degree(e) for e in corners)
+    corner_labels = [module.label(e) for e in corners]
     payload = {
         "dim": span.dim,
         "corners": corner_labels,
@@ -104,7 +98,7 @@ def cmd_socle(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    system = inverse_system(*_read_input(args))
+    system = inverse_system(_read_module(args))
     corners = system.corners
     corner_set = set(corners)
     inner = [e for e in system.basis if e not in corner_set]
@@ -127,8 +121,8 @@ def cmd_dual(args) -> int:
 
 def cmd_hilbert(args) -> int:
     module = _read_module(args)
-    system = inverse_system(module.variables, module.ideal)
-    corners = outside_corners(module).corners
+    system = inverse_system(module)
+    corners = outside_corners(module)
     hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
     payload = {
         "module": list(hs_m.coeffs),
@@ -210,28 +204,22 @@ def cmd_radical(args) -> int:
 def cmd_diagram(args) -> int:
     module = _read_module(args)
     if args.format == "json":
-        payload = {"cells": diagram_cells(module)}
-        if args.dual:
-            payload["dual_cells"] = diagram_cells(module, dual=True)
-        print(_dumps(payload))
+        print(_dumps(diagram_cells(module, args.dual)))
     elif args.format == "svg":
-        print(diagram_svg_pair(module) if args.dual else diagram_svg(module))
+        print(diagram_svg(module, args.dual))
     else:
-        out = diagram_ascii(module)
-        if args.dual:
-            out += "\n\n" + diagram_ascii(module, dual=True)
-        print(out)
+        print(diagram_ascii(module, args.dual))
     return 0
 
 
 def _report_rows(module: QuotientModule) -> list[dict]:
-    system = inverse_system(module.variables, module.ideal)
-    corners = outside_corners(module).corners
+    system = inverse_system(module)
+    corners = outside_corners(module)
     reduced = largest_reduced_submodule(module, corners)
     inner = system.inner
     hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
     # the dual elements killed by every variable are exactly the constants
-    dual_socle_ok = outside_corners(system).corners == ((0,) * module.n,)
+    dual_socle_ok = outside_corners(system) == ((0,) * module.n,)
     p_labels = [module.label(e) for e in corners]
     d_labels = [system.label(e) for e in system.corners]
     dim = module.dim

@@ -15,21 +15,31 @@ from .reduced import outside_corners
 CELL = 40  # svg cell edge in pixels
 
 
-def diagram_cells(module: QuotientModule, dual: bool = False) -> list[dict]:
-    """Cell list for any number of variables (the JSON form)."""
-    corners = set(outside_corners(module).corners)
-    names = (
-        module.variables.dual_names() if dual else module.variables.names
-    )
-    return [
-        {
-            "exps": list(e),
-            "label": monomial_str(names, e),
-            "degree": total_degree(e),
-            "corner": e in corners,
-        }
-        for e in module.basis
-    ]
+def _panels(module: QuotientModule, dual: bool) -> list[tuple[str, ...]]:
+    """Label names per panel: the primal staircase, then its dual if asked."""
+    panels = [module.variables.names]
+    if dual:
+        panels.append(module.variables.dual_names())
+    return panels
+
+
+def diagram_cells(module: QuotientModule, dual: bool) -> dict:
+    """Cell lists for any number of variables (the JSON form): "cells", and
+    "dual_cells" with dual labels when `dual` is set."""
+    corners = set(outside_corners(module))
+    keys = ("cells", "dual_cells")
+    return {
+        key: [
+            {
+                "exps": list(e),
+                "label": monomial_str(names, e),
+                "degree": total_degree(e),
+                "corner": e in corners,
+            }
+            for e in module.basis
+        ]
+        for key, names in zip(keys, _panels(module, dual))
+    }
 
 
 def _grid(module: QuotientModule) -> list[list[ExponentVector]]:
@@ -48,17 +58,20 @@ def _grid(module: QuotientModule) -> list[list[ExponentVector]]:
     return rows
 
 
-def diagram_ascii(module: QuotientModule, dual: bool = False) -> str:
-    corners = set(outside_corners(module).corners)
-    names = (
-        module.variables.dual_names() if dual else module.variables.names
+def diagram_ascii(module: QuotientModule, dual: bool) -> str:
+    """The staircase as a box grid, then its dual below when `dual` is set."""
+    corners = set(outside_corners(module))
+    rows = _grid(module)
+    return "\n\n".join(
+        _ascii_grid(rows, names, corners) for names in _panels(module, dual)
     )
 
+
+def _ascii_grid(rows, names, corners) -> str:
     def text(e):
         label = monomial_str(names, e)
         return f"{label} [*]" if e in corners else label
 
-    rows = _grid(module)
     width = max(len(text(e)) for row in rows for e in row) + 2
     lines = []
     prev_cells = 0
@@ -74,20 +87,12 @@ def diagram_ascii(module: QuotientModule, dual: bool = False) -> str:
     return "\n".join(lines)
 
 
-def diagram_svg(module: QuotientModule) -> str:
-    """One rect per staircase cell; corner cells get a distinct stroke."""
-    return _svg(module, [module.variables.names])
-
-
-def diagram_svg_pair(module: QuotientModule) -> str:
-    """Primal and dual staircases stacked in one document, primal on top."""
-    return _svg(module, [module.variables.names, module.variables.dual_names()])
-
-
-def _svg(module: QuotientModule, panels: list[tuple[str, ...]]) -> str:
-    """One copy of the staircase per panel of labels, stacked top to bottom
-    with one blank row between copies."""
-    corners = set(outside_corners(module).corners)
+def diagram_svg(module: QuotientModule, dual: bool) -> str:
+    """One rect per staircase cell, corner cells with a distinct stroke; the
+    dual staircase is stacked below when `dual` is set, one blank row
+    between the copies."""
+    panels = _panels(module, dual)
+    corners = set(outside_corners(module))
     rows = _grid(module)
     ncols = max(len(r) for r in rows)
     step = len(rows) * CELL + CELL

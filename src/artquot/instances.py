@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .linalg import Operator, is_invertible, op_mul, operator_from_rows
+from .linalg import Operator, op_inverse, op_mul
 from .quotient import QuotientModule, staircase
 from .ring import MonomialIdeal, Polynomial, VariableSet, minimalize, poly_monomial
 from .torsion import FiniteModule, conjugate
@@ -90,43 +90,32 @@ _ENTRY_POOL = (-2, -1, 0, 0, 1, 1, 2)
 def _random_base_matrix(rng: random.Random, dim: int) -> Operator:
     """Upper triangular; nilpotent, invertible, or a mixed block of both."""
     mode = rng.choice(("nilpotent", "invertible", "mixed"))
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    cols: list[dict] = [{} for _ in range(dim)]
     split = dim if mode == "nilpotent" else 0 if mode == "invertible" else rng.randint(0, dim)
     for i in range(dim):
         for j in range(i + 1, dim):
-            rows[i][j] = Fraction(rng.choice(_ENTRY_POOL))
+            x = rng.choice(_ENTRY_POOL)
+            if x:
+                cols[j][i] = Fraction(x)
         if i >= split:
-            rows[i][i] = Fraction(rng.choice((-2, -1, 1, 2)))
-    return operator_from_rows(rows)
+            cols[i][i] = Fraction(rng.choice((-2, -1, 1, 2)))
+    return tuple(cols)
 
 
 def _random_unimodular(rng: random.Random, dim: int) -> tuple[Operator, Operator]:
-    """A change of basis and its inverse, built as unit triangular factors."""
-    lower = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    upper = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    """A change of basis P = L U from unit triangular factors, and P^-1."""
+    lower = [{j: Fraction(1)} for j in range(dim)]
+    upper: list[dict] = [{} for _ in range(dim)]
     for i in range(dim):
         for j in range(i):
-            lower[i][j] = Fraction(rng.choice((-1, 0, 0, 1)))
-            upper[j][i] = Fraction(rng.choice((-1, 0, 0, 1)))
-    p = op_mul(operator_from_rows(lower), operator_from_rows(upper))
-
-    def invert_unit_triangular(mat, is_lower):
-        d = len(mat)
-        inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-        order = range(d) if is_lower else range(d - 1, -1, -1)
-        for col in range(d):
-            for i in order:
-                s = Fraction(0)
-                for k in range(d):
-                    if k != i and mat[i][k]:
-                        s += mat[i][k] * inv[k][col]
-                inv[i][col] = (Fraction(int(i == col)) - s) / mat[i][i]
-        return operator_from_rows(inv)
-
-    p_inv = op_mul(
-        invert_unit_triangular(upper, False), invert_unit_triangular(lower, True)
-    )
-    return p, p_inv
+            a, b = rng.choice((-1, 0, 0, 1)), rng.choice((-1, 0, 0, 1))
+            if a:
+                lower[j][i] = Fraction(a)
+            if b:
+                upper[i][j] = Fraction(b)
+        upper[i][i] = Fraction(1)
+    p = op_mul(tuple(lower), tuple(upper))
+    return p, op_inverse(p)
 
 
 def random_finite_module(
@@ -144,10 +133,7 @@ def random_finite_module(
         mats.append(line.poly_matrix(Polynomial(((k,), c) for k, c in enumerate(coeffs))))
     module = FiniteModule(n, dim, tuple(mats))
     if conjugated:
-        p, p_inv = _random_unimodular(rng, dim)
-        if not is_invertible(p):
-            raise AssertionError("unimodular construction failed")
-        module = conjugate(module, p, p_inv)
+        module = conjugate(module, *_random_unimodular(rng, dim))
     return module
 
 

@@ -10,9 +10,10 @@ extended bilinearly.  In characteristic zero the inverse system of a
 monomial ideal is spanned by the dual staircase monomials, and the corner
 combinatorics of the staircase mirrors over to the dual side.
 
-`inverse_system` builds I-perp once, as a module of contraction operators,
-with its grading, its contraction image and its corners (the generators of
-its largest reduced quotient); the inverse-system readings are read off it.
+`inverse_system` builds I-perp once, as a module of contraction operators
+on the staircase basis and index of M = R/I itself, with its grading, its
+contraction image and its corners (the generators of its largest reduced
+quotient); the inverse-system readings are read off it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .linalg import Operator, Subspace, kernel
+from .linalg import Operator, Subspace
 from .quotient import (
     HilbertSeries,
     QuotientModule,
@@ -43,10 +44,7 @@ from .ring import (
     total_degree,
 )
 from .reduced import monomials_up_to_degree
-from .torsion import image_span
-
-# The degree up to which perp_of_submodule describes a non-monomial span.
-PERP_DEGREE_BOUND = 6
+from .torsion import FiniteModule, image_span
 
 
 def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
@@ -69,15 +67,22 @@ def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
 class InverseSystem(QuotientModule):
     """I-perp on the dual staircase basis, a module under contraction.
 
-    Basis, index and elements are those of R/I; only the operators and the
-    labels differ.  Column e of action[i] is contraction by x_i, which is
-    e_i X^(e - s_i) for the i-th unit exponent vector s_i.  inverse_system
-    builds it and stores the checked structures below.
+    Variables, ideal, basis and index are those of the module M = R/I it is
+    built from; only the operators and the labels differ.  Column e of
+    action[i] is contraction by x_i, which is e_i X^(e - s_i) for the i-th
+    unit exponent vector s_i.  inverse_system builds it and stores the
+    checked structures below.
     """
 
     grading: HilbertSeries
     inner: Subspace  # the contraction image m o I-perp
     corners: tuple[ExponentVector, ...]  # dual basis monomials outside it
+
+    def __init__(self, module: QuotientModule):
+        self.variables, self.ideal = module.variables, module.ideal
+        self.basis, self.index = module.basis, module.index
+        ops = tuple(self._operator(i) for i in range(module.n))
+        FiniteModule.__init__(self, module.n, module.dim, ops)
 
     def _operator(self, i: int) -> Operator:
         cols = []
@@ -95,8 +100,8 @@ class InverseSystem(QuotientModule):
         return self.variables.dual_names()
 
 
-def inverse_system(variables: VariableSet, ideal: MonomialIdeal) -> InverseSystem:
-    """I-perp, spanned by the dual monomials of the staircase of I.
+def inverse_system(module: QuotientModule) -> InverseSystem:
+    """I-perp of M = R/I, spanned by the dual monomials of M's staircase.
 
     Exact checks run once, on construction: the contraction operators
     commute, every generator of I contracts every dual basis monomial to
@@ -105,9 +110,9 @@ def inverse_system(variables: VariableSet, ideal: MonomialIdeal) -> InverseSyste
     the non-maximal duals.  The dual corners are then the basis monomials
     off the pivots of that image.
     """
-    system = InverseSystem(variables, ideal)
-    basis = system.basis
-    gens = [poly_monomial(g) for g in ideal.min_gens]
+    system = InverseSystem(module)
+    basis, n = system.basis, module.n
+    gens = [poly_monomial(g) for g in module.ideal.min_gens]
     for e in basis:
         dual = poly_monomial(e)
         for g in gens:
@@ -116,7 +121,7 @@ def inverse_system(variables: VariableSet, ideal: MonomialIdeal) -> InverseSyste
                     f"dual staircase monomial {e} not annihilated by a generator"
                 )
     maxdeg = max((total_degree(e) for e in basis), default=0)
-    for e in monomials_up_to_degree(variables.n, maxdeg):
+    for e in monomials_up_to_degree(n, maxdeg):
         if e in system.index:
             continue
         dual = poly_monomial(e)
@@ -124,7 +129,6 @@ def inverse_system(variables: VariableSet, ideal: MonomialIdeal) -> InverseSyste
             raise InternalCheckError(
                 f"non-staircase dual monomial {e} annihilated by every generator"
             )
-    n = variables.n
     inner = image_span(system.action, system.dim)
     steps = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     non_maximal = [
@@ -164,34 +168,6 @@ def hilbert_duality_check(
 # ---------------------------------------------------------------------------
 # annihilators of dual submodules
 
-@dataclass(frozen=True)
-class PerpResult:
-    """Annihilator of a span of dual elements.
-
-    Monomial-spanned inputs give the exact monomial ideal.  Otherwise the
-    result is a degree-truncated kernel description: for each degree up to
-    the bound, a basis of the homogeneous polynomials contracting the whole
-    span to zero.
-    """
-
-    exact: bool
-    ideal: MonomialIdeal | None
-    degree_bound: int | None
-    by_degree: tuple[tuple[Polynomial, ...], ...] | None
-
-
-def _monomial_support(duals: Sequence[Polynomial]):
-    exps = []
-    for f in duals:
-        if len(f.terms) != 1:
-            return None
-        (e, c), = f.terms.items()
-        if c != 1:
-            return None
-        exps.append(e)
-    return exps
-
-
 def _complement_min_gens(closure: set, n: int) -> MonomialIdeal:
     box = [max((e[i] for e in closure), default=0) + 1 for i in range(n)]
     gens = []
@@ -210,58 +186,23 @@ def _complement_min_gens(closure: set, n: int) -> MonomialIdeal:
 
 def perp_of_submodule(
     variables: VariableSet, duals: Sequence[Polynomial]
-) -> PerpResult:
-    """Polynomials annihilating a finite set of dual elements under contraction.
+) -> MonomialIdeal:
+    """The monomial ideal annihilating a finite set of dual monomials.
 
     Contraction commutes with the ring action, so annihilating the listed
-    elements annihilates the submodule they generate.  A non-monomial span
-    is described up to degree PERP_DEGREE_BOUND.
+    elements annihilates the submodule they generate: the dual monomials
+    below them, whose complement is generated by the returned ideal.  Each
+    dual must be a single term; its nonzero coefficient does not matter.
     """
     if not duals:
         raise AlgebraError("empty dual generator set")
-    n = variables.n
-    support = _monomial_support(duals)
-    if support is not None:
-        closure = set()
-        for e in support:
-            for below in product(*(range(v + 1) for v in e)):
-                closure.add(below)
-        return PerpResult(
-            exact=True,
-            ideal=_complement_min_gens(closure, n),
-            degree_bound=None,
-            by_degree=None,
-        )
-    layers = []
-    for deg in range(PERP_DEGREE_BOUND + 1):
-        monos = [e for e in monomials_up_to_degree(n, deg) if sum(e) == deg]
-        # kernel of c -> (coefficients of sum_m c_m (x^m o w)) over all w
-        rows = []
-        targets: dict[tuple, int] = {}
-        images = []
-        for w in duals:
-            images.append([apolarity(poly_monomial(m), w) for m in monos])
-            for img in images[-1]:
-                for e in img.terms:
-                    targets.setdefault(e, len(targets))
-        for img_row in images:
-            for e in targets:
-                rows.append({
-                    k: img.terms[e]
-                    for k, img in enumerate(img_row)
-                    if e in img.terms
-                })
-        ker = kernel(rows, len(monos))
-        layer = tuple(
-            Polynomial({monos[k]: c for k, c in row.items()}) for row in ker.rows
-        )
-        layers.append(layer)
-    return PerpResult(
-        exact=False,
-        ideal=None,
-        degree_bound=PERP_DEGREE_BOUND,
-        by_degree=tuple(layers),
-    )
+    closure = set()
+    for f in duals:
+        if len(f.terms) != 1:
+            raise AlgebraError("perp needs dual monomials, got a non-monomial")
+        (e,) = f.terms
+        closure.update(product(*(range(v + 1) for v in e)))
+    return _complement_min_gens(closure, variables.n)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .ring import AlgebraError
 
@@ -111,10 +111,6 @@ class Subspace:
         self.ambient = ambient
         self.rows, self.pivots = rref(vectors, ambient)
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ({i: Fraction(1)} for i in range(ambient)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -145,9 +141,6 @@ class Subspace:
             and self.pivots == other.pivots
             and self.rows == other.rows
         )
-
-    def __hash__(self):
-        return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -225,16 +218,17 @@ def op_transpose(op: Operator) -> Operator:
     return tuple(cols)
 
 
-def operator_from_rows(rows: Sequence[Sequence]) -> Operator:
-    """The operator of a square row-major matrix."""
-    cols: list[dict] = [{} for _ in rows]
-    for i, row in enumerate(rows):
-        if len(row) != len(rows):
-            raise AlgebraError("matrix is not square")
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = Fraction(x)
-    return tuple(cols)
+def op_inverse(op: Operator) -> Operator:
+    """P^-1, the right half of rref([P | 1]); AlgebraError when P is singular."""
+    d = len(op)
+    one = Fraction(1)
+    rows, pivots = rref(
+        ({**row, d + i: one} for i, row in enumerate(op_transpose(op))), 2 * d
+    )
+    if pivots[:d] != tuple(range(d)):
+        raise AlgebraError("the operator is singular")
+    right = tuple({j - d: x for j, x in row.items() if j >= d} for row in rows)
+    return op_transpose(right)
 
 
 def is_invertible(op: Operator) -> bool:

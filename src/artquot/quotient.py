@@ -129,13 +129,6 @@ class QuotientModule(FiniteModule):
             raise AlgebraError(f"{exps} is not a standard monomial")
         return {pos: Fraction(1)}
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "basis": self.labels(),
-            "hilbert": list(hilbert(self).coeffs),
-        }
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, vars={self._names()})"
 

@@ -126,11 +126,12 @@ class SemiprimeReport:
         return len(self.semiprime) == 1
 
 
-def semiprime_bruteforce(module: QuotientModule) -> SemiprimeReport:
+def semiprime_bruteforce(module: QuotientModule, mm: Subspace) -> SemiprimeReport:
     """Enumerate proper monomial submodules N and keep those with M/N reduced.
 
     M/N is reduced exactly when the maximal ideal maps M into N, so the
-    test is the single containment m*M <= N.  The quotient by the full
+    test is the single containment m*M <= N; `mm` is m*M, the span of the
+    positive-degree standard monomials.  The quotient by the full
     module is zero and vacuously reduced; submodules are therefore required
     to be proper, matching the usual properness convention for (semi)prime
     submodules.
@@ -140,7 +141,6 @@ def semiprime_bruteforce(module: QuotientModule) -> SemiprimeReport:
             f"module dimension {module.dim} exceeds the enumeration bound "
             f"{ENUMERATION_BOUND}"
         )
-    mm = positive_degree_span(module)
     mm_exps = subspace_monomials(module, mm)
     if mm_exps is None:
         raise InternalCheckError("expected a monomial-spanned subspace")
@@ -228,7 +228,7 @@ def satisfies_radical_formula(
     skipped = module.dim > ENUMERATION_BOUND
     done = 0
     if not skipped:
-        report = semiprime_bruteforce(module)
+        report = semiprime_bruteforce(module, jac)
         semiprime_dim = report.intersection.dim
         unique = report.unique
         if report.intersection != env:

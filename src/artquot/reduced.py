@@ -10,7 +10,6 @@ they agree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -28,24 +27,13 @@ from .ring import (
 _COEFF_POOL = (-2, -1, 1, 2)
 
 
-@dataclass(frozen=True)
-class CornerReport:
-    """Staircase monomials split into outside corners and the rest."""
-
-    corners: tuple[ExponentVector, ...]
-    inner: tuple[ExponentVector, ...]
-
-
-def outside_corners(module: QuotientModule) -> CornerReport:
+def outside_corners(module: QuotientModule) -> tuple[ExponentVector, ...]:
     """Standard monomials pushed into the ideal by every variable."""
-    corners = []
-    inner = []
-    for b, exps in enumerate(module.basis):
-        if not any(op[b] for op in module.action):
-            corners.append(exps)
-        else:
-            inner.append(exps)
-    return CornerReport(tuple(corners), tuple(inner))
+    return tuple(
+        exps
+        for b, exps in enumerate(module.basis)
+        if not any(op[b] for op in module.action)
+    )
 
 
 def largest_reduced_submodule(

@@ -153,16 +153,6 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[ExponentVector, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        items = list(self.terms.items()) + list(other.terms.items())
-        return Polynomial(items)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         items = []
         for ea, ca in self.terms.items():

@@ -56,10 +56,10 @@ class SuiteResult:
 
 def _socle_equality_case(seed: int, module: QuotientModule):
     """Corner span, maximal-ideal annihilator, and the element oracle agree."""
-    report = outside_corners(module)
+    corners = outside_corners(module)
     # asserts span == annihilator
-    span = largest_reduced_submodule(module, report.corners)
-    if span.dim != len(report.corners):
+    span = largest_reduced_submodule(module, corners)
+    if span.dim != len(corners):
         raise InternalCheckError("corner span has the wrong dimension")
     bound = max(max(g) for g in module.ideal.min_gens)
     fixed = [
@@ -69,18 +69,17 @@ def _socle_equality_case(seed: int, module: QuotientModule):
             module, module.basis_element(e), degree_bound=bound, trials=4, seed=seed
         )
     ]
-    if sorted(fixed, key=grlex_key) != sorted(report.corners, key=grlex_key):
+    if sorted(fixed, key=grlex_key) != sorted(corners, key=grlex_key):
         raise InternalCheckError("oracle fixed set differs from the corner set")
 
 
 def _hs_duality_case(seed: int, module: QuotientModule):
     """Macaulay round trip and the two Hilbert-series equalities."""
-    system = inverse_system(module.variables, module.ideal)
+    system = inverse_system(module)
     duals = [poly_monomial(e) for e in system.basis]
-    perp = perp_of_submodule(module.variables, duals)
-    if not perp.exact or perp.ideal != module.ideal:
+    if perp_of_submodule(module.variables, duals) != module.ideal:
         raise InternalCheckError("inverse system does not round-trip to the ideal")
-    corners = outside_corners(module).corners
+    corners = outside_corners(module)
     hilbert_duality_check(module, system, corners)  # raises on mismatch
     if sorted(system.corners, key=grlex_key) != sorted(corners, key=grlex_key):
         raise InternalCheckError("dual corners do not mirror the staircase corners")
@@ -89,7 +88,7 @@ def _hs_duality_case(seed: int, module: QuotientModule):
 def _coreduced_case(seed: int, module: QuotientModule):
     """The socle is coreduced: killed by the maximal ideal and stable under
     sampled aN = a^2 N comparisons."""
-    socle_span = largest_reduced_submodule(module, outside_corners(module).corners)
+    socle_span = largest_reduced_submodule(module, outside_corners(module))
     bound = max(max(g) for g in module.ideal.min_gens)
     if not is_coreduced_subspace(
         module, socle_span, degree_bound=max(2, bound), trials=20, seed=seed

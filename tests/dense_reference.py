@@ -6,7 +6,10 @@ variable acts by a row-major tuple of Fraction rows, products are dense
 chains (ascending annihilators of J^k, descending images J^k M) that
 artquot.torsion replaced by Fitting's lemma.  The earlier row reduction on
 dense tuples is kept too, and so is the sampled-vector unit check that
-artquot.radical replaced by the rank of each unit's operator.  The
+artquot.radical replaced by the rank of each unit's operator, and the
+sampler's dense draws of a base matrix and of a change of basis with its
+inverse by triangular solves, which artquot.instances replaced by sparse
+columns and `linalg.op_inverse`.  The
 differential tests require the sparse code to give the same matrices,
 subspaces, echelon forms and tags, and both unit checks to pass.
 """
@@ -19,12 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from artquot.linalg import (
-    Subspace,
-    kernel,
-    op_transpose,
-    operator_from_rows,
-)
+from artquot.linalg import Operator, Subspace, kernel, op_mul, op_transpose
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
 from artquot.ring import AlgebraError, InternalCheckError
 from artquot.torsion import FiniteModule
@@ -45,6 +43,23 @@ def dense(vec: dict, d: int) -> tuple:
 def operator_rows(op) -> Matrix:
     """Row-major dense matrix of a sparse operator."""
     return tuple(dense(row, len(op)) for row in op_transpose(op))
+
+
+def operator_from_rows(rows: Sequence[Sequence]) -> Operator:
+    """The operator of a square row-major matrix."""
+    cols: list[dict] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise AlgebraError("matrix is not square")
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = Fraction(x)
+    return tuple(cols)
+
+
+def full_space(d: int) -> Subspace:
+    """All of k^d."""
+    return Subspace(d, ({i: Fraction(1)} for i in range(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +283,7 @@ def quotient_module(module: DenseModule, space: Subspace) -> DenseModule:
 
 def adic_completion(module: DenseModule, gens):
     mats = [module.poly_matrix(g) for g in gens]
-    current = Subspace.full(module.dim)
+    current = full_space(module.dim)
     exponent = 0
     for k in range(1, module.dim + 2):
         vecs = [
@@ -357,3 +372,58 @@ def sampled_unit_check(module: FiniteModule, trials: int = 20, seed: int = 0) ->
                 raise InternalCheckError(
                     "a unit-like polynomial had a vanishing power on a nonzero element"
                 )
+
+
+# ---------------------------------------------------------------------------
+# the sampler's earlier dense draws
+
+_ENTRY_POOL = (-2, -1, 0, 0, 1, 1, 2)
+
+
+def random_base_matrix(rng: random.Random, dim: int) -> Operator:
+    """Upper triangular; nilpotent, invertible, or a mixed block of both."""
+    mode = rng.choice(("nilpotent", "invertible", "mixed"))
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    split = dim if mode == "nilpotent" else 0 if mode == "invertible" else rng.randint(0, dim)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            rows[i][j] = Fraction(rng.choice(_ENTRY_POOL))
+        if i >= split:
+            rows[i][i] = Fraction(rng.choice((-2, -1, 1, 2)))
+    return operator_from_rows(rows)
+
+
+def invert_unit_triangular(mat: Sequence[Sequence], is_lower: bool) -> Operator:
+    """The inverse of a dense triangular matrix, one column at a time by
+    forward (lower) or backward (upper) substitution."""
+    d = len(mat)
+    inv = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    order = range(d) if is_lower else range(d - 1, -1, -1)
+    for col in range(d):
+        for i in order:
+            s = Fraction(0)
+            for k in range(d):
+                if k != i and mat[i][k]:
+                    s += mat[i][k] * inv[k][col]
+            inv[i][col] = (Fraction(int(i == col)) - s) / mat[i][i]
+    return operator_from_rows(inv)
+
+
+def unimodular_from_factors(lower, upper) -> tuple[Operator, Operator]:
+    """P = L U and P^-1 = U^-1 L^-1 from dense unit triangular factors."""
+    p = op_mul(operator_from_rows(lower), operator_from_rows(upper))
+    p_inv = op_mul(
+        invert_unit_triangular(upper, False), invert_unit_triangular(lower, True)
+    )
+    return p, p_inv
+
+
+def random_unimodular(rng: random.Random, dim: int) -> tuple[Operator, Operator]:
+    """A change of basis and its inverse, built as unit triangular factors."""
+    lower = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    upper = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        for j in range(i):
+            lower[i][j] = Fraction(rng.choice((-1, 0, 0, 1)))
+            upper[j][i] = Fraction(rng.choice((-1, 0, 0, 1)))
+    return unimodular_from_factors(lower, upper)

@@ -34,7 +34,7 @@ def _module(text):
 
 
 def _system(text):
-    return inverse_system(*parse_input(text))
+    return inverse_system(_module(text))
 
 
 class _Budget:
@@ -58,7 +58,7 @@ def test_criterion_01_staircase_socle_exact():
     with _Budget("criterion 1: 11-dim staircase socle, exact", 1.0):
         module = _module(STAIR11)
         assert module.dim == 11
-        corners = outside_corners(module).corners
+        corners = outside_corners(module)
         assert corners == ((3, 0), (2, 1), (1, 2), (0, 4))
         soc = socle(module)
         assert soc.dim == 4
@@ -82,10 +82,10 @@ def test_criterion_03_duality_mirror_exact():
     with _Budget("criterion 3: 7-dim duality mirror, exact", 1.0):
         module = _module(FLAT7)
         assert module.dim == 7
-        assert outside_corners(module).corners == ((3, 0), (2, 1))
+        assert outside_corners(module) == ((3, 0), (2, 1))
         system = _system(FLAT7)
         assert system.corners == ((3, 0), (2, 1))
-        corners = outside_corners(module).corners
+        corners = outside_corners(module)
         hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
         assert hs_m.coeffs == (1, 2, 2, 2)
         assert hs_d.coeffs == (1, 2, 2, 2)

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,9 @@ from artquot.ring import InternalCheckError, parse_input
 from artquot.torsion import FiniteModule
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+# stdout of command forms the benchmark digests never run, recorded before
+# the inverse system was built on the module's own staircase
+GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 
 STAIR11 = "ring x,y; ideal x^4, x^3*y, x^2*y^2, x*y^3, y^5"
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -357,3 +362,68 @@ def test_stdout_matches_benchmark_digests(monkeypatch, capsys):
         rc, out, _ = run(argv.split(), text, monkeypatch, capsys)
         assert rc == 0, key
         assert hashlib.sha256(out.encode()).hexdigest() == recorded[key], key
+
+
+def test_stdout_matches_golden_forms(monkeypatch, capsys):
+    """Every command form of tests/golden_cli.json (svg, json and --dual
+    diagrams, --json output, rational --ideal generators, radical --seed 3)
+    on every input there, error inputs included: exit code and stdout."""
+    golden = json.loads(GOLDEN.read_text())
+    changed = []
+    for argv, digests in zip(golden["forms"], golden["sha256"]):
+        for text, want in zip(golden["inputs"], digests):
+            rc, out, _ = run(list(argv), text, monkeypatch, capsys)
+            if hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest() != want:
+                changed.append((" ".join(argv), text))
+    assert changed == []
+
+
+# functions that build a derived structure; each runs once per module at most
+STRUCTURES = (
+    ("quotient", "staircase"),
+    ("quotient", "hilbert"),
+    ("quotient", "positive_degree_span"),
+    ("reduced", "outside_corners"),
+    ("inverse", "inverse_system"),
+)
+
+
+def _count_structures(monkeypatch) -> Counter:
+    """Count calls per (function, first argument), wherever the function
+    is imported.  The first argument is the module, or the variable set of a
+    staircase walk."""
+    calls: Counter = Counter()
+    kept = []  # holds every counted argument, so no id is reused
+
+    def counted(name, original):
+        def wrapper(*args):
+            kept.append(args[0])
+            calls[name, id(args[0])] += 1
+            return original(*args)
+        return wrapper
+
+    for home, name in STRUCTURES:
+        original = getattr(sys.modules[f"artquot.{home}"], name)
+        wrapper = counted(name, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("artquot") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis"], ["socle"], ["dual"], ["hilbert"], ["classify"], ["radical"],
+        ["report"], ["diagram"], ["diagram", "--dual"],
+        ["diagram", "--format", "svg", "--dual"],
+        ["diagram", "--format", "json", "--dual"],
+    ],
+    ids=" ".join,
+)
+def test_each_command_builds_each_structure_once(argv, monkeypatch, capsys):
+    calls = _count_structures(monkeypatch)
+    rc, _, _ = run(argv, FLAT7, monkeypatch, capsys)
+    assert rc == 0
+    assert "staircase" in {name for name, _ in calls}  # the wrappers are live
+    assert sorted(name for (name, _), n in calls.items() if n > 1) == []

@@ -4,7 +4,6 @@ from artquot.diagram import (
     diagram_ascii,
     diagram_cells,
     diagram_svg,
-    diagram_svg_pair,
 )
 from artquot.quotient import QuotientModule
 from artquot.ring import AlgebraError, parse_input
@@ -18,7 +17,7 @@ def module_from(text):
 
 
 def test_ascii_staircase_shape_and_marks():
-    art = diagram_ascii(module_from(STAIR11))
+    art = diagram_ascii(module_from(STAIR11), dual=False)
     assert art.count("[*]") == 4
     for label in ("x^3", "x^2*y", "x*y^2", "y^4"):
         assert f"{label} [*]" in art
@@ -30,20 +29,20 @@ def test_ascii_staircase_shape_and_marks():
 
 
 def test_ascii_single_cell():
-    art = diagram_ascii(module_from("ring x,y; ideal x, y"))
+    art = diagram_ascii(module_from("ring x,y; ideal x, y"), dual=False)
     assert "1 [*]" in art
     assert art.count("|") == 2
 
 
 def test_ascii_one_variable_is_a_single_row():
-    art = diagram_ascii(module_from("ring x; ideal x^3"))
+    art = diagram_ascii(module_from("ring x; ideal x^3"), dual=False)
     rows = [ln for ln in art.splitlines() if ln.startswith("|")]
     assert len(rows) == 1
     assert "x^2 [*]" in rows[0]
 
 
 def test_dual_labels():
-    art = diagram_ascii(module_from(FLAT7), dual=True)
+    art = diagram_ascii(module_from(FLAT7), dual=True).split("\n\n")[1]
     assert "X^3 [*]" in art and "X^2*Y [*]" in art
     assert "x^3" not in art
 
@@ -51,14 +50,14 @@ def test_dual_labels():
 def test_three_variables_rejected_graphically():
     m = module_from("ring x,y,z; ideal x, y, z^2")
     with pytest.raises(AlgebraError):
-        diagram_ascii(m)
+        diagram_ascii(m, dual=False)
     with pytest.raises(AlgebraError):
-        diagram_svg(m)
-    assert len(diagram_cells(m)) == 2  # json form still works
+        diagram_svg(m, dual=False)
+    assert len(diagram_cells(m, dual=False)["cells"]) == 2  # json form still works
 
 
 def test_svg_structure():
-    svg = diagram_svg(module_from(FLAT7))
+    svg = diagram_svg(module_from(FLAT7), dual=False)
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert svg.count("<rect") == 7
     assert svg.count('stroke="#c0392b"') == 2
@@ -67,15 +66,27 @@ def test_svg_structure():
 
 
 def test_svg_pair_doubles_everything():
-    pair = diagram_svg_pair(module_from(FLAT7))
+    pair = diagram_svg(module_from(FLAT7), dual=True)
     assert pair.count("<svg") == 1 and pair.count("</svg>") == 1
     assert pair.count("<rect") == 14
     assert pair.count('stroke="#c0392b"') == 4
     assert ">X^3<" in pair and ">x^3<" in pair
 
 
+def test_dual_panels_follow_the_primal_ones():
+    m = module_from(FLAT7)
+    primal, dual = diagram_ascii(m, dual=True).split("\n\n")
+    assert primal == diagram_ascii(m, dual=False)
+    assert dual == primal.replace("x", "X").replace("y", "Y")
+    cells = diagram_cells(m, dual=True)
+    assert list(cells) == ["cells", "dual_cells"]
+    assert cells["cells"] == diagram_cells(m, dual=False)["cells"]
+    dual_labels = [c["label"] for c in cells["dual_cells"]]
+    assert dual_labels == [label.upper() for label in m.labels()]
+
+
 def test_cells_json_any_dimension():
-    cells = diagram_cells(module_from(STAIR11))
+    cells = diagram_cells(module_from(STAIR11), dual=False)["cells"]
     assert len(cells) == 11
     marked = [c for c in cells if c["corner"]]
     assert sorted(c["label"] for c in marked) == sorted(
@@ -86,6 +97,6 @@ def test_cells_json_any_dimension():
 
 def test_renderings_are_deterministic():
     m = module_from(STAIR11)
-    assert diagram_ascii(m) == diagram_ascii(m)
-    assert diagram_svg(m) == diagram_svg(m)
-    assert diagram_cells(m) == diagram_cells(m)
+    assert diagram_ascii(m, dual=False) == diagram_ascii(m, dual=False)
+    assert diagram_svg(m, dual=False) == diagram_svg(m, dual=False)
+    assert diagram_cells(m, dual=False)["cells"] == diagram_cells(m, dual=False)["cells"]

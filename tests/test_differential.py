@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import dense_reference as ref
+from artquot import instances
 from artquot.instances import random_finite_module, random_monomial_ideal_polys
 from artquot.linalg import op_power, op_transpose, rref
 from artquot.quotient import QuotientModule
@@ -88,7 +89,7 @@ def test_rref_matches_dense_reference_on_torsion_inputs():
         xs = variable_polys(module.n)
         for gens in (
             [poly_monomial(g) for g in module.ideal.min_gens],
-            [xs[0] + xs[1]],
+            [Polynomial({**xs[0].terms, **xs[1].terms})],  # x_1 + x_2
             list(xs),
         ):
             assert_rref_matches_reference(module, gens)
@@ -113,7 +114,30 @@ def test_ladder_staircases_match_dense_reference(text):
     assert image_span(module.action, module.dim) == ref.image_of(dense, xs)
     for gens in (
         [poly_monomial(g) for g in module.ideal.min_gens],
-        [xs[0] + xs[1]],
+        [Polynomial({**xs[0].terms, **xs[1].terms})],  # x_1 + x_2
         list(xs),
     ):
         assert_matches_reference(module, gens, rng)
+
+
+def test_unimodular_draws_match_dense_reference():
+    # P from sparse columns and P^-1 from rref([P | 1]), against the dense
+    # factors and triangular solves, on the same random draws
+    for seed in range(300):
+        rng, old = random.Random(seed), random.Random(seed)
+        assert instances._random_unimodular(rng, 8) == ref.random_unimodular(old, 8)
+        assert rng.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_sampler_draws_match_dense_reference(conjugated, monkeypatch):
+    drawn = []
+    for seed in range(600):
+        rng = random.Random(seed)
+        drawn.append((random_finite_module(rng, conjugated).action, rng.getstate()))
+    monkeypatch.setattr(instances, "_random_base_matrix", ref.random_base_matrix)
+    monkeypatch.setattr(instances, "_random_unimodular", ref.random_unimodular)
+    for seed, (action, state) in enumerate(drawn):
+        rng = random.Random(seed)
+        assert random_finite_module(rng, conjugated).action == action, seed
+        assert rng.getstate() == state, seed

@@ -2,6 +2,7 @@
 
 import io
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ import dense_reference as ref
 from artquot import radical
 from artquot.cli import main
 from artquot.instances import SamplerConfig, sample_modules
+from artquot.linalg import Subspace
 from artquot.quotient import QuotientModule, monomial_span, positive_degree_span
 from artquot.radical import (
     envelope_of_submodule_bruteforce,
@@ -20,7 +22,7 @@ from artquot.radical import (
     _upsets,
 )
 from artquot.reduced import monomials_up_to_degree
-from artquot.ring import AlgebraError, parse_input, poly_monomial
+from artquot.ring import AlgebraError, InternalCheckError, parse_input, poly_monomial
 from artquot.suites import run_suite
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -68,7 +70,7 @@ def test_upset_count_on_known_staircase():
 
 def test_semiprime_enumeration_on_known_staircase():
     m = module_from(SMALL4)
-    report = semiprime_bruteforce(m)
+    report = semiprime_bruteforce(m, positive_degree_span(m))
     assert report.submodules_scanned == 6
     full = (1 << m.dim) - 1
     assert report.upsets == tuple(u for u in _upsets(m) if u != full)
@@ -81,16 +83,23 @@ def test_semiprime_enumeration_on_known_staircase():
 
 def test_semiprime_unique_everywhere_within_bound():
     for _, m in sample_modules(25, seed=42, config=SamplerConfig(dim_bound=14)):
-        report = semiprime_bruteforce(m)
+        report = semiprime_bruteforce(m, positive_degree_span(m))
         assert report.unique
         assert report.intersection == envelope_zero(m)
+
+
+def test_semiprime_needs_a_monomial_spanned_radical():
+    m = module_from(SMALL4)
+    mixed = Subspace(m.dim, [{1: Fraction(1), 2: Fraction(1)}])
+    with pytest.raises(InternalCheckError, match="monomial-spanned"):
+        semiprime_bruteforce(m, mixed)
 
 
 def test_semiprime_respects_the_enumeration_bound():
     m = module_from("ring x,y; ideal x^5, y^5")  # dim 25
     assert m.dim > radical.ENUMERATION_BOUND == 14
     with pytest.raises(AlgebraError, match="enumeration bound 14"):
-        semiprime_bruteforce(m)
+        semiprime_bruteforce(m, positive_degree_span(m))
 
 
 def test_submodule_envelope_matches_sum_with_radical():

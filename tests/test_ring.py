@@ -196,11 +196,13 @@ def test_dual_names_upper_case_first_letter():
 
 def test_polynomial_arithmetic():
     variables = VariableSet(("x", "y"))
-    x = parse_polynomial("x", variables)
-    y = parse_polynomial("y", variables)
-    p = (x + y) * (x - y)
+    x_plus_y = Polynomial({(1, 0): 1, (0, 1): 1})
+    x_minus_y = Polynomial([((1, 0), 1), ((0, 1), -1)])
+    assert x_plus_y == parse_polynomial("x + y", variables)
+    p = x_plus_y * x_minus_y
     assert p == parse_polynomial("x^2 - y^2", variables)
-    assert (p - p).is_zero
+    # equal exponents merge and cancelling terms drop out
+    assert Polynomial([*p.terms.items(), *((e, -c) for e, c in p.terms.items())]).is_zero
     assert max(total_degree(e) for e in p.terms) == 2
     assert Polynomial().is_zero
 
@@ -233,3 +235,42 @@ def test_poly_monomial_product_adds_exponents(a, b):
     assert poly_monomial(a) * poly_monomial(b) == poly_monomial(
         tuple(x + y for x, y in zip(a, b))
     )
+
+
+# valid inputs that the mutation strategy below edits character by character
+_INPUT_SEEDS = (
+    "ring x,y; ideal x^4, x^3*y, y^2",
+    "ring x1,x2,x3; ideal x1^2, x2*x3, x3^3, 1",
+    '{"ring": ["x1","x2"], "ideal": ["x1^2", "x1*x2", "x2^3"]}',
+)
+_POLY_SEEDS = ("x^2 - 2*x*y + 1, 1/2*y", "-x + 3/4, y^3*x^2 - y")
+_ALPHABET = 'xyzX12309^*,;+-/ {}[]":\n\u0663\u00b3ringideal'
+
+
+@st.composite
+def _mutated(draw, seeds):
+    """A seed input after a few random inserts, deletions and replacements."""
+    text = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(0, 6))):
+        pos = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        ch = draw(st.sampled_from(_ALPHABET))
+        tail = text[pos + 1:] if edit != "insert" else text[pos:]
+        text = text[:pos] + ("" if edit == "delete" else ch) + tail
+    return text
+
+
+@given(st.one_of(_mutated(_INPUT_SEEDS), st.text(_ALPHABET, max_size=40)))
+def test_parse_input_raises_only_parse_errors(text):
+    try:
+        parse_input(text)
+    except ParseError:
+        pass
+
+
+@given(st.one_of(_mutated(_POLY_SEEDS), st.text(_ALPHABET, max_size=40)))
+def test_parse_polynomial_list_raises_only_parse_errors(text):
+    try:
+        parse_polynomial_list(text, VariableSet(("x", "y")))
+    except ParseError:
+        pass

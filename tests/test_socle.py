@@ -39,18 +39,18 @@ def module_from(text):
 
 
 def test_known_corner_sets():
-    assert outside_corners(module_from(STAIR11)).corners == (
+    assert outside_corners(module_from(STAIR11)) == (
         (3, 0), (2, 1), (1, 2), (0, 4),
     )
-    assert outside_corners(module_from(FLAT7)).corners == ((3, 0), (2, 1))
-    assert outside_corners(module_from(SMALL4)).corners == ((1, 0), (0, 2))
+    assert outside_corners(module_from(FLAT7)) == ((3, 0), (2, 1))
+    assert outside_corners(module_from(SMALL4)) == ((1, 0), (0, 2))
     # all monomials of degree n + 1: the corners are the degree-n monomials
     for n, count in ((2, 3), (3, 10)):
         names = tuple(f"x{i + 1}" for i in range(n))
         m = QuotientModule(VariableSet(names), minimalize(
             e for e in monomials_up_to_degree(n, n + 1) if sum(e) == n + 1
         ))
-        corners = outside_corners(m).corners
+        corners = outside_corners(m)
         assert len(corners) == count
         assert corners == tuple(e for e in m.basis if sum(e) == n)
         assert largest_reduced_submodule(m, corners).dim == count
@@ -58,13 +58,18 @@ def test_known_corner_sets():
 
 def test_corners_and_inner_partition_the_basis():
     for _, m in sample_modules(40, seed=21):
-        report = outside_corners(m)
-        assert sorted(report.corners + report.inner) == sorted(m.basis)
+        corners = outside_corners(m)
+        assert set(corners) <= set(m.basis)
+        # a monomial is inner exactly when some variable keeps it in the staircase
+        steps = [tuple(int(j == i) for j in range(m.n)) for i in range(m.n)]
+        for e in m.basis:
+            moved = any(tuple(a + b for a, b in zip(e, s)) in m.index for s in steps)
+            assert moved == (e not in corners)
 
 
 def test_reduced_part_equals_socle():
     for _, m in sample_modules(40, seed=22):
-        corners = outside_corners(m).corners
+        corners = outside_corners(m)
         span = largest_reduced_submodule(m, corners)  # raises if the sides differ
         assert span == socle(m)
         assert span.dim == len(corners)
@@ -72,7 +77,7 @@ def test_reduced_part_equals_socle():
 
 def test_corner_span_is_killed_by_every_variable():
     m = module_from(STAIR11)
-    span = largest_reduced_submodule(m, outside_corners(m).corners)
+    span = largest_reduced_submodule(m, outside_corners(m))
     for i in range(m.n):
         poly = poly_monomial(tuple(int(j == i) for j in range(m.n)))
         for row in span.rows:
@@ -81,13 +86,13 @@ def test_corner_span_is_killed_by_every_variable():
 
 def test_membership_oracle_accepts_corners_and_rejects_inner():
     for _, m in sample_modules(15, seed=23):
-        report = outside_corners(m)
+        corners = outside_corners(m)
         bound = max(max(g) for g in m.ideal.min_gens)
-        for e in report.corners:
+        for e in corners:
             assert reduced_membership_oracle(
                 m, m.basis_element(e), degree_bound=bound
             )
-        for e in report.inner:
+        for e in (e for e in m.basis if e not in corners):
             assert not reduced_membership_oracle(
                 m, m.basis_element(e), degree_bound=bound
             )
@@ -116,7 +121,7 @@ def test_ideal_reducedness_cases():
 
 def test_socle_is_coreduced():
     for _, m in sample_modules(25, seed=24):
-        span = largest_reduced_submodule(m, outside_corners(m).corners)
+        span = largest_reduced_submodule(m, outside_corners(m))
         assert is_coreduced_subspace(m, span, degree_bound=2, trials=10)
 
 
@@ -153,7 +158,7 @@ def test_oracle_fixed_set_is_exactly_the_corner_set():
             for e in m.basis
             if reduced_membership_oracle(m, m.basis_element(e), degree_bound=bound)
         )
-        assert fixed == outside_corners(m).corners
+        assert fixed == outside_corners(m)
 
 
 def _count_corners(monkeypatch) -> list:

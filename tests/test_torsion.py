@@ -17,7 +17,7 @@ from artquot.instances import (
     random_finite_module,
     random_monomial_ideal_polys,
 )
-from artquot.linalg import Subspace, op_mul, operator_from_rows
+from artquot.linalg import Subspace, op_mul
 from artquot.quotient import QuotientModule
 from artquot.ring import (
     AlgebraError,
@@ -38,7 +38,13 @@ from artquot.torsion import (
     verify_ttf_duality,
 )
 import dense_reference as ref
-from dense_reference import operator_rows, submodule_module, word_rank_profile
+from dense_reference import (
+    full_space,
+    operator_from_rows,
+    operator_rows,
+    submodule_module,
+    word_rank_profile,
+)
 
 STAIR11 = "ring x,y; ideal x^4, x^3*y, x^2*y^2, x*y^3, y^5"
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -304,7 +310,7 @@ def test_reduced_collapse_check_is_live(monkeypatch):
 
 
 def test_coreduced_collapse_check_is_live(monkeypatch):
-    fake = _fake_fitting(_same, lambda tail, d: Subspace.full(d))
+    fake = _fake_fitting(_same, lambda tail, d: full_space(d))
     monkeypatch.setattr(torsion, "_fitting", fake)
     m = module_from(FLAT7)
     with pytest.raises(InternalCheckError, match="deeper completion"):
