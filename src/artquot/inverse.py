@@ -6,14 +6,19 @@ variables) by differentiation-style contraction:
     x^a o X^b  =  (b! / (b-a)!) X^(b-a)   when b >= a componentwise,
                   0                        otherwise,
 
-extended bilinearly.  In characteristic zero the inverse system of a
-monomial ideal is spanned by the dual staircase monomials, and the corner
+extended bilinearly.  `contraction` holds that coefficient on exponent
+vectors and is the one home of the rule; `apolarity` extends it to
+polynomials.  In characteristic zero the inverse system of a monomial
+ideal is spanned by the dual staircase monomials, and the corner
 combinatorics of the staircase mirrors over to the dual side.
 
 `inverse_system` builds I-perp once, as a module of contraction operators
 on the staircase basis and index of M = R/I itself, with its grading, its
 contraction image and its corners (the generators of its largest reduced
-quotient); the inverse-system readings are read off it.
+quotient); the inverse-system readings are read off it.  Its checks that
+the generators of I kill exactly the staircase duals run `contraction` on
+exponent vectors, walking the non-staircase duals degree by degree without
+storing them.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import perm, prod
 from typing import Sequence
 
 from .linalg import Operator, Subspace
@@ -37,14 +43,21 @@ from .ring import (
     MonomialIdeal,
     Polynomial,
     VariableSet,
-    divides,
     ev_add,
     minimalize,
     poly_monomial,
     total_degree,
 )
-from .reduced import monomials_up_to_degree
+from .reduced import iter_monomials_up_to_degree, monomials_up_to_degree
 from .torsion import FiniteModule, image_span
+
+
+def contraction(a: ExponentVector, b: ExponentVector) -> int:
+    """The coefficient of x^a o X^b: b!/(b-a)! when a divides b, else 0."""
+    if len(a) != len(b):
+        raise AlgebraError("mismatched arities under apolarity")
+    # perm(bi, ai) = bi!/(bi-ai)!, which is 0 when ai > bi
+    return prod(map(perm, b, a))
 
 
 def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
@@ -52,15 +65,9 @@ def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
     items = []
     for a, ca in poly.terms.items():
         for b, cb in dual.terms.items():
-            if len(a) != len(b):
-                raise AlgebraError("mismatched arities under apolarity")
-            if not divides(a, b):
-                continue
-            coeff = ca * cb
-            for ai, bi in zip(a, b):
-                for k in range(ai):
-                    coeff *= bi - k
-            items.append((tuple(bi - ai for ai, bi in zip(a, b)), coeff))
+            c = contraction(a, b)
+            if c:
+                items.append((tuple(bi - ai for ai, bi in zip(a, b)), ca * cb * c))
     return Polynomial(items)
 
 
@@ -112,20 +119,18 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
     """
     system = InverseSystem(module)
     basis, n = system.basis, module.n
-    gens = [poly_monomial(g) for g in module.ideal.min_gens]
+    gens = module.ideal.min_gens
     for e in basis:
-        dual = poly_monomial(e)
         for g in gens:
-            if not apolarity(g, dual).is_zero:
+            if contraction(g, e):
                 raise InternalCheckError(
                     f"dual staircase monomial {e} not annihilated by a generator"
                 )
     maxdeg = max((total_degree(e) for e in basis), default=0)
-    for e in monomials_up_to_degree(n, maxdeg):
+    for e in iter_monomials_up_to_degree(n, maxdeg):
         if e in system.index:
             continue
-        dual = poly_monomial(e)
-        if all(apolarity(g, dual).is_zero for g in gens):
+        if not any(contraction(g, e) for g in gens):
             raise InternalCheckError(
                 f"non-staircase dual monomial {e} annihilated by every generator"
             )

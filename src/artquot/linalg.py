@@ -12,17 +12,15 @@ is exact; there is no floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
 
 from .ring import AlgebraError
 
 
 def _integerize(vec: dict) -> dict[int, int]:
-    den = 1
-    for x in vec.values():
-        den = den * x.denominator // gcd(den, x.denominator)
-    return {i: int(x * den) for i, x in vec.items() if x}
+    den = lcm(*(x.denominator for x in vec.values()))
+    return {i: x.numerator * (den // x.denominator) for i, x in vec.items() if x}
 
 
 def _gcd_normalize(row: dict[int, int], lead: int) -> dict[int, int]:
@@ -82,13 +80,13 @@ def rref(vectors: Iterable[dict], width: int):
         r = pivot_rows[c]
         piv = r[c]
         rows.append({i: Fraction(x, piv) for i, x in r.items()})
-    # eliminate above the pivots
-    for j in range(len(pivots) - 1, -1, -1):
-        cj, rj = pivots[j], rows[j]
-        for ri in rows[:j]:
-            f = ri.get(cj)
-            if f:
-                _axpy(ri, -f, rj)
+    # eliminate above the pivots, bottom row first: the rows below row j are
+    # already reduced, so each one clears its own pivot column from row j
+    # and touches no other pivot column
+    by_pivot = dict(zip(pivots, rows))
+    for cj, rj in zip(reversed(pivots), reversed(rows)):
+        for c in sorted((c for c in rj if c != cj and c in by_pivot), reverse=True):
+            _axpy(rj, -rj[c], by_pivot[c])
     return tuple(rows), pivots
 
 

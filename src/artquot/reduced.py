@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 from .linalg import Subspace, sparse_apply
 from .quotient import QuotientModule, monomial_span, socle
 from .ring import (
@@ -20,7 +19,6 @@ from .ring import (
     ExponentVector,
     InternalCheckError,
     Polynomial,
-    grlex_key,
     poly_monomial,
 )
 
@@ -50,12 +48,25 @@ def largest_reduced_submodule(
     return span
 
 
+def _monomials_of_degree(n: int, d: int) -> Iterator[ExponentVector]:
+    if n == 1:
+        yield (d,)
+    else:
+        for first in range(d, -1, -1):
+            for rest in _monomials_of_degree(n - 1, d - first):
+                yield (first, *rest)
+
+
+def iter_monomials_up_to_degree(n: int, bound: int) -> Iterator[ExponentVector]:
+    """All exponent vectors with total degree <= bound, in canonical order
+    (grlex_key: degree by degree, first variable largest), one at a time."""
+    for d in range(bound + 1):
+        yield from _monomials_of_degree(n, d)
+
+
 def monomials_up_to_degree(n: int, bound: int) -> list[ExponentVector]:
     """All exponent vectors with total degree <= bound, canonical order."""
-    cells = [
-        e for e in product(range(bound + 1), repeat=n) if sum(e) <= bound
-    ]
-    return sorted(cells, key=grlex_key)
+    return list(iter_monomials_up_to_degree(n, bound))
 
 
 def _random_poly(rng: random.Random, n: int, degree_bound: int, constant: bool) -> Polynomial:

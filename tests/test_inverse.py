@@ -6,8 +6,11 @@ itself.
 """
 
 import io
+import re
+from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from artquot import inverse
 from artquot.cli import main
@@ -15,6 +18,7 @@ from artquot.instances import sample_ideals, sample_modules
 from artquot.inverse import (
     InverseSystem,
     apolarity,
+    contraction,
     hilbert_duality_check,
     inverse_system,
     perp_of_submodule,
@@ -61,6 +65,34 @@ def test_contraction_rule_by_hand():
     assert apolarity(mono(1, 0), mono(0, 1)) == Polynomial()
     assert apolarity(mono(1, 1), mono(1, 1)) == mono(0, 0)
     assert apolarity(mono(1, 2), mono(2, 3)) == poly_monomial((1, 1), 12)
+
+
+@st.composite
+def exponent_pairs(draw):
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 6)] * n)
+    return draw(exps), draw(exps)
+
+
+@given(exponent_pairs())
+def test_contraction_matches_apolarity_on_monomials(pair):
+    a, b = pair
+    c = contraction(a, b)
+    image = apolarity(poly_monomial(a), poly_monomial(b))
+    if all(ai <= bi for ai, bi in zip(a, b)):
+        expected = 1
+        for ai, bi in zip(a, b):
+            expected *= factorial(bi) // factorial(bi - ai)
+        assert c == expected
+        assert image == poly_monomial(tuple(bi - ai for ai, bi in zip(a, b)), c)
+    else:
+        assert c == 0
+        assert image == Polynomial()
+
+
+def test_contraction_rejects_mismatched_arities():
+    with pytest.raises(AlgebraError, match="mismatched arities"):
+        contraction((1, 0), (1, 0, 0))
 
 
 def test_contraction_is_linear_and_multiplicative():
@@ -220,6 +252,52 @@ def test_contraction_image_check_is_live(monkeypatch):
     monkeypatch.setattr(inverse, "image_span", lambda ops, d: full_space(d))
     with pytest.raises(InternalCheckError, match="non-maximal duals"):
         inverse_system(module_from(FLAT7))
+
+
+def test_generator_annihilation_check_is_live(monkeypatch):
+    monkeypatch.setattr(inverse, "contraction", lambda a, b: 1)
+    message = "dual staircase monomial (0, 0) not annihilated by a generator"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        inverse_system(module_from(FLAT7))
+
+
+def test_non_staircase_survival_check_is_live(monkeypatch):
+    # (0, 2) = Y^2 is the first non-staircase dual monomial of FLAT7 in the
+    # canonical degree-by-degree walk
+    monkeypatch.setattr(inverse, "contraction", lambda a, b: 0)
+    message = "non-staircase dual monomial (0, 2) annihilated by every generator"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        inverse_system(module_from(FLAT7))
+
+
+def test_inverse_system_builds_no_polynomial(monkeypatch):
+    module = module_from("ring x,y; ideal x^14, y^14")
+    built = []
+    init = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    inverse_system(module)
+    assert built == []
+
+
+def test_inverse_system_runs_every_contraction_check(monkeypatch):
+    # 125 basis monomials times 3 generators, plus, for each of the 330
+    # non-staircase monomials of degree <= 12, the generators tried up to
+    # the first that moves it: 1015 checks, one apolarity call each when
+    # the checks were run on polynomials
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return contraction(a, b)
+
+    monkeypatch.setattr(inverse, "contraction", counted)
+    inverse_system(module_from("ring x,y,z; ideal x^5, y^5, z^5"))
+    assert len(calls) == 1015
 
 
 def _count_systems(monkeypatch) -> list:

@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artquot import linalg
 from artquot.linalg import (
     Subspace,
     is_invertible,
@@ -24,9 +25,10 @@ from artquot.linalg import (
     sparse_apply,
 )
 from artquot.instances import SamplerConfig, sample_modules
+from artquot.quotient import QuotientModule
 from artquot.radical import UNIT_TRIALS
 from artquot.reduced import _random_poly
-from artquot.ring import AlgebraError, poly_monomial
+from artquot.ring import AlgebraError, parse_input, poly_monomial
 from artquot.torsion import FiniteModule
 import dense_reference as ref
 from dense_reference import (
@@ -110,6 +112,53 @@ def test_rref_known_case():
     rows, pivots = rref([{0: 2, 1: 4, 2: 6}, {0: 1, 1: 2, 2: 4}], 3)
     assert rows == ({0: Fraction(1), 1: Fraction(2)}, {2: Fraction(1)})
     assert pivots == (0, 2)
+
+
+@st.composite
+def dense_matrices(draw, max_width=8, max_rows=8):
+    """(width, rows): rows with most entries nonzero, so that the echelon
+    rows hold many pivot columns and back-substitution has work to do."""
+    width = draw(st.integers(1, max_width))
+    row = st.lists(fractions, min_size=width, max_size=width)
+    return width, [sparse(r) for r in draw(st.lists(row, max_size=max_rows))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_matrices())
+def test_rref_matches_sympy(matrix):
+    sympy = pytest.importorskip("sympy")
+    width, vectors = matrix
+    rows, pivots = rref(vectors, width)
+    entries = [
+        sympy.Rational(x.numerator, x.denominator)
+        for v in vectors
+        for x in dense(v, width)
+    ]
+    reduced, expected_pivots = sympy.Matrix(len(vectors), width, entries).rref()
+    expected = tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i))
+        for i in range(len(expected_pivots))
+    )
+    assert pivots == tuple(expected_pivots)
+    assert tuple(dense(r, width) for r in rows) == expected
+
+
+def test_unit_rows_need_no_back_substitution(monkeypatch):
+    # each shift column is a unit vector, so no echelon row holds another
+    # row's pivot column and back-substitution subtracts nothing
+    module = QuotientModule(*parse_input("ring x,y; ideal x^14, y^14"))
+    calls = []
+    axpy = linalg._axpy
+
+    def counted(*args):
+        calls.append(args)
+        axpy(*args)
+
+    monkeypatch.setattr(linalg, "_axpy", counted)
+    columns = [col for op in module.action for col in op]
+    rows, pivots = rref(columns, module.dim)
+    assert len(pivots) == module.dim - 1  # every monomial but 1 is a shift
+    assert calls == []
 
 
 def test_out_of_range_index_is_rejected():

@@ -3,6 +3,7 @@
 import io
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from artquot.quotient import QuotientModule, positive_degree_span, socle
 from artquot.ring import (
     AlgebraError,
     VariableSet,
+    grlex_key,
     minimalize,
     parse_input,
     parse_polynomial,
@@ -147,6 +149,10 @@ def test_monomials_up_to_degree():
     monos = monomials_up_to_degree(2, 2)
     assert monos == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert len(monomials_up_to_degree(3, 4)) == 35
+    # the degree-by-degree walk is the sorted degree box
+    for n, bound in ((1, 3), (3, 4), (4, 3)):
+        box = [e for e in product(range(bound + 1), repeat=n) if sum(e) <= bound]
+        assert monomials_up_to_degree(n, bound) == sorted(box, key=grlex_key)
 
 
 def test_oracle_fixed_set_is_exactly_the_corner_set():
