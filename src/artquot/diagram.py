@@ -47,14 +47,11 @@ def _grid(module: QuotientModule) -> list[list[ExponentVector]]:
     if module.n > 2:
         raise AlgebraError("graphical formats need at most two variables")
     if module.n == 1:
-        return [[e for e in module.basis]]
-    nrows = max(e[1] for e in module.basis) + 1
-    rows = []
-    for b in range(nrows):
-        row = sorted(
-            (e for e in module.basis if e[1] == b), key=lambda e: e[0]
-        )
-        rows.append(row)
+        return [list(module.basis)]
+    rows = [[] for _ in range(max(e[1] for e in module.basis) + 1)]
+    # in grlex order each row comes out sorted by the first exponent
+    for e in module.basis:
+        rows[e[1]].append(e)
     return rows
 
 

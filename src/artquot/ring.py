@@ -242,8 +242,8 @@ def minimalize(gens: Iterable[ExponentVector]) -> MonomialIdeal:
 def pure_power_bounds(variables: VariableSet, ideal: MonomialIdeal) -> tuple[int, ...]:
     """Least pure-power exponent of each variable in the ideal.
 
-    These bound the staircase box.  Raises NotArtinianError when some
-    variable has no pure power among the generators.
+    The staircase lies in the box they bound.  Raises NotArtinianError
+    when some variable has no pure power among the generators.
     """
     if ideal.n != variables.n:
         raise AlgebraError("ideal and variable set have different arities")
@@ -271,6 +271,11 @@ def render(variables: VariableSet, ideal: MonomialIdeal) -> str:
 
 # ASCII only: str.isdigit and \d also accept other scripts' digits
 _DIGITS_RE = re.compile(r"[0-9]+")
+
+# Input budget: minimalizing and checking generators is quadratic in their
+# number, and every module checks that each pair of variable operators commutes.
+MAX_VARIABLES = 32
+MAX_GENERATORS = 256
 
 
 class _Cursor:
@@ -381,17 +386,29 @@ def _parse_json_input(text: str) -> tuple[VariableSet, MonomialIdeal]:
         raise ParseError('"ideal" must be a list of monomial strings')
     if not gens_raw:
         raise ParseError("empty generator set")
-    try:
-        variables = VariableSet(tuple(ring))
-    except AlgebraError as exc:
-        raise ParseError(str(exc)) from None
+    variables = _variable_set(ring)
     gens = []
     for s in gens_raw:
         cur = _Cursor(s)
         gens.append(_parse_monomial(cur, variables))
         if not cur.eof():
             raise ParseError(f"trailing input in generator {s!r}", cur.pos)
-    return variables, minimalize(gens)
+    return variables, _ideal_of(gens)
+
+
+def _variable_set(names: list) -> VariableSet:
+    if len(names) > MAX_VARIABLES:
+        raise ParseError(f"more than {MAX_VARIABLES} variables: input too large")
+    try:
+        return VariableSet(tuple(names))
+    except AlgebraError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _ideal_of(gens: list) -> MonomialIdeal:
+    if len(gens) > MAX_GENERATORS:
+        raise ParseError(f"more than {MAX_GENERATORS} generators: input too large")
+    return minimalize(gens)
 
 
 def parse_input(text: str) -> tuple[VariableSet, MonomialIdeal]:
@@ -415,10 +432,7 @@ def parse_input(text: str) -> tuple[VariableSet, MonomialIdeal]:
     kwpos = cur.pos
     if cur.ident() != "ideal":
         raise ParseError("expected 'ideal' after the ring declaration", kwpos)
-    try:
-        variables = VariableSet(tuple(names))
-    except AlgebraError as exc:
-        raise ParseError(str(exc)) from None
+    variables = _variable_set(names)
     if cur.eof():
         raise ParseError("empty generator set", cur.pos)
     gens = [_parse_monomial(cur, variables)]
@@ -426,7 +440,7 @@ def parse_input(text: str) -> tuple[VariableSet, MonomialIdeal]:
         gens.append(_parse_monomial(cur, variables))
     if not cur.eof():
         raise ParseError("trailing input", cur.pos)
-    return variables, minimalize(gens)
+    return variables, _ideal_of(gens)
 
 
 def _parse_poly_term(cur: _Cursor, variables: VariableSet):

@@ -27,6 +27,7 @@ from .reduced import (
     largest_reduced_submodule,
     outside_corners,
     reduced_membership_oracle,
+    witness_candidates,
 )
 from .torsion import classify, conjugate, matlis_dual, verify_ttf_duality
 
@@ -62,14 +63,13 @@ def _socle_equality_case(seed: int, module: QuotientModule):
     if span.dim != len(corners):
         raise InternalCheckError("corner span has the wrong dimension")
     bound = max(max(g) for g in module.ideal.min_gens)
-    fixed = [
+    witnesses = witness_candidates(module.n, bound, 4, seed)
+    fixed = tuple(
         e
         for e in module.basis
-        if reduced_membership_oracle(
-            module, module.basis_element(e), degree_bound=bound, trials=4, seed=seed
-        )
-    ]
-    if sorted(fixed, key=grlex_key) != sorted(corners, key=grlex_key):
+        if reduced_membership_oracle(module, module.basis_element(e), witnesses)
+    )
+    if fixed != corners:
         raise InternalCheckError("oracle fixed set differs from the corner set")
 
 

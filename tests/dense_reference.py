@@ -9,7 +9,8 @@ dense tuples is kept too, and so is the sampled-vector unit check that
 artquot.radical replaced by the rank of each unit's operator, and the
 sampler's dense draws of a base matrix and of a change of basis with its
 inverse by triangular solves, which artquot.instances replaced by sparse
-columns and `linalg.op_inverse`.  The
+columns and `linalg.op_inverse`.  So is the box walk for the minimal
+monomials outside a down-set, which `quotient.minimal_outside` replaced.  The
 differential tests require the sparse code to give the same matrices,
 subspaces, echelon forms and tags, and both unit checks to pass.
 """
@@ -19,12 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
 from artquot.linalg import Operator, Subspace, kernel, op_mul, op_transpose
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
-from artquot.ring import AlgebraError, InternalCheckError
+from artquot.ring import AlgebraError, InternalCheckError, MonomialIdeal, minimalize
 from artquot.torsion import FiniteModule
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...], row-major
@@ -427,3 +429,22 @@ def random_unimodular(rng: random.Random, dim: int) -> tuple[Operator, Operator]
             lower[i][j] = Fraction(rng.choice((-1, 0, 0, 1)))
             upper[j][i] = Fraction(rng.choice((-1, 0, 0, 1)))
     return unimodular_from_factors(lower, upper)
+
+
+def complement_min_gens(closure: set, n: int) -> MonomialIdeal:
+    """The ideal generated by the complement of a finite down-set: every
+    cell of the box one step past it that lies outside with all its lower
+    neighbours inside, minimalized."""
+    box = [max((e[i] for e in closure), default=0) + 1 for i in range(n)]
+    gens = []
+    for cand in product(*(range(b + 1) for b in box)):
+        if cand in closure:
+            continue
+        below_ok = all(
+            cand[i] == 0
+            or tuple(v - int(j == i) for j, v in enumerate(cand)) in closure
+            for i in range(n)
+        )
+        if below_ok:
+            gens.append(cand)
+    return minimalize(gens)

@@ -4,14 +4,16 @@ import hashlib
 import io
 import json
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from artquot import quotient
 from artquot.cli import build_parser, main
 from artquot.quotient import staircase
-from artquot.ring import InternalCheckError, parse_input
+from artquot.ring import InternalCheckError, MonomialIdeal, parse_input
 from artquot.torsion import FiniteModule
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
@@ -289,20 +291,80 @@ def test_non_ascii_digits_exit_one(text, monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _one_line_refusal(argv, text, monkeypatch, capsys) -> str:
+    start = time.perf_counter()
+    rc, out, err = run(argv, text, monkeypatch, capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 @pytest.mark.parametrize(
     "text",
-    # a 20-digit exponent, and a box one column over the cell limit
+    # a 20-digit exponent, and a staircase ten times the dimension budget
     ["ring x; ideal x^99999999999999999999", "ring x,y; ideal x^1001, y^1000"],
 )
 def test_oversized_staircase_exits_one(text, monkeypatch, capsys):
-    def no_box(*ranges):
-        raise AssertionError("the staircase box was enumerated")
-
-    monkeypatch.setattr("artquot.quotient.product", no_box)
-    rc, out, err = run(["basis"], text, monkeypatch, capsys)
-    assert rc == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _one_line_refusal(["basis"], text, monkeypatch, capsys)
     assert "too large to enumerate" in err
+
+
+def test_dimension_budget_is_exact(monkeypatch, capsys):
+    # STAIR11 has dimension 11: accepted at a budget of 11, refused at 10
+    monkeypatch.setattr(quotient, "MAX_DIM", 11)
+    assert run(["basis"], STAIR11, monkeypatch, capsys)[0] == 0
+    monkeypatch.setattr(quotient, "MAX_DIM", 10)
+    err = _one_line_refusal(["basis"], STAIR11, monkeypatch, capsys)
+    assert "more than 10 standard monomials" in err
+
+
+def test_thin_staircase_is_walked_not_boxed(monkeypatch, capsys):
+    # dim 3999 in a box of 4 * 10^6 cells, more than the old box cap allowed
+    def no_membership(self, exps):
+        raise AssertionError("the walk tested a cell for membership")
+
+    monkeypatch.setattr(MonomialIdeal, "contains", no_membership)
+    text = "ring x,y; ideal x^2000, y^2000, x*y"
+    rc, out, _ = run(["basis"], text, monkeypatch, capsys)
+    assert rc == 0 and "\ndim 3999\n" in out
+
+
+@pytest.mark.parametrize("command", ["basis", "dual"])
+def test_staircase_over_the_budget_exits_one(command, monkeypatch, capsys):
+    err = _one_line_refusal([command], "ring x; ideal x^1000000", monkeypatch, capsys)
+    assert "too large to enumerate" in err
+
+
+def _wide_inputs(variables: int, generators: int) -> tuple[str, str]:
+    """The text and JSON forms of a ring with `variables` variables whose
+    ideal lists `generators` powers of the first variable and then every
+    other variable."""
+    names = [f"v{i}" for i in range(variables)]
+    gens = [f"v0^{k}" for k in range(1, generators + 1)] + names[1:]
+    text = f"ring {','.join(names)}; ideal {', '.join(gens)}"
+    return text, json.dumps({"ring": names, "ideal": gens})
+
+
+@pytest.mark.parametrize(
+    "variables, generators, message",
+    [(1200, 1, "more than 32 variables"), (2, 5000, "more than 256 generators")],
+)
+def test_input_over_the_count_budget_exits_one(
+    variables, generators, message, monkeypatch, capsys
+):
+    for text in _wide_inputs(variables, generators):
+        for command in ("basis", "dual"):
+            err = _one_line_refusal([command], text, monkeypatch, capsys)
+            assert message in err
+
+
+def test_input_at_the_count_budget_is_accepted(monkeypatch, capsys):
+    # 32 variables with 225 powers of v0 and the 31 other variables: 256
+    # generators that minimalize to 32
+    for text in _wide_inputs(32, 225):
+        rc, out, _ = run(["basis"], text, monkeypatch, capsys)
+        assert rc == 0 and "\ndim 1\n" in out
 
 
 def test_parser_is_reused_without_carrying_options(monkeypatch, capsys):

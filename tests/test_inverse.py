@@ -7,6 +7,7 @@ itself.
 
 import io
 import re
+from itertools import product
 from math import factorial
 
 import pytest
@@ -25,19 +26,20 @@ from artquot.inverse import (
     truncated_dual,
     truncated_dual_report,
 )
-from artquot.quotient import QuotientModule, hilbert
+from artquot.quotient import QuotientModule, hilbert, minimal_outside
 from artquot.reduced import monomials_up_to_degree, outside_corners
 from artquot.ring import (
     AlgebraError,
     InternalCheckError,
     Polynomial,
     VariableSet,
+    divides,
     minimalize,
     parse_input,
     poly_monomial,
 )
 from artquot.suites import run_suite
-from dense_reference import full_space
+from dense_reference import complement_min_gens, full_space
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
 SMALL4 = '{"ring": ["x1","x2"], "ideal": ["x1^2", "x1*x2", "x2^3"]}'
@@ -190,6 +192,24 @@ def test_perp_of_partial_monomial_span():
     assert perp_of_submodule(variables, scaled) == minimalize([(2, 0), (0, 2)])
 
 
+@st.composite
+def dual_monomial_sets(draw):
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    return n, draw(st.lists(exps, min_size=1, max_size=5))
+
+
+@given(dual_monomial_sets())
+def test_minimal_outside_and_perp_match_the_box_reference(drawn):
+    n, exps = drawn
+    closure = {c for e in exps for c in product(*(range(v + 1) for v in e))}
+    reference = complement_min_gens(closure, n)
+    assert tuple(minimal_outside(closure, n)) == reference.min_gens
+    variables = VariableSet(tuple(f"x{i}" for i in range(n)))
+    duals = [poly_monomial(e, 2) for e in exps]
+    assert perp_of_submodule(variables, duals) == reference
+
+
 def test_perp_rejects_a_non_monomial_dual():
     variables = VariableSet(("x", "y"))
     for w in (plus(mono(2, 0), mono(0, 2)), Polynomial()):  # X^2 + Y^2, 0
@@ -262,8 +282,8 @@ def test_generator_annihilation_check_is_live(monkeypatch):
 
 
 def test_non_staircase_survival_check_is_live(monkeypatch):
-    # (0, 2) = Y^2 is the first non-staircase dual monomial of FLAT7 in the
-    # canonical degree-by-degree walk
+    # (0, 2) = Y^2 is the first minimal non-staircase dual monomial of
+    # FLAT7 in canonical order
     monkeypatch.setattr(inverse, "contraction", lambda a, b: 0)
     message = "non-staircase dual monomial (0, 2) annihilated by every generator"
     with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
@@ -285,10 +305,10 @@ def test_inverse_system_builds_no_polynomial(monkeypatch):
 
 
 def test_inverse_system_runs_every_contraction_check(monkeypatch):
-    # 125 basis monomials times 3 generators, plus, for each of the 330
-    # non-staircase monomials of degree <= 12, the generators tried up to
-    # the first that moves it: 1015 checks, one apolarity call each when
-    # the checks were run on polynomials
+    # every basis monomial against every generator, then, for each minimal
+    # monomial outside the staircase (the generators of I), the generators
+    # tried up to the first that moves it: 125 * 3 + (1 + 2 + 3) = 381 on
+    # x^5, y^5, z^5
     calls = []
 
     def counted(a, b):
@@ -296,8 +316,16 @@ def test_inverse_system_runs_every_contraction_check(monkeypatch):
         return contraction(a, b)
 
     monkeypatch.setattr(inverse, "contraction", counted)
-    inverse_system(module_from("ring x,y,z; ideal x^5, y^5, z^5"))
-    assert len(calls) == 1015
+    for text, pinned in (("ring x,y,z; ideal x^5, y^5, z^5", 381), (FLAT7, 27)):
+        module = module_from(text)
+        gens = module.ideal.min_gens
+        expected = module.dim * len(gens) + sum(
+            next(k for k, g in enumerate(gens, 1) if divides(g, e)) for e in gens
+        )
+        assert expected == pinned
+        calls.clear()
+        inverse_system(module)
+        assert len(calls) == expected
 
 
 def _count_systems(monkeypatch) -> list:

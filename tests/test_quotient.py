@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from artquot.instances import sample_ideals
 from artquot.linalg import Subspace, op_mul
@@ -18,6 +19,7 @@ from artquot.quotient import (
     HilbertSeries,
     QuotientModule,
     hilbert,
+    minimal_outside,
     monomial_span,
     positive_degree_span,
     socle,
@@ -32,6 +34,7 @@ from artquot.ring import (
     VariableSet,
     ev_add,
     grlex_key,
+    minimalize,
     parse_input,
     parse_polynomial,
     poly_monomial,
@@ -93,6 +96,34 @@ def test_second_known_staircase():
 def test_staircase_matches_census_on_samples():
     for _, variables, ideal in sample_ideals(60, seed=11):
         assert staircase(variables, ideal) == census_staircase(variables, ideal)
+
+
+# The largest pure power per arity, so that the census box stays small.
+_CAPS = (40, 40, 8, 5)
+
+
+@st.composite
+def artinian_ideals(draw):
+    """A pure power of each of n <= 4 variables, plus mixed generators
+    anywhere in the box and thin ones with every exponent at most 1."""
+    n = draw(st.integers(1, 4))
+    cap = _CAPS[n - 1]
+    powers = draw(st.lists(st.integers(1, cap), min_size=n, max_size=n))
+    gens = [tuple(p * int(j == i) for j in range(n)) for i, p in enumerate(powers)]
+    mixed = st.tuples(*[st.integers(0, cap)] * n)
+    thin = st.tuples(*[st.integers(0, 1)] * n)
+    extra = draw(st.lists(st.one_of(mixed, thin), max_size=2 * n))
+    gens += [e for e in extra if any(e)]
+    return VariableSet(("x", "y", "z", "w")[:n]), minimalize(gens)
+
+
+@given(artinian_ideals())
+def test_staircase_matches_census_on_drawn_ideals(drawn):
+    variables, ideal = drawn
+    cells = staircase(variables, ideal)
+    assert cells == census_staircase(variables, ideal)
+    # the minimal monomials outside a staircase generate its ideal
+    assert minimal_outside(set(cells), variables.n) == list(ideal.min_gens)
 
 
 def test_var_action_tables_match_ring_multiplication():

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from artquot import reduced
+from artquot import reduced, suites
 from artquot.cli import main
 from artquot.instances import sample_modules
 from artquot.linalg import Subspace
@@ -27,6 +27,7 @@ from artquot.reduced import (
     monomials_up_to_degree,
     outside_corners,
     reduced_membership_oracle,
+    witness_candidates,
 )
 from artquot.suites import run_suite
 from artquot.torsion import classify
@@ -90,24 +91,21 @@ def test_membership_oracle_accepts_corners_and_rejects_inner():
     for _, m in sample_modules(15, seed=23):
         corners = outside_corners(m)
         bound = max(max(g) for g in m.ideal.min_gens)
+        witnesses = witness_candidates(m.n, bound, 8, 0)
         for e in corners:
-            assert reduced_membership_oracle(
-                m, m.basis_element(e), degree_bound=bound
-            )
+            assert reduced_membership_oracle(m, m.basis_element(e), witnesses)
         for e in (e for e in m.basis if e not in corners):
-            assert not reduced_membership_oracle(
-                m, m.basis_element(e), degree_bound=bound
-            )
+            assert not reduced_membership_oracle(m, m.basis_element(e), witnesses)
 
 
 def test_membership_oracle_on_mixed_elements():
     m = module_from(FLAT7)
-    bound = 4
+    witnesses = witness_candidates(m.n, 4, 8, 0)
     corner_mix = {m.index[(3, 0)]: Fraction(1), m.index[(2, 1)]: Fraction(-2)}
-    assert reduced_membership_oracle(m, corner_mix, degree_bound=bound)
+    assert reduced_membership_oracle(m, corner_mix, witnesses)
     tainted = {m.index[(3, 0)]: Fraction(1), m.index[(1, 0)]: Fraction(1)}
-    assert not reduced_membership_oracle(m, tainted, degree_bound=bound)
-    assert reduced_membership_oracle(m, {}, degree_bound=bound)
+    assert not reduced_membership_oracle(m, tainted, witnesses)
+    assert reduced_membership_oracle(m, {}, witnesses)
 
 
 def test_ideal_reducedness_cases():
@@ -159,10 +157,11 @@ def test_oracle_fixed_set_is_exactly_the_corner_set():
     for text in (STAIR11, FLAT7, SMALL4):
         m = module_from(text)
         bound = max(max(g) for g in m.ideal.min_gens)
+        witnesses = witness_candidates(m.n, bound, 8, 0)
         fixed = tuple(
             e
             for e in m.basis
-            if reduced_membership_oracle(m, m.basis_element(e), degree_bound=bound)
+            if reduced_membership_oracle(m, m.basis_element(e), witnesses)
         )
         assert fixed == outside_corners(m)
 
@@ -203,3 +202,16 @@ def test_each_suite_case_finds_the_corners_once(suite, monkeypatch):
     seen = _count_corners(monkeypatch)
     assert run_suite(suite, 4, 0).ok
     assert len(seen) == len({id(m) for m in seen}) == 4
+
+
+def test_socle_equality_case_builds_the_witnesses_once(monkeypatch):
+    built = []
+    original = reduced.witness_candidates
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(suites, "witness_candidates", counted)
+    assert run_suite("socle-equality", 4, 0).ok
+    assert len(built) == 4
