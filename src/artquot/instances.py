@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .linalg import Operator, op_inverse, op_mul
@@ -96,24 +95,24 @@ def _random_base_matrix(rng: random.Random, dim: int) -> Operator:
         for j in range(i + 1, dim):
             x = rng.choice(_ENTRY_POOL)
             if x:
-                cols[j][i] = Fraction(x)
+                cols[j][i] = x
         if i >= split:
-            cols[i][i] = Fraction(rng.choice((-2, -1, 1, 2)))
+            cols[i][i] = rng.choice((-2, -1, 1, 2))
     return tuple(cols)
 
 
 def _random_unimodular(rng: random.Random, dim: int) -> tuple[Operator, Operator]:
     """A change of basis P = L U from unit triangular factors, and P^-1."""
-    lower = [{j: Fraction(1)} for j in range(dim)]
+    lower = [{j: 1} for j in range(dim)]
     upper: list[dict] = [{} for _ in range(dim)]
     for i in range(dim):
         for j in range(i):
             a, b = rng.choice((-1, 0, 0, 1)), rng.choice((-1, 0, 0, 1))
             if a:
-                lower[j][i] = Fraction(a)
+                lower[j][i] = a
             if b:
-                upper[i][j] = Fraction(b)
-        upper[i][i] = Fraction(1)
+                upper[i][j] = b
+        upper[i][i] = 1
     p = op_mul(tuple(lower), tuple(upper))
     return p, op_inverse(p)
 
@@ -129,7 +128,7 @@ def random_finite_module(
     line = FiniteModule(1, dim, (base,))
     mats = [base]
     for _ in range(n - 1):
-        coeffs = [Fraction(rng.choice(_ENTRY_POOL)) for _ in range(3)]
+        coeffs = [rng.choice(_ENTRY_POOL) for _ in range(3)]
         mats.append(line.poly_matrix(Polynomial(((k,), c) for k, c in enumerate(coeffs))))
     module = FiniteModule(n, dim, tuple(mats))
     if conjugated:

@@ -17,14 +17,14 @@ on the staircase basis and index of M = R/I itself, with its grading, its
 contraction image and its corners (the generators of its largest reduced
 quotient); the inverse-system readings are read off it.  Its checks that
 the generators of I kill exactly the staircase duals run `contraction` on
-exponent vectors: on every staircase dual, and on the minimal monomials
-outside the staircase, which every other outside monomial is a multiple of.
+exponent vectors: on the maximal staircase duals, which every staircase
+dual divides, and on the minimal monomials outside the staircase, which
+every other outside monomial is a multiple of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import perm, prod
 from typing import Sequence
@@ -101,7 +101,7 @@ class InverseSystem(QuotientModule):
             pos = self.index.get(tuple(v - int(j == i) for j, v in enumerate(e)))
             if pos is None:
                 raise InternalCheckError("dual staircase is not downward closed")
-            cols.append({pos: Fraction(e[i])})
+            cols.append({pos: e[i]})
         return tuple(cols)
 
     def _names(self) -> tuple[str, ...]:
@@ -112,16 +112,23 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
     """I-perp of M = R/I, spanned by the dual monomials of M's staircase.
 
     Exact checks run once, on construction: the contraction operators
-    commute, the generators of I contract every dual basis monomial to
-    zero and move every minimal non-staircase one (hence, the basis being
-    downward closed, every non-staircase one), and the contraction image
-    is the span of the non-maximal duals.  The dual corners are then the
-    basis monomials off the pivots of that image.
+    commute, the generators of I contract every maximal dual basis monomial
+    to zero and move every minimal non-staircase one, and the contraction
+    image is the span of the non-maximal duals.  The basis being downward
+    closed (the operators check it), the first check covers every dual
+    basis monomial, since each divides a maximal one, and the second every
+    non-staircase one.  The dual corners are then the basis monomials off
+    the pivots of that image.
     """
     system = InverseSystem(module)
     basis, n = system.basis, module.n
     gens = module.ideal.min_gens
+    steps = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    maximal, non_maximal = [], []
     for e in basis:
+        grows = any(ev_add(e, s) in system.index for s in steps)
+        (non_maximal if grows else maximal).append(e)
+    for e in maximal:
         for g in gens:
             if contraction(g, e):
                 raise InternalCheckError(
@@ -133,10 +140,6 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
                 f"non-staircase dual monomial {e} annihilated by every generator"
             )
     inner = image_span(system.action, system.dim)
-    steps = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    non_maximal = [
-        e for e in basis if any(ev_add(e, s) in system.index for s in steps)
-    ]
     if inner != monomial_span(system, non_maximal):
         raise InternalCheckError(
             "contraction image differs from the span of non-maximal duals"

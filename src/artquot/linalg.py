@@ -1,12 +1,20 @@
 """Exact linear algebra over the rationals.
 
-There is one vector form: a sparse vector is a dict {index: Fraction} that
-stores no zeros, the form an operator column also takes.  Row reduction runs
-fraction-free on the stored entries only: each incoming row is scaled to
-integers, eliminated against the current pivot rows by integer
-cross-multiplication (with gcd normalization to keep entries small), and only
-the final normalization to reduced echelon form touches Fractions.  Everything
-is exact; there is no floating point.
+There is one vector form: a sparse vector is a dict {index: value} that
+stores no zeros, the form an operator column also takes.  The value form,
+stated here once for the whole package: a value is an exact rational,
+stored as a Python `int` when it is born integral (staircase shifts,
+contraction coefficients, unit columns, integer draws, integral polynomial
+coefficients) and as a `fractions.Fraction` otherwise.  Arithmetic may turn
+either into an integral Fraction; that compares and hashes equal to the
+int, so no result depends on the type, and ints only make the common,
+integral case cheap.  There is no floating point.
+
+Row reduction runs fraction-free on the stored entries only: each incoming
+row is scaled to integers, eliminated against the current pivot rows by
+integer cross-multiplication (with gcd normalization to keep entries
+small), back-substituted the same way, and only the final division by each
+pivot can make a Fraction, where the pivot does not divide an entry.
 """
 
 from __future__ import annotations
@@ -71,22 +79,33 @@ def rref(vectors: Iterable[dict], width: int):
 
     Returns (rows, pivots): rows are sparse vectors with pivot entries 1 and
     no other entry in a pivot column; pivots are the pivot columns in
-    increasing order.  Zero rows are dropped.
+    increasing order.  Zero rows are dropped.  An entry is an int wherever
+    the reduced form is integral.
     """
     pivot_rows = _echelon(vectors, width)
     pivots = tuple(sorted(pivot_rows))
+    # eliminate above the pivots in integers, bottom row first: the rows
+    # below row j are already reduced, so each one clears its own pivot
+    # column from row j and touches no other pivot column
+    for cj in reversed(pivots):
+        rj = pivot_rows[cj]
+        above = sorted((c for c in rj if c != cj and c in pivot_rows), reverse=True)
+        for c in above:
+            p = pivot_rows[c]
+            a, b = p[c], rj[c]
+            # rj = a * rj - b * p, which clears column c
+            if a != 1:
+                rj = {i: a * x for i, x in rj.items()}
+            _axpy(rj, -b, p)
+        if above:
+            pivot_rows[cj] = _gcd_normalize(rj, cj)
     rows = []
     for c in pivots:
         r = pivot_rows[c]
         piv = r[c]
-        rows.append({i: Fraction(x, piv) for i, x in r.items()})
-    # eliminate above the pivots, bottom row first: the rows below row j are
-    # already reduced, so each one clears its own pivot column from row j
-    # and touches no other pivot column
-    by_pivot = dict(zip(pivots, rows))
-    for cj, rj in zip(reversed(pivots), reversed(rows)):
-        for c in sorted((c for c in rj if c != cj and c in by_pivot), reverse=True):
-            _axpy(rj, -rj[c], by_pivot[c])
+        rows.append(r if piv == 1 else {
+            i: x // piv if x % piv == 0 else Fraction(x, piv) for i, x in r.items()
+        })
     return tuple(rows), pivots
 
 
@@ -152,7 +171,7 @@ def kernel(vectors: Iterable[dict], width: int) -> Subspace:
     for f in range(width):
         if f in pivot_set:
             continue
-        v = {f: Fraction(1)}
+        v = {f: 1}
         for row, p in zip(rows, pivots):
             x = row.get(f)
             if x:
@@ -165,12 +184,14 @@ def kernel(vectors: Iterable[dict], width: int) -> Subspace:
 # sparse operators
 #
 # An Operator is a square matrix stored by columns: entry j is the dict
-# {row: Fraction} of the nonzero entries of column j, the image of the j-th
-# basis vector.  No zero is ever stored and no column is mutated after
-# construction, so two operators are equal exactly when they are equal as
-# matrices.  Sparse vectors use the same {index: Fraction} form.
+# {row: value} of the nonzero entries of column j, the image of the j-th
+# basis vector, with values in the form the module docstring states (an
+# int when integral, else a Fraction).  No zero is ever stored and no
+# column is mutated after construction, so two operators are equal exactly
+# when they are equal as matrices.  Sparse vectors use the same
+# {index: value} form.
 
-Operator = tuple  # tuple[dict[int, Fraction], ...]
+Operator = tuple  # tuple[dict[int, int | Fraction], ...]
 
 
 def sparse_apply(op: Operator, vec: dict) -> dict:
@@ -179,8 +200,8 @@ def sparse_apply(op: Operator, vec: dict) -> dict:
     summed = False
     for j, c in vec.items():
         for i, a in op[j].items():
-            # entries of 1 are common (every shift operator) and a Fraction
-            # product costs several times a comparison
+            # entries of 1 are common (every shift operator), and skipping
+            # their product also keeps a Fraction c from being rebuilt
             x = c if a == 1 else a * c
             if i in out:
                 out[i] += x
@@ -198,7 +219,7 @@ def op_mul(a: Operator, b: Operator) -> Operator:
 
 def op_power(op: Operator, k: int) -> Operator:
     """op**k by repeated squaring; op**0 is the identity."""
-    out = tuple({j: Fraction(1)} for j in range(len(op)))
+    out = tuple({j: 1} for j in range(len(op)))
     while k:
         if k & 1:
             out = op_mul(out, op)
@@ -219,9 +240,8 @@ def op_transpose(op: Operator) -> Operator:
 def op_inverse(op: Operator) -> Operator:
     """P^-1, the right half of rref([P | 1]); AlgebraError when P is singular."""
     d = len(op)
-    one = Fraction(1)
     rows, pivots = rref(
-        ({**row, d + i: one} for i, row in enumerate(op_transpose(op))), 2 * d
+        ({**row, d + i: 1} for i, row in enumerate(op_transpose(op))), 2 * d
     )
     if pivots[:d] != tuple(range(d)):
         raise AlgebraError("the operator is singular")

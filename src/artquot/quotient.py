@@ -5,14 +5,14 @@ visiting only cells outside I; `minimal_outside` reads the minimal
 monomials outside a down-set.  R/I is a FiniteModule whose variables act
 as staircase shifts: the operator of x_i sends each basis monomial to its
 x_i-multiple, or to zero when that lies in I.  Module elements are sparse
-vectors {position: Fraction} over that basis.
+vectors {position: value} over that basis, values in the form
+`linalg` states; every shift entry is the int 1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable
 
@@ -134,10 +134,9 @@ class QuotientModule(FiniteModule):
 
     def _operator(self, i: int) -> Operator:
         """x_i shifts each standard monomial up, or to zero inside I."""
-        one = Fraction(1)
         step = tuple(int(j == i) for j in range(self.variables.n))
         targets = (self.index.get(ev_add(e, step)) for e in self.basis)
-        return tuple({} if t is None else {t: one} for t in targets)
+        return tuple({} if t is None else {t: 1} for t in targets)
 
     def _names(self) -> tuple[str, ...]:
         return self.variables.names
@@ -156,7 +155,7 @@ class QuotientModule(FiniteModule):
         pos = self.index.get(tuple(exps))
         if pos is None:
             raise AlgebraError(f"{exps} is not a standard monomial")
-        return {pos: Fraction(1)}
+        return {pos: 1}
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, vars={self._names()})"

@@ -19,15 +19,15 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Operator, Subspace, is_invertible, op_power, sparse_apply
+from .linalg import Operator, Subspace, is_invertible, op_mul, op_power, sparse_apply
 from .quotient import (
     QuotientModule,
     monomial_span,
     positive_degree_span,
     subspace_monomials,
 )
-from .ring import AlgebraError, ExponentVector, InternalCheckError, poly_monomial
-from .reduced import _random_poly, monomials_up_to_degree
+from .ring import AlgebraError, ExponentVector, InternalCheckError, total_degree
+from .reduced import _random_poly
 from .torsion import image_span
 
 # Monomial submodules are enumerated only up to this module dimension.
@@ -165,11 +165,23 @@ def semiprime_bruteforce(module: QuotientModule, mm: Subspace) -> SemiprimeRepor
 
 
 def _monomial_operators(module: QuotientModule) -> tuple[Operator, ...]:
-    """The operators of the monomials of degree <= 6, the spot checks' r."""
-    return tuple(
-        module.poly_matrix(poly_monomial(e))
-        for e in monomials_up_to_degree(module.n, 6)
-    )
+    """The operators of the monomials of degree <= 6 that are not zero, the
+    spot checks' r: those of the staircase monomials, in basis order.
+
+    Each is a product of stored shifts, x^e = x_i * x^(e - s_i) for the
+    first variable x_i of e, whose factor x^(e - s_i) is a staircase
+    monomial of lower degree.  A zero operator would add only empty rows
+    to an envelope, so leaving it out changes no spot check.
+    """
+    # the basis runs in grlex order and starts at the monomial 1
+    table = {module.basis[0]: tuple({j: 1} for j in range(module.dim))}
+    for e in module.basis[1:]:
+        if total_degree(e) > 6:
+            break
+        i = next(i for i, v in enumerate(e) if v)
+        below = e[:i] + (e[i] - 1,) + e[i + 1:]
+        table[e] = op_mul(module.action[i], table[below])
+    return tuple(table.values())
 
 
 def envelope_of_submodule_bruteforce(

@@ -10,7 +10,6 @@ they agree.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Sequence
 from .linalg import Subspace, sparse_apply
 from .quotient import QuotientModule, monomial_span, socle
@@ -61,12 +60,12 @@ def monomials_up_to_degree(n: int, bound: int) -> list[ExponentVector]:
 def _random_poly(rng: random.Random, n: int, degree_bound: int, constant: bool) -> Polynomial:
     terms = []
     if constant:
-        terms.append(((0,) * n, Fraction(rng.choice(_COEFF_POOL))))
+        terms.append(((0,) * n, rng.choice(_COEFF_POOL)))
     for _ in range(rng.randint(1, 3)):
         exps = [0] * n
         for _ in range(rng.randint(1, max(1, degree_bound))):
             exps[rng.randrange(n)] += 1
-        terms.append((tuple(exps), Fraction(rng.choice(_COEFF_POOL))))
+        terms.append((tuple(exps), rng.choice(_COEFF_POOL)))
     return Polynomial(terms)
 
 

@@ -2,7 +2,8 @@
 
 Exponent vectors are plain tuples of nonnegative ints, one entry per
 variable; they are the atom everything else is built from.  Coefficients
-are always `fractions.Fraction` -- no floating point anywhere.
+are exact rationals in the value form `linalg` states: an int when
+integral, else a `fractions.Fraction` -- no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -126,31 +127,39 @@ class VariableSet:
 # polynomials
 
 class Polynomial:
-    """Sparse polynomial: exponent vector -> nonzero Fraction."""
+    """Sparse polynomial: exponent vector -> nonzero coefficient.
+
+    A coefficient that is not an int goes through Fraction(...), which
+    decides what is accepted; an integral coefficient is stored as an int.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple, Fraction] = {}
+        acc: dict = {}
         for exps, coeff in items:
             key = tuple(int(e) for e in exps)
             if any(e < 0 for e in key):
                 raise AlgebraError("negative exponent in polynomial term")
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        self.terms = {k: v for k, v in acc.items() if v}
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+            acc[key] = acc.get(key, 0) + coeff
+        self.terms = {
+            k: v.numerator if v.denominator == 1 else v for k, v in acc.items() if v
+        }
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> int | Fraction:
         for exps, coeff in self.terms.items():
             if not any(exps):
                 return coeff
-        return Fraction(0)
+        return 0
 
-    def sorted_terms(self) -> list[tuple[ExponentVector, Fraction]]:
+    def sorted_terms(self) -> list[tuple[ExponentVector, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -191,7 +200,7 @@ class Polynomial:
 
 
 def poly_monomial(exps: ExponentVector, coeff=1) -> Polynomial:
-    return Polynomial({tuple(exps): Fraction(coeff)})
+    return Polynomial({tuple(exps): coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +453,7 @@ def parse_input(text: str) -> tuple[VariableSet, MonomialIdeal]:
 
 
 def _parse_poly_term(cur: _Cursor, variables: VariableSet):
-    coeff = Fraction(1)
+    coeff = 1
     exps = [0] * variables.n
     while True:
         cur.skip_ws()

@@ -1,7 +1,8 @@
 """Finite modules over k[x_1..x_n]: action, annihilators, torsion, duality.
 
 A FiniteModule is n pairwise-commuting sparse operators over the
-rationals, one per variable; a staircase quotient R/I is one (see
+rationals, one per variable, with entries in the value form `linalg`
+states (ints where integral); a staircase quotient R/I is one (see
 quotient.QuotientModule).  The joint kernel and the image span of a list
 of operators live here once: on the generator operators of J they are
 (0 : J) and J M, on `module.action` they are (0 : m) and m M.  The torsion
@@ -15,7 +16,6 @@ transpose every operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -59,8 +59,7 @@ class FiniteModule:
 
     def poly_matrix(self, poly: Polynomial) -> Operator:
         """Evaluate a polynomial at the action operators."""
-        one = Fraction(1)
-        return tuple(self.act(poly, {j: one}) for j in range(self.dim))
+        return tuple(self.act(poly, {j: 1}) for j in range(self.dim))
 
     def act(self, poly: Polynomial, vec: dict) -> dict:
         """Multiply the sparse element `vec` by the polynomial `poly`."""

@@ -275,8 +275,10 @@ def test_contraction_image_check_is_live(monkeypatch):
 
 
 def test_generator_annihilation_check_is_live(monkeypatch):
+    # (3, 0) = X^3 is the first maximal dual monomial of FLAT7 in canonical
+    # order, the first the check reads
     monkeypatch.setattr(inverse, "contraction", lambda a, b: 1)
-    message = "dual staircase monomial (0, 0) not annihilated by a generator"
+    message = "dual staircase monomial (3, 0) not annihilated by a generator"
     with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
         inverse_system(module_from(FLAT7))
 
@@ -305,10 +307,10 @@ def test_inverse_system_builds_no_polynomial(monkeypatch):
 
 
 def test_inverse_system_runs_every_contraction_check(monkeypatch):
-    # every basis monomial against every generator, then, for each minimal
-    # monomial outside the staircase (the generators of I), the generators
-    # tried up to the first that moves it: 125 * 3 + (1 + 2 + 3) = 381 on
-    # x^5, y^5, z^5
+    # every maximal basis monomial against every generator, then, for each
+    # minimal monomial outside the staircase (the generators of I), the
+    # generators tried up to the first that moves it: 1 * 3 + (1 + 2 + 3)
+    # = 9 on x^5, y^5, z^5
     calls = []
 
     def counted(a, b):
@@ -316,10 +318,11 @@ def test_inverse_system_runs_every_contraction_check(monkeypatch):
         return contraction(a, b)
 
     monkeypatch.setattr(inverse, "contraction", counted)
-    for text, pinned in (("ring x,y,z; ideal x^5, y^5, z^5", 381), (FLAT7, 27)):
+    for text, pinned in (("ring x,y,z; ideal x^5, y^5, z^5", 9), (FLAT7, 12)):
         module = module_from(text)
         gens = module.ideal.min_gens
-        expected = module.dim * len(gens) + sum(
+        maximal = outside_corners(module)
+        expected = len(maximal) * len(gens) + sum(
             next(k for k, g in enumerate(gens, 1) if divides(g, e)) for e in gens
         )
         assert expected == pinned

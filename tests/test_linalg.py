@@ -3,7 +3,10 @@
 The oracle below does textbook reduced row echelon form on dense rows with
 Fraction pivots and no integer tricks; the sparse vectors drawn here are
 expanded for it.  RREF is unique for a given row space, so agreeing with
-the oracle on every input is the strongest possible check.
+the oracle on every input is the strongest possible check.  Entries are
+drawn in every form a stored value takes (ints, integral Fractions and
+other Fractions, mixed within one vector), and the results must not
+depend on the form.
 """
 
 from fractions import Fraction
@@ -28,7 +31,7 @@ from artquot.instances import SamplerConfig, sample_modules
 from artquot.quotient import QuotientModule
 from artquot.radical import UNIT_TRIALS
 from artquot.reduced import _random_poly
-from artquot.ring import AlgebraError, parse_input, poly_monomial
+from artquot.ring import AlgebraError, Polynomial, parse_input, poly_monomial
 from artquot.torsion import FiniteModule
 import dense_reference as ref
 from dense_reference import (
@@ -42,15 +45,17 @@ from dense_reference import (
     sparse,
 )
 
-fractions = st.fractions(
-    min_value=-4, max_value=4, max_denominator=3
+entries = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
 )
 
 
 def sparse_vectors(width):
     """Sparse vectors of the given width, mostly with few entries."""
     return st.dictionaries(
-        st.integers(0, width - 1), fractions.filter(bool), max_size=min(width, 4)
+        st.integers(0, width - 1), entries.filter(bool), max_size=min(width, 4)
     )
 
 
@@ -119,7 +124,7 @@ def dense_matrices(draw, max_width=8, max_rows=8):
     """(width, rows): rows with most entries nonzero, so that the echelon
     rows hold many pivot columns and back-substitution has work to do."""
     width = draw(st.integers(1, max_width))
-    row = st.lists(fractions, min_size=width, max_size=width)
+    row = st.lists(entries, min_size=width, max_size=width)
     return width, [sparse(r) for r in draw(st.lists(row, max_size=max_rows))]
 
 
@@ -367,3 +372,64 @@ def test_rref_idempotent(matrix):
     width, vectors = matrix
     rows, pivots = rref(vectors, width)
     assert rref(rows, width) == (rows, pivots)
+
+
+def as_fractions(vec: dict) -> dict:
+    """The same sparse vector with every entry a Fraction."""
+    return {i: Fraction(x) for i, x in vec.items()}
+
+
+@given(matrices())
+def test_mixed_entries_give_the_results_of_fractions(matrix):
+    width, vectors = matrix
+    uniform = [as_fractions(v) for v in vectors]
+    rows, pivots = rref(vectors, width)
+    assert (rows, pivots) == rref(uniform, width)
+    assert (tuple(dense(r, width) for r in rows), pivots) == naive_rref(
+        [dense(v, width) for v in uniform], width
+    )
+    assert Subspace(width, vectors) == Subspace(width, uniform)
+    ker = kernel(vectors, width)
+    assert ker == kernel(uniform, width)
+    assert len(rows) + ker.dim == width
+
+
+@st.composite
+def mixed_operator_pairs(draw, max_dim=6):
+    """Two square operators of one size, columns with mixed entries."""
+    d = draw(st.integers(1, max_dim))
+    column = sparse_vectors(d)
+    return tuple(draw(column) for _ in range(d)), tuple(draw(column) for _ in range(d))
+
+
+@given(mixed_operator_pairs())
+def test_mixed_operators_match_dense_reference(pair):
+    a, b = pair
+    d = len(a)
+    rows_a, rows_b = operator_rows(a), operator_rows(b)
+    assert operator_rows(op_mul(a, b)) == ref.mat_mul(rows_a, rows_b)
+    if rank(rows_a, d) < d:
+        with pytest.raises(AlgebraError, match="singular"):
+            op_inverse(a)
+        return
+    inv = op_inverse(a)
+    assert inv == op_inverse(tuple(as_fractions(col) for col in a))
+    eye = ref.identity_matrix(d)
+    assert ref.mat_mul(rows_a, operator_rows(inv)) == eye
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_operator_pairs(max_dim=5), st.data())
+def test_mixed_polynomials_act_as_on_dense_reference(pair, data):
+    # a commuting pair (a, q(a)); q, p and the vector mix ints and Fractions
+    a, _ = pair
+    d = len(a)
+    coeffs = st.lists(entries, min_size=1, max_size=3)
+    q = Polynomial(((k,), c) for k, c in enumerate(data.draw(coeffs)))
+    module = FiniteModule(2, d, (a, FiniteModule(1, d, (a,)).poly_matrix(q)))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    p = Polynomial(data.draw(st.lists(st.tuples(exps, entries), max_size=4)))
+    expected = ref.DenseModule.of(module).poly_matrix(p)
+    assert operator_rows(module.poly_matrix(p)) == expected
+    vec = data.draw(sparse_vectors(d))
+    assert dense(module.act(p, vec), d) == ref.mat_vec(expected, dense(vec, d))

@@ -195,11 +195,25 @@ def test_spot_checks_build_each_monomial_operator_once(monkeypatch):
         return original(poly)
 
     monkeypatch.setattr(m, "poly_matrix", counted)
-    envelope_zero(m)
-    by_envelope = Counter(built)
-    built.clear()
-    report = satisfies_radical_formula(m)
-    assert report.spot_checks == radical.SPOT_CHECKS == 3
-    table = [poly_monomial(e) for e in monomials_up_to_degree(m.n, 6)]
-    assert len(table) == 28
-    assert all(built[p] - by_envelope[p] == 1 for p in table)
+    table = _monomial_operators(m)
+    # the table is read off the stored shifts, not evaluated column by column
+    assert not built
+    monkeypatch.undo()
+    # one entry per staircase monomial of degree <= 6, in basis order
+    monos = [e for e in m.basis if sum(e) <= 6]
+    assert len(table) == len(monos) == m.dim == 7
+    assert all(
+        op == m.poly_matrix(poly_monomial(e)) for op, e in zip(table, monos)
+    )
+    # the 28 operators of all monomials of degree <= 6, zero ones included,
+    # give the same envelope of every monomial submodule
+    full = [m.poly_matrix(poly_monomial(e)) for e in monomials_up_to_degree(m.n, 6)]
+    assert len(full) == 28
+    for mask in _upsets(m):
+        exps = radical._mask_monomials(m, mask)
+        assert envelope_of_submodule_bruteforce(m, exps, table) == (
+            envelope_of_submodule_bruteforce(m, exps, full)
+        )
+    tables = _count_calls(monkeypatch, "_monomial_operators")
+    assert satisfies_radical_formula(m).spot_checks == radical.SPOT_CHECKS == 3
+    assert len(tables) == 1
