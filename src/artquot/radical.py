@@ -7,10 +7,10 @@ positive-degree standard monomials.  Alongside the span, every variable is
 checked nilpotent and every seeded unit (a polynomial with nonzero constant
 term) is checked to act invertibly, by the exact rank of its operator: no
 power of a unit kills a nonzero element.  Semiprime submodules are
-enumerated by brute force over the monomial submodules, which are exactly
-the up-closed subsets of the staircase under divisibility; the spot checks
-draw from that one enumeration and read one table of monomial operators
-per module.
+found among the monomial submodules, which are exactly the up-closed
+subsets (order ideals) of the staircase under divisibility, enumerated by
+one walk over the basis; the spot checks draw from that one enumeration
+and read one table of monomial operators per module.
 """
 
 from __future__ import annotations
@@ -73,36 +73,22 @@ def jacobson_radical(module: QuotientModule, envelope: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # monomial submodules as bitmasks over the staircase
 
-def _cover_masks(module: QuotientModule) -> list[int]:
-    """For each basis slot, the bitmask of its single-variable shifts."""
-    masks = []
-    for b in range(module.dim):
-        m = 0
+def _upsets(module: QuotientModule) -> list[int]:
+    """All monomial submodules (up-closed staircase subsets), as ascending
+    bitmasks.
+
+    Grlex extends divisibility, so every single-variable shift of slot b
+    has a larger index.  Walking the slots from last to first, slot b
+    joins each up-set already found that holds all of its shifts.
+    """
+    out = [0]
+    for b in reversed(range(module.dim)):
+        shifts = 0
         for op in module.action:
             for t in op[b]:
-                m |= 1 << t
-        masks.append(m)
-    return masks
-
-
-def _upsets(module: QuotientModule):
-    """All monomial submodules (up-closed staircase subsets), as bitmasks."""
-    covers = _cover_masks(module)
-    d = module.dim
-    out = []
-    for mask in range(1 << d):
-        ok = True
-        rest = mask
-        while rest:
-            low = rest & -rest
-            b = low.bit_length() - 1
-            if covers[b] & mask != covers[b]:
-                ok = False
-                break
-            rest ^= low
-        if ok:
-            out.append(mask)
-    return out
+                shifts |= 1 << t
+        out += [m | 1 << b for m in out if m & shifts == shifts]
+    return sorted(out)
 
 
 def _mask_monomials(module: QuotientModule, mask: int) -> tuple[ExponentVector, ...]:
@@ -117,9 +103,12 @@ class SemiprimeReport:
 
     intersection: Subspace
     semiprime: tuple[tuple[ExponentVector, ...], ...]
-    submodules_scanned: int
-    # the proper monomial submodules scanned, as bitmasks in scan order
+    # the proper monomial submodules scanned, as ascending bitmasks
     upsets: tuple[int, ...]
+
+    @property
+    def submodules_scanned(self) -> int:
+        return len(self.upsets)
 
     @property
     def unique(self) -> bool:
@@ -161,7 +150,7 @@ def semiprime_bruteforce(module: QuotientModule, mm: Subspace) -> SemiprimeRepor
     inter_space = monomial_span(
         module, _mask_monomials(module, inter if semiprime else 0)
     )
-    return SemiprimeReport(inter_space, spaces, len(upsets), upsets)
+    return SemiprimeReport(inter_space, spaces, upsets)
 
 
 def _monomial_operators(module: QuotientModule) -> tuple[Operator, ...]:

@@ -117,9 +117,10 @@ def is_coreduced_subspace(
     exact = not any(images)
     violated = False
     for a in witness_candidates(module.n, degree_bound, trials, seed):
-        a_im = Subspace(module.dim, [module.act(a, r) for r in space.rows])
-        aa = a * a
-        aa_im = Subspace(module.dim, [module.act(aa, r) for r in space.rows])
+        a_rows = [module.act(a, r) for r in space.rows]
+        a_im = Subspace(module.dim, a_rows)
+        # a^2 N = a(aN)
+        aa_im = Subspace(module.dim, [module.act(a, v) for v in a_rows])
         if a_im != aa_im:
             violated = True
             if exact:

@@ -72,6 +72,8 @@ class FiniteModule:
             img = vec if coeff == 1 else {j: coeff * c for j, c in vec.items()}
             for op, e in zip(self.action, exps):
                 for _ in range(e):
+                    if not img:
+                        break
                     img = sparse_apply(op, img)
             for i, c in img.items():
                 out[i] = out[i] + c if i in out else c

@@ -10,7 +10,9 @@ artquot.radical replaced by the rank of each unit's operator, and the
 sampler's dense draws of a base matrix and of a change of basis with its
 inverse by triangular solves, which artquot.instances replaced by sparse
 columns and `linalg.op_inverse`.  So is the box walk for the minimal
-monomials outside a down-set, which `quotient.minimal_outside` replaced.  The
+monomials outside a down-set, which `quotient.minimal_outside` replaced,
+and the scan of all 2^dim bitmasks for the up-closed staircase subsets,
+which the order-ideal walk `radical._upsets` replaced.  The
 differential tests require the sparse code to give the same matrices,
 subspaces, echelon forms and tags, and both unit checks to pass.
 """
@@ -448,3 +450,24 @@ def complement_min_gens(closure: set, n: int) -> MonomialIdeal:
         if below_ok:
             gens.append(cand)
     return minimalize(gens)
+
+
+def upsets_by_mask_scan(module: FiniteModule) -> list[int]:
+    """Every up-closed subset of the basis under the action, as a bitmask:
+    all 2^dim masks in ascending order, each kept when it holds every
+    single-variable shift of each of its slots."""
+    covers = []
+    for b in range(module.dim):
+        m = 0
+        for op in module.action:
+            for t in op[b]:
+                m |= 1 << t
+        covers.append(m)
+    out = []
+    for mask in range(1 << module.dim):
+        if all(
+            covers[b] & mask == covers[b]
+            for b in range(module.dim) if mask >> b & 1
+        ):
+            out.append(mask)
+    return out

@@ -108,6 +108,28 @@ def test_classify_explicit_ideal(monkeypatch, capsys):
     assert data["gamma_dim"] == 7  # y is nilpotent, the chain fills up
 
 
+def test_classify_by_a_huge_power_stops_at_zero(monkeypatch, capsys):
+    # x^40 already acts as zero, so x^2000000 must cost no more than x^40
+    box = "ring x,y; ideal x^40, y^40"
+    start = time.perf_counter()
+    rc, out, err = run(["classify", "--ideal", "x^2000000"], box, monkeypatch, capsys)
+    elapsed = time.perf_counter() - start
+    assert (rc, err) == (0, "")
+    assert elapsed < 1.0
+    assert out.count("tag ") == 1
+    rc, small, _ = run(["classify", "--ideal", "x^40"], box, monkeypatch, capsys)
+    assert rc == 0
+
+    def fields(text):
+        return [
+            line for line in text.splitlines()
+            if line.startswith(("tag ", "gamma dim ", "lambda dim "))
+        ]
+
+    assert len(fields(out)) == 3
+    assert fields(out) == fields(small)
+
+
 def test_radical_command(monkeypatch, capsys):
     rc, out, _ = run(["radical", "--json"], SMALL4, monkeypatch, capsys)
     assert rc == 0

@@ -3,6 +3,7 @@
 import io
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,6 +27,7 @@ from artquot.ring import AlgebraError, InternalCheckError, parse_input, poly_mon
 from artquot.suites import run_suite
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
+STAIR11 = "ring x,y; ideal x^4, x^3*y, x^2*y^2, x*y^3, y^5"
 SMALL4 = '{"ring": ["x1","x2"], "ideal": ["x1^2", "x1*x2", "x2^3"]}'
 
 
@@ -66,6 +68,51 @@ def test_upset_count_on_known_staircase():
     assert len(ups) == 7  # including the empty set and the whole module
     full = (1 << m.dim) - 1
     assert sum(1 for u in ups if u != full) == 6
+
+
+def test_upsets_match_the_mask_scan():
+    named = [
+        module_from(t)
+        for t in ("ring x,y; ideal x^7, y^2", STAIR11, "ring x,y,z; ideal x^2, y^2, z^2")
+    ]
+    sampled = [m for _, m in sample_modules(40, seed=43, config=SamplerConfig(dim_bound=14))]
+    assert max(m.dim for m in sampled) > 10
+    for m in named + sampled:
+        assert _upsets(m) == ref.upsets_by_mask_scan(m)
+
+
+def _macmahon(a, b, c):
+    """Plane partitions in an a x b x c box: the order ideals of its cells."""
+    count = Fraction(1)
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            for k in range(1, c + 1):
+                count *= Fraction(i + j + k - 1, i + j + k - 2)
+    return count
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        ("ring x,y; ideal x^3, y^4", 35),
+        ("ring x,y; ideal x^7, y^2", 36),
+        ("ring x,y,z; ideal x^2, y^2, z^2", 20),
+        ("ring x,y,z; ideal x^2, y^2, z^3", 50),
+        ("ring x; ideal x^14", 15),
+    ],
+)
+def test_upset_counts_on_boxes(text, count):
+    # an a x b rectangle has C(a+b, a) order ideals, a box MacMahon's count,
+    # and a chain of d cells d + 1
+    m = module_from(text)
+    box = [max(e[i] for e in m.basis) + 1 for i in range(m.n)]
+    if m.n == 1:
+        assert count == box[0] + 1
+    elif m.n == 2:
+        assert count == comb(box[0] + box[1], box[0])
+    else:
+        assert count == _macmahon(*box)
+    assert len(_upsets(m)) == count
 
 
 def test_semiprime_enumeration_on_known_staircase():

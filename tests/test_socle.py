@@ -125,6 +125,16 @@ def test_socle_is_coreduced():
         assert is_coreduced_subspace(m, span, degree_bound=2, trials=10)
 
 
+def test_acting_twice_is_acting_by_the_square():
+    # is_coreduced_subspace builds a^2 N as a(aN)
+    for _, m in sample_modules(8, seed=25):
+        mixed = {j: -1 if j % 2 else j + 1 for j in range(m.dim)}
+        vecs = [{j: 1} for j in range(m.dim)] + [mixed]
+        for a in witness_candidates(m.n, 2, 8, 0):
+            for v in vecs:
+                assert m.act(a, m.act(a, v)) == m.act(a * a, v)
+
+
 def test_positive_degree_span_is_not_coreduced_when_layered():
     m = module_from("ring x; ideal x^3")
     span = positive_degree_span(m)  # {x, x^2}: x*N = {x^2} but x^2*N = 0
