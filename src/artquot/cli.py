@@ -24,6 +24,7 @@ from .radical import satisfies_radical_formula
 from .ring import (
     AlgebraError,
     InternalCheckError,
+    ParseError,
     monomial_str,
     parse_input,
     parse_polynomial_list,
@@ -39,11 +40,17 @@ _YES = {True: "yes", False: "no"}
 
 
 def _read_module(args) -> QuotientModule:
-    if args.infile:
-        with open(args.infile, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if args.infile:
+            with open(args.infile, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+            f"at byte offset {exc.start}"
+        ) from None
     return QuotientModule(*parse_input(text))
 
 

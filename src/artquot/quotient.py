@@ -176,19 +176,6 @@ def monomial_span(module: QuotientModule, exps_list: Iterable[ExponentVector]) -
     return Subspace(module.dim, vecs)
 
 
-def subspace_monomials(module: QuotientModule, space: Subspace):
-    """The standard monomials spanning `space`, or None if some row is not
-    a single basis monomial."""
-    found = []
-    for row in space.rows:
-        # an RREF row with a single entry is a unit vector
-        if len(row) != 1:
-            return None
-        (i,) = row
-        found.append(module.basis[i])
-    return sorted(found, key=grlex_key)
-
-
 def positive_degree_span(module: QuotientModule) -> Subspace:
     """Span of all standard monomials of positive degree."""
     return monomial_span(

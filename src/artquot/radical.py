@@ -9,8 +9,11 @@ term) is checked to act invertibly, by the exact rank of its operator: no
 power of a unit kills a nonzero element.  Semiprime submodules are
 found among the monomial submodules, which are exactly the up-closed
 subsets (order ideals) of the staircase under divisibility, enumerated by
-one walk over the basis; the spot checks draw from that one enumeration
-and read one table of monomial operators per module.
+one walk over the basis.  After the envelope and Jacobson checks, which
+compare exact subspaces, a monomial submodule is a bitmask over the
+staircase slots: the envelope is read into one mask, and the semiprime
+intersection and the spot-checked submodule envelopes are masks, each
+monomial acting on slots by one map read off the basis index.
 """
 
 from __future__ import annotations
@@ -19,14 +22,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Operator, Subspace, is_invertible, op_mul, op_power, sparse_apply
-from .quotient import (
-    QuotientModule,
-    monomial_span,
-    positive_degree_span,
-    subspace_monomials,
-)
-from .ring import AlgebraError, ExponentVector, InternalCheckError, total_degree
+from .linalg import Subspace, is_invertible, op_power
+from .quotient import QuotientModule, positive_degree_span
+from .ring import AlgebraError, InternalCheckError, ev_add, total_degree
 from .reduced import _random_poly
 from .torsion import image_span
 
@@ -73,6 +71,18 @@ def jacobson_radical(module: QuotientModule, envelope: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # monomial submodules as bitmasks over the staircase
 
+def _slot_mask(space: Subspace) -> int:
+    """The bitmask of the staircase slots whose monomials span `space`."""
+    mask = 0
+    for row in space.rows:
+        # an RREF row with a single entry is a unit vector
+        if len(row) != 1:
+            raise InternalCheckError("expected a monomial-spanned subspace")
+        (i,) = row
+        mask |= 1 << i
+    return mask
+
+
 def _upsets(module: QuotientModule) -> list[int]:
     """All monomial submodules (up-closed staircase subsets), as ascending
     bitmasks.
@@ -91,19 +101,13 @@ def _upsets(module: QuotientModule) -> list[int]:
     return sorted(out)
 
 
-def _mask_monomials(module: QuotientModule, mask: int) -> tuple[ExponentVector, ...]:
-    return tuple(
-        module.basis[b] for b in range(module.dim) if mask >> b & 1
-    )
-
-
 @dataclass(frozen=True)
 class SemiprimeReport:
-    """Result of the brute-force semiprime enumeration."""
+    """Result of the brute-force semiprime enumeration, as slot masks."""
 
-    intersection: Subspace
-    semiprime: tuple[tuple[ExponentVector, ...], ...]
-    # the proper monomial submodules scanned, as ascending bitmasks
+    intersection: int
+    semiprime: tuple[int, ...]
+    # the proper monomial submodules scanned, ascending
     upsets: tuple[int, ...]
 
     @property
@@ -130,73 +134,48 @@ def semiprime_bruteforce(module: QuotientModule, mm: Subspace) -> SemiprimeRepor
             f"module dimension {module.dim} exceeds the enumeration bound "
             f"{ENUMERATION_BOUND}"
         )
-    mm_exps = subspace_monomials(module, mm)
-    if mm_exps is None:
-        raise InternalCheckError("expected a monomial-spanned subspace")
-    mm_mask = 0
-    for e in mm_exps:
-        mm_mask |= 1 << module.index[e]
+    mm_mask = _slot_mask(mm)
     full = (1 << module.dim) - 1
     upsets = tuple(m for m in _upsets(module) if m != full)
-    semiprime = []
-    inter = full
-    for mask in upsets:
-        if mm_mask & ~mask == 0:
-            semiprime.append(mask)
-            inter &= mask
-    spaces = tuple(
-        _mask_monomials(module, m) for m in sorted(semiprime)
+    semiprime = tuple(m for m in upsets if mm_mask & ~m == 0)
+    inter = full if semiprime else 0
+    for m in semiprime:
+        inter &= m
+    return SemiprimeReport(inter, semiprime, upsets)
+
+
+def _monomial_maps(module: QuotientModule) -> tuple[tuple[int | None, ...], ...]:
+    """The spot checks' r: each monomial x^e of degree <= 6 that is not
+    zero, i.e. each staircase monomial, in basis order, as the slot map
+    b -> the slot of x^e * basis[b], None inside I.  A zero map would add
+    nothing to an envelope, so leaving it out changes no spot check."""
+    return tuple(
+        tuple(module.index.get(ev_add(e, f)) for f in module.basis)
+        for e in module.basis if total_degree(e) <= 6
     )
-    inter_space = monomial_span(
-        module, _mask_monomials(module, inter if semiprime else 0)
-    )
-    return SemiprimeReport(inter_space, spaces, upsets)
-
-
-def _monomial_operators(module: QuotientModule) -> tuple[Operator, ...]:
-    """The operators of the monomials of degree <= 6 that are not zero, the
-    spot checks' r: those of the staircase monomials, in basis order.
-
-    Each is a product of stored shifts, x^e = x_i * x^(e - s_i) for the
-    first variable x_i of e, whose factor x^(e - s_i) is a staircase
-    monomial of lower degree.  A zero operator would add only empty rows
-    to an envelope, so leaving it out changes no spot check.
-    """
-    # the basis runs in grlex order and starts at the monomial 1
-    table = {module.basis[0]: tuple({j: 1} for j in range(module.dim))}
-    for e in module.basis[1:]:
-        if total_degree(e) > 6:
-            break
-        i = next(i for i, v in enumerate(e) if v)
-        below = e[:i] + (e[i] - 1,) + e[i + 1:]
-        table[e] = op_mul(module.action[i], table[below])
-    return tuple(table.values())
 
 
 def envelope_of_submodule_bruteforce(
-    module: QuotientModule, submodule_mask_exps: Sequence[ExponentVector],
-    operators: Sequence[Operator],
-) -> Subspace:
-    """Direct scan of {r*m : r monomial, m basis class, r^k m in N}.
+    module: QuotientModule, mask: int, maps: Sequence[Sequence[int | None]]
+) -> int:
+    """Direct scan of {r*m : r monomial, m basis class, r^k m in N}, as a
+    slot mask; N is the monomial submodule `mask`.
 
-    r runs over `operators`, the table `_monomial_operators(module)`, which
-    a caller scanning several submodules of one module builds once.
+    r runs over `maps`, the table `_monomial_maps(module)`, which a caller
+    scanning several submodules of one module builds once.  Each power
+    r^k m is a basis monomial or zero, so its membership in N is a bit test.
     """
-    n_space = monomial_span(module, submodule_mask_exps)
-    vecs = list(n_space.rows)
-    for r in operators:
-        for b in range(module.dim):
-            vec = module.basis_element(module.basis[b])
-            power = vec
-            landed = False
+    out = mask
+    for r in maps:
+        for b, image in enumerate(r):
+            t = b
             for _ in range(module.dim + 1):
-                power = sparse_apply(r, power)
-                if n_space.contains(power):
-                    landed = True
+                t = r[t]
+                if t is None or mask >> t & 1:
+                    if image is not None:
+                        out |= 1 << image
                     break
-            if landed:
-                vecs.append(sparse_apply(r, vec))
-    return Subspace(module.dim, vecs)
+    return out
 
 
 @dataclass(frozen=True)
@@ -230,19 +209,18 @@ def satisfies_radical_formula(
     done = 0
     if not skipped:
         report = semiprime_bruteforce(module, jac)
-        semiprime_dim = report.intersection.dim
+        env_mask = _slot_mask(env)
+        semiprime_dim = report.intersection.bit_count()
         unique = report.unique
-        if report.intersection != env:
+        if report.intersection != env_mask:
             raise InternalCheckError(
                 "semiprime intersection differs from the envelope of zero"
             )
         rng = random.Random(seed)
-        operators = _monomial_operators(module)
+        maps = _monomial_maps(module)
         for _ in range(SPOT_CHECKS):
-            exps = _mask_monomials(module, rng.choice(report.upsets))
-            brute = envelope_of_submodule_bruteforce(module, exps, operators)
-            expected = monomial_span(module, exps).sum(env)
-            if brute != expected:
+            mask = rng.choice(report.upsets)
+            if envelope_of_submodule_bruteforce(module, mask, maps) != mask | env_mask:
                 raise InternalCheckError(
                     "submodule envelope differs from N + m*M"
                 )

@@ -326,11 +326,18 @@ class _Cursor:
 
     def integer(self) -> int:
         self.skip_ws()
-        m = _DIGITS_RE.match(self.text, self.pos)
+        start = self.pos
+        m = _DIGITS_RE.match(self.text, start)
         if not m:
-            raise ParseError("expected an integer", self.pos)
+            raise ParseError("expected an integer", start)
         self.pos = m.end()
-        return int(m.group())
+        try:
+            return int(m.group())
+        except ValueError:
+            # past sys.get_int_max_str_digits() digits
+            raise ParseError(
+                f"integer literal of {m.end() - start} digits is too long", start
+            ) from None
 
 
 def _parse_monomial(cur: _Cursor, variables: VariableSet) -> ExponentVector:
@@ -385,6 +392,11 @@ def _parse_json_input(text: str) -> tuple[VariableSet, MonomialIdeal]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON input: {exc.msg}", exc.pos) from None
+    except RecursionError:
+        raise ParseError("JSON input is nested too deeply") from None
+    except ValueError:
+        # past sys.get_int_max_str_digits() digits
+        raise ParseError("JSON input has a number literal that is too long") from None
     if not isinstance(obj, dict) or set(obj) != {"ring", "ideal"}:
         raise ParseError('JSON input needs exactly the keys "ring" and "ideal"')
     ring = obj["ring"]

@@ -12,9 +12,11 @@ inverse by triangular solves, which artquot.instances replaced by sparse
 columns and `linalg.op_inverse`.  So is the box walk for the minimal
 monomials outside a down-set, which `quotient.minimal_outside` replaced,
 and the scan of all 2^dim bitmasks for the up-closed staircase subsets,
-which the order-ideal walk `radical._upsets` replaced.  The
-differential tests require the sparse code to give the same matrices,
-subspaces, echelon forms and tags, and both unit checks to pass.
+which the order-ideal walk `radical._upsets` replaced, and the submodule
+envelope scan on subspaces, which `radical`'s scan on staircase slot masks
+replaced.  The differential tests require the sparse code to give the
+same matrices, subspaces, echelon forms and tags, and both unit checks to
+pass.
 """
 
 from __future__ import annotations
@@ -26,9 +28,16 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
-from artquot.linalg import Operator, Subspace, kernel, op_mul, op_transpose
+from artquot.linalg import Operator, Subspace, kernel, op_mul, op_transpose, sparse_apply
+from artquot.quotient import QuotientModule, monomial_span
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
-from artquot.ring import AlgebraError, InternalCheckError, MonomialIdeal, minimalize
+from artquot.ring import (
+    AlgebraError,
+    ExponentVector,
+    InternalCheckError,
+    MonomialIdeal,
+    minimalize,
+)
 from artquot.torsion import FiniteModule
 
 Matrix = tuple  # tuple[tuple[Fraction, ...], ...], row-major
@@ -471,3 +480,24 @@ def upsets_by_mask_scan(module: FiniteModule) -> list[int]:
         ):
             out.append(mask)
     return out
+
+
+def envelope_of_submodule_bruteforce(
+    module: QuotientModule, exps: Sequence[ExponentVector],
+    operators: Sequence[Operator],
+) -> Subspace:
+    """{r*m : r in `operators`, m basis class, r^k m in N} on subspaces:
+    N is the span of the monomials `exps`, and each power r^k m, k <= dim+1,
+    is tested by `Subspace.contains`."""
+    n_space = monomial_span(module, exps)
+    vecs = list(n_space.rows)
+    for r in operators:
+        for b in range(module.dim):
+            vec = module.basis_element(module.basis[b])
+            power = vec
+            for _ in range(module.dim + 1):
+                power = sparse_apply(r, power)
+                if n_space.contains(power):
+                    vecs.append(sparse_apply(r, vec))
+                    break
+    return Subspace(module.dim, vecs)

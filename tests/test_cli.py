@@ -332,6 +332,38 @@ def test_oversized_staircase_exits_one(text, monkeypatch, capsys):
     assert "too large to enumerate" in err
 
 
+_NOT_UTF8 = b"ring x,y; ideal x^2, y^2\xff"
+
+
+def test_input_that_is_not_utf8_exits_one(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ideal.txt"
+    path.write_bytes(_NOT_UTF8)
+    err = _one_line_refusal(["basis", "--in", str(path)], None, monkeypatch, capsys)
+    assert err == "error: input is not UTF-8: byte 0xff at byte offset 24\n"
+    strict = io.TextIOWrapper(io.BytesIO(_NOT_UTF8), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", strict)
+    assert _one_line_refusal(["basis"], None, monkeypatch, capsys) == err
+
+
+# the long literals pass CPython's default int-string limit of 4300 digits
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["basis"], '{"ring": ' + "[" * 10**5 + "]" * 10**5 + ', "ideal": []}',
+         "JSON input is nested too deeply"),
+        (["basis"], '{"ring": ["x"], "ideal": ["x^2"], "pad": ' + "1" * 5000 + "}",
+         "JSON input has a number literal that is too long"),
+        (["basis"], "ring x; ideal x^" + "9" * 5000,
+         "integer literal of 5000 digits is too long (at position 16)"),
+        (["classify", "--ideal", "9" * 5000 + "*x"], FLAT7,
+         "integer literal of 5000 digits is too long (at position 0)"),
+    ],
+    ids=["nested-json", "long-json-number", "long-exponent", "long-coefficient"],
+)
+def test_malformed_input_exits_one(argv, text, message, monkeypatch, capsys):
+    assert _one_line_refusal(argv, text, monkeypatch, capsys) == f"error: {message}\n"
+
+
 def test_dimension_budget_is_exact(monkeypatch, capsys):
     # STAIR11 has dimension 11: accepted at a budget of 11, refused at 10
     monkeypatch.setattr(quotient, "MAX_DIM", 11)

@@ -19,7 +19,7 @@ from artquot.radical import (
     jacobson_radical,
     satisfies_radical_formula,
     semiprime_bruteforce,
-    _monomial_operators,
+    _monomial_maps,
     _upsets,
 )
 from artquot.reduced import monomials_up_to_degree
@@ -33,6 +33,16 @@ SMALL4 = '{"ring": ["x1","x2"], "ideal": ["x1^2", "x1*x2", "x2^3"]}'
 
 def module_from(text):
     return QuotientModule(*parse_input(text))
+
+
+def mask_of(m, exps):
+    """The slot mask of the standard monomials `exps`."""
+    return sum(1 << m.index[e] for e in exps)
+
+
+def span_of(m, mask):
+    """The span of the standard monomials in the slots of `mask`."""
+    return monomial_span(m, [e for b, e in enumerate(m.basis) if mask >> b & 1])
 
 
 def test_envelope_is_the_positive_degree_span():
@@ -60,6 +70,22 @@ def test_unit_check_is_live(monkeypatch, capsys):
         "internal check failed: "
         "a unit-like polynomial had a vanishing power on a nonzero element\n"
     )
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        # no up-set holds m*M, so the intersection is empty
+        ("_upsets", lambda m: [0], "semiprime intersection differs from the envelope of zero"),
+        # no monomial acts, so each envelope is N alone
+        ("_monomial_maps", lambda m: (), "submodule envelope differs from N + m*M"),
+    ],
+)
+def test_mask_checks_are_live(name, fake, message, monkeypatch, capsys):
+    monkeypatch.setattr(radical, name, fake)
+    monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
+    assert main(["radical"]) == 3
+    assert capsys.readouterr() == ("", f"internal check failed: {message}\n")
 
 
 def test_upset_count_on_known_staircase():
@@ -123,16 +149,16 @@ def test_semiprime_enumeration_on_known_staircase():
     assert report.upsets == tuple(u for u in _upsets(m) if u != full)
     assert report.unique
     assert len(report.semiprime) == 1
-    assert report.semiprime[0] == ((1, 0), (0, 1), (0, 2))
-    assert report.intersection.dim == 3
-    assert report.intersection == envelope_zero(m)
+    assert report.semiprime[0] == mask_of(m, [(1, 0), (0, 1), (0, 2)])
+    assert report.intersection.bit_count() == 3
+    assert span_of(m, report.intersection) == envelope_zero(m)
 
 
 def test_semiprime_unique_everywhere_within_bound():
     for _, m in sample_modules(25, seed=42, config=SamplerConfig(dim_bound=14)):
         report = semiprime_bruteforce(m, positive_degree_span(m))
         assert report.unique
-        assert report.intersection == envelope_zero(m)
+        assert span_of(m, report.intersection) == envelope_zero(m)
 
 
 def test_semiprime_needs_a_monomial_spanned_radical():
@@ -154,14 +180,33 @@ def test_submodule_envelope_matches_sum_with_radical():
     env = envelope_zero(m)
     # N = the up-set generated by x^2: {x^2, x^3, x^2*y}
     exps = [(2, 0), (3, 0), (2, 1)]
-    brute = envelope_of_submodule_bruteforce(m, exps, _monomial_operators(m))
-    assert brute == monomial_span(m, exps).sum(env)
+    brute = envelope_of_submodule_bruteforce(m, mask_of(m, exps), _monomial_maps(m))
+    assert span_of(m, brute) == monomial_span(m, exps).sum(env)
 
 
 def test_envelope_of_zero_submodule_is_the_radical():
     m = module_from(FLAT7)
-    operators = _monomial_operators(m)
-    assert envelope_of_submodule_bruteforce(m, [], operators) == envelope_zero(m)
+    maps = _monomial_maps(m)
+    assert span_of(m, envelope_of_submodule_bruteforce(m, 0, maps)) == envelope_zero(m)
+
+
+def test_mask_envelope_matches_the_subspace_reference():
+    # every up-set of the named modules and of 25 sampled ones, against the
+    # scan that tests each power with Subspace.contains
+    named = [
+        module_from(t)
+        for t in ("ring x,y; ideal x^7, y^2", STAIR11, "ring x,y,z; ideal x^2, y^2, z^2")
+    ]
+    sampled = [m for _, m in sample_modules(25, seed=44, config=SamplerConfig(dim_bound=14))]
+    assert max(m.dim for m in sampled) > 10
+    for m in named + sampled:
+        maps = _monomial_maps(m)
+        monos = [e for e in m.basis if sum(e) <= 6]
+        operators = [m.poly_matrix(poly_monomial(e)) for e in monos]
+        for mask in _upsets(m):
+            exps = [e for b, e in enumerate(m.basis) if mask >> b & 1]
+            expected = ref.envelope_of_submodule_bruteforce(m, exps, operators)
+            assert span_of(m, envelope_of_submodule_bruteforce(m, mask, maps)) == expected
 
 
 def test_full_report_on_known_module():
@@ -232,6 +277,13 @@ def test_radical_formula_scans_the_upsets_once(monkeypatch):
     assert len(scanned) == 5
 
 
+def _column_map(op):
+    """The slot map of a monomial's operator: each column is one unit
+    vector or zero."""
+    assert all(len(col) <= 1 and set(col.values()) <= {1} for col in op)
+    return tuple(next(iter(col), None) for col in op)
+
+
 def test_spot_checks_build_each_monomial_operator_once(monkeypatch):
     m = module_from(FLAT7)
     built = Counter()
@@ -242,25 +294,28 @@ def test_spot_checks_build_each_monomial_operator_once(monkeypatch):
         return original(poly)
 
     monkeypatch.setattr(m, "poly_matrix", counted)
-    table = _monomial_operators(m)
-    # the table is read off the stored shifts, not evaluated column by column
+    table = _monomial_maps(m)
+    # the table is read off the basis index, not evaluated column by column
     assert not built
     monkeypatch.undo()
-    # one entry per staircase monomial of degree <= 6, in basis order
+    # one map per staircase monomial of degree <= 6, in basis order, each
+    # the columns of the monomial's operator
     monos = [e for e in m.basis if sum(e) <= 6]
     assert len(table) == len(monos) == m.dim == 7
     assert all(
-        op == m.poly_matrix(poly_monomial(e)) for op, e in zip(table, monos)
+        r == _column_map(m.poly_matrix(poly_monomial(e))) for r, e in zip(table, monos)
     )
-    # the 28 operators of all monomials of degree <= 6, zero ones included,
+    # the 28 maps of all monomials of degree <= 6, zero ones included,
     # give the same envelope of every monomial submodule
-    full = [m.poly_matrix(poly_monomial(e)) for e in monomials_up_to_degree(m.n, 6)]
+    full = [
+        _column_map(m.poly_matrix(poly_monomial(e)))
+        for e in monomials_up_to_degree(m.n, 6)
+    ]
     assert len(full) == 28
     for mask in _upsets(m):
-        exps = radical._mask_monomials(m, mask)
-        assert envelope_of_submodule_bruteforce(m, exps, table) == (
-            envelope_of_submodule_bruteforce(m, exps, full)
+        assert envelope_of_submodule_bruteforce(m, mask, table) == (
+            envelope_of_submodule_bruteforce(m, mask, full)
         )
-    tables = _count_calls(monkeypatch, "_monomial_operators")
+    tables = _count_calls(monkeypatch, "_monomial_maps")
     assert satisfies_radical_formula(m).spot_checks == radical.SPOT_CHECKS == 3
     assert len(tables) == 1
