@@ -13,7 +13,6 @@ from .diagram import (
 )
 from .inverse import (
     InverseSystem,
-    apolarity,
     hilbert_duality_check,
     inverse_system,
     perp_of_submodule,
@@ -45,7 +44,6 @@ from .ring import (
     VariableSet,
     minimalize,
     parse_input,
-    parse_polynomial,
     render,
 )
 from .reduced import (
@@ -80,7 +78,6 @@ __all__ = [
     "Subspace",
     "TtfTag",
     "VariableSet",
-    "apolarity",
     "classify",
     "diagram_ascii",
     "diagram_cells",
@@ -98,7 +95,6 @@ __all__ = [
     "monomial_span",
     "outside_corners",
     "parse_input",
-    "parse_polynomial",
     "perp_of_submodule",
     "reduced_membership_oracle",
     "render",

@@ -247,10 +247,11 @@ def _report_rows(module: QuotientModule) -> list[dict]:
         },
         {
             "row": 3,
-            "left": f"M / (m M) = k, dim {dim - _positive_degree_dim(module)}",
+            # M / mM is the degree-0 part of M
+            "left": f"M / (m M) = k, dim {hs_m.coeffs[0]}",
             "right": "span{1} = k in the dual",
             "remark": "the residue field appears on both sides",
-            "ok": dim - _positive_degree_dim(module) == 1,
+            "ok": hs_m.coeffs[0] == 1,
         },
         {
             "row": 4,
@@ -296,11 +297,6 @@ def _report_rows(module: QuotientModule) -> list[dict]:
         },
     ]
     return rows
-
-
-def _positive_degree_dim(module: QuotientModule) -> int:
-    """Dimension of m*M: everything of positive degree in the staircase."""
-    return sum(1 for e in module.basis if total_degree(e) > 0)
 
 
 def _m_kills_reduced(module: QuotientModule, reduced) -> bool:

@@ -7,10 +7,10 @@ variables) by differentiation-style contraction:
                   0                        otherwise,
 
 extended bilinearly.  `contraction` holds that coefficient on exponent
-vectors and is the one home of the rule; `apolarity` extends it to
-polynomials.  In characteristic zero the inverse system of a monomial
-ideal is spanned by the dual staircase monomials, and the corner
-combinatorics of the staircase mirrors over to the dual side.
+vectors and is the one home of the rule; every check here reads monomials,
+so no polynomial is contracted.  In characteristic zero the inverse system
+of a monomial ideal is spanned by the dual staircase monomials, and the
+corner combinatorics of the staircase mirrors over to the dual side.
 
 `inverse_system` builds I-perp once, as a module of contraction operators
 on the staircase basis and index of M = R/I itself, with its grading, its
@@ -19,13 +19,15 @@ quotient); the inverse-system readings are read off it.  Its checks that
 the generators of I kill exactly the staircase duals run `contraction` on
 exponent vectors: on the maximal staircase duals, which every staircase
 dual divides, and on the minimal monomials outside the staircase, which
-every other outside monomial is a multiple of.
+every other outside monomial is a multiple of.  The truncated dual, all
+dual monomials of degree <= D, is I-perp of m^(D+1), built the same way;
+`truncated_dual_report` reads its contraction operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import perm, prod
 from typing import Sequence
 
@@ -46,10 +48,8 @@ from .ring import (
     VariableSet,
     ev_add,
     minimalize,
-    poly_monomial,
     total_degree,
 )
-from .reduced import monomials_up_to_degree
 from .torsion import FiniteModule, image_span
 
 
@@ -59,17 +59,6 @@ def contraction(a: ExponentVector, b: ExponentVector) -> int:
         raise AlgebraError("mismatched arities under apolarity")
     # perm(bi, ai) = bi!/(bi-ai)!, which is 0 when ai > bi
     return prod(map(perm, b, a))
-
-
-def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
-    """Contraction of a dual element by a polynomial, extended bilinearly."""
-    items = []
-    for a, ca in poly.terms.items():
-        for b, cb in dual.terms.items():
-            c = contraction(a, b)
-            if c:
-                items.append((tuple(bi - ai for ai, bi in zip(a, b)), ca * cb * c))
-    return Polynomial(items)
 
 
 class InverseSystem(QuotientModule):
@@ -198,21 +187,18 @@ def perp_of_submodule(
 # ---------------------------------------------------------------------------
 # the truncated full dual space
 
-@dataclass(frozen=True)
-class TruncatedDual:
-    """All dual monomials of degree <= degree_bound in n variables."""
-
-    n: int
-    degree_bound: int
-    basis: tuple[ExponentVector, ...]
-
-
-def truncated_dual(n: int, degree_bound: int) -> TruncatedDual:
+def truncated_dual(n: int, degree_bound: int) -> InverseSystem:
+    """All dual monomials of degree <= degree_bound in n variables: the
+    inverse system of m^(degree_bound + 1), whose generators are the
+    monomials of degree degree_bound + 1."""
     if n < 1 or degree_bound < 1:
         raise AlgebraError("need n >= 1 and degree_bound >= 1")
-    return TruncatedDual(
-        n, degree_bound, tuple(monomials_up_to_degree(n, degree_bound))
+    variables = VariableSet(tuple(f"x{i}" for i in range(1, n + 1)))
+    power = minimalize(
+        tuple(c.count(i) for i in range(n))
+        for c in combinations_with_replacement(range(n), degree_bound + 1)
     )
+    return inverse_system(QuotientModule(variables, power))
 
 
 @dataclass(frozen=True)
@@ -232,73 +218,71 @@ class DualTruncationReport:
     witnesses: tuple[tuple[ExponentVector, ExponentVector, ExponentVector], ...]
 
 
+def _witness_pair(
+    e: ExponentVector, j: int, reduced: bool
+) -> tuple[ExponentVector, ExponentVector]:
+    """(x_j^(s+1), x_j) for s = e_j >= 1, checked to show that X^e is not
+    reduced: the power kills X^e and the variable does not."""
+    kill = tuple((e[j] + 1) * int(t == j) for t in range(len(e)))
+    single = tuple(int(t == j) for t in range(len(e)))
+    if contraction(kill, e):
+        raise InternalCheckError(
+            f"reduced witness fails to kill {e}"
+            if reduced
+            else f"power witness fails to kill {e}"
+        )
+    if not contraction(single, e):
+        raise InternalCheckError(
+            f"reduced witness wrongly kills {e}"
+            if reduced
+            else f"variable witness wrongly kills {e}"
+        )
+    return kill, single
+
+
 def truncated_dual_report(n: int, split_index: int, degree_bound: int) -> DualTruncationReport:
     """Check the reducedness dichotomy on the degree-truncated dual space.
 
     Splitting the variables at `split_index` (written i below): the ideal
     generated by the trailing variables x_{i+1}..x_n contracts the leading
-    subring (dual monomials in the first i variables) to zero; a dual
+    subring (dual monomials in the first i variables) to zero, so their
+    columns of the trailing contraction operators are empty; a dual
     monomial outside that subring carries a trailing variable x_j to the
     power s >= 1, and then x_j^(s+1) kills it while x_j does not; and every
     dual monomial other than 1 admits such a witness pair for some variable
-    it contains, so only the constants are reduced.
+    it contains, so only the constants are reduced.  The constant 1 is
+    moved by no variable, hence by no monomial of positive degree.
     """
     if not 0 <= split_index <= n:
         raise AlgebraError("split index out of range")
-    td = truncated_dual(n, degree_bound)
-    ann_checks = 0
-    mem_checks = 0
+    system = truncated_dual(n, degree_bound)
+    trailing = system.action[split_index:]
+    subring = ann_checks = mem_checks = 0
     witnesses = []
-    for e in td.basis:
-        dual = poly_monomial(e)
-        in_subring = all(e[j] == 0 for j in range(split_index, n))
-        if in_subring:
-            for j in range(split_index, n):
-                step = tuple(int(t == j) for t in range(n))
-                if not apolarity(poly_monomial(step), dual).is_zero:
+    for k, e in enumerate(system.basis):
+        if not any(e[split_index:]):
+            subring += 1
+            for op in trailing:
+                if op[k]:
                     raise InternalCheckError(
                         f"trailing variable fails to annihilate {e}"
                     )
                 ann_checks += 1
         else:
-            j = next(
-                j for j in range(split_index, n) if e[j] > 0
-            )
-            s = e[j]
-            kill = tuple((s + 1) * int(t == j) for t in range(n))
-            single = tuple(int(t == j) for t in range(n))
-            if not apolarity(poly_monomial(kill), dual).is_zero:
-                raise InternalCheckError(f"power witness fails to kill {e}")
-            if apolarity(poly_monomial(single), dual).is_zero:
-                raise InternalCheckError(f"variable witness wrongly kills {e}")
+            j = next(j for j in range(split_index, n) if e[j])
+            _witness_pair(e, j, reduced=False)
             mem_checks += 1
         if any(e):
-            j = next(j for j in range(n) if e[j] > 0)
-            s = e[j]
-            kill = tuple((s + 1) * int(t == j) for t in range(n))
-            single = tuple(int(t == j) for t in range(n))
-            if not apolarity(poly_monomial(kill), dual).is_zero:
-                raise InternalCheckError(f"reduced witness fails to kill {e}")
-            if apolarity(poly_monomial(single), dual).is_zero:
-                raise InternalCheckError(f"reduced witness wrongly kills {e}")
-            witnesses.append((e, kill, single))
-        else:
-            # the constant: no monomial a of positive degree has a o 1 != 0,
-            # so no witness pair can exist and 1 stays reduced
-            for a in monomials_up_to_degree(n, degree_bound + 1):
-                if any(a) and not apolarity(poly_monomial(a), dual).is_zero:
-                    raise InternalCheckError("a positive-degree monomial moved 1")
+            j = next(j for j in range(n) if e[j])
+            witnesses.append((e, *_witness_pair(e, j, reduced=True)))
+        elif any(op[k] for op in system.action):
+            raise InternalCheckError("a positive-degree monomial moved 1")
     return DualTruncationReport(
         n=n,
         split_index=split_index,
         degree_bound=degree_bound,
-        subring_size=sum(
-            1
-            for e in td.basis
-            if all(e[j] == 0 for j in range(split_index, n))
-        ),
+        subring_size=subring,
         annihilation_checks=ann_checks,
         membership_checks=mem_checks,
         witnesses=tuple(witnesses),
     )
-

@@ -94,29 +94,23 @@ def reduced_membership_oracle(
 
 
 def is_coreduced_subspace(
-    module: QuotientModule,
-    space: Subspace,
-    degree_bound: int = 2,
-    trials: int = 8,
-    seed: int = 0,
+    module: QuotientModule, space: Subspace, witnesses: Sequence[Polynomial]
 ) -> bool:
     """Whether the submodule N spanned by `space` satisfies aN = a^2 N for all a.
 
     Exact criterion: N is coreduced iff every variable kills N.  The verdict
-    is cross-validated by sampling monomials up to `degree_bound` and seeded
-    random polynomials; disagreement raises InternalCheckError.  Raises
+    is cross-validated on `witnesses`, built once per module by
+    `witness_candidates`; disagreement raises InternalCheckError.  Raises
     AlgebraError when `space` is not closed under the module action.
     """
     if space.ambient != module.dim:
         raise AlgebraError("subspace does not live in this module")
-    if degree_bound < 1:
-        raise AlgebraError("degree_bound must be at least 1")
     images = [sparse_apply(op, row) for row in space.rows for op in module.action]
     if not all(space.contains(v) for v in images):
         raise AlgebraError("subspace is not a submodule")
     exact = not any(images)
     violated = False
-    for a in witness_candidates(module.n, degree_bound, trials, seed):
+    for a in witnesses:
         a_rows = [module.act(a, r) for r in space.rows]
         a_im = Subspace(module.dim, a_rows)
         # a^2 N = a(aN)

@@ -497,9 +497,7 @@ def _parse_poly_term(cur: _Cursor, variables: VariableSet):
     return tuple(exps), coeff
 
 
-def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
-    """Parse an integer/rational-coefficient polynomial like `x^2 - 2*x*y + 1`."""
-    cur = _Cursor(text)
+def _parse_polynomial(cur: _Cursor, variables: VariableSet) -> Polynomial:
     terms = []
     sign = -1 if cur.try_char("-") else 1
     while True:
@@ -511,14 +509,27 @@ def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
             sign = -1
         else:
             break
-    if not cur.eof():
-        raise ParseError("trailing input", cur.pos)
     return Polynomial(terms)
 
 
+def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
+    """Parse an integer/rational-coefficient polynomial like `x^2 - 2*x*y + 1`."""
+    cur = _Cursor(text)
+    poly = _parse_polynomial(cur, variables)
+    if not cur.eof():
+        raise ParseError("trailing input", cur.pos)
+    return poly
+
+
 def parse_polynomial_list(text: str, variables: VariableSet) -> tuple[Polynomial, ...]:
-    """Comma-separated polynomials, e.g. ideal generators for torsion predicates."""
-    parts = [p for p in text.split(",")]
-    if not any(p.strip() for p in parts):
+    """Comma-separated polynomials, e.g. ideal generators for torsion
+    predicates; error positions count from the start of `text`."""
+    if not text.replace(",", " ").strip():
         raise ParseError("empty generator set")
-    return tuple(parse_polynomial(p, variables) for p in parts)
+    cur = _Cursor(text)
+    polys = [_parse_polynomial(cur, variables)]
+    while cur.try_char(","):
+        polys.append(_parse_polynomial(cur, variables))
+    if not cur.eof():
+        raise ParseError("trailing input", cur.pos)
+    return tuple(polys)

@@ -90,9 +90,8 @@ def _coreduced_case(seed: int, module: QuotientModule):
     sampled aN = a^2 N comparisons."""
     socle_span = largest_reduced_submodule(module, outside_corners(module))
     bound = max(max(g) for g in module.ideal.min_gens)
-    if not is_coreduced_subspace(
-        module, socle_span, degree_bound=max(2, bound), trials=20, seed=seed
-    ):
+    witnesses = witness_candidates(module.n, max(2, bound), 20, seed)
+    if not is_coreduced_subspace(module, socle_span, witnesses):
         raise InternalCheckError("the socle failed the coreducedness criterion")
 
 

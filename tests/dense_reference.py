@@ -16,7 +16,9 @@ which the order-ideal walk `radical._upsets` replaced, and the submodule
 envelope scan on subspaces, which `radical`'s scan on staircase slot masks
 replaced.  The differential tests require the sparse code to give the
 same matrices, subspaces, echelon forms and tags, and both unit checks to
-pass.
+pass.  `apolarity`, the contraction extended bilinearly to polynomials, is
+the reference the inverse-system tests hold the exponent-vector
+`inverse.contraction` and the contraction operators to.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
+from artquot.inverse import contraction
 from artquot.linalg import Operator, Subspace, kernel, op_mul, op_transpose, sparse_apply
 from artquot.quotient import QuotientModule, monomial_span
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
@@ -36,6 +39,7 @@ from artquot.ring import (
     ExponentVector,
     InternalCheckError,
     MonomialIdeal,
+    Polynomial,
     minimalize,
 )
 from artquot.torsion import FiniteModule
@@ -501,3 +505,14 @@ def envelope_of_submodule_bruteforce(
                     vecs.append(sparse_apply(r, vec))
                     break
     return Subspace(module.dim, vecs)
+
+
+def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
+    """Contraction of a dual element by a polynomial, extended bilinearly."""
+    items = []
+    for a, ca in poly.terms.items():
+        for b, cb in dual.terms.items():
+            c = contraction(a, b)
+            if c:
+                items.append((tuple(bi - ai for ai, bi in zip(a, b)), ca * cb * c))
+    return Polynomial(items)

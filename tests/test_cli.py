@@ -357,8 +357,15 @@ def test_input_that_is_not_utf8_exits_one(tmp_path, monkeypatch, capsys):
          "integer literal of 5000 digits is too long (at position 16)"),
         (["classify", "--ideal", "9" * 5000 + "*x"], FLAT7,
          "integer literal of 5000 digits is too long (at position 0)"),
+        # positions count from the start of the option value, not of the
+        # generator after the last comma
+        (["classify", "--ideal", "x, 2*q"], FLAT7,
+         "unknown variable 'q' (at position 5)"),
+        (["classify", "--ideal", "x, " + "9" * 5000], FLAT7,
+         "integer literal of 5000 digits is too long (at position 3)"),
     ],
-    ids=["nested-json", "long-json-number", "long-exponent", "long-coefficient"],
+    ids=["nested-json", "long-json-number", "long-exponent", "long-coefficient",
+         "second-generator", "long-second-coefficient"],
 )
 def test_malformed_input_exits_one(argv, text, message, monkeypatch, capsys):
     assert _one_line_refusal(argv, text, monkeypatch, capsys) == f"error: {message}\n"

@@ -9,6 +9,7 @@ import io
 import re
 from itertools import product
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,6 @@ from artquot.cli import main
 from artquot.instances import sample_ideals, sample_modules
 from artquot.inverse import (
     InverseSystem,
-    apolarity,
     contraction,
     hilbert_duality_check,
     inverse_system,
@@ -39,7 +39,7 @@ from artquot.ring import (
     poly_monomial,
 )
 from artquot.suites import run_suite
-from dense_reference import complement_min_gens, full_space
+from dense_reference import apolarity, complement_min_gens, full_space
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
 SMALL4 = '{"ring": ["x1","x2"], "ideal": ["x1^2", "x1*x2", "x2^3"]}'
@@ -227,6 +227,43 @@ def test_truncated_dual_basis():
     assert td.basis == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     with pytest.raises(AlgebraError):
         truncated_dual(0, 2)
+
+
+def test_truncated_dual_is_the_inverse_system_of_a_power_of_m():
+    for n in range(1, 5):
+        for bound in range(1, 6):
+            td = truncated_dual(n, bound)
+            assert isinstance(td, InverseSystem)
+            assert td.basis == tuple(monomials_up_to_degree(n, bound))
+            top = [e for e in monomials_up_to_degree(n, bound + 1) if sum(e) > bound]
+            assert td.ideal == minimalize(top)
+    with pytest.raises(AlgebraError):
+        truncated_dual(2, 0)
+
+
+def test_truncated_dual_checks_are_live(monkeypatch):
+    # the report reads the system's operators and inverse.contraction; each
+    # case breaks one of them on the real degree <= 2 dual in x, y
+    system = truncated_dual(2, 2)
+    moves_all = tuple(tuple({0: 1} for _ in op) for op in system.action)
+    moves_one = tuple(({0: 1},) + op[1:] for op in system.action)
+    cases = [
+        # (split, operators, contraction value, message)
+        (1, moves_all, None, "trailing variable fails to annihilate (0, 0)"),
+        (2, moves_one, None, "a positive-degree monomial moved 1"),
+        (0, system.action, 1, "power witness fails to kill (1, 0)"),
+        (0, system.action, 0, "variable witness wrongly kills (1, 0)"),
+        (2, system.action, 1, "reduced witness fails to kill (1, 0)"),
+        (2, system.action, 0, "reduced witness wrongly kills (1, 0)"),
+    ]
+    for split, action, value, message in cases:
+        broken = SimpleNamespace(basis=system.basis, action=action)
+        with monkeypatch.context() as m:
+            m.setattr(inverse, "truncated_dual", lambda n, bound: broken)
+            if value is not None:
+                m.setattr(inverse, "contraction", lambda a, b: value)
+            with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+                truncated_dual_report(2, split, 2)
 
 
 def test_truncation_report_witnesses_check_out():

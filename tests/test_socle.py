@@ -122,7 +122,7 @@ def test_ideal_reducedness_cases():
 def test_socle_is_coreduced():
     for _, m in sample_modules(25, seed=24):
         span = largest_reduced_submodule(m, outside_corners(m))
-        assert is_coreduced_subspace(m, span, degree_bound=2, trials=10)
+        assert is_coreduced_subspace(m, span, witness_candidates(m.n, 2, 10, 0))
 
 
 def test_acting_twice_is_acting_by_the_square():
@@ -138,19 +138,19 @@ def test_acting_twice_is_acting_by_the_square():
 def test_positive_degree_span_is_not_coreduced_when_layered():
     m = module_from("ring x; ideal x^3")
     span = positive_degree_span(m)  # {x, x^2}: x*N = {x^2} but x^2*N = 0
-    assert not is_coreduced_subspace(m, span, degree_bound=3, trials=10)
+    assert not is_coreduced_subspace(m, span, witness_candidates(m.n, 3, 10, 0))
 
 
 def test_coreduced_rejects_non_submodules():
     m = module_from(FLAT7)
     not_closed = Subspace(m.dim, [m.basis_element((1, 0))])
     with pytest.raises(AlgebraError):
-        is_coreduced_subspace(m, not_closed)
+        is_coreduced_subspace(m, not_closed, witness_candidates(m.n, 2, 8, 0))
 
 
 def test_zero_subspace_is_coreduced():
     m = module_from(FLAT7)
-    assert is_coreduced_subspace(m, Subspace(m.dim))
+    assert is_coreduced_subspace(m, Subspace(m.dim), witness_candidates(m.n, 2, 8, 0))
 
 
 def test_monomials_up_to_degree():
@@ -214,7 +214,7 @@ def test_each_suite_case_finds_the_corners_once(suite, monkeypatch):
     assert len(seen) == len({id(m) for m in seen}) == 4
 
 
-def test_socle_equality_case_builds_the_witnesses_once(monkeypatch):
+def _count_witness_lists(monkeypatch) -> list:
     built = []
     original = reduced.witness_candidates
 
@@ -223,5 +223,19 @@ def test_socle_equality_case_builds_the_witnesses_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(suites, "witness_candidates", counted)
+    monkeypatch.setattr(reduced, "witness_candidates", counted)
+    return built
+
+
+def test_socle_equality_case_builds_the_witnesses_once(monkeypatch):
+    built = _count_witness_lists(monkeypatch)
     assert run_suite("socle-equality", 4, 0).ok
     assert len(built) == 4
+
+
+def test_coreduced_case_builds_the_witnesses_once(monkeypatch):
+    built = _count_witness_lists(monkeypatch)
+    assert run_suite("coreduced", 4, 0).ok
+    assert len(built) == 4
+    # the degree bound is at least 2, the sample 20 polynomials
+    assert all(bound >= 2 and trials == 20 for _, bound, trials, _ in built)
