@@ -247,7 +247,3 @@ def op_inverse(op: Operator) -> Operator:
         raise AlgebraError("the operator is singular")
     right = tuple({j - d: x for j, x in row.items() if j >= d} for row in rows)
     return op_transpose(right)
-
-
-def is_invertible(op: Operator) -> bool:
-    return len(_echelon(op, len(op))) == len(op)

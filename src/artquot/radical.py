@@ -5,15 +5,15 @@ m; for an Artinian monomial quotient its span, the Jacobson radical, and
 the intersection of the semiprime submodules all equal the span of the
 positive-degree standard monomials.  Alongside the span, every variable is
 checked nilpotent and every seeded unit (a polynomial with nonzero constant
-term) is checked to act invertibly, by the exact rank of its operator: no
-power of a unit kills a nonzero element.  Semiprime submodules are
-found among the monomial submodules, which are exactly the up-closed
-subsets (order ideals) of the staircase under divisibility, enumerated by
-one walk over the basis.  After the envelope and Jacobson checks, which
-compare exact subspaces, a monomial submodule is a bitmask over the
-staircase slots: the envelope is read into one mask, and the semiprime
-intersection and the spot-checked submodule envelopes are masks, each
-monomial acting on slots by one map read off the basis index.
+term) invertible by the slot order: the staircase is listed in grlex order,
+so a positive-degree monomial sends each slot to a later slot or to zero.
+Semiprime submodules are found among the monomial submodules, which are
+exactly the up-closed subsets (order ideals) of the staircase under
+divisibility, enumerated by one walk over the basis.  After the envelope
+and Jacobson checks, which compare exact subspaces, a monomial submodule is
+a bitmask over the staircase slots: the envelope is read into one mask, and
+the semiprime intersection and the spot-checked submodule envelopes are
+masks, each monomial acting on slots by one map read off the basis index.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Subspace, is_invertible, op_power
+from .linalg import Subspace
 from .quotient import QuotientModule, positive_degree_span
-from .ring import AlgebraError, InternalCheckError, ev_add, total_degree
+from .ring import AlgebraError, ExponentVector, InternalCheckError, ev_add, total_degree
 from .reduced import _random_poly
 from .torsion import image_span
 
@@ -35,24 +35,32 @@ UNIT_TRIALS = 20
 SPOT_CHECKS = 3
 
 
+def _slot_map(module: QuotientModule, e: ExponentVector) -> tuple[int | None, ...]:
+    """x^e on the staircase slots: b -> the slot of x^e * basis[b], None in I."""
+    return tuple(module.index.get(ev_add(e, f)) for f in module.basis)
+
+
 def envelope_zero(module: QuotientModule, seed: int = 0) -> Subspace:
     """Span of {r*m : r^k m = 0 for some k}, which is m*M here.
 
-    Two exact checks run alongside the span.  Every variable is nilpotent:
-    its d-th power is the zero operator, d = dim M.  Every one of
-    UNIT_TRIALS seeded units r (polynomials with nonzero constant term)
-    acts by an invertible operator, so no power of r kills a nonzero
-    element; the rank of the operator covers every element at once.
+    Two exact checks run alongside the span, read off the slot order.
+    Every variable sends each slot b to later slots only, so it is strictly
+    lower triangular and nilpotent.  Each of UNIT_TRIALS seeded units
+    r = c + sum a_e x^e with c != 0 has terms whose slot maps send each slot
+    to a later slot or to None: r is c*I plus a strictly lower-triangular
+    part, of determinant c^dim != 0, so no power of r kills a nonzero element.
     """
     span = image_span(module.action, module.dim)
     # every variable multiple of a basis class lands in the envelope
     for op in module.action:
-        if any(op_power(op, module.dim)):
+        if any(t <= b for b, col in enumerate(op) for t in col):
             raise InternalCheckError("a variable failed to be nilpotent")
     rng = random.Random(seed)
     for _ in range(UNIT_TRIALS):
         r = _random_poly(rng, module.n, 2, constant=True)
-        if r.constant_term() != 0 and not is_invertible(module.poly_matrix(r)):
+        lowers = (t is not None and t <= b for e in r.terms if any(e)
+                  for b, t in enumerate(_slot_map(module, e)))
+        if r.constant_term() != 0 and any(lowers):
             raise InternalCheckError(
                 "a unit-like polynomial had a vanishing power on a nonzero element"
             )
@@ -84,12 +92,12 @@ def _slot_mask(space: Subspace) -> int:
 
 
 def _upsets(module: QuotientModule) -> list[int]:
-    """All monomial submodules (up-closed staircase subsets), as ascending
-    bitmasks.
+    """All monomial submodules, the up-closed staircase subsets, as sorted masks.
 
-    Grlex extends divisibility, so every single-variable shift of slot b
-    has a larger index.  Walking the slots from last to first, slot b
-    joins each up-set already found that holds all of its shifts.
+    Grlex extends divisibility, so every single-variable shift of slot b has
+    a larger index; envelope_zero's nilpotency check verifies this first.
+    Walking the slots from last to first, slot b joins each up-set already
+    found that holds all of its shifts.
     """
     out = [0]
     for b in reversed(range(module.dim)):
@@ -145,14 +153,10 @@ def semiprime_bruteforce(module: QuotientModule, mm: Subspace) -> SemiprimeRepor
 
 
 def _monomial_maps(module: QuotientModule) -> tuple[tuple[int | None, ...], ...]:
-    """The spot checks' r: each monomial x^e of degree <= 6 that is not
-    zero, i.e. each staircase monomial, in basis order, as the slot map
-    b -> the slot of x^e * basis[b], None inside I.  A zero map would add
-    nothing to an envelope, so leaving it out changes no spot check."""
-    return tuple(
-        tuple(module.index.get(ev_add(e, f)) for f in module.basis)
-        for e in module.basis if total_degree(e) <= 6
-    )
+    """The spot checks' r: the slot map of each staircase monomial of degree
+    <= 6, in basis order; the zero maps of the other monomials would add
+    nothing to an envelope."""
+    return tuple(_slot_map(module, e) for e in module.basis if total_degree(e) <= 6)
 
 
 def envelope_of_submodule_bruteforce(

@@ -6,7 +6,9 @@ variable acts by a row-major tuple of Fraction rows, products are dense
 chains (ascending annihilators of J^k, descending images J^k M) that
 artquot.torsion replaced by Fitting's lemma.  The earlier row reduction on
 dense tuples is kept too, and so is the sampled-vector unit check that
-artquot.radical replaced by the rank of each unit's operator, and the
+artquot.radical replaced by the rank of each unit's operator, and that
+rank test, `is_invertible` on the sparse forward pass, which
+artquot.radical replaced in turn by reading the slot order, and the
 sampler's dense draws of a base matrix and of a change of basis with its
 inverse by triangular solves, which artquot.instances replaced by sparse
 columns and `linalg.op_inverse`.  So is the box walk for the minimal
@@ -15,8 +17,8 @@ and the scan of all 2^dim bitmasks for the up-closed staircase subsets,
 which the order-ideal walk `radical._upsets` replaced, and the submodule
 envelope scan on subspaces, which `radical`'s scan on staircase slot masks
 replaced.  The differential tests require the sparse code to give the
-same matrices, subspaces, echelon forms and tags, and both unit checks to
-pass.  `apolarity`, the contraction extended bilinearly to polynomials, is
+same matrices, subspaces, echelon forms and tags, and the unit checks to
+agree.  `apolarity`, the contraction extended bilinearly to polynomials, is
 the reference the inverse-system tests hold the exponent-vector
 `inverse.contraction` and the contraction operators to.
 """
@@ -31,7 +33,9 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from artquot.inverse import contraction
-from artquot.linalg import Operator, Subspace, kernel, op_mul, op_transpose, sparse_apply
+from artquot.linalg import (
+    Operator, Subspace, _echelon, kernel, op_mul, op_transpose, sparse_apply,
+)
 from artquot.quotient import QuotientModule, monomial_span
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
 from artquot.ring import (
@@ -144,6 +148,12 @@ def rref(vectors: Iterable[Sequence], width: int):
 def rank(vectors: Iterable[Sequence], width: int) -> int:
     """Rank of dense rows: the number of pivots of the dense rref."""
     return len(rref(vectors, width)[0])
+
+
+def is_invertible(op: Operator) -> bool:
+    """Whether a square sparse operator has full rank, by the forward pass
+    of `linalg.rref`: its pivot rows have distinct leading columns."""
+    return len(_echelon(op, len(op))) == len(op)
 
 
 def coords(space: Subspace, vec: dict) -> tuple:

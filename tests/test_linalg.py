@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from artquot import linalg
 from artquot.linalg import (
     Subspace,
-    is_invertible,
     kernel,
     op_inverse,
     op_mul,
@@ -29,7 +28,7 @@ from artquot.linalg import (
 )
 from artquot.instances import SamplerConfig, sample_modules
 from artquot.quotient import QuotientModule
-from artquot.radical import UNIT_TRIALS
+from artquot.radical import UNIT_TRIALS, _slot_map
 from artquot.reduced import _random_poly
 from artquot.ring import AlgebraError, Polynomial, parse_input, poly_monomial
 from artquot.torsion import FiniteModule
@@ -38,6 +37,7 @@ from dense_reference import (
     coords,
     dense,
     full_space,
+    is_invertible,
     operator_from_rows,
     operator_rows,
     rank,
@@ -297,14 +297,22 @@ def test_is_invertible_agrees_with_dense_rank(op):
 
 
 def test_is_invertible_agrees_with_dense_rank_on_unit_operators():
-    # the seeded units radical.envelope_zero checks, drawn the same way
+    # the seeded units radical.envelope_zero checks, drawn the same way: its
+    # slot-order verdict (a nonzero constant, and every positive-degree
+    # term sends each slot to a later one or to None) is the dense rank's
     for seed, m in sample_modules(12, seed=8, config=SamplerConfig(dim_bound=30)):
         rng = random.Random(seed)
         for _ in range(UNIT_TRIALS):
             r = _random_poly(rng, m.n, 2, constant=True)
             op = m.poly_matrix(r)
             full = rank(operator_rows(op), m.dim) == m.dim
-            assert is_invertible(op) == full == (r.constant_term() != 0)
+            raises = all(
+                t is None or t > b
+                for e in r.terms if any(e)
+                for b, t in enumerate(_slot_map(m, e))
+            )
+            slot_verdict = r.constant_term() != 0 and raises
+            assert is_invertible(op) == full == slot_verdict == (r.constant_term() != 0)
 
 
 @st.composite

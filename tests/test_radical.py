@@ -8,10 +8,10 @@ from math import comb
 import pytest
 
 import dense_reference as ref
-from artquot import radical
+from artquot import cli, radical
 from artquot.cli import main
 from artquot.instances import SamplerConfig, sample_modules
-from artquot.linalg import Subspace
+from artquot.linalg import Subspace, op_power
 from artquot.quotient import QuotientModule, monomial_span, positive_degree_span
 from artquot.radical import (
     envelope_of_submodule_bruteforce,
@@ -20,6 +20,7 @@ from artquot.radical import (
     satisfies_radical_formula,
     semiprime_bruteforce,
     _monomial_maps,
+    _slot_map,
     _upsets,
 )
 from artquot.reduced import monomials_up_to_degree
@@ -60,8 +61,48 @@ def test_unit_check_agrees_with_sampled_vectors(seed):
         envelope_zero(m, seed=seed)
 
 
+def test_variables_are_triangular_exactly_when_nilpotent_on_samples():
+    # on staircase modules the slot-order reading and the d-th power agree
+    draws = [m for _, m in sample_modules(40, seed=45, config=SamplerConfig(dim_bound=60))]
+    assert max(m.dim for m in draws) > 30
+    for m in draws:
+        for op in m.action:
+            triangular = all(t > b for b, col in enumerate(op) for t in col)
+            assert triangular == (not any(op_power(op, m.dim)))
+        envelope_zero(m)
+
+
+def test_slot_maps_are_the_monomial_operators():
+    # every monomial of degree <= 2, the staircase ones and those in I
+    named = [module_from(t) for t in (FLAT7, STAIR11, "ring x,y,z; ideal x^2, y^2, z^2")]
+    sampled = [m for _, m in sample_modules(20, seed=46, config=SamplerConfig(dim_bound=30))]
+    for m in named + sampled:
+        for e in monomials_up_to_degree(m.n, 2):
+            assert _slot_map(m, e) == _column_map(m.poly_matrix(poly_monomial(e)))
+
+
+class _BackwardsShift(QuotientModule):
+    """k[x]/(x^3) with x acting by 1 -> x -> 0 and x^2 -> 1: nilpotent
+    (its cube is zero), but slot 2 goes to the earlier slot 0."""
+
+    def _operator(self, i):
+        return ({1: 1}, {}, {0: 1})
+
+
+def test_nilpotency_check_is_live(monkeypatch, capsys):
+    mutant = _BackwardsShift(*parse_input("ring x; ideal x^3"))
+    assert not any(op_power(mutant.action[0], mutant.dim))
+    monkeypatch.setattr(cli, "_read_module", lambda args: mutant)
+    assert main(["radical"]) == 3
+    assert capsys.readouterr() == (
+        "", "internal check failed: a variable failed to be nilpotent\n"
+    )
+
+
 def test_unit_check_is_live(monkeypatch, capsys):
-    monkeypatch.setattr(radical, "is_invertible", lambda op: False)
+    # every term fixes every slot, so no unit reads as c*I plus a strictly
+    # triangular part
+    monkeypatch.setattr(radical, "_slot_map", lambda module, e: tuple(range(module.dim)))
     monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
     assert main(["radical"]) == 3
     out, err = capsys.readouterr()
