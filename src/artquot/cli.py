@@ -106,22 +106,23 @@ def cmd_socle(args) -> int:
 
 def cmd_dual(args) -> int:
     system = inverse_system(_read_module(args))
-    corners = system.corners
-    corner_set = set(corners)
-    inner = [e for e in system.basis if e not in corner_set]
+    labels = system.labels()
+    corner_set = set(system.corners)
+    corners = [labels[system.index[e]] for e in system.corners]
+    inner = [s for e, s in zip(system.basis, labels) if e not in corner_set]
     payload = {
         "dim": system.dim,
-        "dual_basis": system.labels(),
+        "dual_basis": labels,
         "hilbert": list(system.grading.coeffs),
-        "dual_corners": [system.label(e) for e in corners],
-        "inner": [system.label(e) for e in inner],
+        "dual_corners": corners,
+        "inner": inner,
     }
     lines = [
         f"dual dim {system.dim}",
-        "dual basis " + ", ".join(system.labels()),
+        "dual basis " + ", ".join(labels),
         f"hilbert {system.grading}",
-        "dual corners " + ", ".join(system.label(e) for e in corners),
-        "inner " + ", ".join(system.label(e) for e in inner),
+        "dual corners " + ", ".join(corners),
+        "inner " + ", ".join(inner),
     ]
     return _emit(args, system, payload, lines)
 

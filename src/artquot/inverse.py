@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import perm, prod
+from operator import sub
 from typing import Sequence
 
-from .linalg import Operator, Subspace
+from .linalg import Operator, SlotMap, Subspace
 from .quotient import (
     HilbertSeries,
     QuotientModule,
@@ -46,7 +47,6 @@ from .ring import (
     MonomialIdeal,
     Polynomial,
     VariableSet,
-    ev_add,
     minimalize,
     total_degree,
 )
@@ -67,8 +67,9 @@ class InverseSystem(QuotientModule):
     Variables, ideal, basis and index are those of the module M = R/I it is
     built from; only the operators and the labels differ.  Column e of
     action[i] is contraction by x_i, which is e_i X^(e - s_i) for the i-th
-    unit exponent vector s_i.  inverse_system builds it and stores the
-    checked structures below.
+    unit exponent vector s_i, and contraction by x^e is the slot map
+    `monomial_map` (coefficient b!/(b-e)! in column b).  inverse_system
+    builds it and stores the checked structures below.
     """
 
     grading: HilbertSeries
@@ -78,23 +79,35 @@ class InverseSystem(QuotientModule):
     def __init__(self, module: QuotientModule):
         self.variables, self.ideal = module.variables, module.ideal
         self.basis, self.index = module.basis, module.index
+        self.names = module.variables.dual_names()
         ops = tuple(self._operator(i) for i in range(module.n))
         FiniteModule.__init__(self, module.n, module.dim, ops)
 
     def _operator(self, i: int) -> Operator:
+        get = self.index.get
         cols = []
         for e in self.basis:
-            if e[i] == 0:
+            k = e[i]
+            if not k:
                 cols.append({})
                 continue
-            pos = self.index.get(tuple(v - int(j == i) for j, v in enumerate(e)))
+            pos = get(e[:i] + (k - 1,) + e[i + 1:])
             if pos is None:
                 raise InternalCheckError("dual staircase is not downward closed")
-            cols.append({pos: e[i]})
+            cols.append({pos: k})
         return tuple(cols)
 
-    def _names(self) -> tuple[str, ...]:
-        return self.variables.dual_names()
+    def monomial_map(self, exps: ExponentVector) -> SlotMap:
+        """Contraction by x^exps on the dual slots: X^b -> (b!/(b-exps)!)
+        X^(b-exps) when exps divides b, else nothing.  The operators have
+        checked that the basis is downward closed, so X^(b-exps) is in it."""
+        index = self.index
+        slots, coeffs = [], []
+        for b in self.basis:
+            c = contraction(exps, b)
+            slots.append(index[tuple(map(sub, b, exps))] if c else None)
+            coeffs.append(c)
+        return SlotMap(tuple(slots), tuple(coeffs))
 
 
 def inverse_system(module: QuotientModule) -> InverseSystem:
@@ -112,10 +125,10 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
     system = InverseSystem(module)
     basis, n = system.basis, module.n
     gens = module.ideal.min_gens
-    steps = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     maximal, non_maximal = [], []
-    for e in basis:
-        grows = any(ev_add(e, s) in system.index for s in steps)
+    # X^e is non-maximal when some shift of M moves x^e
+    for k, e in enumerate(basis):
+        grows = any(op[k] for op in module.action)
         (non_maximal if grows else maximal).append(e)
     for e in maximal:
         for g in gens:

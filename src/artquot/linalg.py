@@ -15,13 +15,26 @@ row is scaled to integers, eliminated against the current pivot rows by
 integer cross-multiplication (with gcd normalization to keep entries
 small), back-substituted the same way, and only the final division by each
 pivot can make a Fraction, where the pivot does not divide an entry.
+
+Operators with at most one entry per column have a second, single-entry
+form: a slot map (`SlotMap`), the target slot of each column or None for
+an empty one, and a coefficient per column (0 for an empty one).  Every
+operator a staircase module builds has it: the shifts of M, the
+contractions of I-perp (coefficient e_i), their transposes (both are
+injective on the slots they move) and every monomial x^e.  The form is
+read off the operator itself, never declared.  `rref` takes it when every
+row has at most one nonzero entry: such rows need no elimination, and the
+canonical RREF is the sorted, deduplicated unit rows.  A module's
+commutation check composes slot maps when both operators have the form
+(`slot_maps_commute`) and multiplies operators otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .ring import AlgebraError
 
@@ -80,9 +93,25 @@ def rref(vectors: Iterable[dict], width: int):
     Returns (rows, pivots): rows are sparse vectors with pivot entries 1 and
     no other entry in a pivot column; pivots are the pivot columns in
     increasing order.  Zero rows are dropped.  An entry is an int wherever
-    the reduced form is integral.
+    the reduced form is integral.  Rows with at most one nonzero entry
+    each are unit rows up to scale and skip elimination.
     """
-    pivot_rows = _echelon(vectors, width)
+    vectors = iter(vectors)
+    seen, cols = [], set()
+    for vec in vectors:
+        if len(vec) > 1 and sum(1 for x in vec.values() if x) > 1:
+            # the first row with two entries: eliminate everything, in order
+            pivot_rows = _echelon(chain(seen, (vec,), vectors), width)
+            break
+        seen.append(vec)
+        for c, x in vec.items():
+            if x:
+                if c < 0 or c >= width:
+                    raise AlgebraError(f"vector index out of range({width})")
+                cols.add(c)
+    else:
+        pivots = tuple(sorted(cols))
+        return tuple([{c: 1} for c in pivots]), pivots
     pivots = tuple(sorted(pivot_rows))
     # eliminate above the pivots in integers, bottom row first: the rows
     # below row j are already reduced, so each one clears its own pivot
@@ -166,18 +195,14 @@ class Subspace:
 def kernel(vectors: Iterable[dict], width: int) -> Subspace:
     """Null space {v : A v = 0} of the matrix whose rows are the given vectors."""
     rows, pivots = rref(vectors, width)
-    pivot_set = set(pivots)
-    vecs = []
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        v = {f: 1}
-        for row, p in zip(rows, pivots):
-            x = row.get(f)
-            if x:
-                v[p] = -x
-        vecs.append(v)
-    return Subspace(width, vecs)
+    # the entries of each free column, read once off the rows
+    free: dict[int, dict] = {f: {f: 1} for f in range(width)}
+    for row, p in zip(rows, pivots):
+        del free[p]
+        for f, x in row.items():
+            if f != p:
+                free[f][p] = -x
+    return Subspace(width, free.values())
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +272,71 @@ def op_inverse(op: Operator) -> Operator:
         raise AlgebraError("the operator is singular")
     right = tuple({j - d: x for j, x in row.items() if j >= d} for row in rows)
     return op_transpose(right)
+
+
+# ---------------------------------------------------------------------------
+# single-entry operators
+
+
+class SlotMap(NamedTuple):
+    """An operator with at most one entry per column: column j holds
+    coeffs[j] at row slots[j], or nothing when slots[j] is None (and then
+    coeffs[j] is 0).  Coefficients are in the value form above."""
+
+    slots: tuple  # tuple[int | None, ...]
+    coeffs: tuple
+
+
+def slot_map(op: Operator) -> SlotMap | None:
+    """op as a slot map, or None when some column holds two entries or more."""
+    if max(map(len, op), default=0) > 1:
+        return None
+    return SlotMap(
+        tuple(map(next, map(iter, op), repeat(None))),
+        tuple(map(next, map(iter, map(dict.values, op)), repeat(0))),
+    )
+
+
+def slot_compose(a: SlotMap, b: SlotMap) -> SlotMap:
+    """The composition a * b as a slot map: b acts first."""
+    (sa, ca), (sb, cb) = a, b
+    slots = [None if t is None else sa[t] for t in sb]
+    # a product of nonzeros is nonzero, so no filled column empties
+    coeffs = [0 if s is None else x * ca[t] for s, t, x in zip(slots, sb, cb)]
+    return SlotMap(tuple(slots), tuple(coeffs))
+
+
+def _ones(coeffs: tuple) -> bool:
+    return coeffs.count(0) + coeffs.count(1) == len(coeffs)
+
+
+def slot_maps_commute(a: SlotMap, b: SlotMap) -> bool:
+    """Whether a * b == b * a.  Where every entry of both is 1, so is every
+    entry of both products, and the composed slots decide."""
+    if _ones(a.coeffs) and _ones(b.coeffs):
+        (sa, _), (sb, _) = a, b
+        return [None if t is None else sa[t] for t in sb] == [
+            None if t is None else sb[t] for t in sa
+        ]
+    return slot_compose(a, b) == slot_compose(b, a)
+
+
+def slot_sum(terms: Iterable[tuple], d: int) -> Operator:
+    """The operator sum of c * m over the (c, m) terms, m a slot map on d slots."""
+    cols: list[dict] = [{} for _ in range(d)]
+    summed = False
+    for c, (slots, coeffs) in terms:
+        for col, t, x in zip(cols, slots, coeffs):
+            if t is None:
+                continue
+            # as in sparse_apply, an entry of 1 keeps c as it is
+            x = c if x == 1 else x * c
+            if t in col:
+                col[t] += x
+                summed = True
+            else:
+                col[t] = x
+    if summed:
+        # a product of nonzeros is nonzero; only a sum can cancel
+        return tuple({i: x for i, x in col.items() if x} for col in cols)
+    return tuple(cols)

@@ -6,23 +6,25 @@ monomials outside a down-set.  R/I is a FiniteModule whose variables act
 as staircase shifts: the operator of x_i sends each basis monomial to its
 x_i-multiple, or to zero when that lies in I.  Module elements are sparse
 vectors {position: value} over that basis, values in the form
-`linalg` states; every shift entry is the int 1.
+`linalg` states; every shift entry is the int 1.  Every monomial x^e acts
+by a slot map (`monomial_map`), one index lookup per basis monomial, which
+`poly_matrix` sums over a polynomial's terms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Iterable
 
-from .linalg import Operator, Subspace
+from .linalg import Operator, SlotMap, Subspace
 from .ring import (
     AlgebraError,
     ExponentVector,
     MonomialIdeal,
     VariableSet,
-    ev_add,
     grlex_key,
     monomial_str,
     pure_power_bounds,
@@ -129,24 +131,33 @@ class QuotientModule(FiniteModule):
         if not self.basis:
             raise AlgebraError("unit ideal: the quotient is the zero ring")
         self.index = {e: i for i, e in enumerate(self.basis)}
+        self.names = variables.names
         ops = tuple(self._operator(i) for i in range(variables.n))
         super().__init__(variables.n, len(self.basis), ops)
 
     def _operator(self, i: int) -> Operator:
         """x_i shifts each standard monomial up, or to zero inside I."""
-        step = tuple(int(j == i) for j in range(self.variables.n))
-        targets = (self.index.get(ev_add(e, step)) for e in self.basis)
+        get = self.index.get
+        targets = [get(e[:i] + (e[i] + 1,) + e[i + 1:]) for e in self.basis]
         return tuple({} if t is None else {t: 1} for t in targets)
 
-    def _names(self) -> tuple[str, ...]:
-        return self.variables.names
+    def monomial_map(self, exps: ExponentVector) -> SlotMap:
+        """x^exps on the staircase slots: b -> the slot of x^exps * basis[b],
+        None inside I; every entry is 1."""
+        if exps not in self.index:
+            # x^exps lies in I, and so does each of its multiples
+            return SlotMap((None,) * self.dim, (0,) * self.dim)
+        get = self.index.get
+        slots = tuple(get(tuple(map(add, exps, e))) for e in self.basis)
+        # 1 in each filled column, 0 in each empty one
+        return SlotMap(slots, tuple(map({None: 0}.get, slots, repeat(1))))
 
     @property
     def n(self) -> int:
         return self.nvars
 
     def label(self, exps: ExponentVector) -> str:
-        return monomial_str(self._names(), exps)
+        return monomial_str(self.names, exps)
 
     def labels(self) -> list[str]:
         return [self.label(e) for e in self.basis]
@@ -158,7 +169,7 @@ class QuotientModule(FiniteModule):
         return {pos: 1}
 
     def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, vars={self._names()})"
+        return f"{type(self).__name__}(dim={self.dim}, vars={self.names})"
 
 
 def hilbert(module: QuotientModule) -> HilbertSeries:

@@ -13,7 +13,8 @@ divisibility, enumerated by one walk over the basis.  After the envelope
 and Jacobson checks, which compare exact subspaces, a monomial submodule is
 a bitmask over the staircase slots: the envelope is read into one mask, and
 the semiprime intersection and the spot-checked submodule envelopes are
-masks, each monomial acting on slots by one map read off the basis index.
+masks, each monomial acting on slots by its slot map
+(`QuotientModule.monomial_map`, read off the basis index).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 from .linalg import Subspace
 from .quotient import QuotientModule, positive_degree_span
-from .ring import AlgebraError, ExponentVector, InternalCheckError, ev_add, total_degree
+from .ring import AlgebraError, InternalCheckError, total_degree
 from .reduced import _random_poly
 from .torsion import image_span
 
@@ -33,11 +34,6 @@ ENUMERATION_BOUND = 14
 # Seeded units checked invertible, and submodule envelopes spot-checked.
 UNIT_TRIALS = 20
 SPOT_CHECKS = 3
-
-
-def _slot_map(module: QuotientModule, e: ExponentVector) -> tuple[int | None, ...]:
-    """x^e on the staircase slots: b -> the slot of x^e * basis[b], None in I."""
-    return tuple(module.index.get(ev_add(e, f)) for f in module.basis)
 
 
 def envelope_zero(module: QuotientModule, seed: int = 0) -> Subspace:
@@ -59,7 +55,7 @@ def envelope_zero(module: QuotientModule, seed: int = 0) -> Subspace:
     for _ in range(UNIT_TRIALS):
         r = _random_poly(rng, module.n, 2, constant=True)
         lowers = (t is not None and t <= b for e in r.terms if any(e)
-                  for b, t in enumerate(_slot_map(module, e)))
+                  for b, t in enumerate(module.monomial_map(e).slots))
         if r.constant_term() != 0 and any(lowers):
             raise InternalCheckError(
                 "a unit-like polynomial had a vanishing power on a nonzero element"
@@ -156,7 +152,9 @@ def _monomial_maps(module: QuotientModule) -> tuple[tuple[int | None, ...], ...]
     """The spot checks' r: the slot map of each staircase monomial of degree
     <= 6, in basis order; the zero maps of the other monomials would add
     nothing to an envelope."""
-    return tuple(_slot_map(module, e) for e in module.basis if total_degree(e) <= 6)
+    return tuple(
+        module.monomial_map(e).slots for e in module.basis if total_degree(e) <= 6
+    )
 
 
 def envelope_of_submodule_bruteforce(

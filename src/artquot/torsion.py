@@ -11,20 +11,33 @@ the joint kernel and the image span of the d-th powers of the generator
 operators.  `classify` reads them with J-(co)reducedness off one
 evaluation of the generators.  Matlis duality is the linear dual:
 transpose every operator.
+
+Two paths take the single-entry form `linalg` states, read off the module
+itself.  The commutation check composes slot maps when both operators of
+a pair have at most one entry per column, and multiplies them otherwise
+(sampler draws, conjugates).  `poly_matrix` on a module that reads each
+monomial's slot map off its basis (`monomial_map`; a staircase module
+does) sums coefficient times slot map over the terms, and otherwise acts
+on each unit column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .linalg import (
     Operator,
+    SlotMap,
     Subspace,
     kernel,
     op_mul,
     op_power,
     op_transpose,
+    slot_map,
+    slot_maps_commute,
+    slot_sum,
     sparse_apply,
 )
 from .ring import AlgebraError, InternalCheckError, Polynomial
@@ -42,23 +55,45 @@ class FiniteModule:
         if len(self.action) != self.nvars:
             raise AlgebraError("need one action matrix per variable")
         for op in self.action:
-            if len(op) != self.dim or not all(
-                0 <= i < self.dim and x for col in op for i, x in col.items()
+            if (
+                len(op) != self.dim
+                or not all(chain.from_iterable(map(dict.values, op)))
+                or min(chain.from_iterable(op), default=0) < 0
+                or max(chain.from_iterable(op), default=-1) >= self.dim
             ):
                 raise AlgebraError(
                     "action operator has the wrong shape or a stored zero"
                 )
+        maps = [slot_map(op) for op in self.action]
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
-                ab = op_mul(self.action[i], self.action[j])
-                ba = op_mul(self.action[j], self.action[i])
-                if ab != ba:
+                a, b = maps[i], maps[j]
+                if a is not None and b is not None:
+                    same = slot_maps_commute(a, b)
+                else:
+                    ab = op_mul(self.action[i], self.action[j])
+                    ba = op_mul(self.action[j], self.action[i])
+                    same = ab == ba
+                if not same:
                     raise AlgebraError(
                         f"action matrices {i} and {j} do not commute"
                     )
 
+    def monomial_map(self, exps) -> SlotMap | None:
+        """x^exps as a slot map read off the basis, for a module that has
+        one (a staircase module); None here."""
+        return None
+
     def poly_matrix(self, poly: Polynomial) -> Operator:
-        """Evaluate a polynomial at the action operators."""
+        """Evaluate a polynomial at the action operators: the sum of
+        coefficient * slot map over the terms where the module reads slot
+        maps off its basis, else one `act` per unit column."""
+        for exps in poly.terms:
+            if len(exps) != self.nvars:
+                raise AlgebraError("polynomial arity does not match the module")
+        terms = [(c, self.monomial_map(e)) for e, c in poly.terms.items()]
+        if all(m is not None for _, m in terms):
+            return slot_sum(terms, self.dim)
         return tuple(self.act(poly, {j: 1}) for j in range(self.dim))
 
     def act(self, poly: Polynomial, vec: dict) -> dict:

@@ -16,7 +16,9 @@ monomials outside a down-set, which `quotient.minimal_outside` replaced,
 and the scan of all 2^dim bitmasks for the up-closed staircase subsets,
 which the order-ideal walk `radical._upsets` replaced, and the submodule
 envelope scan on subspaces, which `radical`'s scan on staircase slot masks
-replaced.  The differential tests require the sparse code to give the
+replaced, and the evaluation of a polynomial by one `act` per unit column,
+which `FiniteModule.poly_matrix` replaced on staircase modules by a sum of
+coefficient times slot map.  The differential tests require the sparse code to give the
 same matrices, subspaces, echelon forms and tags, and the unit checks to
 agree.  `apolarity`, the contraction extended bilinearly to polynomials, is
 the reference the inverse-system tests hold the exponent-vector
@@ -239,6 +241,11 @@ class DenseModule:
                     term = mat_mul(term, self.action[i])
             out = mat_add(out, mat_scale(term, coeff))
         return out
+
+
+def act_poly_matrix(module: FiniteModule, poly: Polynomial) -> Operator:
+    """The operator of `poly`, one `act` on each unit column."""
+    return tuple(module.act(poly, {j: 1}) for j in range(module.dim))
 
 
 def _squares(gens):

@@ -13,7 +13,7 @@ import pytest
 from artquot import quotient
 from artquot.cli import build_parser, main
 from artquot.quotient import staircase
-from artquot.ring import InternalCheckError, MonomialIdeal, parse_input
+from artquot.ring import InternalCheckError, MonomialIdeal, VariableSet, parse_input
 from artquot.torsion import FiniteModule
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
@@ -80,6 +80,24 @@ def test_dual_command(monkeypatch, capsys):
     assert data["dual_corners"] == ["X1", "X2^2"]
     assert data["inner"] == ["1", "X2"]
     assert data["dim"] == 4
+
+
+@pytest.mark.parametrize("argv", [["dual"], ["dual", "--json"]], ids=" ".join)
+def test_dual_formats_each_label_once(argv, monkeypatch, capsys):
+    # one label per dual basis monomial, read once for the payload and the
+    # lines, from dual names computed once
+    labels, names = [], []
+    monomial_str, dual_names = quotient.monomial_str, VariableSet.dual_names
+    monkeypatch.setattr(
+        quotient, "monomial_str", lambda n, e: labels.append(e) or monomial_str(n, e)
+    )
+    monkeypatch.setattr(
+        VariableSet, "dual_names", lambda self: names.append(self) or dual_names(self)
+    )
+    rc, out, _ = run(argv, STAIR11, monkeypatch, capsys)
+    assert rc == 0 and "X^2*Y" in out
+    assert len(names) == 1
+    assert sorted(labels) == sorted(staircase(*parse_input(STAIR11)))
 
 
 def test_hilbert_command(monkeypatch, capsys):

@@ -4,7 +4,9 @@ Every comparison is exact: operators as dense rows, subspaces as canonical
 RREF rows, tags field by field.  The torsion part, computed by Fitting's
 lemma, is compared with the reference's stabilization chain, the
 completion's dimension through the `classify` fields, and the sparse `rref`
-with the dense one on the rows and columns the torsion core reduces.
+with the dense one on the rows and columns the torsion core reduces.  On
+staircases and their inverse systems, `poly_matrix` (a sum of coefficient
+times slot map) is compared with one `act` per unit column.
 """
 
 import random
@@ -14,7 +16,13 @@ import pytest
 
 import dense_reference as ref
 from artquot import instances
-from artquot.instances import random_finite_module, random_monomial_ideal_polys
+from artquot.instances import (
+    SamplerConfig,
+    random_finite_module,
+    random_monomial_ideal_polys,
+    sample_modules,
+)
+from artquot.inverse import inverse_system
 from artquot.linalg import op_power, op_transpose, rref
 from artquot.quotient import QuotientModule
 from artquot.ring import Polynomial, parse_input, poly_monomial
@@ -118,6 +126,29 @@ def test_ladder_staircases_match_dense_reference(text):
         list(xs),
     ):
         assert_matches_reference(module, gens, rng)
+
+
+def test_slot_map_poly_matrix_matches_act_reference():
+    # polynomials with a constant term, a term inside I, a staircase term
+    # and a random one, with Fraction coefficients, on staircases and their
+    # inverse systems (where x^e acts by contraction)
+    sampled = [m for _, m in sample_modules(25, seed=71, config=SamplerConfig(dim_bound=40))]
+    modules = [QuotientModule(*parse_input(t)) for t in LADDER] + sampled
+    rng = random.Random(71)
+
+    def coeff():
+        return Fraction(rng.choice((-3, -1, 2, 7)), rng.choice((1, 2, 3)))
+
+    for m in modules:
+        for module in (m, inverse_system(m)):
+            for _ in range(4):
+                terms = {(0,) * m.n: coeff()}
+                for e in (rng.choice(m.ideal.min_gens), rng.choice(m.basis),
+                          tuple(rng.randint(0, 3) for _ in range(m.n))):
+                    terms[e] = terms.get(e, 0) + coeff()
+                poly = Polynomial(terms)
+                assert all(module.monomial_map(e) is not None for e in poly.terms)
+                assert module.poly_matrix(poly) == ref.act_poly_matrix(module, poly)
 
 
 def test_unimodular_draws_match_dense_reference():

@@ -11,6 +11,7 @@ depend on the form.
 
 from fractions import Fraction
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from artquot.linalg import (
 )
 from artquot.instances import SamplerConfig, sample_modules
 from artquot.quotient import QuotientModule
-from artquot.radical import UNIT_TRIALS, _slot_map
+from artquot.radical import UNIT_TRIALS
 from artquot.reduced import _random_poly
 from artquot.ring import AlgebraError, Polynomial, parse_input, poly_monomial
 from artquot.torsion import FiniteModule
@@ -128,11 +129,8 @@ def dense_matrices(draw, max_width=8, max_rows=8):
     return width, [sparse(r) for r in draw(st.lists(row, max_size=max_rows))]
 
 
-@settings(max_examples=60, deadline=None)
-@given(dense_matrices())
-def test_rref_matches_sympy(matrix):
+def assert_rref_matches_sympy(width, vectors):
     sympy = pytest.importorskip("sympy")
-    width, vectors = matrix
     rows, pivots = rref(vectors, width)
     entries = [
         sympy.Rational(x.numerator, x.denominator)
@@ -146,6 +144,12 @@ def test_rref_matches_sympy(matrix):
     )
     assert pivots == tuple(expected_pivots)
     assert tuple(dense(r, width) for r in rows) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_matrices())
+def test_rref_matches_sympy(matrix):
+    assert_rref_matches_sympy(*matrix)
 
 
 def test_unit_rows_need_no_back_substitution(monkeypatch):
@@ -164,6 +168,56 @@ def test_unit_rows_need_no_back_substitution(monkeypatch):
     rows, pivots = rref(columns, module.dim)
     assert len(pivots) == module.dim - 1  # every monomial but 1 is a shift
     assert calls == []
+
+
+@st.composite
+def single_entry_matrices(draw, max_width=10, max_rows=8):
+    """(width, rows): each row holds at most one nonzero entry, int or
+    Fraction and of either sign, beside up to two explicit zeros; columns
+    repeat across rows and rows may be empty."""
+    width = draw(st.integers(1, max_width))
+    column = st.integers(0, width - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        row = draw(st.dictionaries(column, st.sampled_from((0, Fraction(0))), max_size=2))
+        if draw(st.booleans()):
+            row[draw(column)] = draw(entries.filter(bool))
+        rows.append(row)
+    return width, rows
+
+
+@given(single_entry_matrices())
+def test_single_entry_rows_skip_elimination(matrix):
+    width, vectors = matrix
+    with mock.patch.object(linalg, "_echelon", side_effect=AssertionError):
+        rows, pivots = rref(vectors, width)
+    cols = sorted({c for v in vectors for c, x in v.items() if x})
+    assert pivots == tuple(cols)
+    assert rows == tuple({c: 1} for c in cols)
+    assert all(type(x) is int for r in rows for x in r.values())
+    expected = naive_rref([dense(v, width) for v in vectors], width)
+    assert (tuple(dense(r, width) for r in rows), pivots) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_entry_matrices())
+def test_single_entry_rows_match_sympy(matrix):
+    assert_rref_matches_sympy(*matrix)
+
+
+@pytest.mark.parametrize("bad", [{5: 2}, {-1: Fraction(1, 2)}, {0: 0, 7: -3}])
+def test_single_entry_index_errors_match_the_general_path(bad):
+    rows = [{1: 3}, {}, bad, {2: 1}]
+    with pytest.raises(AlgebraError) as fast:
+        rref(rows, 5)
+    with pytest.raises(AlgebraError) as general:
+        linalg._echelon(rows, 5)
+    # a two-entry row sends every row down the general path, in order
+    for mixed in ([{0: 1, 1: 1}] + rows, rows[:3] + [{0: 1, 1: 1}]):
+        with pytest.raises(AlgebraError) as eliminated:
+            rref(mixed, 5)
+        assert str(eliminated.value) == str(fast.value)
+    assert str(fast.value) == str(general.value) == "vector index out of range(5)"
 
 
 def test_out_of_range_index_is_rejected():
@@ -309,7 +363,7 @@ def test_is_invertible_agrees_with_dense_rank_on_unit_operators():
             raises = all(
                 t is None or t > b
                 for e in r.terms if any(e)
-                for b, t in enumerate(_slot_map(m, e))
+                for b, t in enumerate(m.monomial_map(e).slots)
             )
             slot_verdict = r.constant_term() != 0 and raises
             assert is_invertible(op) == full == slot_verdict == (r.constant_term() != 0)

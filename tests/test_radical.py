@@ -11,7 +11,7 @@ import dense_reference as ref
 from artquot import cli, radical
 from artquot.cli import main
 from artquot.instances import SamplerConfig, sample_modules
-from artquot.linalg import Subspace, op_power
+from artquot.linalg import SlotMap, Subspace, op_power
 from artquot.quotient import QuotientModule, monomial_span, positive_degree_span
 from artquot.radical import (
     envelope_of_submodule_bruteforce,
@@ -20,7 +20,6 @@ from artquot.radical import (
     satisfies_radical_formula,
     semiprime_bruteforce,
     _monomial_maps,
-    _slot_map,
     _upsets,
 )
 from artquot.reduced import monomials_up_to_degree
@@ -78,7 +77,8 @@ def test_slot_maps_are_the_monomial_operators():
     sampled = [m for _, m in sample_modules(20, seed=46, config=SamplerConfig(dim_bound=30))]
     for m in named + sampled:
         for e in monomials_up_to_degree(m.n, 2):
-            assert _slot_map(m, e) == _column_map(m.poly_matrix(poly_monomial(e)))
+            reference = ref.act_poly_matrix(m, poly_monomial(e))
+            assert m.monomial_map(e).slots == _column_map(reference)
 
 
 class _BackwardsShift(QuotientModule):
@@ -102,7 +102,11 @@ def test_nilpotency_check_is_live(monkeypatch, capsys):
 def test_unit_check_is_live(monkeypatch, capsys):
     # every term fixes every slot, so no unit reads as c*I plus a strictly
     # triangular part
-    monkeypatch.setattr(radical, "_slot_map", lambda module, e: tuple(range(module.dim)))
+    monkeypatch.setattr(
+        QuotientModule,
+        "monomial_map",
+        lambda module, e: SlotMap(tuple(range(module.dim)), (1,) * module.dim),
+    )
     monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
     assert main(["radical"]) == 3
     out, err = capsys.readouterr()

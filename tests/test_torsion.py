@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artquot import suites, torsion
 from artquot.instances import (
@@ -17,7 +18,7 @@ from artquot.instances import (
     random_finite_module,
     random_monomial_ideal_polys,
 )
-from artquot.linalg import Subspace, op_mul
+from artquot.linalg import SlotMap, Subspace, op_mul, slot_compose, slot_map, slot_maps_commute
 from artquot.quotient import QuotientModule
 from artquot.ring import (
     AlgebraError,
@@ -93,6 +94,101 @@ def test_commutation_is_validated():
     b = ((1, 0), (0, 2))
     with pytest.raises(AlgebraError):
         FiniteModule(2, 2, (operator_from_rows(a), operator_from_rows(b)))
+
+
+_NONZERO = st.one_of(
+    st.sampled_from((-3, -1, 2, 5)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+
+
+@st.composite
+def slot_map_pairs(draw, max_dim=6):
+    """Two single-entry operators on one space, with all coefficients 1 or
+    with nonzero int and Fraction ones.  Half the time the second has the
+    first's slots, so the slot maps commute and only the coefficients can
+    tell the two products apart."""
+    d = draw(st.integers(1, max_dim))
+    coeff = st.just(1) if draw(st.booleans()) else _NONZERO
+
+    def coeffs_for(slots):
+        return tuple(0 if t is None else draw(coeff) for t in slots)
+
+    slot = st.one_of(st.none(), st.integers(0, d - 1))
+    sa = tuple(draw(st.lists(slot, min_size=d, max_size=d)))
+    sb = sa if draw(st.booleans()) else tuple(draw(st.lists(slot, min_size=d, max_size=d)))
+    return SlotMap(sa, coeffs_for(sa)), SlotMap(sb, coeffs_for(sb))
+
+
+def columns(m: SlotMap):
+    return tuple({} if t is None else {t: c} for t, c in zip(*m))
+
+
+@settings(max_examples=300)
+@given(slot_map_pairs())
+def test_slot_composition_matches_products(pair):
+    a, b = pair
+    ops = columns(a), columns(b)
+    assert (slot_map(ops[0]), slot_map(ops[1])) == (a, b)
+    assert columns(slot_compose(a, b)) == op_mul(*ops)
+    commute = op_mul(*ops) == op_mul(*reversed(ops))
+    assert slot_maps_commute(a, b) == slot_maps_commute(b, a) == commute
+    if commute:
+        FiniteModule(2, len(ops[0]), ops)
+    else:
+        with pytest.raises(AlgebraError, match="action matrices 0 and 1 do not commute"):
+            FiniteModule(2, len(ops[0]), ops)
+
+
+def test_commuting_slots_with_non_commuting_coefficients():
+    # a sends slot 0 to twice slot 1 and kills slot 1; b is diag(1, 3).
+    # Both products send slot 0 to slot 1 and kill slot 1, but a*b takes
+    # 2 times slot 1 and b*a 6 times.
+    a = SlotMap((1, None), (2, 0))
+    b = SlotMap((0, 1), (1, 3))
+    assert slot_compose(a, b).slots == slot_compose(b, a).slots == (1, None)
+    assert slot_compose(a, b).coeffs == (2, 0) != slot_compose(b, a).coeffs == (6, 0)
+    assert not slot_maps_commute(a, b)
+    with pytest.raises(AlgebraError, match="action matrices 0 and 1 do not commute"):
+        FiniteModule(2, 2, (columns(a), columns(b)))
+    # with unit coefficients the same slots commute
+    assert slot_maps_commute(SlotMap((1, None), (1, 0)), SlotMap((0, 1), (1, 1)))
+
+
+class _NotDownSet(QuotientModule):
+    """Shifts on {1, x, x*y}, which is not a down-set: y is missing, so
+    y * 1 = 0 while y * x = x*y."""
+
+    def __init__(self):
+        self.basis = ((0, 0), (1, 0), (1, 1))
+        self.index = {e: i for i, e in enumerate(self.basis)}
+        self.names = ("x", "y")
+        ops = tuple(self._operator(i) for i in range(2))
+        FiniteModule.__init__(self, 2, 3, ops)
+
+
+def test_shifts_of_a_non_down_set_do_not_commute(monkeypatch):
+    # single-entry operators never reach the product check
+    monkeypatch.setattr(torsion, "op_mul", None)
+    with pytest.raises(AlgebraError, match="action matrices 0 and 1 do not commute"):
+        _NotDownSet()
+
+
+def test_multi_entry_operators_are_checked_by_products(monkeypatch):
+    a = operator_from_rows(((1, 1), (0, 1)))  # column 1 holds two entries
+    b = operator_from_rows(((1, 0), (0, 2)))
+    assert slot_map(a) is None and slot_map(b) is not None
+    products = []
+
+    def counted(x, y):
+        products.append((x, y))
+        return op_mul(x, y)
+
+    monkeypatch.setattr(torsion, "op_mul", counted)
+    with pytest.raises(AlgebraError, match="action matrices 0 and 1 do not commute"):
+        FiniteModule(2, 2, (a, b))
+    assert products == [(a, b), (b, a)]
+    FiniteModule(2, 2, (a, op_mul(a, a)))
 
 
 def test_operators_are_validated():
