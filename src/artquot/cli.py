@@ -19,12 +19,14 @@ from fractions import Fraction
 from .diagram import diagram_ascii, diagram_cells, diagram_svg
 from .inverse import hilbert_duality_check, inverse_system
 from .linalg import sparse_apply
-from .quotient import HilbertSeries, QuotientModule, hilbert
+from .quotient import HilbertSeries, QuotientModule, standard_basis
 from .radical import satisfies_radical_formula
 from .ring import (
     AlgebraError,
     InternalCheckError,
+    MonomialIdeal,
     ParseError,
+    VariableSet,
     monomial_str,
     parse_input,
     parse_polynomial_list,
@@ -39,7 +41,7 @@ from .torsion import classify
 _YES = {True: "yes", False: "no"}
 
 
-def _read_module(args) -> QuotientModule:
+def _read_input(args) -> tuple[VariableSet, MonomialIdeal]:
     try:
         if args.infile:
             with open(args.infile, encoding="utf-8") as fh:
@@ -51,7 +53,11 @@ def _read_module(args) -> QuotientModule:
             f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
             f"at byte offset {exc.start}"
         ) from None
-    return QuotientModule(*parse_input(text))
+    return parse_input(text)
+
+
+def _read_module(args) -> QuotientModule:
+    return QuotientModule(*_read_input(args))
 
 
 def _dumps(payload: dict) -> str:
@@ -64,9 +70,10 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, default=fallback)
 
 
-def _emit(args, module: QuotientModule, payload: dict, lines: list[str]) -> int:
+def _emit(
+    args, variables: VariableSet, ideal: MonomialIdeal, payload: dict, lines: list[str]
+) -> int:
     """Print the payload or the lines, both headed by the ring and ideal."""
-    variables, ideal = module.variables, module.ideal
     if args.json:
         gens = [monomial_str(variables.names, g) for g in ideal.min_gens]
         print(_dumps({"ring": list(variables.names), "ideal": gens, **payload}))
@@ -76,11 +83,14 @@ def _emit(args, module: QuotientModule, payload: dict, lines: list[str]) -> int:
 
 
 def cmd_basis(args) -> int:
-    module = _read_module(args)
-    hs, labels = hilbert(module), module.labels()
-    payload = {"dim": module.dim, "basis": labels, "hilbert": list(hs.coeffs)}
-    lines = [f"dim {module.dim}", f"hilbert {hs}", "basis " + ", ".join(labels)]
-    return _emit(args, module, payload, lines)
+    # the staircase alone: no operator of the module is read here
+    variables, ideal = _read_input(args)
+    basis = standard_basis(variables, ideal)
+    hs = HilbertSeries.from_degrees(map(total_degree, basis))
+    labels = [monomial_str(variables.names, e) for e in basis]
+    payload = {"dim": len(basis), "basis": labels, "hilbert": list(hs.coeffs)}
+    lines = [f"dim {len(basis)}", f"hilbert {hs}", "basis " + ", ".join(labels)]
+    return _emit(args, variables, ideal, payload, lines)
 
 
 def cmd_socle(args) -> int:
@@ -101,7 +111,7 @@ def cmd_socle(args) -> int:
         f"socle hilbert {socle_hs}",
         f"gorenstein {_YES[span.dim == 1]}",
     ]
-    return _emit(args, module, payload, lines)
+    return _emit(args, module.variables, module.ideal, payload, lines)
 
 
 def cmd_dual(args) -> int:
@@ -124,7 +134,7 @@ def cmd_dual(args) -> int:
         "dual corners " + ", ".join(corners),
         "inner " + ", ".join(inner),
     ]
-    return _emit(args, system, payload, lines)
+    return _emit(args, system.variables, system.ideal, payload, lines)
 
 
 def cmd_hilbert(args) -> int:
@@ -148,7 +158,7 @@ def cmd_hilbert(args) -> int:
         f"module = dual {_YES[hs_m == hs_d]}",
         f"socle = socle dual {_YES[hs_r == hs_rd]}",
     ]
-    return _emit(args, module, payload, lines)
+    return _emit(args, module.variables, module.ideal, payload, lines)
 
 
 def cmd_classify(args) -> int:
@@ -175,7 +185,7 @@ def cmd_classify(args) -> int:
         f"gamma dim {tag.gamma_dim}",
         f"lambda dim {tag.lambda_dim}",
     ]
-    return _emit(args, module, payload, lines)
+    return _emit(args, module.variables, module.ideal, payload, lines)
 
 
 def cmd_radical(args) -> int:
@@ -206,7 +216,7 @@ def cmd_radical(args) -> int:
         f"spot checks {report.spot_checks}",
         f"satisfies radical formula {_YES[report.satisfies]}",
     ]
-    return _emit(args, module, payload, lines)
+    return _emit(args, module.variables, module.ideal, payload, lines)
 
 
 def cmd_diagram(args) -> int:
@@ -320,7 +330,7 @@ def cmd_report(args) -> int:
             f"{r['remark']}"
         )
     lines.append("all rows ok" if ok else "SOME ROWS FAILED")
-    _emit(args, module, {"rows": rows, "ok": ok}, lines)
+    _emit(args, module.variables, module.ideal, {"rows": rows, "ok": ok}, lines)
     return 0 if ok else 1
 
 

@@ -10,11 +10,16 @@ either into an integral Fraction; that compares and hashes equal to the
 int, so no result depends on the type, and ints only make the common,
 integral case cheap.  There is no floating point.
 
-Row reduction runs fraction-free on the stored entries only: each incoming
-row is scaled to integers, eliminated against the current pivot rows by
-integer cross-multiplication (with gcd normalization to keep entries
-small), back-substituted the same way, and only the final division by each
-pivot can make a Fraction, where the pivot does not divide an entry.
+Row reduction runs fraction-free on the stored entries only, in the sense
+of Bareiss (1968): each incoming row is scaled to integers (rows of ints
+as they are), eliminated against the current pivot rows by integer
+cross-multiplication (the two multipliers divided by their gcd first, and
+the row divided by its content after every step to keep entries small),
+back-substituted the same way, and only the final division by each pivot
+can make a Fraction, where the pivot does not divide an entry.  `rank`
+runs the forward pass alone, for callers that read only a dimension: a
+nesting of two spaces is an equality exactly when their ranks agree.
+`null_basis` reads one kernel vector per free column off a single rref.
 
 Operators with at most one entry per column have a second, single-entry
 form: a slot map (`SlotMap`), the target slot of each column or None for
@@ -40,6 +45,8 @@ from .ring import AlgebraError
 
 
 def _integerize(vec: dict) -> dict[int, int]:
+    if all(type(x) is int for x in vec.values()):
+        return {i: x for i, x in vec.items() if x}
     den = lcm(*(x.denominator for x in vec.values()))
     return {i: x.numerator * (den // x.denominator) for i, x in vec.items() if x}
 
@@ -49,9 +56,25 @@ def _gcd_normalize(row: dict[int, int], lead: int) -> dict[int, int]:
     g = 0
     for x in row.values():
         g = gcd(g, x)
+        if g == 1:
+            break
     if row[lead] < 0:
         g = -g
     return row if g == 1 else {i: x // g for i, x in row.items()}
+
+
+def _eliminate(row: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """A positive multiple of row with column c cleared by the pivot row p,
+    whose entry at c is positive: a * row - b * p for the entries a of p
+    and b of row at c, both divided by their gcd first."""
+    a, b = p[c], row[c]
+    g = gcd(a, b)
+    if g != 1:
+        a, b = a // g, b // g
+    if a != 1:
+        row = {i: a * x for i, x in row.items()}
+    _axpy(row, -b, p)
+    return row
 
 
 def _echelon(vectors: Iterable[dict], width: int) -> dict[int, dict[int, int]]:
@@ -67,17 +90,7 @@ def _echelon(vectors: Iterable[dict], width: int) -> dict[int, dict[int, int]]:
             raise AlgebraError(f"vector index out of range({width})")
         row = _gcd_normalize(row, c)
         while c in pivot_rows:
-            p = pivot_rows[c]
-            a, b = p[c], row[c]
-            # row = a * row - b * p, which clears column c
-            if a != 1:
-                row = {i: a * x for i, x in row.items()}
-            for i, y in p.items():
-                x = row.get(i, 0) - b * y
-                if x:
-                    row[i] = x
-                else:
-                    del row[i]
+            row = _eliminate(row, pivot_rows[c], c)
             if not row:
                 break
             c = min(row)
@@ -85,6 +98,33 @@ def _echelon(vectors: Iterable[dict], width: int) -> dict[int, dict[int, int]]:
         if row:
             pivot_rows[c] = row
     return pivot_rows
+
+
+def _forward(vectors: Iterable[dict], width: int):
+    """rref's forward pass: (pivot rows, None) as `_echelon` keys them, or
+    (None, columns) when every row has at most one nonzero entry: such rows
+    are unit rows up to scale and need no elimination, and the columns of
+    their entries are the pivots."""
+    vectors = iter(vectors)
+    seen, cols = [], set()
+    for vec in vectors:
+        if len(vec) > 1 and sum(1 for x in vec.values() if x) > 1:
+            # the first row with two entries: eliminate everything, in order
+            return _echelon(chain(seen, (vec,), vectors), width), None
+        seen.append(vec)
+        for c, x in vec.items():
+            if x:
+                if c < 0 or c >= width:
+                    raise AlgebraError(f"vector index out of range({width})")
+                cols.add(c)
+    return None, cols
+
+
+def rank(vectors: Iterable[dict], width: int) -> int:
+    """The dimension of the span of sparse vectors: rref's forward pass
+    only, for callers that read no more than a dimension."""
+    pivot_rows, cols = _forward(vectors, width)
+    return len(cols) if pivot_rows is None else len(pivot_rows)
 
 
 def rref(vectors: Iterable[dict], width: int):
@@ -96,20 +136,8 @@ def rref(vectors: Iterable[dict], width: int):
     the reduced form is integral.  Rows with at most one nonzero entry
     each are unit rows up to scale and skip elimination.
     """
-    vectors = iter(vectors)
-    seen, cols = [], set()
-    for vec in vectors:
-        if len(vec) > 1 and sum(1 for x in vec.values() if x) > 1:
-            # the first row with two entries: eliminate everything, in order
-            pivot_rows = _echelon(chain(seen, (vec,), vectors), width)
-            break
-        seen.append(vec)
-        for c, x in vec.items():
-            if x:
-                if c < 0 or c >= width:
-                    raise AlgebraError(f"vector index out of range({width})")
-                cols.add(c)
-    else:
+    pivot_rows, cols = _forward(vectors, width)
+    if pivot_rows is None:
         pivots = tuple(sorted(cols))
         return tuple([{c: 1} for c in pivots]), pivots
     pivots = tuple(sorted(pivot_rows))
@@ -120,12 +148,7 @@ def rref(vectors: Iterable[dict], width: int):
         rj = pivot_rows[cj]
         above = sorted((c for c in rj if c != cj and c in pivot_rows), reverse=True)
         for c in above:
-            p = pivot_rows[c]
-            a, b = p[c], rj[c]
-            # rj = a * rj - b * p, which clears column c
-            if a != 1:
-                rj = {i: a * x for i, x in rj.items()}
-            _axpy(rj, -b, p)
+            rj = _eliminate(rj, pivot_rows[c], c)
         if above:
             pivot_rows[cj] = _gcd_normalize(rj, cj)
     rows = []
@@ -175,11 +198,6 @@ class Subspace:
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise AlgebraError("ambient dimensions differ")
-        return Subspace(self.ambient, self.rows + other.rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -192,8 +210,10 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def kernel(vectors: Iterable[dict], width: int) -> Subspace:
-    """Null space {v : A v = 0} of the matrix whose rows are the given vectors."""
+def null_basis(vectors: Iterable[dict], width: int) -> list[dict]:
+    """A basis of {v : A v = 0} for the matrix A whose rows are the given
+    vectors: one vector per free column f of A's rref, 1 at f and minus
+    column f's entries at the pivots."""
     rows, pivots = rref(vectors, width)
     # the entries of each free column, read once off the rows
     free: dict[int, dict] = {f: {f: 1} for f in range(width)}
@@ -202,7 +222,12 @@ def kernel(vectors: Iterable[dict], width: int) -> Subspace:
         for f, x in row.items():
             if f != p:
                 free[f][p] = -x
-    return Subspace(width, free.values())
+    return list(free.values())
+
+
+def kernel(vectors: Iterable[dict], width: int) -> Subspace:
+    """Null space {v : A v = 0} of the matrix whose rows are the given vectors."""
+    return Subspace(width, null_basis(vectors, width))
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +268,18 @@ def op_mul(a: Operator, b: Operator) -> Operator:
 
 
 def op_power(op: Operator, k: int) -> Operator:
-    """op**k by repeated squaring; op**0 is the identity."""
-    out = tuple({j: 1} for j in range(len(op)))
-    while k:
+    """op**k by repeated squaring, starting from op itself; op**0 is the
+    identity."""
+    if not k:
+        return tuple({j: 1} for j in range(len(op)))
+    out = None
+    while True:
         if k & 1:
-            out = op_mul(out, op)
+            out = op if out is None else op_mul(out, op)
         k >>= 1
-        if k:
-            op = op_mul(op, op)
-    return out
+        if not k:
+            return out
+        op = op_mul(op, op)
 
 
 def op_transpose(op: Operator) -> Operator:

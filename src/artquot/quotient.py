@@ -120,16 +120,24 @@ def minimal_outside(downset, n: int) -> list[ExponentVector]:
     return sorted(found, key=grlex_key)
 
 
+def standard_basis(
+    variables: VariableSet, ideal: MonomialIdeal
+) -> tuple[ExponentVector, ...]:
+    """The staircase as the basis of R/I; AlgebraError for the unit ideal."""
+    # staircase checks the arities; only the unit ideal has no cells
+    basis = tuple(staircase(variables, ideal))
+    if not basis:
+        raise AlgebraError("unit ideal: the quotient is the zero ring")
+    return basis
+
+
 class QuotientModule(FiniteModule):
     """R/I on its staircase basis; each variable acts by a staircase shift."""
 
     def __init__(self, variables: VariableSet, ideal: MonomialIdeal):
         self.variables = variables
         self.ideal = ideal
-        # staircase checks the arities; only the unit ideal has no cells
-        self.basis = tuple(staircase(variables, ideal))
-        if not self.basis:
-            raise AlgebraError("unit ideal: the quotient is the zero ring")
+        self.basis = standard_basis(variables, ideal)
         self.index = {e: i for i, e in enumerate(self.basis)}
         self.names = variables.names
         ops = tuple(self._operator(i) for i in range(variables.n))

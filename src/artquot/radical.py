@@ -7,6 +7,8 @@ positive-degree standard monomials.  Alongside the span, every variable is
 checked nilpotent and every seeded unit (a polynomial with nonzero constant
 term) invertible by the slot order: the staircase is listed in grlex order,
 so a positive-degree monomial sends each slot to a later slot or to zero.
+That scan reads one monomial's slot map, so it runs once per distinct
+exponent among the units' terms.
 Semiprime submodules are found among the monomial submodules, which are
 exactly the up-closed subsets (order ideals) of the staircase under
 divisibility, enumerated by one walk over the basis.  After the envelope
@@ -45,6 +47,9 @@ def envelope_zero(module: QuotientModule, seed: int = 0) -> Subspace:
     r = c + sum a_e x^e with c != 0 has terms whose slot maps send each slot
     to a later slot or to None: r is c*I plus a strictly lower-triangular
     part, of determinant c^dim != 0, so no power of r kills a nonzero element.
+    That scan reads a term's exponent and nothing else, so it runs once per
+    distinct positive-degree exponent the units draw (at most 9 of degree
+    <= 2 in three variables), not once per term.
     """
     span = image_span(module.action, module.dim)
     # every variable multiple of a basis class lands in the envelope
@@ -52,11 +57,14 @@ def envelope_zero(module: QuotientModule, seed: int = 0) -> Subspace:
         if any(t <= b for b, col in enumerate(op) for t in col):
             raise InternalCheckError("a variable failed to be nilpotent")
     rng = random.Random(seed)
+    exponents = set()
     for _ in range(UNIT_TRIALS):
         r = _random_poly(rng, module.n, 2, constant=True)
-        lowers = (t is not None and t <= b for e in r.terms if any(e)
-                  for b, t in enumerate(module.monomial_map(e).slots))
-        if r.constant_term() != 0 and any(lowers):
+        if r.constant_term() != 0:
+            exponents.update(e for e in r.terms if any(e))
+    for e in exponents:
+        if any(t is not None and t <= b
+               for b, t in enumerate(module.monomial_map(e).slots)):
             raise InternalCheckError(
                 "a unit-like polynomial had a vanishing power on a nonzero element"
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from typing import Sequence
-from .linalg import Subspace, sparse_apply
+from .linalg import Subspace, rank, sparse_apply
 from .quotient import QuotientModule, monomial_span, socle
 from .ring import (
     AlgebraError,
@@ -100,8 +100,9 @@ def is_coreduced_subspace(
 
     Exact criterion: N is coreduced iff every variable kills N.  The verdict
     is cross-validated on `witnesses`, built once per module by
-    `witness_candidates`; disagreement raises InternalCheckError.  Raises
-    AlgebraError when `space` is not closed under the module action.
+    `witness_candidates`, by the ranks of aN and a^2 N; disagreement raises
+    InternalCheckError.  Raises AlgebraError when `space` is not closed
+    under the module action.
     """
     if space.ambient != module.dim:
         raise AlgebraError("subspace does not live in this module")
@@ -112,10 +113,9 @@ def is_coreduced_subspace(
     violated = False
     for a in witnesses:
         a_rows = [module.act(a, r) for r in space.rows]
-        a_im = Subspace(module.dim, a_rows)
-        # a^2 N = a(aN)
-        aa_im = Subspace(module.dim, [module.act(a, v) for v in a_rows])
-        if a_im != aa_im:
+        # a^2 N = a(aN) lies in aN, as N is closed, so the ranks decide
+        aa_rows = [module.act(a, v) for v in a_rows]
+        if rank(a_rows, module.dim) != rank(aa_rows, module.dim):
             violated = True
             if exact:
                 raise InternalCheckError(

@@ -9,7 +9,10 @@ of operators live here once: on the generator operators of J they are
 part Gamma_J M and the completion M / J^inf M come from Fitting's lemma:
 the joint kernel and the image span of the d-th powers of the generator
 operators.  `classify` reads them with J-(co)reducedness off one
-evaluation of the generators.  Matlis duality is the linear dual:
+evaluation of the generators, and reads dimensions only: (0 : J) lies in
+(0 : J^2) and J^2 M in J M, so J-(co)reducedness is an equality of ranks,
+and the split M = Gamma_J M (+) J^inf M is a rank too, of Gamma's kernel
+basis beside the image columns.  Matlis duality is the linear dual:
 transpose every operator.
 
 Two paths take the single-entry form `linalg` states, read off the module
@@ -32,9 +35,11 @@ from .linalg import (
     SlotMap,
     Subspace,
     kernel,
+    null_basis,
     op_mul,
     op_power,
     op_transpose,
+    rank,
     slot_map,
     slot_maps_commute,
     slot_sum,
@@ -115,15 +120,26 @@ class FiniteModule:
         return {i: c for i, c in out.items() if c}
 
 
-# Zero rows and columns change no kernel or span; they stay out of rref.
+# Zero rows and columns change no kernel, span or rank; they stay out of rref.
+def _rows(ops: Sequence[Operator]) -> list[dict]:
+    """The operators' nonzero rows, stacked: the matrix whose kernel is
+    their joint kernel."""
+    return [row for op in ops for row in op_transpose(op) if row]
+
+
+def _columns(ops: Sequence[Operator]) -> list[dict]:
+    """The operators' nonzero columns, which span the sum of their images."""
+    return [col for op in ops for col in op if col]
+
+
 def joint_kernel(ops: Sequence[Operator], d: int) -> Subspace:
     """The elements every operator kills: (0 : J) for J's generator operators."""
-    return kernel([row for op in ops for row in op_transpose(op) if row], d)
+    return kernel(_rows(ops), d)
 
 
 def image_span(ops: Sequence[Operator], d: int) -> Subspace:
     """The sum of the operators' images: J M for J's generator operators."""
-    return Subspace(d, [col for op in ops for col in op if col])
+    return Subspace(d, _columns(ops))
 
 
 def _products(ops: list[Operator]) -> list[Operator]:
@@ -132,37 +148,43 @@ def _products(ops: list[Operator]) -> list[Operator]:
     return [op_mul(ops[i], ops[j]) for i in range(n) for j in range(i, n)]
 
 
-def _fitting(ops: list[Operator], d: int) -> tuple[Subspace, Subspace]:
-    """(Gamma_J M, J^inf M) as (joint kernel, image span) of the d-th powers.
+def _fitting(ops: list[Operator], d: int) -> tuple[list[dict], int]:
+    """(a basis of Gamma_J M, dim J^inf M), Gamma_J M the joint kernel and
+    J^inf M the image span of the d-th powers.
 
     Fitting's lemma: on a space of dimension d an operator G splits it as
     ker G^d (+) im G^d, both invariant under every operator commuting with
     G.  Intersecting the kernels gives the elements killed by a power of J,
     summing the images gives the intersection of the J^k M, and the two
-    must split M.
+    must split M: their dimensions add up to d, and Gamma's basis with the
+    image columns spans M.
     """
     powers = [op_power(op, d) for op in ops]
-    gamma = joint_kernel(powers, d)
-    tail = image_span(powers, d)
-    if gamma.dim + tail.dim != d or gamma.sum(tail).dim != d:
+    gamma = null_basis(_rows(powers), d)
+    tail = _columns(powers)
+    tail_dim = rank(tail, d)
+    if len(gamma) + tail_dim != d or rank(gamma + tail, d) != d:
         raise InternalCheckError(
             "M is not the direct sum of its torsion part and J^inf M"
         )
-    return gamma, tail
+    return gamma, tail_dim
 
 
 def _levels(module: FiniteModule, gens: Iterable[Polynomial]):
-    """(0 : J), J M, J-reducedness, J-coreducedness, Gamma_J M and J^inf M,
-    from one evaluation of the generators."""
+    """dim (0 : J), dim J M, J-reducedness, J-coreducedness, a basis of
+    Gamma_J M and dim J^inf M, from one evaluation of the generators.
+
+    (0 : J) lies in (0 : J^2) and J^2 M in J M, so each pair is equal
+    exactly when the two dimensions are."""
     ops = [module.poly_matrix(g) for g in gens]
     d = module.dim
     squares = _products(ops)
-    ann = joint_kernel(ops, d)
-    image = image_span(ops, d)
-    gamma, tail = _fitting(ops, d)
-    reduced = ann == joint_kernel(squares, d)
-    coreduced = image == image_span(squares, d)
-    return ann, image, reduced, coreduced, gamma, tail
+    ann_dim = d - rank(_rows(ops), d)
+    image_dim = rank(_columns(ops), d)
+    gamma, tail_dim = _fitting(ops, d)
+    reduced = ann_dim == d - rank(_rows(squares), d)
+    coreduced = image_dim == rank(_columns(squares), d)
+    return ann_dim, image_dim, reduced, coreduced, gamma, tail_dim
 
 
 def matlis_dual(module: FiniteModule) -> FiniteModule:
@@ -202,24 +224,26 @@ def classify(module: FiniteModule, gens: Iterable[Polynomial]) -> TtfTag:
 
     Checked on the way: Gamma_J M = (0 : J) = M when every variable acts by
     zero and no generator has a constant term; Gamma_J M = (0 : J) when M
-    is reduced; J^inf M = J M when M is coreduced.
+    is reduced; J^inf M = J M when M is coreduced.  Each is compared by
+    dimension, as (0 : J) lies in Gamma_J M and J^inf M in J M.
     """
     gens = list(gens)
-    ann, image, reduced, coreduced, gamma, tail = _levels(module, gens)
+    ann_dim, image_dim, reduced, coreduced, gamma, tail_dim = _levels(module, gens)
+    gamma_dim = len(gamma)
     semisimple = all(not col for op in module.action for col in op) and all(
         g.constant_term() == 0 for g in gens
     )
-    if semisimple and not gamma.dim == ann.dim == module.dim:
+    if semisimple and not gamma_dim == ann_dim == module.dim:
         raise InternalCheckError("semisimple module with proper torsion levels")
-    if reduced and gamma.dim != ann.dim:
+    if reduced and gamma_dim != ann_dim:
         raise InternalCheckError("reduced module with a deeper torsion part")
-    if coreduced and tail.dim != image.dim:
+    if coreduced and tail_dim != image_dim:
         raise InternalCheckError("coreduced module with a deeper completion")
-    if reduced and gamma.dim == module.dim:
+    if reduced and gamma_dim == module.dim:
         tag = "T_I"
-    elif coreduced and image.dim == module.dim:
+    elif coreduced and image_dim == module.dim:
         tag = "FrakT_I"
-    elif reduced and gamma.dim == 0:
+    elif reduced and gamma_dim == 0:
         tag = "F_I"
     else:
         tag = "none"
@@ -227,8 +251,8 @@ def classify(module: FiniteModule, gens: Iterable[Polynomial]) -> TtfTag:
         tag=tag,
         j_reduced=reduced,
         j_coreduced=coreduced,
-        gamma_dim=gamma.dim,
-        lambda_dim=module.dim - tail.dim,
+        gamma_dim=gamma_dim,
+        lambda_dim=module.dim - tail_dim,
     )
 
 

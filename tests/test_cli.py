@@ -216,6 +216,18 @@ def test_structure_commands_evaluate_no_polynomial(command, monkeypatch, capsys)
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [["basis"], ["basis", "--json"]])
+def test_basis_builds_no_module(argv, monkeypatch, capsys):
+    # the staircase, its labels and its Hilbert series are read off the
+    # parsed ideal; no operator is built or checked
+    made = []
+    monkeypatch.setattr(FiniteModule, "__post_init__", lambda self: made.append(self))
+    for text in (STAIR11, FLAT7, SMALL4):
+        rc, out, _ = run(argv, text, monkeypatch, capsys)
+        assert rc == 0 and out
+    assert made == []
+
+
 def test_diagram_ascii(monkeypatch, capsys):
     rc, out, _ = run(["diagram"], STAIR11, monkeypatch, capsys)
     assert rc == 0

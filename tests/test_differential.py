@@ -23,10 +23,17 @@ from artquot.instances import (
     sample_modules,
 )
 from artquot.inverse import inverse_system
-from artquot.linalg import op_power, op_transpose, rref
+from artquot.linalg import Subspace, op_power, op_transpose, rref
 from artquot.quotient import QuotientModule
 from artquot.ring import Polynomial, parse_input, poly_monomial
-from artquot.torsion import _levels, _products, classify, image_span, joint_kernel
+from artquot.torsion import (
+    _levels,
+    _products,
+    classify,
+    image_span,
+    joint_kernel,
+    matlis_dual,
+)
 
 # The benchmark ladder's staircases up to dim 27: the pure-power boxes and
 # the three worked examples.
@@ -62,11 +69,15 @@ def assert_matches_reference(module, gens, rng):
     assert joint_kernel(ops, module.dim) == ref.annihilator_of(dense, gens)
     assert image_span(ops, module.dim) == ref.image_of(dense, gens)
     gamma, _ = ref.torsion_part_with_exponent(dense, gens)
-    assert _levels(module, gens)[4] == gamma
+    assert Subspace(module.dim, _levels(module, gens)[4]) == gamma
+    assert_classify_matches_reference(module, gens)
+
+
+def assert_classify_matches_reference(module, gens):
     tag = classify(module, gens)
     assert (
         tag.tag, tag.j_reduced, tag.j_coreduced, tag.gamma_dim, tag.lambda_dim
-    ) == ref.classify_fields(dense, gens)
+    ) == ref.classify_fields(ref.DenseModule.of(module), gens)
 
 
 def assert_rref_matches_reference(module, gens):
@@ -109,6 +120,9 @@ def test_random_modules_match_dense_reference():
         module = random_finite_module(rng)
         gens = random_monomial_ideal_polys(rng, module.nvars)
         assert_matches_reference(module, gens, rng)
+        # the draw is conjugated by a random change of basis; classify
+        # reads ranks only, and must read them right on its dual as well
+        assert_classify_matches_reference(matlis_dual(module), gens)
 
 
 @pytest.mark.parametrize("text", LADDER)

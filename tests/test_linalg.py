@@ -235,13 +235,54 @@ def test_out_of_range_index_is_rejected():
             line.act(poly_monomial((1,)), bad)
 
 
+@given(st.one_of(matrices(), dense_matrices(), single_entry_matrices()))
+def test_rank_is_the_rref_row_count(matrix):
+    width, vectors = matrix
+    assert linalg.rank(vectors, width) == len(rref(vectors, width)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_matrices(), single_entry_matrices()))
+def test_rank_matches_sympy(matrix):
+    sympy = pytest.importorskip("sympy")
+    width, vectors = matrix
+    entries = [
+        sympy.Rational(x.numerator, x.denominator)
+        for v in vectors
+        for x in dense(v, width)
+    ]
+    expected = sympy.Matrix(len(vectors), width, entries).rank()
+    assert linalg.rank(vectors, width) == expected
+
+
+@given(single_entry_matrices())
+def test_rank_of_single_entry_rows_skips_elimination(matrix):
+    width, vectors = matrix
+    with mock.patch.object(linalg, "_echelon", side_effect=AssertionError):
+        r = linalg.rank(vectors, width)
+    assert r == len({c for v in vectors for c, x in v.items() if x})
+
+
+@pytest.mark.parametrize("bad", [{5: 2}, {-1: Fraction(1, 2)}, {0: 0, 7: -3}])
+def test_rank_index_errors_match_rref(bad):
+    rows = [{1: 3}, {}, bad, {2: 1}]
+    # the single-entry scan and, with a two-entry row first or last, the
+    # forward pass
+    for vectors in (rows, [{0: 1, 1: 1}] + rows, rows[:3] + [{0: 1, 1: 1}]):
+        with pytest.raises(AlgebraError) as ranked:
+            linalg.rank(vectors, 5)
+        with pytest.raises(AlgebraError) as reduced:
+            rref(vectors, 5)
+        assert str(ranked.value) == str(reduced.value) == "vector index out of range(5)"
+
+
 @given(matrices(), st.data())
 def test_subspace_dimension_formula(matrix, data):
     width, u_vecs = matrix
     w_vecs = data.draw(st.lists(sparse_vectors(width), max_size=6))
     u = Subspace(width, u_vecs)
     w = Subspace(width, w_vecs)
-    s = u.sum(w)
+    s = Subspace(width, u.rows + w.rows)
     assert max(u.dim, w.dim) <= s.dim <= u.dim + w.dim
     assert all(s.contains(r) for r in u.rows + w.rows)
     assert s == Subspace(width, u_vecs + w_vecs)
@@ -285,7 +326,7 @@ def test_zero_and_full():
     assert z.dim == 0 and f.dim == 3
     assert z.rows == () and z.pivots == ()
     assert f.rows == ({0: 1}, {1: 1}, {2: 1})
-    assert z.sum(f) == f and z.sum(z) == z
+    assert Subspace(3, z.rows + f.rows) == f and Subspace(3, z.rows + z.rows) == z
 
 
 @given(matrices())
@@ -348,6 +389,29 @@ def square_operators(draw, max_dim=7):
 @given(square_operators())
 def test_is_invertible_agrees_with_dense_rank(op):
     assert is_invertible(op) == (rank(operator_rows(op), len(op)) == len(op))
+
+
+@given(st.one_of(st.just(()), square_operators(max_dim=5)))
+def test_op_power_is_the_repeated_product(op):
+    eye = tuple({j: 1} for j in range(len(op)))
+    power = eye
+    for k in range(10):
+        assert op_power(op, k) == power
+        power = op_mul(power, op)
+
+
+def test_op_power_starts_from_the_operator(monkeypatch):
+    # op^1 is op itself and op^2 one product: no identity is multiplied in
+    op = operator_from_rows([[1, 2], [0, 1]])
+    calls = []
+    mul = linalg.op_mul
+    monkeypatch.setattr(linalg, "op_mul", lambda a, b: calls.append(1) or mul(a, b))
+    assert op_power(op, 1) is op and calls == []
+    assert op_power(op, 2) == mul(op, op) and len(calls) == 1
+    # 13 = 8 + 4 + 1: three squarings and two products
+    calls.clear()
+    op_power(op, 13)
+    assert len(calls) == 5
 
 
 def test_is_invertible_agrees_with_dense_rank_on_unit_operators():

@@ -1,6 +1,7 @@
 """Envelope of zero, Jacobson radical, and the semiprime enumeration."""
 
 import io
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -14,6 +15,7 @@ from artquot.instances import SamplerConfig, sample_modules
 from artquot.linalg import SlotMap, Subspace, op_power
 from artquot.quotient import QuotientModule, monomial_span, positive_degree_span
 from artquot.radical import (
+    UNIT_TRIALS,
     envelope_of_submodule_bruteforce,
     envelope_zero,
     jacobson_radical,
@@ -22,7 +24,7 @@ from artquot.radical import (
     _monomial_maps,
     _upsets,
 )
-from artquot.reduced import monomials_up_to_degree
+from artquot.reduced import _random_poly, monomials_up_to_degree
 from artquot.ring import AlgebraError, InternalCheckError, parse_input, poly_monomial
 from artquot.suites import run_suite
 
@@ -115,6 +117,53 @@ def test_unit_check_is_live(monkeypatch, capsys):
         "internal check failed: "
         "a unit-like polynomial had a vanishing power on a nonzero element\n"
     )
+
+
+def _unit_exponents(m, seed=0):
+    """The positive-degree exponents of envelope_zero's seeded units."""
+    rng = random.Random(seed)
+    units = [_random_poly(rng, m.n, 2, constant=True) for _ in range(UNIT_TRIALS)]
+    return {e for r in units for e in r.terms if any(e)}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_unit_check_reads_each_exponent_once(seed, monkeypatch):
+    calls = Counter()
+    original = QuotientModule.monomial_map
+
+    def counted(module, e):
+        calls[e] += 1
+        return original(module, e)
+
+    monkeypatch.setattr(QuotientModule, "monomial_map", counted)
+    for _, m in sample_modules(20, seed=47, config=SamplerConfig(dim_bound=30)):
+        calls.clear()
+        envelope_zero(m, seed=seed)
+        # one slot map per exponent the units draw, at most 9 in 3 variables
+        assert set(calls) == _unit_exponents(m, seed)
+        assert max(calls.values()) == 1
+        assert len(calls) <= m.n + m.n * (m.n + 1) // 2
+
+
+def test_unit_check_reads_every_drawn_exponent(monkeypatch, capsys):
+    # a slot map broken at one exponent only, which then fixes every slot,
+    # still fails the check, for each exponent the units draw
+    original = QuotientModule.monomial_map
+    exponents = _unit_exponents(module_from(FLAT7))
+    assert len(exponents) > 1
+    for bad in exponents:
+        def broken(module, e, bad=bad):
+            if e == bad:
+                return SlotMap(tuple(range(module.dim)), (1,) * module.dim)
+            return original(module, e)
+
+        monkeypatch.setattr(QuotientModule, "monomial_map", broken)
+        monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
+        assert main(["radical"]) == 3
+        assert capsys.readouterr() == ("", (
+            "internal check failed: "
+            "a unit-like polynomial had a vanishing power on a nonzero element\n"
+        ))
 
 
 @pytest.mark.parametrize(
@@ -226,7 +275,7 @@ def test_submodule_envelope_matches_sum_with_radical():
     # N = the up-set generated by x^2: {x^2, x^3, x^2*y}
     exps = [(2, 0), (3, 0), (2, 1)]
     brute = envelope_of_submodule_bruteforce(m, mask_of(m, exps), _monomial_maps(m))
-    assert span_of(m, brute) == monomial_span(m, exps).sum(env)
+    assert span_of(m, brute) == Subspace(m.dim, monomial_span(m, exps).rows + env.rows)
 
 
 def test_envelope_of_zero_submodule_is_the_radical():

@@ -14,6 +14,7 @@ from artquot.linalg import Subspace
 from artquot.quotient import QuotientModule, positive_degree_span, socle
 from artquot.ring import (
     AlgebraError,
+    InternalCheckError,
     VariableSet,
     grlex_key,
     minimalize,
@@ -151,6 +152,22 @@ def test_coreduced_rejects_non_submodules():
 def test_zero_subspace_is_coreduced():
     m = module_from(FLAT7)
     assert is_coreduced_subspace(m, Subspace(m.dim), witness_candidates(m.n, 2, 8, 0))
+
+
+def test_coreduced_sampling_checks_are_live(monkeypatch):
+    # the witnesses' aN and a^2 N are compared by rank alone; a rank that
+    # reads every pair as different contradicts the socle's exact yes, and
+    # one that reads every pair as equal contradicts the whole module's no
+    m = module_from(FLAT7)
+    witnesses = witness_candidates(m.n, 2, 8, 0)
+    calls = iter(range(10**6))
+    monkeypatch.setattr(reduced, "rank", lambda vectors, width: next(calls))
+    with pytest.raises(InternalCheckError, match="said yes but sampling found"):
+        is_coreduced_subspace(m, socle(m), witnesses)
+    monkeypatch.setattr(reduced, "rank", lambda vectors, width: 0)
+    whole = Subspace(m.dim, [{j: 1} for j in range(m.dim)])
+    with pytest.raises(InternalCheckError, match="said no but sampling found no"):
+        is_coreduced_subspace(m, whole, witnesses)
 
 
 def test_monomials_up_to_degree():

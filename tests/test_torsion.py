@@ -264,7 +264,7 @@ def test_mixed_action_splits():
 def test_submodule_and_quotient_modules():
     fm = scalar_module(0, 5, 0)
     x = poly_monomial((1,))
-    gamma = torsion._levels(fm, [x])[4]
+    gamma = Subspace(fm.dim, torsion._levels(fm, [x])[4])
     sub = submodule_module(fm, gamma)
     assert sub.dim == 2
     assert sub.action[0] == ({}, {})
@@ -375,12 +375,13 @@ def test_level_collapse_on_known_cases():
 
 
 def _fake_fitting(gamma_of, tail_of):
-    """A `_fitting` returning the given functions of the true split."""
+    """A `_fitting` returning the given functions of the true split, Gamma
+    as the subspace its basis spans and J^inf M as its dimension."""
     fitting = torsion._fitting
 
     def fake(ops, d):
-        gamma, tail = fitting(ops, d)
-        return gamma_of(gamma, d), tail_of(tail, d)
+        gamma, tail_dim = fitting(ops, d)
+        return list(gamma_of(Subspace(d, gamma), d).rows), tail_of(tail_dim, d)
 
     return fake
 
@@ -406,7 +407,7 @@ def test_reduced_collapse_check_is_live(monkeypatch):
 
 
 def test_coreduced_collapse_check_is_live(monkeypatch):
-    fake = _fake_fitting(_same, lambda tail, d: full_space(d))
+    fake = _fake_fitting(_same, lambda tail, d: full_space(d).dim)
     monkeypatch.setattr(torsion, "_fitting", fake)
     m = module_from(FLAT7)
     with pytest.raises(InternalCheckError, match="deeper completion"):
