@@ -16,7 +16,10 @@ as they are), eliminated against the current pivot rows by integer
 cross-multiplication (the two multipliers divided by their gcd first, and
 the row divided by its content after every step to keep entries small),
 back-substituted the same way, and only the final division by each pivot
-can make a Fraction, where the pivot does not divide an entry.  `rank`
+can make a Fraction, where the pivot does not divide an entry.  Once the
+pivot rows span the whole space, elimination stops: the rows still to
+come lie in the span and are only checked for out-of-range indices, and
+the rref is the identity, with nothing to back-substitute.  `rank`
 runs the forward pass alone, for callers that read only a dimension: a
 nesting of two spaces is an equality exactly when their ranks agree.
 `null_basis` reads one kernel vector per free column off a single rref.
@@ -79,8 +82,11 @@ def _eliminate(row: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]
 
 def _echelon(vectors: Iterable[dict], width: int) -> dict[int, dict[int, int]]:
     """The forward pass of rref: primitive integer rows keyed by their
-    leading columns, which are distinct, so the row count is the rank."""
+    leading columns, which are distinct, so the row count is the rank.
+    Once there are `width` pivot rows the span is full and every later row
+    lies in it, so later rows are only checked for their indices."""
     pivot_rows: dict[int, dict[int, int]] = {}
+    vectors = iter(vectors)
     for vec in vectors:
         row = _integerize(vec)
         if not row:
@@ -97,6 +103,13 @@ def _echelon(vectors: Iterable[dict], width: int) -> dict[int, dict[int, int]]:
             row = _gcd_normalize(row, c)
         if row:
             pivot_rows[c] = row
+            if len(pivot_rows) == width:
+                break
+    for vec in vectors:
+        if vec and (min(vec) < 0 or max(vec) >= width) and any(
+            x and (c < 0 or c >= width) for c, x in vec.items()
+        ):
+            raise AlgebraError(f"vector index out of range({width})")
     return pivot_rows
 
 
@@ -134,11 +147,13 @@ def rref(vectors: Iterable[dict], width: int):
     no other entry in a pivot column; pivots are the pivot columns in
     increasing order.  Zero rows are dropped.  An entry is an int wherever
     the reduced form is integral.  Rows with at most one nonzero entry
-    each are unit rows up to scale and skip elimination.
+    each are unit rows up to scale and skip elimination; a full span is
+    the identity and skips back-substitution.
     """
     pivot_rows, cols = _forward(vectors, width)
-    if pivot_rows is None:
-        pivots = tuple(sorted(cols))
+    if pivot_rows is None or len(pivot_rows) == width:
+        # unit rows, or a full span, whose rref is the identity
+        pivots = tuple(sorted(cols)) if pivot_rows is None else tuple(range(width))
         return tuple([{c: 1} for c in pivots]), pivots
     pivots = tuple(sorted(pivot_rows))
     # eliminate above the pivots in integers, bottom row first: the rows

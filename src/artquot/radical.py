@@ -4,11 +4,12 @@ The envelope of zero collects the products r*m where some power of r kills
 m; for an Artinian monomial quotient its span, the Jacobson radical, and
 the intersection of the semiprime submodules all equal the span of the
 positive-degree standard monomials.  Alongside the span, every variable is
-checked nilpotent and every seeded unit (a polynomial with nonzero constant
-term) invertible by the slot order: the staircase is listed in grlex order,
-so a positive-degree monomial sends each slot to a later slot or to zero.
-That scan reads one monomial's slot map, so it runs once per distinct
-exponent among the units' terms.
+checked nilpotent and every unit of degree <= 2 (a polynomial with nonzero
+constant term) invertible by the slot order: the staircase is listed in
+grlex order, so a positive-degree monomial sends each slot to a later slot
+or to zero.  That scan reads one monomial's slot map, so it runs once per
+positive-degree exponent of degree <= 2, the whole finite domain of such
+units' terms.
 Semiprime submodules are found among the monomial submodules, which are
 exactly the up-closed subsets (order ideals) of the staircase under
 divisibility, enumerated by one walk over the basis.  After the envelope
@@ -28,41 +29,35 @@ from typing import Sequence
 from .linalg import Subspace
 from .quotient import QuotientModule, positive_degree_span
 from .ring import AlgebraError, InternalCheckError, total_degree
-from .reduced import _random_poly
+from .reduced import monomials_up_to_degree
 from .torsion import image_span
 
 # Monomial submodules are enumerated only up to this module dimension.
 ENUMERATION_BOUND = 14
-# Seeded units checked invertible, and submodule envelopes spot-checked.
-UNIT_TRIALS = 20
+# Submodule envelopes spot-checked.
 SPOT_CHECKS = 3
 
 
-def envelope_zero(module: QuotientModule, seed: int = 0) -> Subspace:
+def envelope_zero(module: QuotientModule) -> Subspace:
     """Span of {r*m : r^k m = 0 for some k}, which is m*M here.
 
     Two exact checks run alongside the span, read off the slot order.
     Every variable sends each slot b to later slots only, so it is strictly
-    lower triangular and nilpotent.  Each of UNIT_TRIALS seeded units
-    r = c + sum a_e x^e with c != 0 has terms whose slot maps send each slot
-    to a later slot or to None: r is c*I plus a strictly lower-triangular
-    part, of determinant c^dim != 0, so no power of r kills a nonzero element.
+    lower triangular and nilpotent.  Every unit r = c + sum a_e x^e of
+    degree <= 2 (c != 0) has terms whose slot maps send each slot to a
+    later slot or to None: r is c*I plus a strictly lower-triangular part,
+    of determinant c^dim != 0, so no power of r kills a nonzero element.
     That scan reads a term's exponent and nothing else, so it runs once per
-    distinct positive-degree exponent the units draw (at most 9 of degree
-    <= 2 in three variables), not once per term.
+    positive-degree exponent of degree <= 2 (2, 5 or 9 of them in one, two
+    or three variables), which covers every such unit at once.
     """
     span = image_span(module.action, module.dim)
     # every variable multiple of a basis class lands in the envelope
     for op in module.action:
         if any(t <= b for b, col in enumerate(op) for t in col):
             raise InternalCheckError("a variable failed to be nilpotent")
-    rng = random.Random(seed)
-    exponents = set()
-    for _ in range(UNIT_TRIALS):
-        r = _random_poly(rng, module.n, 2, constant=True)
-        if r.constant_term() != 0:
-            exponents.update(e for e in r.terms if any(e))
-    for e in exponents:
+    # grlex lists the zero exponent first
+    for e in monomials_up_to_degree(module.n, 2)[1:]:
         if any(t is not None and t <= b
                for b, t in enumerate(module.monomial_map(e).slots)):
             raise InternalCheckError(
@@ -209,9 +204,9 @@ def satisfies_radical_formula(
     submodules must all coincide.  Quotients of M by monomial submodules
     are again staircase quotients, so this single check propagates to every
     submodule; a few random submodule envelopes are spot-checked directly,
-    drawn from the enumerated submodules.
+    drawn from the enumerated submodules by `seed`.
     """
-    env = envelope_zero(module, seed=seed)
+    env = envelope_zero(module)
     jac = jacobson_radical(module, env)
     semiprime_dim = None
     unique = None

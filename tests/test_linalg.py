@@ -29,7 +29,6 @@ from artquot.linalg import (
 )
 from artquot.instances import SamplerConfig, sample_modules
 from artquot.quotient import QuotientModule
-from artquot.radical import UNIT_TRIALS
 from artquot.reduced import _random_poly
 from artquot.ring import AlgebraError, Polynomial, parse_input, poly_monomial
 from artquot.torsion import FiniteModule
@@ -218,6 +217,88 @@ def test_single_entry_index_errors_match_the_general_path(bad):
             rref(mixed, 5)
         assert str(eliminated.value) == str(fast.value)
     assert str(fast.value) == str(general.value) == "vector index out of range(5)"
+
+
+@st.composite
+def early_full_matrices(draw, max_width=6):
+    """(width, rows, k): rows whose first k span all of k^width -- a row
+    with two entries, then a shuffled upper-triangular block with a nonzero
+    diagonal -- followed by rows of ints and Fractions beside explicit
+    zeros, some of those zeros at indices outside the range."""
+    width = draw(st.integers(2, max_width))
+    nonzero = entries.filter(bool)
+    head = [{0: draw(nonzero), width - 1: draw(nonzero)}]
+    block = []
+    for i in range(width):
+        row = {i: draw(nonzero)}
+        for j in range(i + 1, width):
+            if draw(st.booleans()):
+                row[j] = draw(entries)
+        block.append(row)
+    block = draw(st.permutations(block))
+    zero = st.sampled_from((0, Fraction(0)))
+    tail = draw(st.lists(
+        st.dictionaries(st.integers(0, width - 1), st.one_of(entries, zero), max_size=width),
+        max_size=5,
+    ))
+    for row in tail:
+        if draw(st.booleans()):
+            row[draw(st.sampled_from((-1, width, width + 3)))] = draw(zero)
+    return width, head + block + tail, len(head) + len(block)
+
+
+@given(early_full_matrices())
+def test_full_span_matches_naive_elimination(matrix):
+    width, vectors, _ = matrix
+    rows, pivots = rref(vectors, width)
+    assert pivots == tuple(range(width))
+    assert rows == tuple({c: 1} for c in range(width))
+    assert all(type(x) is int for r in rows for x in r.values())
+    expected = naive_rref([dense(v, width) for v in vectors], width)
+    assert (tuple(dense(r, width) for r in rows), pivots) == expected
+    assert linalg.rank(vectors, width) == width
+
+
+@settings(max_examples=60, deadline=None)
+@given(early_full_matrices())
+def test_full_span_matches_sympy(matrix):
+    width, vectors, _ = matrix
+    assert_rref_matches_sympy(width, vectors)
+
+
+@given(early_full_matrices())
+def test_rows_after_a_full_span_are_not_eliminated(matrix):
+    width, vectors, k = matrix
+    seen = []
+    integerize = linalg._integerize
+    with mock.patch.object(
+        linalg, "_integerize", side_effect=lambda v: seen.append(v) or integerize(v)
+    ):
+        assert len(linalg._echelon(vectors, width)) == width
+    assert len(seen) <= k
+    # and rref back-substitutes nothing once the forward pass is done
+    calls = []
+    eliminate = linalg._eliminate
+    with mock.patch.object(
+        linalg, "_eliminate", side_effect=lambda *a: calls.append(a) or eliminate(*a)
+    ):
+        linalg.rank(vectors, width)
+        forward = len(calls)
+        rref(vectors, width)
+    assert len(calls) == 2 * forward
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+@given(matrix=early_full_matrices(), data=st.data())
+def test_rows_after_a_full_span_keep_their_index_errors(bad, matrix, data):
+    width, vectors, k = matrix
+    row = ({width: Fraction(1, 2)}, {-1: 3}, {0: 1, width + 1: Fraction(-2, 3)})[bad]
+    at = data.draw(st.integers(k, len(vectors)))
+    rows = vectors[:at] + [row] + vectors[at:]
+    for reduce in (rref, linalg.rank):
+        with pytest.raises(AlgebraError) as err:
+            reduce(rows, width)
+        assert str(err.value) == f"vector index out of range({width})"
 
 
 def test_out_of_range_index_is_rejected():
@@ -415,12 +496,13 @@ def test_op_power_starts_from_the_operator(monkeypatch):
 
 
 def test_is_invertible_agrees_with_dense_rank_on_unit_operators():
-    # the seeded units radical.envelope_zero checks, drawn the same way: its
-    # slot-order verdict (a nonzero constant, and every positive-degree
-    # term sends each slot to a later one or to None) is the dense rank's
+    # seeded units of degree <= 2, the kind radical.envelope_zero checks by
+    # their exponents: the slot-order verdict (a nonzero constant, and every
+    # positive-degree term sends each slot to a later one or to None) is
+    # the dense rank's
     for seed, m in sample_modules(12, seed=8, config=SamplerConfig(dim_bound=30)):
         rng = random.Random(seed)
-        for _ in range(UNIT_TRIALS):
+        for _ in range(20):
             r = _random_poly(rng, m.n, 2, constant=True)
             op = m.poly_matrix(r)
             full = rank(operator_rows(op), m.dim) == m.dim

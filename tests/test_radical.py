@@ -1,7 +1,6 @@
 """Envelope of zero, Jacobson radical, and the semiprime enumeration."""
 
 import io
-import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -15,7 +14,6 @@ from artquot.instances import SamplerConfig, sample_modules
 from artquot.linalg import SlotMap, Subspace, op_power
 from artquot.quotient import QuotientModule, monomial_span, positive_degree_span
 from artquot.radical import (
-    UNIT_TRIALS,
     envelope_of_submodule_bruteforce,
     envelope_zero,
     jacobson_radical,
@@ -24,8 +22,14 @@ from artquot.radical import (
     _monomial_maps,
     _upsets,
 )
-from artquot.reduced import _random_poly, monomials_up_to_degree
-from artquot.ring import AlgebraError, InternalCheckError, parse_input, poly_monomial
+from artquot.reduced import monomials_up_to_degree
+from artquot.ring import (
+    AlgebraError,
+    InternalCheckError,
+    Polynomial,
+    parse_input,
+    poly_monomial,
+)
 from artquot.suites import run_suite
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -59,7 +63,7 @@ def test_unit_check_agrees_with_sampled_vectors(seed):
     # the replaced sampling loop and the exact rank check both pass
     for _, m in sample_modules(30, seed=41, config=SamplerConfig(dim_bound=30)):
         ref.sampled_unit_check(m, seed=seed)
-        envelope_zero(m, seed=seed)
+        envelope_zero(m)
 
 
 def test_variables_are_triangular_exactly_when_nilpotent_on_samples():
@@ -119,51 +123,86 @@ def test_unit_check_is_live(monkeypatch, capsys):
     )
 
 
-def _unit_exponents(m, seed=0):
-    """The positive-degree exponents of envelope_zero's seeded units."""
-    rng = random.Random(seed)
-    units = [_random_poly(rng, m.n, 2, constant=True) for _ in range(UNIT_TRIALS)]
-    return {e for r in units for e in r.terms if any(e)}
+def _unit_domain(n):
+    """The exponents envelope_zero's unit check reads: every positive-degree
+    one of degree <= 2."""
+    return [e for e in monomials_up_to_degree(n, 2) if any(e)]
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_unit_check_reads_each_exponent_once(seed, monkeypatch):
+    # one slot map per exponent of the domain, whatever seed the radical
+    # formula runs under: 2, 5 or 9 of them in one, two or three variables
     calls = Counter()
-    original = QuotientModule.monomial_map
+    inside = []
+    original_map = QuotientModule.monomial_map
+    original_envelope = radical.envelope_zero
 
     def counted(module, e):
-        calls[e] += 1
-        return original(module, e)
+        if inside:
+            calls[e] += 1
+        return original_map(module, e)
+
+    def envelope(module):
+        inside.append(module)
+        try:
+            return original_envelope(module)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(QuotientModule, "monomial_map", counted)
-    for _, m in sample_modules(20, seed=47, config=SamplerConfig(dim_bound=30)):
+    monkeypatch.setattr(radical, "envelope_zero", envelope)
+    sampled = [m for _, m in sample_modules(20, seed=47, config=SamplerConfig(dim_bound=30))]
+    assert {m.n for m in sampled} == {1, 2, 3}
+    for m in sampled:
         calls.clear()
-        envelope_zero(m, seed=seed)
-        # one slot map per exponent the units draw, at most 9 in 3 variables
-        assert set(calls) == _unit_exponents(m, seed)
-        assert max(calls.values()) == 1
-        assert len(calls) <= m.n + m.n * (m.n + 1) // 2
+        satisfies_radical_formula(m, seed=seed)
+        assert list(calls) == _unit_domain(m.n)
+        assert set(calls.values()) == {1}
+        assert len(calls) == {1: 2, 2: 5, 3: 9}[m.n]
 
 
 def test_unit_check_reads_every_drawn_exponent(monkeypatch, capsys):
     # a slot map broken at one exponent only, which then fixes every slot,
-    # still fails the check, for each exponent the units draw
+    # fails the check, for each exponent of the domain: x*y included, on a
+    # three-variable staircase that holds it
     original = QuotientModule.monomial_map
-    exponents = _unit_exponents(module_from(FLAT7))
-    assert len(exponents) > 1
-    for bad in exponents:
-        def broken(module, e, bad=bad):
-            if e == bad:
-                return SlotMap(tuple(range(module.dim)), (1,) * module.dim)
-            return original(module, e)
+    for text in (FLAT7, "ring x,y,z; ideal z, y^2, x^4"):
+        m = module_from(text)
+        exponents = _unit_domain(m.n)
+        assert len(exponents) == {2: 5, 3: 9}[m.n]
+        for bad in exponents:
+            def broken(module, e, bad=bad):
+                if e == bad:
+                    return SlotMap(tuple(range(module.dim)), (1,) * module.dim)
+                return original(module, e)
 
-        monkeypatch.setattr(QuotientModule, "monomial_map", broken)
-        monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
-        assert main(["radical"]) == 3
-        assert capsys.readouterr() == ("", (
-            "internal check failed: "
-            "a unit-like polynomial had a vanishing power on a nonzero element\n"
-        ))
+            monkeypatch.setattr(QuotientModule, "monomial_map", broken)
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["radical"]) == 3
+            assert capsys.readouterr() == ("", (
+                "internal check failed: "
+                "a unit-like polynomial had a vanishing power on a nonzero element\n"
+            ))
+    assert (1, 1, 0) in exponents and (1, 1, 0) in m.index
+
+
+def test_envelope_builds_no_polynomial(monkeypatch):
+    sampled = [m for _, m in sample_modules(20, seed=48, config=SamplerConfig(dim_bound=30))]
+    built = []
+    original = Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counted)
+    poly_monomial((1, 0))
+    assert len(built) == 1
+    built.clear()
+    for m in sampled:
+        assert envelope_zero(m) == positive_degree_span(m)
+    assert built == []
 
 
 @pytest.mark.parametrize(
