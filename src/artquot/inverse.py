@@ -15,13 +15,14 @@ corner combinatorics of the staircase mirrors over to the dual side.
 `inverse_system` builds I-perp once, as a module of contraction operators
 on the staircase basis and index of M = R/I itself, with its grading, its
 contraction image and its corners (the generators of its largest reduced
-quotient); the inverse-system readings are read off it.  Its checks that
-the generators of I kill exactly the staircase duals run `contraction` on
-exponent vectors: on the maximal staircase duals, which every staircase
-dual divides, and on the minimal monomials outside the staircase, which
-every other outside monomial is a multiple of.  The truncated dual, all
-dual monomials of degree <= D, is I-perp of m^(D+1), built the same way;
-`truncated_dual_report` reads its contraction operators.
+quotient); contraction by x^e and the inverse-system readings are read
+off those operators.  Its checks that the generators of I kill exactly
+the staircase duals run `contraction` on exponent vectors: on the maximal
+staircase duals, which every staircase dual divides, and on the minimal
+monomials outside the staircase, which every other outside monomial is a
+multiple of.  The truncated dual, all dual monomials of degree <= D, is
+I-perp of m^(D+1), built the same way; `truncated_dual_report` reads its
+contraction operators.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import perm, prod
-from operator import sub
 from typing import Sequence
 
-from .linalg import Operator, SlotMap, Subspace
+from .linalg import Operator, Subspace
 from .quotient import (
     HilbertSeries,
     QuotientModule,
@@ -67,9 +67,10 @@ class InverseSystem(QuotientModule):
     Variables, ideal, basis and index are those of the module M = R/I it is
     built from; only the operators and the labels differ.  Column e of
     action[i] is contraction by x_i, which is e_i X^(e - s_i) for the i-th
-    unit exponent vector s_i, and contraction by x^e is the slot map
-    `monomial_map` (coefficient b!/(b-e)! in column b).  inverse_system
-    builds it and stores the checked structures below.
+    unit exponent vector s_i, and contraction by x^e is the product of
+    their slot maps (`FiniteModule.monomial_map`), whose column b holds
+    b!/(b-e)! as a product of the falling factors.  inverse_system builds
+    it and stores the checked structures below.
     """
 
     grading: HilbertSeries
@@ -96,18 +97,6 @@ class InverseSystem(QuotientModule):
                 raise InternalCheckError("dual staircase is not downward closed")
             cols.append({pos: k})
         return tuple(cols)
-
-    def monomial_map(self, exps: ExponentVector) -> SlotMap:
-        """Contraction by x^exps on the dual slots: X^b -> (b!/(b-exps)!)
-        X^(b-exps) when exps divides b, else nothing.  The operators have
-        checked that the basis is downward closed, so X^(b-exps) is in it."""
-        index = self.index
-        slots, coeffs = [], []
-        for b in self.basis:
-            c = contraction(exps, b)
-            slots.append(index[tuple(map(sub, b, exps))] if c else None)
-            coeffs.append(c)
-        return SlotMap(tuple(slots), tuple(coeffs))
 
 
 def inverse_system(module: QuotientModule) -> InverseSystem:

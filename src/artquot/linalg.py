@@ -34,7 +34,8 @@ read off the operator itself, never declared.  `rref` takes it when every
 row has at most one nonzero entry: such rows need no elimination, and the
 canonical RREF is the sorted, deduplicated unit rows.  A module's
 commutation check composes slot maps when both operators have the form
-(`slot_maps_commute`) and multiplies operators otherwise.
+(`slot_maps_commute`) and multiplies operators otherwise; x^e is a product
+of the variables' slot maps raised to powers (`slot_power`).
 """
 
 from __future__ import annotations
@@ -347,6 +348,21 @@ def slot_compose(a: SlotMap, b: SlotMap) -> SlotMap:
     # a product of nonzeros is nonzero, so no filled column empties
     coeffs = [0 if s is None else x * ca[t] for s, t, x in zip(slots, sb, cb)]
     return SlotMap(tuple(slots), tuple(coeffs))
+
+
+def slot_power(m: SlotMap, k: int) -> SlotMap:
+    """m**k for k >= 1 by repeated squaring, as `op_power`.  A power that
+    is the zero map stops it: every higher power is zero too."""
+    out = None
+    while True:
+        if k & 1:
+            out = m if out is None else slot_compose(out, m)
+        k >>= 1
+        if not k:
+            return out
+        m = slot_compose(m, m)
+        if not any(m.coeffs):
+            return m
 
 
 def _ones(coeffs: tuple) -> bool:

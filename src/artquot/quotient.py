@@ -7,19 +7,18 @@ as staircase shifts: the operator of x_i sends each basis monomial to its
 x_i-multiple, or to zero when that lies in I.  Module elements are sparse
 vectors {position: value} over that basis, values in the form
 `linalg` states; every shift entry is the int 1.  Every monomial x^e acts
-by a slot map (`monomial_map`), one index lookup per basis monomial, which
-`poly_matrix` sums over a polynomial's terms.
+by a slot map (`monomial_map`), composed from the shifts' own slot maps,
+which `poly_matrix` sums over a polynomial's terms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterable
 
-from .linalg import Operator, SlotMap, Subspace
+from .linalg import Operator, Subspace
 from .ring import (
     AlgebraError,
     ExponentVector,
@@ -148,17 +147,6 @@ class QuotientModule(FiniteModule):
         get = self.index.get
         targets = [get(e[:i] + (e[i] + 1,) + e[i + 1:]) for e in self.basis]
         return tuple({} if t is None else {t: 1} for t in targets)
-
-    def monomial_map(self, exps: ExponentVector) -> SlotMap:
-        """x^exps on the staircase slots: b -> the slot of x^exps * basis[b],
-        None inside I; every entry is 1."""
-        if exps not in self.index:
-            # x^exps lies in I, and so does each of its multiples
-            return SlotMap((None,) * self.dim, (0,) * self.dim)
-        get = self.index.get
-        slots = tuple(get(tuple(map(add, exps, e))) for e in self.basis)
-        # 1 in each filled column, 0 in each empty one
-        return SlotMap(slots, tuple(map({None: 0}.get, slots, repeat(1))))
 
     @property
     def n(self) -> int:

@@ -17,7 +17,7 @@ and Jacobson checks, which compare exact subspaces, a monomial submodule is
 a bitmask over the staircase slots: the envelope is read into one mask, and
 the semiprime intersection and the spot-checked submodule envelopes are
 masks, each monomial acting on slots by its slot map
-(`QuotientModule.monomial_map`, read off the basis index).
+(`FiniteModule.monomial_map`, composed from the shifts' slot maps).
 """
 
 from __future__ import annotations

@@ -119,8 +119,13 @@ class VariableSet:
         raise AlgebraError(f"unknown variable {name!r}")
 
     def dual_names(self) -> tuple[str, ...]:
-        """Upper-cased names for elements of the dual (inverse-system) side."""
-        return tuple(nm[0].upper() + nm[1:] for nm in self.names)
+        """Dual-side names, first letter upper-cased; AlgebraError on a clash."""
+        duals: dict[str, str] = {}
+        for nm in self.names:
+            other = duals.setdefault(nm[0].upper() + nm[1:], nm)
+            if other != nm:
+                raise AlgebraError(f"variables {other!r} and {nm!r} share a dual name")
+        return tuple(duals)
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,19 @@ and the split M = Gamma_J M (+) J^inf M is a rank too, of Gamma's kernel
 basis beside the image columns.  Matlis duality is the linear dual:
 transpose every operator.
 
-Two paths take the single-entry form `linalg` states, read off the module
-itself.  The commutation check composes slot maps when both operators of
-a pair have at most one entry per column, and multiplies them otherwise
-(sampler draws, conjugates).  `poly_matrix` on a module that reads each
-monomial's slot map off its basis (`monomial_map`; a staircase module
-does) sums coefficient times slot map over the terms, and otherwise acts
-on each unit column.
+Two paths take the single-entry form `linalg` states, read off each
+operator once (`slot_maps`).  The commutation check composes slot maps
+when both operators of a pair have at most one entry per column, and
+multiplies them otherwise (sampler draws, conjugates).  When every
+operator has one, x^e is the product of their powers (`monomial_map`) and
+`poly_matrix` sums coefficient times slot map over the terms; otherwise
+it acts on each unit column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -40,8 +40,10 @@ from .linalg import (
     op_power,
     op_transpose,
     rank,
+    slot_compose,
     slot_map,
     slot_maps_commute,
+    slot_power,
     slot_sum,
     sparse_apply,
 )
@@ -55,6 +57,7 @@ class FiniteModule:
     nvars: int
     dim: int
     action: tuple[Operator, ...]
+    slot_maps: tuple[SlotMap | None, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.action) != self.nvars:
@@ -69,30 +72,34 @@ class FiniteModule:
                 raise AlgebraError(
                     "action operator has the wrong shape or a stored zero"
                 )
-        maps = [slot_map(op) for op in self.action]
-        for i in range(self.nvars):
-            for j in range(i + 1, self.nvars):
-                a, b = maps[i], maps[j]
-                if a is not None and b is not None:
-                    same = slot_maps_commute(a, b)
-                else:
-                    ab = op_mul(self.action[i], self.action[j])
-                    ba = op_mul(self.action[j], self.action[i])
-                    same = ab == ba
-                if not same:
-                    raise AlgebraError(
-                        f"action matrices {i} and {j} do not commute"
-                    )
+        maps = tuple(map(slot_map, self.action))
+        object.__setattr__(self, "slot_maps", maps)
+        for i, j in combinations(range(self.nvars), 2):
+            if maps[i] is not None and maps[j] is not None:
+                same = slot_maps_commute(maps[i], maps[j])
+            else:
+                ab = op_mul(self.action[i], self.action[j])
+                ba = op_mul(self.action[j], self.action[i])
+                same = ab == ba
+            if not same:
+                raise AlgebraError(f"action matrices {i} and {j} do not commute")
 
     def monomial_map(self, exps) -> SlotMap | None:
-        """x^exps as a slot map read off the basis, for a module that has
-        one (a staircase module); None here."""
-        return None
+        """x^exps as a slot map, the product of the variables' slot maps
+        raised to their exponents; None if some operator has none."""
+        if None in self.slot_maps:
+            return None
+        out = None
+        for m, k in zip(self.slot_maps, exps):
+            if k:
+                p = slot_power(m, k)
+                out = p if out is None else slot_compose(out, p)
+        return SlotMap(tuple(range(self.dim)), (1,) * self.dim) if out is None else out
 
     def poly_matrix(self, poly: Polynomial) -> Operator:
         """Evaluate a polynomial at the action operators: the sum of
-        coefficient * slot map over the terms where the module reads slot
-        maps off its basis, else one `act` per unit column."""
+        coefficient * slot map over the terms where every monomial has a
+        slot map, else one `act` per unit column."""
         for exps in poly.terms:
             if len(exps) != self.nvars:
                 raise AlgebraError("polynomial arity does not match the module")

@@ -17,10 +17,11 @@ and the scan of all 2^dim bitmasks for the up-closed staircase subsets,
 which the order-ideal walk `radical._upsets` replaced, and the submodule
 envelope scan on subspaces, which `radical`'s scan on staircase slot masks
 replaced, and the evaluation of a polynomial by one `act` per unit column,
-which `FiniteModule.poly_matrix` replaced on staircase modules by a sum of
-coefficient times slot map.  The differential tests require the sparse code to give the
-same matrices, subspaces, echelon forms and tags, and the unit checks to
-agree.  `apolarity`, the contraction extended bilinearly to polynomials, is
+which `FiniteModule.poly_matrix` replaced, on every module whose operators
+have at most one entry per column, by a sum of coefficient times slot map,
+each monomial's map composed from the variables' maps.  The differential
+tests require the sparse code to give the same matrices, subspaces,
+echelon forms and tags, and the unit checks to agree.  `apolarity`, the contraction extended bilinearly to polynomials, is
 the reference the inverse-system tests hold the exponent-vector
 `inverse.contraction` and the contraction operators to.
 """

@@ -5,8 +5,9 @@ RREF rows, tags field by field.  The torsion part, computed by Fitting's
 lemma, is compared with the reference's stabilization chain, the
 completion's dimension through the `classify` fields, and the sparse `rref`
 with the dense one on the rows and columns the torsion core reduces.  On
-staircases and their inverse systems, `poly_matrix` (a sum of coefficient
-times slot map) is compared with one `act` per unit column.
+staircases, their inverse systems and their Matlis duals, `poly_matrix` (a
+sum of coefficient times slot map) is compared with one `act` per unit
+column.
 """
 
 import random
@@ -144,8 +145,9 @@ def test_ladder_staircases_match_dense_reference(text):
 
 def test_slot_map_poly_matrix_matches_act_reference():
     # polynomials with a constant term, a term inside I, a staircase term
-    # and a random one, with Fraction coefficients, on staircases and their
-    # inverse systems (where x^e acts by contraction)
+    # and a random one, with Fraction coefficients, on staircases, their
+    # inverse systems (where x^e acts by contraction) and their Matlis duals
+    # (transposed shifts, a plain FiniteModule)
     sampled = [m for _, m in sample_modules(25, seed=71, config=SamplerConfig(dim_bound=40))]
     modules = [QuotientModule(*parse_input(t)) for t in LADDER] + sampled
     rng = random.Random(71)
@@ -154,7 +156,7 @@ def test_slot_map_poly_matrix_matches_act_reference():
         return Fraction(rng.choice((-3, -1, 2, 7)), rng.choice((1, 2, 3)))
 
     for m in modules:
-        for module in (m, inverse_system(m)):
+        for module in (m, inverse_system(m), matlis_dual(m)):
             for _ in range(4):
                 terms = {(0,) * m.n: coeff()}
                 for e in (rng.choice(m.ideal.min_gens), rng.choice(m.basis),

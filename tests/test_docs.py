@@ -1,13 +1,20 @@
-"""The README's claim table names every internal check the package runs.
+"""The README's claim table and examples match what the package does.
 
 Each `InternalCheckError` raised in `src/artquot` is read with `ast`; its
 message, with every interpolated value written as `…`, must appear in
 backticks in the table, in full or up to its first `: ` (what follows is
-data, such as the two dimensions that disagree).
+data, such as the two dimensions that disagree).  Each example block that
+starts with `$ echo '…' | artquot CMD` is run through `cli.main`, and the
+rest of the block must be its stdout, byte for byte.
 """
 
 import ast
+import io
+import re
+import shlex
 from pathlib import Path
+
+from artquot.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,3 +65,27 @@ def test_every_internal_check_is_documented():
         and f"`{message.split(': ', 1)[0]}`" not in table
     ]
     assert missing == []
+
+
+def _examples() -> list[tuple[str, list[str], str]]:
+    """(stdin, argv, expected stdout) of each README example block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    # the fences alternate, so every other piece is a block's body
+    blocks = re.split(r"^```.*\n", readme, flags=re.M)[1::2]
+    found = []
+    for block in blocks:
+        command, _, expected = block.partition("\n")
+        match = re.fullmatch(r"\$ echo '(.*)' \| artquot (.*)", command)
+        if match:
+            found.append((match[1] + "\n", shlex.split(match[2]), expected))
+    return found
+
+
+def test_readme_examples_print_what_they_show(monkeypatch, capsys):
+    examples = _examples()
+    assert examples
+    for stdin, argv, expected in examples:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (expected, ""), argv

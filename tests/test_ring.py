@@ -194,6 +194,15 @@ def test_dual_names_upper_case_first_letter():
     assert VariableSet(("x1", "x2")).dual_names() == ("X1", "X2")
 
 
+def test_dual_names_refuse_two_names_that_coincide():
+    # x and X would both be written X on the dual side
+    with pytest.raises(AlgebraError, match="^variables 'x' and 'X' share a dual name$"):
+        VariableSet(("x", "y", "X")).dual_names()
+    with pytest.raises(AlgebraError, match="'ab' and 'Ab'"):
+        VariableSet(("ab", "Ab")).dual_names()
+    assert VariableSet(("x", "Y")).dual_names() == ("X", "Y")
+
+
 def test_polynomial_arithmetic():
     variables = VariableSet(("x", "y"))
     x_plus_y = Polynomial({(1, 0): 1, (0, 1): 1})

@@ -7,6 +7,7 @@ torsion part and the completion are read off its fields.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,16 @@ from artquot.instances import (
     random_finite_module,
     random_monomial_ideal_polys,
 )
-from artquot.linalg import SlotMap, Subspace, op_mul, slot_compose, slot_map, slot_maps_commute
+from artquot.linalg import (
+    SlotMap,
+    Subspace,
+    op_mul,
+    op_power,
+    slot_compose,
+    slot_map,
+    slot_maps_commute,
+    slot_power,
+)
 from artquot.quotient import QuotientModule
 from artquot.ring import (
     AlgebraError,
@@ -153,6 +163,51 @@ def test_commuting_slots_with_non_commuting_coefficients():
         FiniteModule(2, 2, (columns(a), columns(b)))
     # with unit coefficients the same slots commute
     assert slot_maps_commute(SlotMap((1, None), (1, 0)), SlotMap((0, 1), (1, 1)))
+
+
+@settings(max_examples=200)
+@given(slot_map_pairs(), st.integers(1, 9))
+def test_slot_power_matches_operator_power(pair, k):
+    m = pair[0]
+    assert columns(slot_power(m, k)) == op_power(columns(m), k)
+
+
+def test_slot_power_stops_at_the_zero_map(monkeypatch):
+    # a shift on 4 slots is zero from its 4th power on, so its power
+    # 2^4000 - 1 squares twice and composes once before it stops
+    shift = SlotMap((1, 2, 3, None), (1, 1, 1, 0))
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return slot_compose(a, b)
+
+    monkeypatch.setattr("artquot.linalg.slot_compose", counted)
+    assert slot_power(shift, 2**4000 - 1) == SlotMap((None,) * 4, (0,) * 4)
+    assert len(calls) == 3
+
+
+def test_monomial_maps_need_single_entry_operators():
+    a = operator_from_rows(((1, 1), (0, 1)))  # column 1 holds two entries
+    b = operator_from_rows(((2, 0), (0, 2)))
+    module = FiniteModule(2, 2, (a, op_mul(a, a)))
+    assert module.slot_maps == (None, None)
+    assert module.monomial_map((1, 0)) is None
+    mixed = FiniteModule(2, 2, (b, a))
+    assert mixed.slot_maps == (slot_map(b), None)
+    assert mixed.monomial_map((1, 0)) is None
+    assert mixed.poly_matrix(poly_monomial((1, 0), 1)) == b
+
+
+def test_huge_power_of_a_cycle_is_composed_not_applied():
+    # x cycles three slots, so x^2000000 is x^2, found by squaring the
+    # slot map instead of applying x two million times
+    cycle = ({1: 1}, {2: 1}, {0: 1})
+    module = FiniteModule(1, 3, (cycle,))
+    start = time.perf_counter()
+    op = module.poly_matrix(poly_monomial((2_000_000,), 1))
+    assert time.perf_counter() - start < 1.0
+    assert op == op_mul(cycle, cycle) == ({2: 1}, {0: 1}, {1: 1})
 
 
 class _NotDownSet(QuotientModule):
