@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .diagram import diagram_ascii, diagram_cells, diagram_svg
 from .inverse import hilbert_duality_check, inverse_system
-from .linalg import sparse_apply
 from .quotient import HilbertSeries, QuotientModule, standard_basis
 from .radical import satisfies_radical_formula
 from .ring import (
@@ -312,7 +311,7 @@ def _report_rows(module: QuotientModule) -> list[dict]:
 
 def _m_kills_reduced(module: QuotientModule, reduced) -> bool:
     return not any(
-        sparse_apply(op, row) for op in module.action for row in reduced.rows
+        module.apply(i, row) for i in range(module.n) for row in reduced.rows
     )
 
 

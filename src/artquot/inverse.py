@@ -12,15 +12,16 @@ so no polynomial is contracted.  In characteristic zero the inverse system
 of a monomial ideal is spanned by the dual staircase monomials, and the
 corner combinatorics of the staircase mirrors over to the dual side.
 
-`inverse_system` builds I-perp once, as a module of contraction operators
-on the staircase basis and index of M = R/I itself, with its grading, its
-contraction image and its corners (the generators of its largest reduced
-quotient); contraction by x^e and the inverse-system readings are read
-off those operators.  Its checks that the generators of I kill exactly
-the staircase duals run `contraction` on exponent vectors: on the maximal
-staircase duals, which every staircase dual divides, and on the minimal
-monomials outside the staircase, which every other outside monomial is a
-multiple of.  The truncated dual, all dual monomials of degree <= D, is
+`inverse_system` builds I-perp once, as a module of contraction slot maps
+on the staircase basis and index of M = R/I itself, each M's shift by x_i
+read backwards with coefficient e_i, with its grading, its contraction
+image (the union of the contraction targets) and its corners (the
+generators of its largest reduced quotient); contraction by x^e and the
+inverse-system readings are read off those maps.  Its checks that the
+generators of I kill exactly the staircase duals run `contraction` on
+exponent vectors: on the maximal staircase duals, which every staircase
+dual divides, and on the minimal monomials outside the staircase, which
+every other outside monomial is a multiple of.  The truncated dual, all dual monomials of degree <= D, is
 I-perp of m^(D+1), built the same way; `truncated_dual_report` reads its
 contraction operators.
 """
@@ -32,14 +33,8 @@ from itertools import combinations_with_replacement, product
 from math import perm, prod
 from typing import Sequence
 
-from .linalg import Operator, Subspace
-from .quotient import (
-    HilbertSeries,
-    QuotientModule,
-    hilbert,
-    minimal_outside,
-    monomial_span,
-)
+from .linalg import SlotMap, Subspace, dead_columns
+from .quotient import HilbertSeries, QuotientModule, hilbert, minimal_outside
 from .ring import (
     AlgebraError,
     ExponentVector,
@@ -61,16 +56,30 @@ def contraction(a: ExponentVector, b: ExponentVector) -> int:
     return prod(map(perm, b, a))
 
 
+def _contraction_map(shift: SlotMap, exps: tuple[int, ...]) -> SlotMap:
+    """Contraction by x_i from M's shift by x_i and the x_i-exponents of
+    the basis: the shift inverted, so column e goes back to the slot of
+    e - s_i, the cell the shift sends to e, with coefficient e_i.  The
+    shift's targets are cells with e_i > 0, and every such cell must be
+    one of them."""
+    back = dict(zip(shift.slots, range(len(exps)))).get
+    slots = tuple(map(back, range(len(exps))))
+    if slots.count(None) != exps.count(0):
+        raise InternalCheckError("dual staircase is not downward closed")
+    return SlotMap(slots, exps)
+
+
 class InverseSystem(QuotientModule):
     """I-perp on the dual staircase basis, a module under contraction.
 
     Variables, ideal, basis and index are those of the module M = R/I it is
     built from; only the operators and the labels differ.  Column e of
-    action[i] is contraction by x_i, which is e_i X^(e - s_i) for the i-th
-    unit exponent vector s_i, and contraction by x^e is the product of
-    their slot maps (`FiniteModule.monomial_map`), whose column b holds
-    b!/(b-e)! as a product of the falling factors.  inverse_system builds
-    it and stores the checked structures below.
+    contraction by x_i holds e_i at X^(e - s_i) for the i-th unit exponent
+    vector s_i: M's shift by x_i read backwards (`_contraction_map`).
+    Contraction by x^e is the product of these slot maps
+    (`FiniteModule.monomial_map`), whose column b holds b!/(b-e)! as a
+    product of the falling factors.  inverse_system builds it and stores
+    the checked structures below.
     """
 
     grading: HilbertSeries
@@ -81,22 +90,8 @@ class InverseSystem(QuotientModule):
         self.variables, self.ideal = module.variables, module.ideal
         self.basis, self.index = module.basis, module.index
         self.names = module.variables.dual_names()
-        ops = tuple(self._operator(i) for i in range(module.n))
-        FiniteModule.__init__(self, module.n, module.dim, ops)
-
-    def _operator(self, i: int) -> Operator:
-        get = self.index.get
-        cols = []
-        for e in self.basis:
-            k = e[i]
-            if not k:
-                cols.append({})
-                continue
-            pos = get(e[:i] + (k - 1,) + e[i + 1:])
-            if pos is None:
-                raise InternalCheckError("dual staircase is not downward closed")
-            cols.append({pos: k})
-        return tuple(cols)
+        maps = tuple(map(_contraction_map, module.slot_maps, zip(*module.basis)))
+        FiniteModule.__init__(self, module.n, module.dim, slot_maps=maps)
 
 
 def inverse_system(module: QuotientModule) -> InverseSystem:
@@ -112,26 +107,23 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
     the pivots of that image.
     """
     system = InverseSystem(module)
-    basis, n = system.basis, module.n
+    basis, n, d = system.basis, module.n, system.dim
     gens = module.ideal.min_gens
-    maximal, non_maximal = [], []
-    # X^e is non-maximal when some shift of M moves x^e
-    for k, e in enumerate(basis):
-        grows = any(op[k] for op in module.action)
-        (non_maximal if grows else maximal).append(e)
-    for e in maximal:
+    # X^e is maximal when no shift of M moves x^e
+    maximal = dead_columns(module.slot_maps, d)
+    for k in maximal:
         for g in gens:
-            if contraction(g, e):
+            if contraction(g, basis[k]):
                 raise InternalCheckError(
-                    f"dual staircase monomial {e} not annihilated by a generator"
+                    f"dual staircase monomial {basis[k]} not annihilated by a generator"
                 )
     for e in minimal_outside(system.index, n):
         if not any(contraction(g, e) for g in gens):
             raise InternalCheckError(
                 f"non-staircase dual monomial {e} annihilated by every generator"
             )
-    inner = image_span(system.action, system.dim)
-    if inner != monomial_span(system, non_maximal):
+    inner = image_span(system.slot_maps, d)
+    if inner != Subspace.units(d, set(range(d)).difference(maximal)):
         raise InternalCheckError(
             "contraction image differs from the span of non-maximal duals"
         )

@@ -27,23 +27,30 @@ nesting of two spaces is an equality exactly when their ranks agree.
 Operators with at most one entry per column have a second, single-entry
 form: a slot map (`SlotMap`), the target slot of each column or None for
 an empty one, and a coefficient per column (0 for an empty one).  Every
-operator a staircase module builds has it: the shifts of M, the
-contractions of I-perp (coefficient e_i), their transposes (both are
-injective on the slots they move) and every monomial x^e.  The form is
-read off the operator itself, never declared.  `rref` takes it when every
-row has at most one nonzero entry: such rows need no elimination, and the
-canonical RREF is the sorted, deduplicated unit rows.  A module's
-commutation check composes slot maps when both operators have the form
-(`slot_maps_commute`) and multiplies operators otherwise; x^e is a product
-of the variables' slot maps raised to powers (`slot_power`).
+operator a staircase module has takes it: the shifts of M, the
+contractions of I-perp (coefficient e_i), their transposes (all injective
+on the slots they move) and every monomial x^e.  Staircase modules are
+built from slot maps; for any other operator the form is read off its
+columns (`slot_map`), and `slot_columns` turns a slot map back into
+columns.  A slot map injective on its live slots (`slot_injective`) kills
+exactly the vectors on its dead columns and has the unit vectors at its
+targets as image, so kernels and images of such maps are unit spans
+(`Subspace.units`) read with no elimination.  `rref` also takes the form
+when every row has at most one nonzero entry: such rows need no
+elimination, and the canonical RREF is the sorted, deduplicated unit
+rows.  A module's commutation check composes slot maps when both
+operators have the form (`slot_maps_commute`) and multiplies operators
+otherwise; x^e is a product of the variables' slot maps raised to powers
+(`slot_power`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from operator import is_not
+from typing import Iterable, Iterator, NamedTuple
 
 from .ring import AlgebraError
 
@@ -196,6 +203,18 @@ class Subspace:
         self.ambient = ambient
         self.rows, self.pivots = rref(vectors, ambient)
 
+    @classmethod
+    def units(cls, ambient: int, cols: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors at `cols`: its rref is their unit
+        rows in increasing order, so no elimination runs."""
+        space = cls.__new__(cls)
+        space.ambient = ambient
+        space.pivots = tuple(sorted(set(cols)))
+        if space.pivots and (space.pivots[0] < 0 or space.pivots[-1] >= ambient):
+            raise AlgebraError(f"vector index out of range({ambient})")
+        space.rows = tuple([{c: 1} for c in space.pivots])
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -341,18 +360,72 @@ def slot_map(op: Operator) -> SlotMap | None:
     )
 
 
+def unit_map(slots: tuple) -> SlotMap:
+    """The slot map with these slots whose every filled column holds 1."""
+    return SlotMap(slots, tuple([0 if t is None else 1 for t in slots]))
+
+
+def slot_columns(m: SlotMap) -> Operator:
+    """m as an operator, one dict per column: the inverse of `slot_map`."""
+    return tuple({} if t is None else {t: x} for t, x in zip(*m))
+
+
+def live_columns(m: SlotMap) -> Iterator[int]:
+    """The columns that m does not send to zero, in increasing order."""
+    return compress(count(), map(is_not, m.slots, repeat(None)))
+
+
+def dead_columns(maps: Iterable[SlotMap], d: int) -> list[int]:
+    """The columns of range(d) that every map sends to zero, in order."""
+    return sorted(set(range(d)).difference(*map(live_columns, maps)))
+
+
+def slot_injective(m: SlotMap) -> bool:
+    """Whether no two live columns of m share a target slot.  Then m v = 0
+    exactly when v lives on m's dead columns, and m's image is spanned by
+    the unit vectors at its targets."""
+    targets = set(m.slots)
+    targets.discard(None)
+    return len(targets) == len(m.slots) - m.slots.count(None)
+
+
+def slot_apply(m: SlotMap, vec: dict) -> dict:
+    """The sparse vector m * vec, as `sparse_apply` computes it for the
+    columns of m."""
+    slots, coeffs = m
+    out: dict = {}
+    summed = False
+    for j, c in vec.items():
+        t = slots[j]
+        if t is None:
+            continue
+        a = coeffs[j]
+        x = c if a == 1 else a * c
+        if t in out:
+            out[t] += x
+            summed = True
+        else:
+            out[t] = x
+    return {i: x for i, x in out.items() if x} if summed else out
+
+
 def slot_compose(a: SlotMap, b: SlotMap) -> SlotMap:
     """The composition a * b as a slot map: b acts first."""
     (sa, ca), (sb, cb) = a, b
-    slots = [None if t is None else sa[t] for t in sb]
+    slots = tuple([None if t is None else sa[t] for t in sb])
+    if unit_entries(a) and unit_entries(b):
+        # every entry of the product is 1 too
+        return unit_map(slots)
     # a product of nonzeros is nonzero, so no filled column empties
     coeffs = [0 if s is None else x * ca[t] for s, t, x in zip(slots, sb, cb)]
-    return SlotMap(tuple(slots), tuple(coeffs))
+    return SlotMap(slots, tuple(coeffs))
 
 
 def slot_power(m: SlotMap, k: int) -> SlotMap:
-    """m**k for k >= 1 by repeated squaring, as `op_power`.  A power that
-    is the zero map stops it: every higher power is zero too."""
+    """m**k by repeated squaring, as `op_power`; m**0 is the identity.  A
+    power that is the zero map stops it: every higher power is zero too."""
+    if not k:
+        return unit_map(tuple(range(len(m.slots))))
     out = None
     while True:
         if k & 1:
@@ -365,14 +438,18 @@ def slot_power(m: SlotMap, k: int) -> SlotMap:
             return m
 
 
-def _ones(coeffs: tuple) -> bool:
-    return coeffs.count(0) + coeffs.count(1) == len(coeffs)
+def unit_entries(m: SlotMap) -> bool:
+    """Whether every filled column of m holds 1."""
+    return m.coeffs.count(0) + m.coeffs.count(1) == len(m.coeffs)
 
 
-def slot_maps_commute(a: SlotMap, b: SlotMap) -> bool:
+def slot_maps_commute(a: SlotMap, b: SlotMap, ones: bool | None = None) -> bool:
     """Whether a * b == b * a.  Where every entry of both is 1, so is every
-    entry of both products, and the composed slots decide."""
-    if _ones(a.coeffs) and _ones(b.coeffs):
+    entry of both products, and the composed slots decide; `ones` says so
+    when the caller has already read it (`unit_entries`)."""
+    if ones is None:
+        ones = unit_entries(a) and unit_entries(b)
+    if ones:
         (sa, _), (sb, _) = a, b
         return [None if t is None else sa[t] for t in sb] == [
             None if t is None else sb[t] for t in sa

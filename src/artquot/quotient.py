@@ -4,21 +4,25 @@ The standard-monomial (staircase) basis is enumerated column by column,
 visiting only cells outside I; `minimal_outside` reads the minimal
 monomials outside a down-set.  R/I is a FiniteModule whose variables act
 as staircase shifts: the operator of x_i sends each basis monomial to its
-x_i-multiple, or to zero when that lies in I.  Module elements are sparse
-vectors {position: value} over that basis, values in the form
-`linalg` states; every shift entry is the int 1.  Every monomial x^e acts
-by a slot map (`monomial_map`), composed from the shifts' own slot maps,
-which `poly_matrix` sums over a polynomial's terms.
+x_i-multiple, or to zero when that lies in I.  The module is built from
+the shifts' slot maps, one lookup per cell each, and builds no dict
+operator.  Module elements are sparse vectors {position: value} over that
+basis, values in the form `linalg` states; every shift entry is the int
+1.  A shift is injective on the cells it moves, so the socle is the span
+of the cells no shift moves.  Every monomial x^e acts by a slot map
+(`monomial_map`), composed from the shifts' own slot maps, which
+`poly_matrix` sums over a polynomial's terms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import Iterable
 
-from .linalg import Operator, Subspace
+from .linalg import SlotMap, Subspace, unit_map
 from .ring import (
     AlgebraError,
     ExponentVector,
@@ -67,8 +71,12 @@ class HilbertSeries:
         return " + ".join(parts)
 
 
-# Largest staircase enumerated: at this dimension `dual`, the heaviest
-# command, peaks under 300 MB RSS.
+# Largest staircase enumerated.  Near this budget every command peaks
+# under 170 MB RSS (ru_maxrss, one process per command, Python 3.11):
+# 45-109 MB on x^316,y^316 (dim 99,856), 50-126 MB on x1^2..x16^2 (dim
+# 65,536) and 76-167 MB on x1^2..x16^2 with x17..x32 as generators, where
+# `dual`, `hilbert` and `report` are the heaviest and each command took
+# 8-15 s on a shared 2-core host.
 MAX_DIM = 10**5
 
 
@@ -97,7 +105,8 @@ def staircase(variables: VariableSet, ideal: MonomialIdeal) -> list[ExponentVect
                     k += 1
                 grown.append((prefix + (a,), gens[:k]))
         walk = grown
-    return sorted((cell for cell, _ in walk), key=grlex_key)
+    # grlex: descending lex in C, then a stable sort by degree
+    return sorted(sorted((cell for cell, _ in walk), reverse=True), key=sum)
 
 
 def minimal_outside(downset, n: int) -> list[ExponentVector]:
@@ -137,16 +146,30 @@ class QuotientModule(FiniteModule):
         self.variables = variables
         self.ideal = ideal
         self.basis = standard_basis(variables, ideal)
-        self.index = {e: i for i, e in enumerate(self.basis)}
+        self.index = dict(zip(self.basis, range(len(self.basis))))
         self.names = variables.names
-        ops = tuple(self._operator(i) for i in range(variables.n))
-        super().__init__(variables.n, len(self.basis), ops)
+        super().__init__(variables.n, len(self.basis), slot_maps=self._shift_maps())
 
-    def _operator(self, i: int) -> Operator:
-        """x_i shifts each standard monomial up, or to zero inside I."""
-        get = self.index.get
-        targets = [get(e[:i] + (e[i] + 1,) + e[i + 1:]) for e in self.basis]
-        return tuple({} if t is None else {t: 1} for t in targets)
+    def _shift_maps(self) -> tuple[SlotMap, ...]:
+        """x_i sends each standard monomial e to e + s_i, or to zero inside
+        I.  Each exponent vector is coded as a mixed-radix int whose digit i
+        has room for one more than the largest x_i-exponent of the basis, so
+        e + s_i codes as code(e) + stride_i with no carry, and each shift is
+        one dict lookup per cell."""
+        d = len(self.basis)
+        columns = list(zip(*self.basis))
+        strides, stride = [], 1
+        for col in reversed(columns):
+            strides.append(stride)
+            stride *= max(col) + 2
+        strides.reverse()
+        codes = [0] * d
+        for col, s in zip(columns, strides):
+            codes = list(map(add, codes, map(mul, col, repeat(s))))
+        where = dict(zip(codes, range(d))).get
+        return tuple(
+            unit_map(tuple(map(where, map(add, codes, repeat(s))))) for s in strides
+        )
 
     @property
     def n(self) -> int:
@@ -158,11 +181,14 @@ class QuotientModule(FiniteModule):
     def labels(self) -> list[str]:
         return [self.label(e) for e in self.basis]
 
-    def basis_element(self, exps: ExponentVector) -> dict:
+    def position(self, exps: ExponentVector) -> int:
         pos = self.index.get(tuple(exps))
         if pos is None:
             raise AlgebraError(f"{exps} is not a standard monomial")
-        return {pos: 1}
+        return pos
+
+    def basis_element(self, exps: ExponentVector) -> dict:
+        return {self.position(exps): 1}
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, vars={self.names})"
@@ -174,13 +200,12 @@ def hilbert(module: QuotientModule) -> HilbertSeries:
 
 def socle(module: QuotientModule) -> Subspace:
     """(0 :_M m), the joint kernel of the variable operators."""
-    return joint_kernel(module.action, module.dim)
+    return joint_kernel(module.slot_maps, module.dim)
 
 
 def monomial_span(module: QuotientModule, exps_list: Iterable[ExponentVector]) -> Subspace:
     """Span of classes of standard monomials."""
-    vecs = [module.basis_element(e) for e in exps_list]
-    return Subspace(module.dim, vecs)
+    return Subspace.units(module.dim, map(module.position, exps_list))
 
 
 def positive_degree_span(module: QuotientModule) -> Subspace:

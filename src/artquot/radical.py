@@ -38,6 +38,11 @@ ENUMERATION_BOUND = 14
 SPOT_CHECKS = 3
 
 
+def _forward(slots) -> bool:
+    """Whether a slot map sends each slot b to a later slot or to zero."""
+    return not any([t <= b for b, t in enumerate(slots) if t is not None])
+
+
 def envelope_zero(module: QuotientModule) -> Subspace:
     """Span of {r*m : r^k m = 0 for some k}, which is m*M here.
 
@@ -51,15 +56,14 @@ def envelope_zero(module: QuotientModule) -> Subspace:
     positive-degree exponent of degree <= 2 (2, 5 or 9 of them in one, two
     or three variables), which covers every such unit at once.
     """
-    span = image_span(module.action, module.dim)
+    span = image_span(module.slot_maps, module.dim)
     # every variable multiple of a basis class lands in the envelope
-    for op in module.action:
-        if any(t <= b for b, col in enumerate(op) for t in col):
+    for m in module.slot_maps:
+        if not _forward(m.slots):
             raise InternalCheckError("a variable failed to be nilpotent")
     # grlex lists the zero exponent first
     for e in monomials_up_to_degree(module.n, 2)[1:]:
-        if any(t is not None and t <= b
-               for b, t in enumerate(module.monomial_map(e).slots)):
+        if not _forward(module.monomial_map(e).slots):
             raise InternalCheckError(
                 "a unit-like polynomial had a vanishing power on a nonzero element"
             )
@@ -101,8 +105,9 @@ def _upsets(module: QuotientModule) -> list[int]:
     out = [0]
     for b in reversed(range(module.dim)):
         shifts = 0
-        for op in module.action:
-            for t in op[b]:
+        for m in module.slot_maps:
+            t = m.slots[b]
+            if t is not None:
                 shifts |= 1 << t
         out += [m | 1 << b for m in out if m & shifts == shifts]
     return sorted(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from typing import Sequence
-from .linalg import Subspace, rank, sparse_apply
+from .linalg import Subspace, dead_columns, rank
 from .quotient import QuotientModule, monomial_span, socle
 from .ring import (
     AlgebraError,
@@ -26,12 +26,10 @@ _COEFF_POOL = (-2, -1, 1, 2)
 
 
 def outside_corners(module: QuotientModule) -> tuple[ExponentVector, ...]:
-    """Standard monomials pushed into the ideal by every variable, in basis order."""
-    return tuple(
-        exps
-        for b, exps in enumerate(module.basis)
-        if not any(op[b] for op in module.action)
-    )
+    """Standard monomials pushed into the ideal by every variable, in basis
+    order: the slots dead in every variable's slot map."""
+    dead = dead_columns(module.slot_maps, module.dim)
+    return tuple(map(module.basis.__getitem__, dead))
 
 
 def largest_reduced_submodule(
@@ -106,7 +104,7 @@ def is_coreduced_subspace(
     """
     if space.ambient != module.dim:
         raise AlgebraError("subspace does not live in this module")
-    images = [sparse_apply(op, row) for row in space.rows for op in module.action]
+    images = [module.apply(i, row) for row in space.rows for i in range(module.n)]
     if not all(space.contains(v) for v in images):
         raise AlgebraError("subspace is not a submodule")
     exact = not any(images)

@@ -1,88 +1,146 @@
 """Finite modules over k[x_1..x_n]: action, annihilators, torsion, duality.
 
-A FiniteModule is n pairwise-commuting sparse operators over the
-rationals, one per variable, with entries in the value form `linalg`
-states (ints where integral); a staircase quotient R/I is one (see
-quotient.QuotientModule).  The joint kernel and the image span of a list
-of operators live here once: on the generator operators of J they are
-(0 : J) and J M, on `module.action` they are (0 : m) and m M.  The torsion
-part Gamma_J M and the completion M / J^inf M come from Fitting's lemma:
-the joint kernel and the image span of the d-th powers of the generator
-operators.  `classify` reads them with J-(co)reducedness off one
-evaluation of the generators, and reads dimensions only: (0 : J) lies in
-(0 : J^2) and J^2 M in J M, so J-(co)reducedness is an equality of ranks,
-and the split M = Gamma_J M (+) J^inf M is a rank too, of Gamma's kernel
-basis beside the image columns.  Matlis duality is the linear dual:
-transpose every operator.
+A FiniteModule holds n pairwise-commuting operators over the rationals,
+one per variable, with entries in the value form `linalg` states (ints
+where integral).  It is built from whichever form the caller has: dict
+columns (sampler draws, conjugates, duals) or slot maps (a staircase
+quotient R/I and its inverse system, see quotient.QuotientModule).  The
+other form is derived: slot maps are read off the columns, and the
+columns of a module built from slot maps only when a general path reads
+`action`.  The joint kernel and the image span of a list of operators
+live here once: on the generator operators of J they are (0 : J) and
+J M, on the variables' operators (0 : m) and m M.  When every operator is
+a slot map injective on its live slots, both are unit spans read off the
+slots; otherwise rref runs on the columns.  The torsion part Gamma_J M
+and the completion M / J^inf M come from Fitting's lemma: the joint
+kernel and the image span of the d-th powers of the generator operators.
+`classify` reads them with J-(co)reducedness off one evaluation of the
+generators, and reads dimensions only: (0 : J) lies in (0 : J^2) and
+J^2 M in J M, so J-(co)reducedness is an equality of ranks, and the split
+M = Gamma_J M (+) J^inf M is a rank too, of Gamma's kernel basis beside
+the image columns.  A one-term generator evaluates to a slot map, and
+when each is injective the products and powers are composed slot maps
+whose ranks are counts.  Matlis duality is the linear dual: transpose
+every operator.
 
-Two paths take the single-entry form `linalg` states, read off each
-operator once (`slot_maps`).  The commutation check composes slot maps
-when both operators of a pair have at most one entry per column, and
-multiplies them otherwise (sampler draws, conjugates).  When every
-operator has one, x^e is the product of their powers (`monomial_map`) and
-`poly_matrix` sums coefficient times slot map over the terms; otherwise
-it acts on each unit column.
+The commutation check composes slot maps when both operators of a pair
+have at most one entry per column, and multiplies them otherwise.  When
+every operator has a slot map, x^e is the product of their powers
+(`monomial_map`) and `poly_matrix` sums coefficient times slot map over
+the terms; otherwise it acts on each unit column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, combinations
+from dataclasses import dataclass
+from itertools import chain, combinations, compress, repeat
+from operator import is_not
 from typing import Iterable, Sequence
 
 from .linalg import (
     Operator,
     SlotMap,
     Subspace,
+    dead_columns,
     kernel,
+    live_columns,
     null_basis,
     op_mul,
     op_power,
     op_transpose,
     rank,
+    slot_apply,
+    slot_columns,
     slot_compose,
+    slot_injective,
     slot_map,
     slot_maps_commute,
     slot_power,
     slot_sum,
     sparse_apply,
+    unit_entries,
+    unit_map,
 )
 from .ring import AlgebraError, InternalCheckError, Polynomial
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteModule:
-    """A finite-dimensional module over k[x_1..x_n] given by commuting operators."""
+    """A finite-dimensional module over k[x_1..x_n] given by commuting
+    operators, one per variable: as dict columns (`action`) or as slot
+    maps (`slot_maps`), whichever the caller has.  Given the columns, the
+    slot maps are read off them, None for an operator with a column of two
+    entries or more; given the slot maps, the columns are built only when
+    `action` is first read."""
 
-    nvars: int
-    dim: int
-    action: tuple[Operator, ...]
-    slot_maps: tuple[SlotMap | None, ...] = field(init=False, repr=False)
+    def __init__(
+        self,
+        nvars: int,
+        dim: int,
+        action: tuple[Operator, ...] | None = None,
+        slot_maps: tuple[SlotMap, ...] | None = None,
+    ):
+        self.nvars = nvars
+        self.dim = dim
+        self._action = action
+        self.slot_maps = slot_maps
+        self.__post_init__()
 
     def __post_init__(self):
-        if len(self.action) != self.nvars:
+        """The one construction check: shape, range and stored zeros of the
+        form given, then every pair of operators commutes."""
+        if (self._action is None) == (self.slot_maps is None):
+            raise AlgebraError("give the action operators or their slot maps")
+        given = self.slot_maps if self._action is None else self._action
+        if len(given) != self.nvars:
             raise AlgebraError("need one action matrix per variable")
-        for op in self.action:
-            if (
-                len(op) != self.dim
-                or not all(chain.from_iterable(map(dict.values, op)))
-                or min(chain.from_iterable(op), default=0) < 0
-                or max(chain.from_iterable(op), default=-1) >= self.dim
-            ):
-                raise AlgebraError(
-                    "action operator has the wrong shape or a stored zero"
-                )
-        maps = tuple(map(slot_map, self.action))
-        object.__setattr__(self, "slot_maps", maps)
+        if self._action is not None:
+            for op in self._action:
+                if (
+                    len(op) != self.dim
+                    or not all(chain.from_iterable(map(dict.values, op)))
+                    or min(chain.from_iterable(op), default=0) < 0
+                    or max(chain.from_iterable(op), default=-1) >= self.dim
+                ):
+                    raise AlgebraError(
+                        "action operator has the wrong shape or a stored zero"
+                    )
+            self.slot_maps = tuple(map(slot_map, self._action))
+        else:
+            for slots, coeffs in self.slot_maps:
+                live = list(compress(slots, map(is_not, slots, repeat(None))))
+                # with as many zeros as empty columns and none on a filled
+                # one, every empty column holds 0
+                if (
+                    len(slots) != self.dim
+                    or len(coeffs) != self.dim
+                    or slots.count(None) != coeffs.count(0)
+                    or not all(compress(coeffs, map(is_not, slots, repeat(None))))
+                    or min(live, default=0) < 0
+                    or max(live, default=-1) >= self.dim
+                ):
+                    raise AlgebraError(
+                        "action operator has the wrong shape or a stored zero"
+                    )
+        maps = self.slot_maps
+        # read once per operator, not once per pair
+        ones = [m is not None and unit_entries(m) for m in maps]
         for i, j in combinations(range(self.nvars), 2):
             if maps[i] is not None and maps[j] is not None:
-                same = slot_maps_commute(maps[i], maps[j])
+                same = slot_maps_commute(maps[i], maps[j], ones[i] and ones[j])
             else:
                 ab = op_mul(self.action[i], self.action[j])
                 ba = op_mul(self.action[j], self.action[i])
                 same = ab == ba
             if not same:
                 raise AlgebraError(f"action matrices {i} and {j} do not commute")
+
+    @property
+    def action(self) -> tuple[Operator, ...]:
+        """The operators as dict columns, built from the slot maps on first
+        read when the module was given those."""
+        if self._action is None:
+            self._action = tuple(map(slot_columns, self.slot_maps))
+        return self._action
 
     def monomial_map(self, exps) -> SlotMap | None:
         """x^exps as a slot map, the product of the variables' slot maps
@@ -94,7 +152,21 @@ class FiniteModule:
             if k:
                 p = slot_power(m, k)
                 out = p if out is None else slot_compose(out, p)
-        return SlotMap(tuple(range(self.dim)), (1,) * self.dim) if out is None else out
+        return unit_map(tuple(range(self.dim))) if out is None else out
+
+    def term_map(self, poly: Polynomial) -> SlotMap | None:
+        """A one-term polynomial c*x^e as a slot map, c times x^e's; None
+        for any other polynomial, or when x^e has no slot map."""
+        for exps in poly.terms:
+            if len(exps) != self.nvars:
+                raise AlgebraError("polynomial arity does not match the module")
+        if len(poly.terms) != 1:
+            return None
+        ((exps, c),) = poly.terms.items()
+        m = self.monomial_map(exps)
+        if m is None or c == 1:
+            return m
+        return SlotMap(m.slots, tuple(c * x for x in m.coeffs))
 
     def poly_matrix(self, poly: Polynomial) -> Operator:
         """Evaluate a polynomial at the action operators: the sum of
@@ -108,6 +180,11 @@ class FiniteModule:
             return slot_sum(terms, self.dim)
         return tuple(self.act(poly, {j: 1}) for j in range(self.dim))
 
+    def apply(self, i: int, vec: dict) -> dict:
+        """x_i * vec, through x_i's slot map where it has one."""
+        m = self.slot_maps[i]
+        return sparse_apply(self.action[i], vec) if m is None else slot_apply(m, vec)
+
     def act(self, poly: Polynomial, vec: dict) -> dict:
         """Multiply the sparse element `vec` by the polynomial `poly`."""
         if vec and (min(vec) < 0 or max(vec) >= self.dim):
@@ -117,14 +194,48 @@ class FiniteModule:
             if len(exps) != self.nvars:
                 raise AlgebraError("polynomial arity does not match the module")
             img = vec if coeff == 1 else {j: coeff * c for j, c in vec.items()}
-            for op, e in zip(self.action, exps):
+            for i, e in enumerate(exps):
                 for _ in range(e):
                     if not img:
                         break
-                    img = sparse_apply(op, img)
+                    img = self.apply(i, img)
             for i, c in img.items():
                 out[i] = out[i] + c if i in out else c
         return {i: c for i, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# joint kernels and image spans
+#
+# An operator here is an Operator (dict columns, read as a slot map where
+# it has one) or a SlotMap.  When every one is a slot map injective on its
+# live slots, kernels and images are unit spans read off the slots: the
+# joint kernel is spanned by the columns dead in every map, and the image
+# span by the union of the targets.  Otherwise every operator goes to dict
+# columns and rref.
+
+
+def _slot_form(ops: Sequence) -> list[SlotMap] | None:
+    """The operators as slot maps when each is one injective on its live
+    slots, else None."""
+    maps = []
+    for op in ops:
+        m = op if isinstance(op, SlotMap) else slot_map(op)
+        if m is None or not slot_injective(m):
+            return None
+        maps.append(m)
+    return maps
+
+
+def _column_form(ops: Sequence) -> list[Operator]:
+    return [slot_columns(op) if isinstance(op, SlotMap) else op for op in ops]
+
+
+def _targets(maps: Sequence[SlotMap]) -> set[int]:
+    """The slots some map sends a column to."""
+    out = set().union(*(m.slots for m in maps))
+    out.discard(None)
+    return out
 
 
 # Zero rows and columns change no kernel, span or rank; they stay out of rref.
@@ -139,14 +250,20 @@ def _columns(ops: Sequence[Operator]) -> list[dict]:
     return [col for op in ops for col in op if col]
 
 
-def joint_kernel(ops: Sequence[Operator], d: int) -> Subspace:
+def joint_kernel(ops: Sequence, d: int) -> Subspace:
     """The elements every operator kills: (0 : J) for J's generator operators."""
-    return kernel(_rows(ops), d)
+    maps = _slot_form(ops)
+    if maps is not None:
+        return Subspace.units(d, dead_columns(maps, d))
+    return kernel(_rows(_column_form(ops)), d)
 
 
-def image_span(ops: Sequence[Operator], d: int) -> Subspace:
+def image_span(ops: Sequence, d: int) -> Subspace:
     """The sum of the operators' images: J M for J's generator operators."""
-    return Subspace(d, _columns(ops))
+    maps = _slot_form(ops)
+    if maps is not None:
+        return Subspace.units(d, _targets(maps))
+    return Subspace(d, _columns(_column_form(ops)))
 
 
 def _products(ops: list[Operator]) -> list[Operator]:
@@ -155,7 +272,7 @@ def _products(ops: list[Operator]) -> list[Operator]:
     return [op_mul(ops[i], ops[j]) for i in range(n) for j in range(i, n)]
 
 
-def _fitting(ops: list[Operator], d: int) -> tuple[list[dict], int]:
+def _fitting(ops: list, d: int) -> tuple[list[dict], int]:
     """(a basis of Gamma_J M, dim J^inf M), Gamma_J M the joint kernel and
     J^inf M the image span of the d-th powers.
 
@@ -164,13 +281,30 @@ def _fitting(ops: list[Operator], d: int) -> tuple[list[dict], int]:
     G.  Intersecting the kernels gives the elements killed by a power of J,
     summing the images gives the intersection of the J^k M, and the two
     must split M: their dimensions add up to d, and Gamma's basis with the
-    image columns spans M.
+    image columns spans M.  A power of a slot map injective on its live
+    slots is another, so on the slot path Gamma is the columns dead in
+    every power, J^inf M the union of their targets, and the two span M
+    when together they cover every slot; each power is read and dropped.
     """
-    powers = [op_power(op, d) for op in ops]
-    gamma = null_basis(_rows(powers), d)
-    tail = _columns(powers)
-    tail_dim = rank(tail, d)
-    if len(gamma) + tail_dim != d or rank(gamma + tail, d) != d:
+    maps = _slot_form(ops)
+    if maps is not None:
+        live, tail = set(), set()
+        for m in maps:
+            p = slot_power(m, d)
+            live.update(live_columns(p))
+            tail.update(p.slots)
+        tail.discard(None)
+        dead = [j for j in range(d) if j not in live]
+        gamma = [{j: 1} for j in dead]
+        tail_dim = len(tail)
+        spanned = len(tail.union(dead))
+    else:
+        powers = [op_power(op, d) for op in _column_form(ops)]
+        gamma = null_basis(_rows(powers), d)
+        tail = _columns(powers)
+        tail_dim = rank(tail, d)
+        spanned = rank(gamma + tail, d)
+    if len(gamma) + tail_dim != d or spanned != d:
         raise InternalCheckError(
             "M is not the direct sum of its torsion part and J^inf M"
         )
@@ -182,15 +316,41 @@ def _levels(module: FiniteModule, gens: Iterable[Polynomial]):
     Gamma_J M and dim J^inf M, from one evaluation of the generators.
 
     (0 : J) lies in (0 : J^2) and J^2 M in J M, so each pair is equal
-    exactly when the two dimensions are."""
-    ops = [module.poly_matrix(g) for g in gens]
+    exactly when the two dimensions are.  A one-term generator is
+    evaluated as a slot map; when every generator's is injective on its
+    live slots, so is every product of two, and the dimensions are counts
+    of dead columns and of targets, each square read and dropped in turn.
+    """
+    ops = []
+    for g in gens:
+        m = module.term_map(g)
+        ops.append(module.poly_matrix(g) if m is None else m)
     d = module.dim
-    squares = _products(ops)
-    ann_dim = d - rank(_rows(ops), d)
-    image_dim = rank(_columns(ops), d)
+    maps = _slot_form(ops)
+    if maps is not None:
+        # a zero map adds nothing to a kernel, an image, a product or a power
+        ops = maps = [m for m in maps if any(m.coeffs)]
+        live, targets = set(), set()
+        ann_dim = len(dead_columns(maps, d))
+        image_dim = len(_targets(maps))
+        for i, a in enumerate(maps):
+            for b in maps[i:]:
+                square = slot_compose(a, b)
+                live.update(live_columns(square))
+                targets.update(square.slots)
+        targets.discard(None)
+        square_ann_dim = d - len(live)
+        square_image_dim = len(targets)
+    else:
+        ops = _column_form(ops)
+        squares = _products(ops)
+        ann_dim = d - rank(_rows(ops), d)
+        image_dim = rank(_columns(ops), d)
+        square_ann_dim = d - rank(_rows(squares), d)
+        square_image_dim = rank(_columns(squares), d)
     gamma, tail_dim = _fitting(ops, d)
-    reduced = ann_dim == d - rank(_rows(squares), d)
-    coreduced = image_dim == rank(_columns(squares), d)
+    reduced = ann_dim == square_ann_dim
+    coreduced = image_dim == square_image_dim
     return ann_dim, image_dim, reduced, coreduced, gamma, tail_dim
 
 
@@ -237,9 +397,9 @@ def classify(module: FiniteModule, gens: Iterable[Polynomial]) -> TtfTag:
     gens = list(gens)
     ann_dim, image_dim, reduced, coreduced, gamma, tail_dim = _levels(module, gens)
     gamma_dim = len(gamma)
-    semisimple = all(not col for op in module.action for col in op) and all(
-        g.constant_term() == 0 for g in gens
-    )
+    semisimple = all(
+        m is not None and m.slots.count(None) == module.dim for m in module.slot_maps
+    ) and all(g.constant_term() == 0 for g in gens)
     if semisimple and not gamma_dim == ann_dim == module.dim:
         raise InternalCheckError("semisimple module with proper torsion levels")
     if reduced and gamma_dim != ann_dim:

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from artquot import quotient
+from artquot import quotient, torsion
 from artquot.cli import build_parser, main
+from artquot.linalg import slot_columns
 from artquot.quotient import staircase
 from artquot.ring import InternalCheckError, MonomialIdeal, VariableSet, parse_input
-from artquot.torsion import FiniteModule
+from artquot.torsion import FiniteModule, matlis_dual
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 # stdout of command forms the benchmark digests never run, recorded before
@@ -218,6 +219,30 @@ def test_structure_commands_evaluate_no_polynomial(command, monkeypatch, capsys)
     rc, _, _ = run([command], STAIR11, monkeypatch, capsys)
     assert rc == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["socle"], ["dual"], ["hilbert"], ["report"], ["diagram"],
+    ["diagram", "--dual"], ["radical"], ["classify"],
+])
+def test_staircase_commands_build_no_dict_action(argv, monkeypatch, capsys):
+    # staircase modules are built from slot maps, and these commands read
+    # those; the dict columns of `action` are built on its first read
+    built = []
+    monkeypatch.setattr(
+        torsion, "slot_columns", lambda m: built.append(m) or slot_columns(m)
+    )
+    texts = [STAIR11, FLAT7, SMALL4]
+    if argv[0] != "diagram":  # the text diagram draws two variables at most
+        texts.append("ring x,y,z; ideal x^2, y^2, z^2")
+    for text in texts:
+        rc, out, _ = run(argv, text, monkeypatch, capsys)
+        assert rc == 0 and out
+    assert built == []
+    # a general path still builds them, once per module
+    module = quotient.QuotientModule(*parse_input(FLAT7))
+    assert matlis_dual(module).dim == matlis_dual(module).dim == module.dim
+    assert built == list(module.slot_maps)
 
 
 @pytest.mark.parametrize("argv", [["basis"], ["basis", "--json"]])

@@ -26,6 +26,7 @@ from artquot.inverse import (
     truncated_dual,
     truncated_dual_report,
 )
+from artquot.linalg import SlotMap
 from artquot.quotient import QuotientModule, hilbert, minimal_outside
 from artquot.reduced import monomials_up_to_degree, outside_corners
 from artquot.ring import (
@@ -309,6 +310,32 @@ def test_contraction_image_check_is_live(monkeypatch):
     monkeypatch.setattr(inverse, "image_span", lambda ops, d: full_space(d))
     with pytest.raises(InternalCheckError, match="non-maximal duals"):
         inverse_system(module_from(FLAT7))
+
+
+def test_downward_closure_check_is_live():
+    # drop one target of M's shift by y: the cell x*y of FLAT7 then has no
+    # preimage under it, as if x*y were in the basis and x were not
+    module = module_from(FLAT7)
+    shift_y = module.slot_maps[1]
+    slots = tuple(None if t == module.index[(1, 1)] else t for t in shift_y.slots)
+    module.slot_maps = (module.slot_maps[0], SlotMap(slots, shift_y.coeffs))
+    with pytest.raises(InternalCheckError, match="^dual staircase is not downward closed$"):
+        inverse_system(module)
+
+
+def test_contraction_maps_invert_the_shifts():
+    # contraction by x_i sends each target of M's shift by x_i back to its
+    # source, with coefficient e_i, and kills the cells with e_i = 0
+    for _, variables, ideal in sample_ideals(25, seed=36):
+        module = QuotientModule(variables, ideal)
+        system = inverse_system(module)
+        for i, (shift, back) in enumerate(zip(module.slot_maps, system.slot_maps)):
+            for b, e in enumerate(module.basis):
+                t = shift.slots[b]
+                if t is not None:
+                    assert back.slots[t] == b and back.coeffs[t] == e[i] + 1
+                if e[i] == 0:
+                    assert back.slots[b] is None and back.coeffs[b] == 0
 
 
 def test_generator_annihilation_check_is_live(monkeypatch):

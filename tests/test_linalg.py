@@ -641,3 +641,13 @@ def test_mixed_polynomials_act_as_on_dense_reference(pair, data):
     assert operator_rows(module.poly_matrix(p)) == expected
     vec = data.draw(sparse_vectors(d))
     assert dense(module.act(p, vec), d) == ref.mat_vec(expected, dense(vec, d))
+
+
+def test_unit_spans_are_their_rref():
+    for cols in ([], [3], [4, 0, 2, 0], list(range(6))):
+        space = Subspace.units(6, cols)
+        assert space == Subspace(6, [{c: 1} for c in cols])
+        assert space.dim == len(set(cols))
+    for cols in ([6], [-1, 2]):
+        with pytest.raises(AlgebraError, match="out of range"):
+            Subspace.units(6, cols)

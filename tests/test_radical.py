@@ -91,8 +91,8 @@ class _BackwardsShift(QuotientModule):
     """k[x]/(x^3) with x acting by 1 -> x -> 0 and x^2 -> 1: nilpotent
     (its cube is zero), but slot 2 goes to the earlier slot 0."""
 
-    def _operator(self, i):
-        return ({1: 1}, {}, {0: 1})
+    def _shift_maps(self):
+        return (SlotMap((1, None, 0), (1, 0, 1)),)
 
 
 def test_nilpotency_check_is_live(monkeypatch, capsys):

@@ -18,6 +18,7 @@ from artquot.instances import (
     _random_unimodular,
     random_finite_module,
     random_monomial_ideal_polys,
+    sample_modules,
 )
 from artquot.linalg import (
     SlotMap,
@@ -218,8 +219,7 @@ class _NotDownSet(QuotientModule):
         self.basis = ((0, 0), (1, 0), (1, 1))
         self.index = {e: i for i, e in enumerate(self.basis)}
         self.names = ("x", "y")
-        ops = tuple(self._operator(i) for i in range(2))
-        FiniteModule.__init__(self, 2, 3, ops)
+        FiniteModule.__init__(self, 2, 3, slot_maps=self._shift_maps())
 
 
 def test_shifts_of_a_non_down_set_do_not_commute(monkeypatch):
@@ -253,6 +253,40 @@ def test_operators_are_validated():
         FiniteModule(1, 2, (({}, {0: Fraction(0)}),))  # stored zero
     with pytest.raises(AlgebraError):
         FiniteModule(1, 2, (({},),))  # one column short
+
+
+def test_slot_form_operators_are_validated():
+    good = SlotMap((1, None), (1, 0))
+    assert FiniteModule(1, 2, slot_maps=(good,)).action == (({1: 1}, {}),)
+    for bad in (
+        SlotMap((2, None), (1, 0)),  # row out of range
+        SlotMap((-1, None), (1, 0)),
+        SlotMap((1, None), (0, 0)),  # a stored zero
+        SlotMap((1, None), (1, 1)),  # an empty column with an entry
+        SlotMap((1, None), (0, 5)),  # both, as many zeros as empty columns
+        SlotMap((1,), (1,)),  # one column short
+        SlotMap((1, None), (1,)),
+    ):
+        with pytest.raises(AlgebraError, match="wrong shape or a stored zero"):
+            FiniteModule(1, 2, slot_maps=(bad,))
+    with pytest.raises(AlgebraError, match="one action matrix per variable"):
+        FiniteModule(2, 2, slot_maps=(good,))
+    assert FiniteModule(0, 2, ()).slot_maps == ()
+    assert FiniteModule(0, 2, slot_maps=()).action == ()
+    with pytest.raises(AlgebraError, match="operators or their slot maps"):
+        FiniteModule(1, 2)
+    with pytest.raises(AlgebraError, match="operators or their slot maps"):
+        FiniteModule(1, 2, (({1: 1}, {}),), slot_maps=(good,))
+
+
+def test_slot_form_and_column_form_build_the_same_module():
+    for _, m in sample_modules(20, seed=47):
+        again = FiniteModule(m.nvars, m.dim, m.action)
+        assert again.slot_maps == m.slot_maps
+        assert again.action == m.action
+    with pytest.raises(AlgebraError, match="action matrices 0 and 1 do not commute"):
+        FiniteModule(2, 3, slot_maps=(SlotMap((1, None, None), (1, 0, 0)),
+                                      SlotMap((None, 2, None), (0, 1, 0))))
 
 
 def test_poly_matrix_respects_products():
@@ -292,12 +326,23 @@ def test_torsion_part_is_everything_for_nilpotent_actions():
 
 def test_split_check_fires_when_the_power_is_too_small(monkeypatch):
     # with G^1 in place of G^d the two halves are ker y (dim 4) and
-    # im y (dim 3); their dimensions add up to 7, but im y lies in ker y
+    # im y (dim 3); their dimensions add up to 7, but im y lies in ker y.
+    # y is one term, so its slot map is the one raised to the power
     m = module_from(FLAT7)
     y = parse_polynomial("y", m.variables)
-    monkeypatch.setattr("artquot.torsion.op_power", lambda op, k: op)
+    monkeypatch.setattr("artquot.torsion.slot_power", lambda op, k: op)
     with pytest.raises(InternalCheckError, match="direct sum"):
         classify(m, [y])
+
+
+def test_split_check_fires_on_the_operator_path_too(monkeypatch):
+    # y + x*y = y(1 + x) has the kernel and the image of y, and columns of
+    # two entries, so its operator is the one raised, by op_power
+    m = module_from(FLAT7)
+    g = parse_polynomial("y + x*y", m.variables)
+    monkeypatch.setattr("artquot.torsion.op_power", lambda op, k: op)
+    with pytest.raises(InternalCheckError, match="direct sum"):
+        classify(m, [g])
 
 
 def test_torsion_part_of_invertible_action_is_zero():
