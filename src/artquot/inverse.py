@@ -14,16 +14,19 @@ corner combinatorics of the staircase mirrors over to the dual side.
 
 `inverse_system` builds I-perp once, as a module of contraction slot maps
 on the staircase basis and index of M = R/I itself, each M's shift by x_i
-read backwards with coefficient e_i, with its grading, its contraction
-image (the union of the contraction targets) and its corners (the
-generators of its largest reduced quotient); contraction by x^e and the
-inverse-system readings are read off those maps.  Its checks that the
-generators of I kill exactly the staircase duals run `contraction` on
-exponent vectors: on the maximal staircase duals, which every staircase
-dual divides, and on the minimal monomials outside the staircase, which
-every other outside monomial is a multiple of.  The truncated dual, all dual monomials of degree <= D, is
-I-perp of m^(D+1), built the same way; `truncated_dual_report` reads its
-contraction operators.
+read backwards with coefficient e_i, with its grading (each dual
+monomial's depth under contraction, so that the Hilbert-series check
+compares M with what the contraction maps say), its contraction image (the
+union of the contraction targets) and its corners (the generators of its
+largest reduced quotient); contraction by x^e and the inverse-system
+readings are read off those maps.  Its checks that the generators of I
+kill exactly the staircase duals run `contraction` on exponent vectors: on
+the maximal staircase duals, which every staircase dual divides, and on
+the minimal monomials outside the staircase, which every other outside
+monomial is a multiple of, and which are read off M's shift slots and the
+contraction slots.  The truncated dual, all dual monomials of degree <= D,
+is I-perp of m^(D+1), built the same way; `truncated_dual_report` reads
+its contraction operators.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .ring import (
     MonomialIdeal,
     Polynomial,
     VariableSet,
+    grlex_key,
     minimalize,
     total_degree,
 )
@@ -104,10 +108,12 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
     closed (the operators check it), the first check covers every dual
     basis monomial, since each divides a maximal one, and the second every
     non-staircase one.  The dual corners are then the basis monomials off
-    the pivots of that image.
+    the pivots of that image.  The grading counts each dual monomial's
+    depth under contraction, which `hilbert_duality_check` holds to M's
+    Hilbert series.
     """
     system = InverseSystem(module)
-    basis, n, d = system.basis, module.n, system.dim
+    basis, d = system.basis, system.dim
     gens = module.ideal.min_gens
     # X^e is maximal when no shift of M moves x^e
     maximal = dead_columns(module.slot_maps, d)
@@ -117,7 +123,7 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
                 raise InternalCheckError(
                     f"dual staircase monomial {basis[k]} not annihilated by a generator"
                 )
-    for e in minimal_outside(system.index, n):
+    for e in _minimal_outside(module, system):
         if not any(contraction(g, e) for g in gens):
             raise InternalCheckError(
                 f"non-staircase dual monomial {e} annihilated by every generator"
@@ -128,10 +134,50 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
             "contraction image differs from the span of non-maximal duals"
         )
     pivots = set(inner.pivots)
-    system.grading = hilbert(system)
+    system.grading = HilbertSeries.from_degrees(_contraction_depths(system))
     system.inner = inner
     system.corners = tuple(e for k, e in enumerate(basis) if k not in pivots)
     return system
+
+
+def _minimal_outside(
+    module: QuotientModule, system: InverseSystem
+) -> list[ExponentVector]:
+    """`quotient.minimal_outside` of M's staircase, read off the slots.
+
+    c = b + s_i lies outside the staircase exactly when M's shift by x_i
+    kills b, and its lower neighbour c - s_j (j != i, b_j > 0) is the shift
+    by x_i of b's contraction by x_j.  Each c is reached once, from
+    b = c - s_i for the first variable x_i of c, so b has no x_j for j < i."""
+    basis = module.basis
+    downs = [m.slots for m in system.slot_maps]
+    start = range(system.dim)
+    found = []
+    for i, shift in enumerate(module.slot_maps):
+        up, later = shift.slots, downs[i + 1:]
+        for k in start:
+            if up[k] is None and all(
+                down[k] is None or up[down[k]] is not None for down in later
+            ):
+                b = basis[k]
+                found.append(b[:i] + (b[i] + 1,) + b[i + 1:])
+        start = [k for k in start if downs[i][k] is None]
+    return sorted(found, key=grlex_key)
+
+
+def _contraction_depths(system: InverseSystem) -> list[int]:
+    """The degree of each dual basis monomial, read off the contraction
+    maps alone: in basis (grlex) order, 0 where no contraction moves it,
+    else 1 + the depth of the cell its first live contraction sends it to."""
+    maps = system.slot_maps
+    first = maps[-1].slots
+    for m in maps[-2::-1]:
+        first = [f if t is None else t for t, f in zip(m.slots, first)]
+    depth = [0] * system.dim
+    for k, t in enumerate(first):
+        if t is not None:
+            depth[k] = depth[t] + 1
+    return depth
 
 
 def hilbert_duality_check(

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, itemgetter, mul
+from itertools import compress, repeat
+from operator import add, mul
 from typing import Iterable
 
 from .linalg import SlotMap, Subspace, unit_map
@@ -72,11 +72,12 @@ class HilbertSeries:
 
 
 # Largest staircase enumerated.  Near this budget every command peaks
-# under 170 MB RSS (ru_maxrss, one process per command, Python 3.11):
-# 45-109 MB on x^316,y^316 (dim 99,856), 50-126 MB on x1^2..x16^2 (dim
-# 65,536) and 76-167 MB on x1^2..x16^2 with x17..x32 as generators, where
-# `dual`, `hilbert` and `report` are the heaviest and each command took
-# 8-15 s on a shared 2-core host.
+# under 170 MB RSS (ru_maxrss, one process per command, Python 3.11) and
+# ends within 9 s on a shared 2-core host: 0.3-0.7 s and 34-105 MB on
+# x^316,y^316 (dim 99,856), 0.2-2.6 s and 40-124 MB on x1^2..x16^2 (dim
+# 65,536), and 0.3-8.3 s and 49-165 MB on x1^2..x16^2 with x17..x32 as
+# generators, where `radical` is the slowest and `dual`, `hilbert` and
+# `report` are the heaviest.
 MAX_DIM = 10**5
 
 
@@ -85,28 +86,80 @@ def staircase(variables: VariableSet, ideal: MonomialIdeal) -> list[ExponentVect
     with the first i exponents fixed, the x_{i+1} column is as tall as the
     least x_{i+1}-exponent of a generator that divides that prefix and
     involves no later variable.  Every prefix starts a standard monomial,
-    so no level of the walk outgrows the dimension."""
+    so no level of the walk outgrows the dimension, and the refusal past
+    MAX_DIM fires before a level holds more cells than that.
+
+    Prefixes that carry the same generators share one height and one child
+    list: the walk keeps one group of prefixes per generator set (keyed by
+    a bitmask of generator indices) and finds each generator's last
+    variable once.  Where a run of the column that shares one child list
+    is one cell wide (always, in a column of height one), the children
+    share the parent's prefixes and only a common tail grows.  The last
+    level emits its cells without generator lists."""
     pure_power_bounds(variables, ideal)
-    walk = [((), ideal.min_gens)]
-    for i in range(variables.n):
-        grown = []
-        for prefix, gens in walk:
-            height = min(g[i] for g in gens if not any(g[i + 1:]))
-            if len(grown) + height > MAX_DIM:
-                raise AlgebraError(
-                    f"the quotient has more than {MAX_DIM} standard monomials; "
-                    "it is too large to enumerate"
-                )
-            gens = sorted(gens, key=itemgetter(i))
-            k = 0
-            for a in range(height):
+    columns = list(zip(*ideal.min_gens))
+    everyone = range(len(columns[0]))
+    # the last variable each generator involves; the unit monomial's is 0
+    last = [0] * len(everyone)
+    for i, col in enumerate(columns):
+        for j in compress(everyone, col):
+            last[j] = i
+    # a group: the generators its cells carry, and parts (tail, prefixes)
+    # whose cells are p + tail for p in prefixes
+    walk = [(everyone, [((), [()])])]
+    for i in range(variables.n - 1):
+        col, grown, size = columns[i], {}, 0
+        for idx, parts in walk:
+            height = min(col[j] for j in idx if last[j] == i)
+            size += height * sum(len(prefixes) for _, prefixes in parts)
+            if size > MAX_DIM:
+                raise _too_large()
+            idx = sorted(idx, key=col.__getitem__)
+            a = k = mask = 0
+            while a < height:
                 # the generator that sets the height stops this scan
-                while gens[k][i] <= a:
+                while col[idx[k]] <= a:
+                    mask |= 1 << idx[k]
                     k += 1
-                grown.append((prefix + (a,), gens[:k]))
-        walk = grown
+                # the cells a..stop-1 of the column carry idx[:k]
+                stop = min(col[idx[k]], height)
+                child = grown.get(mask)
+                if child is None:
+                    child = grown[mask] = (idx[:k], [])
+                if stop == a + 1:
+                    child[1].extend([(tail + (a,), prefixes) for tail, prefixes in parts])
+                else:
+                    child[1].append(((), _grow(parts, range(a, stop))))
+                a = stop
+        walk = grown.values()
+    col, cells = columns[-1], []
+    for idx, parts in walk:
+        # every generator left involves the last variable
+        height = min(col[j] for j in idx)
+        if len(cells) + height * sum(len(prefixes) for _, prefixes in parts) > MAX_DIM:
+            raise _too_large()
+        cells += _grow(parts, range(height))
     # grlex: descending lex in C, then a stable sort by degree
-    return sorted(sorted((cell for cell, _ in walk), reverse=True), key=sum)
+    cells.sort(reverse=True)
+    cells.sort(key=sum)
+    return cells
+
+
+def _grow(parts, column: range) -> list[ExponentVector]:
+    """Every cell p + tail + (b,) of the parts for b in the column, each
+    part's cells in lex order when its prefixes are."""
+    cells = []
+    for tail, prefixes in parts:
+        ends = [tail + (b,) for b in column]
+        cells += [p + e for p in prefixes for e in ends]
+    return cells
+
+
+def _too_large() -> AlgebraError:
+    return AlgebraError(
+        f"the quotient has more than {MAX_DIM} standard monomials; "
+        "it is too large to enumerate"
+    )
 
 
 def minimal_outside(downset, n: int) -> list[ExponentVector]:
@@ -195,7 +248,7 @@ class QuotientModule(FiniteModule):
 
 
 def hilbert(module: QuotientModule) -> HilbertSeries:
-    return HilbertSeries.from_degrees(total_degree(e) for e in module.basis)
+    return HilbertSeries.from_degrees(map(sum, module.basis))
 
 
 def socle(module: QuotientModule) -> Subspace:

@@ -13,6 +13,7 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 
 class AlgebraError(Exception):
@@ -56,7 +57,7 @@ def total_degree(exps: ExponentVector) -> int:
 
 def divides(a: ExponentVector, b: ExponentVector) -> bool:
     """Componentwise a <= b, i.e. x^a divides x^b."""
-    return all(ai <= bi for ai, bi in zip(a, b))
+    return all(map(le, a, b))
 
 
 def ev_add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
@@ -213,7 +214,14 @@ def poly_monomial(exps: ExponentVector, coeff=1) -> Polynomial:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Minimal monomial generators, stored as a canonically sorted antichain."""
+    """Minimal monomial generators, stored as a canonically sorted antichain.
+
+    Construction checks that every generator has the same length and no
+    negative exponent, that no generator divides another one (a repeated
+    generator divides its copy), and then that they are sorted.  The
+    antichain test runs along the grlex order, each generator against the
+    ones before it only: a proper divisor has the smaller degree.
+    """
 
     min_gens: tuple[ExponentVector, ...]
 
@@ -227,11 +235,11 @@ class MonomialIdeal:
                 raise AlgebraError("generators have mixed lengths")
             if any(e < 0 for e in g):
                 raise AlgebraError("negative exponent in generator")
-        for g in gens:
-            for h in gens:
-                if h != g and divides(h, g):
-                    raise AlgebraError("generators are not minimal")
-        if list(gens) != sorted(gens, key=grlex_key):
+        order = sorted(gens, key=grlex_key)
+        for k, g in enumerate(order):
+            if any(divides(h, g) for h in order[:k]):
+                raise AlgebraError("generators are not minimal")
+        if list(gens) != order:
             raise AlgebraError("generators are not canonically sorted")
 
     @property
@@ -245,12 +253,21 @@ class MonomialIdeal:
 
 
 def minimalize(gens: Iterable[ExponentVector]) -> MonomialIdeal:
-    """Drop every generator divisible by another one; sort canonically."""
-    pool = {tuple(int(e) for e in g) for g in gens}
+    """Drop repeats and every generator divisible by another one; sort
+    canonically.  Generators of mixed lengths are refused before any is
+    compared.  The pool is sorted in grlex order once, and a generator is
+    kept unless an already kept one divides it: a proper divisor has the
+    smaller degree, so it comes first."""
+    pool = sorted({tuple(int(e) for e in g) for g in gens}, key=grlex_key)
     if not pool:
         raise AlgebraError("empty generator set")
-    keep = [g for g in pool if not any(h != g and divides(h, g) for h in pool)]
-    return MonomialIdeal(tuple(sorted(keep, key=grlex_key)))
+    if len(set(map(len, pool))) > 1:
+        raise AlgebraError("generators have mixed lengths")
+    keep: list = []
+    for g in pool:
+        if not any(divides(h, g) for h in keep):
+            keep.append(g)
+    return MonomialIdeal(tuple(keep))
 
 
 def pure_power_bounds(variables: VariableSet, ideal: MonomialIdeal) -> tuple[int, ...]:
@@ -259,18 +276,21 @@ def pure_power_bounds(variables: VariableSet, ideal: MonomialIdeal) -> tuple[int
     The staircase lies in the box they bound.  Raises NotArtinianError
     when some variable has no pure power among the generators.
     """
-    if ideal.n != variables.n:
+    n = variables.n
+    if ideal.n != n:
         raise AlgebraError("ideal and variable set have different arities")
-    bounds = []
-    for i in range(variables.n):
-        powers = [
-            g[i]
-            for g in ideal.min_gens
-            if all(e == 0 for j, e in enumerate(g) if j != i)
-        ]
-        if not powers:
-            raise NotArtinianError(variables.names[i])
-        bounds.append(min(powers))
+    # an antichain holds at most one pure power of each variable, and the
+    # unit monomial, a pure power of every variable, only alone
+    bounds = [None] * n
+    for g in ideal.min_gens:
+        zeros = g.count(0)
+        if zeros == n:
+            return g
+        if zeros == n - 1:
+            e = max(g)
+            bounds[g.index(e)] = e
+    if None in bounds:
+        raise NotArtinianError(variables.names[bounds.index(None)])
     return tuple(bounds)
 
 
@@ -286,8 +306,9 @@ def render(variables: VariableSet, ideal: MonomialIdeal) -> str:
 # ASCII only: str.isdigit and \d also accept other scripts' digits
 _DIGITS_RE = re.compile(r"[0-9]+")
 
-# Input budget: minimalizing and checking generators is quadratic in their
-# number, and every module checks that each pair of variable operators commutes.
+# Input budget: minimalizing and checking generators compares each with the
+# ones before it in grlex order, quadratic in their number, and every module
+# checks that each pair of variable operators commutes.
 MAX_VARIABLES = 32
 MAX_GENERATORS = 256
 

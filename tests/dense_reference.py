@@ -19,7 +19,12 @@ envelope scan on subspaces, which `radical`'s scan on staircase slot masks
 replaced, and the evaluation of a polynomial by one `act` per unit column,
 which `FiniteModule.poly_matrix` replaced, on every module whose operators
 have at most one entry per column, by a sum of coefficient times slot map,
-each monomial's map composed from the variables' maps.  The differential
+each monomial's map composed from the variables' maps.  So are the set-up
+passes that `ring` and `quotient` replaced: the antichain test over all
+ordered pairs of generators, once in `minimalize` and again in the
+`MonomialIdeal` check, the pure-power scan per variable and generator, and
+the staircase walk that carried a generator list with every prefix and
+sliced each generator's tail for its height.  The differential
 tests require the sparse code to give the same matrices, subspaces,
 echelon forms and tags, and the unit checks to agree.  `apolarity`, the contraction extended bilinearly to polynomials, is
 the reference the inverse-system tests hold the exponent-vector
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from artquot.inverse import contraction
@@ -41,12 +47,17 @@ from artquot.linalg import (
 )
 from artquot.quotient import QuotientModule, monomial_span
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
+from artquot.quotient import MAX_DIM
 from artquot.ring import (
     AlgebraError,
     ExponentVector,
     InternalCheckError,
     MonomialIdeal,
+    NotArtinianError,
     Polynomial,
+    VariableSet,
+    divides,
+    grlex_key,
     minimalize,
 )
 from artquot.torsion import FiniteModule
@@ -534,3 +545,67 @@ def apolarity(poly: Polynomial, dual: Polynomial) -> Polynomial:
             if c:
                 items.append((tuple(bi - ai for ai, bi in zip(a, b)), ca * cb * c))
     return Polynomial(items)
+
+
+def check_antichain_all_pairs(gens: Sequence[ExponentVector]) -> None:
+    """The earlier `MonomialIdeal` check: lengths and signs per generator,
+    then every ordered pair of distinct generators, then the order."""
+    if not gens:
+        raise AlgebraError("empty generator set")
+    n = len(gens[0])
+    for g in gens:
+        if len(g) != n:
+            raise AlgebraError("generators have mixed lengths")
+        if any(e < 0 for e in g):
+            raise AlgebraError("negative exponent in generator")
+    for g in gens:
+        for h in gens:
+            if h != g and divides(h, g):
+                raise AlgebraError("generators are not minimal")
+    if list(gens) != sorted(gens, key=grlex_key):
+        raise AlgebraError("generators are not canonically sorted")
+
+
+def minimalize_all_pairs(gens: Iterable[ExponentVector]) -> tuple:
+    """The earlier `minimalize`: drop every generator that another one of
+    the pool divides, sort, and run `check_antichain_all_pairs`."""
+    pool = {tuple(int(e) for e in g) for g in gens}
+    if not pool:
+        raise AlgebraError("empty generator set")
+    keep = [g for g in pool if not any(h != g and divides(h, g) for h in pool)]
+    out = tuple(sorted(keep, key=grlex_key))
+    check_antichain_all_pairs(out)
+    return out
+
+
+def staircase_by_prefixes(
+    variables: VariableSet, ideal: MonomialIdeal
+) -> list[ExponentVector]:
+    """The earlier column walk: every prefix carries the generators that
+    divide it, and its column is as tall as the least exponent among those
+    whose tail past the column is zero, found by slicing that tail."""
+    if ideal.n != variables.n:
+        raise AlgebraError("ideal and variable set have different arities")
+    for i in range(variables.n):
+        if not any(
+            all(e == 0 for j, e in enumerate(g) if j != i) for g in ideal.min_gens
+        ):
+            raise NotArtinianError(variables.names[i])
+    walk = [((), ideal.min_gens)]
+    for i in range(variables.n):
+        grown = []
+        for prefix, gens in walk:
+            height = min(g[i] for g in gens if not any(g[i + 1:]))
+            if len(grown) + height > MAX_DIM:
+                raise AlgebraError(
+                    f"the quotient has more than {MAX_DIM} standard monomials; "
+                    "it is too large to enumerate"
+                )
+            gens = sorted(gens, key=itemgetter(i))
+            k = 0
+            for a in range(height):
+                while gens[k][i] <= a:
+                    k += 1
+                grown.append((prefix + (a,), gens[:k]))
+        walk = grown
+    return sorted(sorted((cell for cell, _ in walk), reverse=True), key=sum)

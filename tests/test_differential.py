@@ -7,13 +7,19 @@ completion's dimension through the `classify` fields, and the sparse `rref`
 with the dense one on the rows and columns the torsion core reduces.  On
 staircases, their inverse systems and their Matlis duals, `poly_matrix` (a
 sum of coefficient times slot map) is compared with one `act` per unit
-column.
+column.  The set-up passes are compared with the code they replaced: the
+grouped staircase walk with the walk that carried a generator list per
+prefix, `minimalize` and the `MonomialIdeal` check with the all-pairs
+antichain test, and the outside check's slot reading with
+`minimal_outside` on exponent vectors.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import dense_reference as ref
 from artquot import instances
@@ -21,12 +27,21 @@ from artquot.instances import (
     SamplerConfig,
     random_finite_module,
     random_monomial_ideal_polys,
+    sample_ideals,
     sample_modules,
 )
-from artquot.inverse import inverse_system
+from artquot.inverse import _minimal_outside, inverse_system
 from artquot.linalg import Subspace, op_power, op_transpose, rref
-from artquot.quotient import QuotientModule
-from artquot.ring import Polynomial, parse_input, poly_monomial
+from artquot.quotient import MAX_DIM, QuotientModule, minimal_outside, staircase
+from artquot.ring import (
+    AlgebraError,
+    MonomialIdeal,
+    Polynomial,
+    VariableSet,
+    minimalize,
+    parse_input,
+    poly_monomial,
+)
 from artquot.torsion import (
     _levels,
     _products,
@@ -188,3 +203,170 @@ def test_sampler_draws_match_dense_reference(conjugated, monkeypatch):
         rng = random.Random(seed)
         assert random_finite_module(rng, conjugated).action == action, seed
         assert rng.getstate() == state, seed
+
+
+# ---------------------------------------------------------------------------
+# the set-up passes against the code they replaced
+
+
+def row_shaped(squares, singles):
+    """x1^2..xk^2 with x(k+1)..x(k+m) as generators: a box of side 2 padded
+    by variables whose column has height one."""
+    n = squares + singles
+    gens = [tuple(2 * int(j == i) for j in range(n)) for i in range(squares)]
+    gens += [tuple(int(j == i) for j in range(n)) for i in range(squares, n)]
+    return VariableSet(tuple(f"x{i}" for i in range(1, n + 1))), minimalize(gens)
+
+
+def setup_cases():
+    """Sampler draws (n <= 3), the census draws of test_quotient, the unit
+    ideal, generators with trailing zero exponents, 4-variable ideals and
+    small row-shaped ideals."""
+    cases = [(v, i) for _, v, i in sample_ideals(60, seed=11)]
+    cases += [(v, i) for _, v, i in sample_ideals(80, seed=5, config=SamplerConfig(dim_bound=200))]
+    xyzw = VariableSet(("x", "y", "z", "w"))
+    cases += [
+        (VariableSet(("x",)), minimalize([(0,)])),
+        (xyzw, minimalize([(0, 0, 0, 0)])),
+        (xyzw, minimalize([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 4, 0), (0, 0, 0, 2),
+                           (2, 1, 0, 0), (1, 0, 2, 0), (0, 1, 1, 1)])),
+        (xyzw, minimalize([(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (0, 0, 0, 3),
+                           (1, 2, 0, 0), (1, 1, 0, 2)])),
+    ]
+    cases += [row_shaped(k, m) for k in range(4) for m in range(4) if k + m]
+    return cases
+
+
+@st.composite
+def artinian_ideals(draw):
+    """A pure power of each of n <= 4 variables, plus generators anywhere
+    in the box, thin ones with every exponent at most 1, and ones that
+    end in zeros."""
+    n = draw(st.integers(1, 4))
+    cap = (12, 8, 5, 3)[n - 1]
+    powers = draw(st.lists(st.integers(1, cap), min_size=n, max_size=n))
+    gens = [tuple(p * int(j == i) for j in range(n)) for i, p in enumerate(powers)]
+    mixed = st.tuples(*[st.integers(0, cap)] * n)
+    thin = st.tuples(*[st.integers(0, 1)] * n)
+    extra = draw(st.lists(st.one_of(mixed, thin), max_size=2 * n))
+    return VariableSet(("x", "y", "z", "w")[:n]), minimalize(gens + extra)
+
+
+def test_staircase_matches_the_prefix_walk_reference():
+    for variables, ideal in setup_cases():
+        assert staircase(variables, ideal) == ref.staircase_by_prefixes(variables, ideal)
+
+
+@given(artinian_ideals())
+def test_staircase_matches_the_prefix_walk_on_drawn_ideals(drawn):
+    assert staircase(*drawn) == ref.staircase_by_prefixes(*drawn)
+
+
+def test_staircase_errors_match_the_prefix_walk_reference():
+    xy = VariableSet(("x", "y"))
+    for variables, ideal in (
+        (xy, minimalize([(2, 0), (1, 1)])),  # no pure power of y
+        (xy, minimalize([(0, 3), (1, 1)])),  # none of x
+        (VariableSet(("x",)), minimalize([(2, 0), (0, 2)])),
+        (xy, minimalize([(400, 0), (0, 400)])),  # past MAX_DIM
+    ):
+        with pytest.raises(AlgebraError) as want:
+            ref.staircase_by_prefixes(variables, ideal)
+        with pytest.raises(AlgebraError) as got:
+            staircase(variables, ideal)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@pytest.mark.parametrize("text", [
+    # 10^10 cells: the refusal fires at the second column, while the walk
+    # holds the 10^5 one-exponent prefixes of the first (about 10 MB)
+    "ring x,y; ideal x^100000, y^100000",
+    # 10^9 cells: the refusal fires at the second of three columns, before
+    # its 10^6 prefixes (about 64 MB) are built
+    "ring x,y,z; ideal x^1000, y^1000, z^1000",
+])
+def test_a_huge_box_is_refused_before_its_cells_are_built(text):
+    variables, ideal = parse_input(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AlgebraError, match=f"more than {MAX_DIM} standard monomials"):
+            staircase(variables, ideal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+exponent_lists = st.lists(
+    st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(tuple), max_size=7
+)
+
+
+def outcome(f, gens):
+    try:
+        return f(gens)
+    except AlgebraError as exc:
+        return str(exc)
+
+
+@given(exponent_lists)
+def test_minimalize_matches_the_all_pairs_reference(gens):
+    got = outcome(lambda g: minimalize(g).min_gens, gens)
+    want = outcome(ref.minimalize_all_pairs, gens)
+    if len(set(map(len, gens))) > 1:
+        # mixed lengths are refused up front; the reference compared
+        # generators of different lengths on their common prefix, so it
+        # could drop the odd ones and accept the rest
+        assert got == "generators have mixed lengths"
+        if not isinstance(want, str):
+            assert len(want) < len(set(gens))
+    else:
+        assert got == want
+
+
+@given(exponent_lists)
+def test_the_ideal_check_matches_the_all_pairs_reference(gens):
+    gens = tuple(gens)
+    got = outcome(lambda g: MonomialIdeal(g).min_gens, gens)
+    want = outcome(lambda g: ref.check_antichain_all_pairs(g) or g, gens)
+    repeated = len(set(gens)) < len(gens)
+    if repeated and want in (gens, "generators are not canonically sorted"):
+        # the one intended difference: a repeated generator divides its
+        # copy, so the list is not minimal
+        assert got == "generators are not minimal"
+    else:
+        assert got == want
+
+
+def test_the_ideal_check_orders_its_errors():
+    # unsorted and not minimal: minimality is reported first
+    for gens in (((2, 0), (1, 0)), ((1, 1), (0, 2), (1, 0)), ((3,), (1,), (2,))):
+        with pytest.raises(AlgebraError, match="generators are not minimal"):
+            MonomialIdeal(gens)
+    with pytest.raises(AlgebraError, match="not canonically sorted"):
+        MonomialIdeal(((0, 2), (1, 0)))
+    with pytest.raises(AlgebraError, match="mixed lengths"):
+        MonomialIdeal(((1, 0), (1,), (1,)))
+    with pytest.raises(AlgebraError, match="negative exponent"):
+        MonomialIdeal(((1, 0), (-1, 2), (1, 0)))
+    with pytest.raises(AlgebraError, match="empty generator set"):
+        MonomialIdeal(())
+
+
+def test_slot_read_outside_set_matches_minimal_outside():
+    for variables, ideal in setup_cases():
+        if not any(map(any, ideal.min_gens)):
+            continue  # the unit ideal has no quotient module
+        module = QuotientModule(variables, ideal)
+        outside = _minimal_outside(module, inverse_system(module))
+        assert outside == minimal_outside(module.index, module.n)
+        assert outside == list(ideal.min_gens)
+
+
+@given(artinian_ideals())
+def test_slot_read_outside_set_matches_minimal_outside_on_drawn_ideals(drawn):
+    if not 0 < len(ref.staircase_by_prefixes(*drawn)) <= 400:
+        return  # the unit ideal, or a large box
+    module = QuotientModule(*drawn)
+    outside = _minimal_outside(module, inverse_system(module))
+    assert outside == minimal_outside(module.index, module.n)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from artquot import inverse
+from artquot import inverse, torsion
 from artquot.cli import main
 from artquot.instances import sample_ideals, sample_modules
 from artquot.inverse import (
@@ -354,6 +354,33 @@ def test_non_staircase_survival_check_is_live(monkeypatch):
     message = "non-staircase dual monomial (0, 2) annihilated by every generator"
     with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
         inverse_system(module_from(FLAT7))
+
+
+def test_hilbert_duality_check_is_live(monkeypatch, capsys):
+    # contraction by x sends X*Y to 1 instead of Y: X*Y then lies at depth
+    # 1, so I-perp reads 1 + 4t + 2t^2 + t^3 against M's 1 + 3t + 3t^2 +
+    # t^3.  Y is still a target (of Z*Y under z), so the contraction image
+    # check passes; the commutation check, which would refuse the maps
+    # first, is patched out.
+    cube = "ring x,y,z; ideal x^2, y^2, z^2"
+    index = module_from(cube).index
+    original, built = inverse._contraction_map, []
+
+    def redirected(shift, exps):
+        m = original(shift, exps)
+        built.append(m)
+        if len(built) > 1:
+            return m
+        slots = list(m.slots)
+        slots[index[(1, 1, 0)]] = index[(0, 0, 0)]
+        return SlotMap(tuple(slots), m.coeffs)
+
+    monkeypatch.setattr(inverse, "_contraction_map", redirected)
+    monkeypatch.setattr(torsion, "slot_maps_commute", lambda *args: True)
+    monkeypatch.setattr("sys.stdin", io.StringIO(cube))
+    assert main(["hilbert"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "internal check failed: Hilbert series of M and I-perp differ\n")
 
 
 def test_inverse_system_builds_no_polynomial(monkeypatch):

@@ -7,8 +7,10 @@ module itself.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -132,6 +134,25 @@ def test_staircase_matches_census_on_drawn_ideals(drawn):
     assert cells == census_staircase(variables, ideal)
     # the minimal monomials outside a staircase generate its ideal
     assert minimal_outside(set(cells), variables.n) == list(ideal.min_gens)
+
+
+def test_the_32_variable_row_walks_within_three_seconds():
+    # x1^2..x16^2 with x17..x32 as generators, the worst admitted input
+    # found: 2^16 cells, each padded by 16 columns of height one.  A walk
+    # that carries a generator list with every prefix takes 8-9 s on a
+    # shared 2-core host.
+    names = tuple(f"x{i}" for i in range(1, 33))
+    gens = [tuple(2 * int(j == i) for j in range(32)) for i in range(16)]
+    gens += [tuple(int(j == i) for j in range(32)) for i in range(16, 32)]
+    variables, ideal = VariableSet(names), minimalize(gens)
+    start = time.perf_counter()
+    cells = staircase(variables, ideal)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0
+    assert len(cells) == 2**16
+    assert cells[1] == (1,) + (0,) * 31 and cells[-1] == (1,) * 16 + (0,) * 16
+    degrees = HilbertSeries.from_degrees(map(sum, cells))
+    assert degrees.coeffs == tuple(comb(16, k) for k in range(17))
 
 
 def test_var_action_tables_match_ring_multiplication():

@@ -127,6 +127,25 @@ def test_minimalize_yields_antichain_with_same_membership(gens):
         assert ideal.contains(cand) == raw
 
 
+def test_repeated_generators_are_not_minimal():
+    # a repeated generator divides its copy; accepted, this ideal would
+    # render as `ring x,y; ideal x, x, y^2`
+    with pytest.raises(AlgebraError, match="generators are not minimal"):
+        MonomialIdeal(((1, 0), (1, 0), (0, 2)))
+    with pytest.raises(AlgebraError, match="generators are not minimal"):
+        MonomialIdeal(((0, 2), (0, 2)))
+    # minimalize drops repeats before it checks
+    assert minimalize([(1, 0), (1, 0), (0, 2)]).min_gens == ((1, 0), (0, 2))
+
+
+def test_minimalize_refuses_mixed_lengths():
+    # compared on their common prefix, (1,) divides (2, 0), and a generator
+    # of the other length would be dropped without a word
+    for gens in ([(1,), (2, 0)], [(2, 0), (1,)], [(1,), (1, 0)]):
+        with pytest.raises(AlgebraError, match="generators have mixed lengths"):
+            minimalize(gens)
+
+
 @given(st.lists(exps3, min_size=1, max_size=6))
 def test_minimalize_is_idempotent(gens):
     ideal = minimalize(gens)
