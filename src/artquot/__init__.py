@@ -19,7 +19,7 @@ from .inverse import (
     truncated_dual,
     truncated_dual_report,
 )
-from .linalg import Subspace, kernel, rref
+from .linalg import Subspace, rref
 from .quotient import (
     HilbertSeries,
     QuotientModule,
@@ -88,7 +88,6 @@ __all__ = [
     "inverse_system",
     "is_coreduced_subspace",
     "jacobson_radical",
-    "kernel",
     "largest_reduced_submodule",
     "matlis_dual",
     "minimalize",

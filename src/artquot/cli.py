@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .diagram import diagram_ascii, diagram_cells, diagram_svg
+from .diagram import check_drawable, diagram_ascii, diagram_cells, diagram_svg
 from .inverse import hilbert_duality_check, inverse_system
 from .quotient import HilbertSeries, QuotientModule, standard_basis
 from .radical import satisfies_radical_formula
@@ -219,7 +219,10 @@ def cmd_radical(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    module = _read_module(args)
+    variables, ideal = _read_input(args)
+    if args.format != "json":
+        check_drawable(variables.n)
+    module = QuotientModule(variables, ideal)
     if args.format == "json":
         print(_dumps(diagram_cells(module, args.dual)))
     elif args.format == "svg":

@@ -42,10 +42,16 @@ def diagram_cells(module: QuotientModule, dual: bool) -> dict:
     }
 
 
+def check_drawable(n: int) -> None:
+    """Refuse the graphical formats for more than two variables, which the
+    CLI does from the parsed ring before any module is built."""
+    if n > 2:
+        raise AlgebraError("graphical formats need at most two variables")
+
+
 def _grid(module: QuotientModule) -> list[list[ExponentVector]]:
     """Rows of staircase cells for one- or two-variable modules."""
-    if module.n > 2:
-        raise AlgebraError("graphical formats need at most two variables")
+    check_drawable(module.n)
     if module.n == 1:
         return [list(module.basis)]
     rows = [[] for _ in range(max(e[1] for e in module.basis) + 1)]

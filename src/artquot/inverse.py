@@ -26,7 +26,7 @@ the minimal monomials outside the staircase, which every other outside
 monomial is a multiple of, and which are read off M's shift slots and the
 contraction slots.  The truncated dual, all dual monomials of degree <= D,
 is I-perp of m^(D+1), built the same way; `truncated_dual_report` reads
-its contraction operators.
+the slots of its contraction maps.
 """
 
 from __future__ import annotations
@@ -296,14 +296,14 @@ def truncated_dual_report(n: int, split_index: int, degree_bound: int) -> DualTr
     if not 0 <= split_index <= n:
         raise AlgebraError("split index out of range")
     system = truncated_dual(n, degree_bound)
-    trailing = system.action[split_index:]
+    trailing = system.slot_maps[split_index:]
     subring = ann_checks = mem_checks = 0
     witnesses = []
     for k, e in enumerate(system.basis):
         if not any(e[split_index:]):
             subring += 1
-            for op in trailing:
-                if op[k]:
+            for m in trailing:
+                if m.slots[k] is not None:
                     raise InternalCheckError(
                         f"trailing variable fails to annihilate {e}"
                     )
@@ -315,7 +315,7 @@ def truncated_dual_report(n: int, split_index: int, degree_bound: int) -> DualTr
         if any(e):
             j = next(j for j in range(n) if e[j])
             witnesses.append((e, *_witness_pair(e, j, reduced=True)))
-        elif any(op[k] for op in system.action):
+        elif any(m.slots[k] is not None for m in system.slot_maps):
             raise InternalCheckError("a positive-degree monomial moved 1")
     return DualTruncationReport(
         n=n,

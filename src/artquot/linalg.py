@@ -22,7 +22,9 @@ come lie in the span and are only checked for out-of-range indices, and
 the rref is the identity, with nothing to back-substitute.  `rank`
 runs the forward pass alone, for callers that read only a dimension: a
 nesting of two spaces is an equality exactly when their ranks agree.
-`null_basis` reads one kernel vector per free column off a single rref.
+`null_basis` reads one kernel vector per free column off a single rref;
+a kernel as a `Subspace` is their span, which `torsion.joint_kernel`
+builds for a family of operators.
 
 Operators with at most one entry per column have a second, single-entry
 form: a slot map (`SlotMap`), the target slot of each column or None for
@@ -258,11 +260,6 @@ def null_basis(vectors: Iterable[dict], width: int) -> list[dict]:
             if f != p:
                 free[f][p] = -x
     return list(free.values())
-
-
-def kernel(vectors: Iterable[dict], width: int) -> Subspace:
-    """Null space {v : A v = 0} of the matrix whose rows are the given vectors."""
-    return Subspace(width, null_basis(vectors, width))
 
 
 # ---------------------------------------------------------------------------

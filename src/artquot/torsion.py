@@ -7,21 +7,22 @@ columns (sampler draws, conjugates, duals) or slot maps (a staircase
 quotient R/I and its inverse system, see quotient.QuotientModule).  The
 other form is derived: slot maps are read off the columns, and the
 columns of a module built from slot maps only when a general path reads
-`action`.  The joint kernel and the image span of a list of operators
+`action`.  The joint kernel and the image span of a family of operators
 live here once: on the generator operators of J they are (0 : J) and
-J M, on the variables' operators (0 : m) and m M.  When every operator is
-a slot map injective on its live slots, both are unit spans read off the
-slots; otherwise rref runs on the columns.  The torsion part Gamma_J M
-and the completion M / J^inf M come from Fitting's lemma: the joint
-kernel and the image span of the d-th powers of the generator operators.
-`classify` reads them with J-(co)reducedness off one evaluation of the
-generators, and reads dimensions only: (0 : J) lies in (0 : J^2) and
-J^2 M in J M, so J-(co)reducedness is an equality of ranks, and the split
+J M, on the variables' operators (0 : m) and m M.  The form a family is
+read in is decided once, by `_form`: slot maps when each operator is one
+injective on its live slots, whose kernels, images and ranks are unit
+spans and counts read off the slots, else dict columns, which go to rref.
+Products and powers stay in the family's form.  The torsion part
+Gamma_J M and the completion M / J^inf M come from Fitting's lemma: the
+joint kernel and the image span of the d-th powers of the generator
+operators.  `classify` reads them with J-(co)reducedness off one
+evaluation of the generators, a one-term generator as a slot map, and
+reads dimensions only: (0 : J) lies in (0 : J^2) and J^2 M in J M, so
+J-(co)reducedness is an equality of ranks, and the split
 M = Gamma_J M (+) J^inf M is a rank too, of Gamma's kernel basis beside
-the image columns.  A one-term generator evaluates to a slot map, and
-when each is injective the products and powers are composed slot maps
-whose ranks are counts.  Matlis duality is the linear dual: transpose
-every operator.
+the image columns.  Matlis duality is the linear dual: transpose every
+operator.
 
 The commutation check composes slot maps when both operators of a pair
 have at most one entry per column, and multiplies them otherwise.  When
@@ -41,8 +42,6 @@ from .linalg import (
     Operator,
     SlotMap,
     Subspace,
-    dead_columns,
-    kernel,
     live_columns,
     null_basis,
     op_mul,
@@ -207,74 +206,79 @@ class FiniteModule:
 # ---------------------------------------------------------------------------
 # joint kernels and image spans
 #
-# An operator here is an Operator (dict columns, read as a slot map where
-# it has one) or a SlotMap.  When every one is a slot map injective on its
-# live slots, kernels and images are unit spans read off the slots: the
-# joint kernel is spanned by the columns dead in every map, and the image
-# span by the union of the targets.  Otherwise every operator goes to dict
-# columns and rref.
+# An operator here is an Operator (dict columns) or a SlotMap.  `_form`
+# makes the one decision per family: slot maps when each operator is one
+# injective on its live slots, else dict columns; products and powers stay
+# in that form.  `_read` gives a family's kernel and image parts.  A slot
+# map injective on its live slots kills exactly the vectors on its dead
+# columns and has the unit vectors at its targets as image, so a family of
+# them is read as the columns dead in every map and the targets, and every
+# rank is a count.  Dict columns give their nonzero rows, stacked, and
+# their nonzero columns, and rref reads the ranks, kernels and spans.
 
 
-def _slot_form(ops: Sequence) -> list[SlotMap] | None:
-    """The operators as slot maps when each is one injective on its live
-    slots, else None."""
+def _form(ops: Sequence) -> tuple[bool, list]:
+    """(True, the slot maps) when each operator is a slot map injective on
+    its live slots, else (False, the dict columns).  A zero operator adds
+    nothing to a kernel, an image, a product or a power, and is dropped."""
     maps = []
     for op in ops:
         m = op if isinstance(op, SlotMap) else slot_map(op)
         if m is None or not slot_injective(m):
-            return None
-        maps.append(m)
-    return maps
+            cols = (slot_columns(op) if isinstance(op, SlotMap) else op for op in ops)
+            return False, [op for op in cols if any(op)]
+        if any(m.coeffs):
+            maps.append(m)
+    return True, maps
 
 
-def _column_form(ops: Sequence) -> list[Operator]:
-    return [slot_columns(op) if isinstance(op, SlotMap) else op for op in ops]
+def _read(slot: bool, family: Iterable, d: int, kernel=True, image=True) -> tuple:
+    """A family's kernel and image parts, each operator read and dropped in
+    turn: the columns dead in every map and the targets, as sets, for slot
+    maps; the nonzero rows, whose null space is the joint kernel, and the
+    nonzero columns, as lists, for dict columns.  A part not asked for is
+    left empty."""
+    if slot:
+        dead, targets = set(range(d)) if kernel else set(), set()
+        for m in family:
+            if kernel:
+                dead.difference_update(live_columns(m))
+            if image:
+                targets.update(m.slots)
+        targets.discard(None)
+        return dead, targets
+    rows, cols = [], []
+    for op in family:
+        if kernel:
+            rows += filter(None, op_transpose(op))
+        if image:
+            cols += filter(None, op)
+    return rows, cols
 
 
-def _targets(maps: Sequence[SlotMap]) -> set[int]:
-    """The slots some map sends a column to."""
-    out = set().union(*(m.slots for m in maps))
-    out.discard(None)
-    return out
-
-
-# Zero rows and columns change no kernel, span or rank; they stay out of rref.
-def _rows(ops: Sequence[Operator]) -> list[dict]:
-    """The operators' nonzero rows, stacked: the matrix whose kernel is
-    their joint kernel."""
-    return [row for op in ops for row in op_transpose(op) if row]
-
-
-def _columns(ops: Sequence[Operator]) -> list[dict]:
-    """The operators' nonzero columns, which span the sum of their images."""
-    return [col for op in ops for col in op if col]
+def _dims(slot: bool, family: Iterable, d: int) -> tuple[int, int]:
+    """The dimensions of a family's joint kernel and image span."""
+    ker, im = _read(slot, family, d)
+    return (len(ker), len(im)) if slot else (d - rank(ker, d), rank(im, d))
 
 
 def joint_kernel(ops: Sequence, d: int) -> Subspace:
     """The elements every operator kills: (0 : J) for J's generator operators."""
-    maps = _slot_form(ops)
-    if maps is not None:
-        return Subspace.units(d, dead_columns(maps, d))
-    return kernel(_rows(_column_form(ops)), d)
+    slot, family = _form(ops)
+    ker, _ = _read(slot, family, d, image=False)
+    return Subspace.units(d, ker) if slot else Subspace(d, null_basis(ker, d))
 
 
 def image_span(ops: Sequence, d: int) -> Subspace:
     """The sum of the operators' images: J M for J's generator operators."""
-    maps = _slot_form(ops)
-    if maps is not None:
-        return Subspace.units(d, _targets(maps))
-    return Subspace(d, _columns(_column_form(ops)))
+    slot, family = _form(ops)
+    _, im = _read(slot, family, d, kernel=False)
+    return Subspace.units(d, im) if slot else Subspace(d, im)
 
 
-def _products(ops: list[Operator]) -> list[Operator]:
-    """Operators of the generators of J^2 from those of J."""
-    n = len(ops)
-    return [op_mul(ops[i], ops[j]) for i in range(n) for j in range(i, n)]
-
-
-def _fitting(ops: list, d: int) -> tuple[list[dict], int]:
+def _fitting(slot: bool, family: list, d: int) -> tuple[list[dict], int]:
     """(a basis of Gamma_J M, dim J^inf M), Gamma_J M the joint kernel and
-    J^inf M the image span of the d-th powers.
+    J^inf M the image span of the d-th powers of a family in its form.
 
     Fitting's lemma: on a space of dimension d an operator G splits it as
     ker G^d (+) im G^d, both invariant under every operator commuting with
@@ -282,28 +286,18 @@ def _fitting(ops: list, d: int) -> tuple[list[dict], int]:
     summing the images gives the intersection of the J^k M, and the two
     must split M: their dimensions add up to d, and Gamma's basis with the
     image columns spans M.  A power of a slot map injective on its live
-    slots is another, so on the slot path Gamma is the columns dead in
-    every power, J^inf M the union of their targets, and the two span M
-    when together they cover every slot; each power is read and dropped.
+    slots is another, so for slot maps Gamma is spanned by the columns dead
+    in every power, and the two span M when the dead columns and the
+    targets together cover every slot.
     """
-    maps = _slot_form(ops)
-    if maps is not None:
-        live, tail = set(), set()
-        for m in maps:
-            p = slot_power(m, d)
-            live.update(live_columns(p))
-            tail.update(p.slots)
-        tail.discard(None)
-        dead = [j for j in range(d) if j not in live]
-        gamma = [{j: 1} for j in dead]
-        tail_dim = len(tail)
-        spanned = len(tail.union(dead))
+    power = slot_power if slot else op_power
+    ker, tail = _read(slot, (power(op, d) for op in family), d)
+    if slot:
+        gamma = [{j: 1} for j in sorted(ker)]
+        tail_dim, spanned = len(tail), len(tail | ker)
     else:
-        powers = [op_power(op, d) for op in _column_form(ops)]
-        gamma = null_basis(_rows(powers), d)
-        tail = _columns(powers)
-        tail_dim = rank(tail, d)
-        spanned = rank(gamma + tail, d)
+        gamma = null_basis(ker, d)
+        tail_dim, spanned = rank(tail, d), rank(gamma + tail, d)
     if len(gamma) + tail_dim != d or spanned != d:
         raise InternalCheckError(
             "M is not the direct sum of its torsion part and J^inf M"
@@ -311,44 +305,25 @@ def _fitting(ops: list, d: int) -> tuple[list[dict], int]:
     return gamma, tail_dim
 
 
-def _levels(module: FiniteModule, gens: Iterable[Polynomial]):
+def _levels(module: FiniteModule, gens: Sequence[Polynomial]):
     """dim (0 : J), dim J M, J-reducedness, J-coreducedness, a basis of
     Gamma_J M and dim J^inf M, from one evaluation of the generators.
 
     (0 : J) lies in (0 : J^2) and J^2 M in J M, so each pair is equal
     exactly when the two dimensions are.  A one-term generator is
-    evaluated as a slot map; when every generator's is injective on its
-    live slots, so is every product of two, and the dimensions are counts
-    of dead columns and of targets, each square read and dropped in turn.
+    evaluated as a slot map, and the family's form holds for the products
+    of two and the d-th powers, each read and dropped in turn.
     """
-    ops = []
-    for g in gens:
-        m = module.term_map(g)
-        ops.append(module.poly_matrix(g) if m is None else m)
     d = module.dim
-    maps = _slot_form(ops)
-    if maps is not None:
-        # a zero map adds nothing to a kernel, an image, a product or a power
-        ops = maps = [m for m in maps if any(m.coeffs)]
-        live, targets = set(), set()
-        ann_dim = len(dead_columns(maps, d))
-        image_dim = len(_targets(maps))
-        for i, a in enumerate(maps):
-            for b in maps[i:]:
-                square = slot_compose(a, b)
-                live.update(live_columns(square))
-                targets.update(square.slots)
-        targets.discard(None)
-        square_ann_dim = d - len(live)
-        square_image_dim = len(targets)
-    else:
-        ops = _column_form(ops)
-        squares = _products(ops)
-        ann_dim = d - rank(_rows(ops), d)
-        image_dim = rank(_columns(ops), d)
-        square_ann_dim = d - rank(_rows(squares), d)
-        square_image_dim = rank(_columns(squares), d)
-    gamma, tail_dim = _fitting(ops, d)
+    slot, family = _form([
+        module.poly_matrix(g) if m is None else m
+        for g, m in zip(gens, map(module.term_map, gens))
+    ])
+    mul = slot_compose if slot else op_mul
+    ann_dim, image_dim = _dims(slot, family, d)
+    squares = (mul(a, b) for i, a in enumerate(family) for b in family[i:])
+    square_ann_dim, square_image_dim = _dims(slot, squares, d)
+    gamma, tail_dim = _fitting(slot, family, d)
     reduced = ann_dim == square_ann_dim
     coreduced = image_dim == square_image_dim
     return ann_dim, image_dim, reduced, coreduced, gamma, tail_dim

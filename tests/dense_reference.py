@@ -28,7 +28,9 @@ sliced each generator's tail for its height.  The differential
 tests require the sparse code to give the same matrices, subspaces,
 echelon forms and tags, and the unit checks to agree.  `apolarity`, the contraction extended bilinearly to polynomials, is
 the reference the inverse-system tests hold the exponent-vector
-`inverse.contraction` and the contraction operators to.
+`inverse.contraction` and the contraction operators to.  `kernel`, the
+span of `linalg.null_basis`, is the Subspace form the linear-algebra tests
+read a null space in; `torsion.joint_kernel` builds its own.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Iterable, Sequence
 
 from artquot.inverse import contraction
 from artquot.linalg import (
-    Operator, Subspace, _echelon, kernel, op_mul, op_transpose, sparse_apply,
+    Operator, Subspace, _echelon, null_basis, op_mul, op_transpose, sparse_apply,
 )
 from artquot.quotient import QuotientModule, monomial_span
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
@@ -168,6 +170,12 @@ def is_invertible(op: Operator) -> bool:
     """Whether a square sparse operator has full rank, by the forward pass
     of `linalg.rref`: its pivot rows have distinct leading columns."""
     return len(_echelon(op, len(op))) == len(op)
+
+
+def kernel(vectors: Iterable[dict], width: int) -> Subspace:
+    """Null space {v : A v = 0} of the matrix whose rows are the given
+    sparse vectors, the span of `linalg.null_basis`."""
+    return Subspace(width, null_basis(vectors, width))
 
 
 def coords(space: Subspace, vec: dict) -> tuple:

@@ -296,6 +296,28 @@ def test_diagram_svg_and_json(monkeypatch, capsys):
     assert len(data["cells"]) == 7 and len(data["dual_cells"]) == 7
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+def test_graphical_diagram_refuses_three_variables_before_building(
+    fmt, monkeypatch, capsys
+):
+    # the arity is known from the parsed ring, so no module is built
+    built = []
+    monkeypatch.setattr(
+        quotient.QuotientModule, "__init__", lambda self, *a: built.append(a)
+    )
+    text = "ring x,y,z; ideal x^2, y^2, z^2"
+    rc, out, err = run(["diagram", "--format", fmt], text, monkeypatch, capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: graphical formats need at most two variables\n"
+    assert built == []
+
+
+def test_json_diagram_takes_any_number_of_variables(monkeypatch, capsys):
+    text = "ring x,y,z; ideal x^2, y^2, z^2"
+    rc, out, _ = run(["diagram", "--format", "json"], text, monkeypatch, capsys)
+    assert rc == 0 and len(json.loads(out)["cells"]) == 8
+
+
 def test_verify_pass(monkeypatch, capsys):
     rc, out, err = run(
         ["verify", "--suite", "socle-equality", "--count", "5", "--seed", "3"],

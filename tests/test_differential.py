@@ -31,7 +31,7 @@ from artquot.instances import (
     sample_modules,
 )
 from artquot.inverse import _minimal_outside, inverse_system
-from artquot.linalg import Subspace, op_power, op_transpose, rref
+from artquot.linalg import Subspace, op_mul, op_power, op_transpose, rref
 from artquot.quotient import MAX_DIM, QuotientModule, minimal_outside, staircase
 from artquot.ring import (
     AlgebraError,
@@ -44,7 +44,6 @@ from artquot.ring import (
 )
 from artquot.torsion import (
     _levels,
-    _products,
     classify,
     image_span,
     joint_kernel,
@@ -102,7 +101,8 @@ def assert_rref_matches_reference(module, gens):
     pairwise products and of their d-th powers."""
     d = module.dim
     ops = [module.poly_matrix(g) for g in gens]
-    for family in (ops, _products(ops), [op_power(op, d) for op in ops]):
+    squares = [op_mul(a, b) for i, a in enumerate(ops) for b in ops[i:]]
+    for family in (ops, squares, [op_power(op, d) for op in ops]):
         stacked = [row for op in family for row in op_transpose(op) if row]
         columns = [col for op in family for col in op if col]
         for vectors in (stacked, columns):

@@ -26,7 +26,7 @@ from artquot.inverse import (
     truncated_dual,
     truncated_dual_report,
 )
-from artquot.linalg import SlotMap
+from artquot.linalg import SlotMap, slot_columns, slot_map
 from artquot.quotient import QuotientModule, hilbert, minimal_outside
 from artquot.reduced import monomials_up_to_degree, outside_corners
 from artquot.ring import (
@@ -258,13 +258,26 @@ def test_truncated_dual_checks_are_live(monkeypatch):
         (2, system.action, 0, "reduced witness wrongly kills (1, 0)"),
     ]
     for split, action, value, message in cases:
-        broken = SimpleNamespace(basis=system.basis, action=action)
+        slot_maps = tuple(map(slot_map, action))
+        broken = SimpleNamespace(basis=system.basis, slot_maps=slot_maps)
         with monkeypatch.context() as m:
             m.setattr(inverse, "truncated_dual", lambda n, bound: broken)
             if value is not None:
                 m.setattr(inverse, "contraction", lambda a, b: value)
             with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
                 truncated_dual_report(2, split, 2)
+
+
+def test_truncation_report_reads_slot_maps(monkeypatch):
+    # the truncated dual is built from slot maps, and the report reads
+    # those; no dict columns of `action` are built
+    built = []
+    monkeypatch.setattr(
+        torsion, "slot_columns", lambda m: built.append(m) or slot_columns(m)
+    )
+    for n, split, bound in [(2, 1, 3), (3, 1, 3), (3, 2, 4)]:
+        truncated_dual_report(n, split, bound)
+    assert built == []
 
 
 def test_truncation_report_witnesses_check_out():

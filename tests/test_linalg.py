@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from artquot import linalg
 from artquot.linalg import (
     Subspace,
-    kernel,
     op_inverse,
     op_mul,
     op_power,
@@ -38,6 +37,7 @@ from dense_reference import (
     dense,
     full_space,
     is_invertible,
+    kernel,
     operator_from_rows,
     operator_rows,
     rank,

@@ -1,9 +1,11 @@
 """The slot path of the torsion core against the general path it replaces.
 
-On slot maps injective on their live slots, `joint_kernel` reads the
-columns dead in every map, `image_span` the union of the targets, and
-`_levels`/`_fitting` count both for J, J^2 and the d-th powers.  The
-general path stacks dict columns and runs `null_basis`, `rank` and `rref`.
+`torsion._form` reads a family as slot maps when each is injective on its
+live slots: then `joint_kernel` reads the columns dead in every map,
+`image_span` the union of the targets, and `_levels`/`_fitting` count both
+for J, J^2 and the d-th powers.  The general path, which the tests force
+through `_form`, stacks dict columns and runs `null_basis`, `rank` and
+`rref`.
 The inputs are the modules the dense-reference tests draw (the ladder,
 sampled staircases, random commuting families with and without a change
 of basis), their inverse systems and their Matlis duals, and single-entry
@@ -53,6 +55,11 @@ def columns(op):
     return slot_columns(op) if isinstance(op, SlotMap) else op
 
 
+def general_form(ops):
+    """`torsion._form` forced onto the general path: the dict columns."""
+    return False, [columns(op) for op in ops]
+
+
 def general_kernel(ops, d):
     rows = [row for op in ops for row in op_transpose(columns(op)) if row]
     return Subspace(d, null_basis(rows, d))
@@ -99,7 +106,7 @@ def assert_levels_agree(module, gens, monkeypatch):
     fast = _levels(module, gens)
     fast_tag = classify(module, gens)
     with monkeypatch.context() as m:
-        m.setattr(torsion, "_slot_form", lambda ops: None)
+        m.setattr(torsion, "_form", general_form)
         slow = _levels(module, gens)
         slow_tag = classify(module, gens)
     assert fast[:4] == slow[:4] and fast[5] == slow[5]
@@ -112,7 +119,7 @@ def test_staircases_and_their_duals_take_the_slot_path(monkeypatch):
     for module in staircase_modules():
         system = inverse_system(module)
         for mod in (module, system, matlis_dual(module), matlis_dual(system)):
-            assert torsion._slot_form(mod.slot_maps) is not None
+            assert torsion._form(mod.slot_maps)[0]
             assert_paths_agree(mod.slot_maps, mod.dim)
             assert_paths_agree(mod.action, mod.dim)
             ideal = [poly_monomial(g) for g in module.ideal.min_gens]
@@ -121,7 +128,7 @@ def test_staircases_and_their_duals_take_the_slot_path(monkeypatch):
             pair = [poly_monomial(tuple(int(j < 2) for j in range(mod.nvars)))]
             for gens in (ideal, variables, pair):
                 for ops in families(mod, gens):
-                    assert torsion._slot_form(ops) is not None
+                    assert torsion._form(ops)[0]
                     assert_paths_agree(ops, mod.dim)
                 assert_levels_agree(mod, gens, monkeypatch)
             seen += 1
@@ -135,10 +142,10 @@ def test_random_modules_and_their_duals_agree_on_both_paths(monkeypatch):
         for mod in (module, matlis_dual(module)):
             for ops in families(mod, gens):
                 assert_paths_agree(ops, mod.dim)
-                if torsion._slot_form(ops) is None:
-                    general += 1
-                else:
+                if torsion._form(ops)[0]:
                     slot += 1
+                else:
+                    general += 1
             assert_levels_agree(mod, gens, monkeypatch)
     # both paths are exercised by these draws
     assert slot > 50 and general > 50
@@ -167,7 +174,7 @@ def test_non_injective_maps_take_the_general_path(m, data):
         SlotMap((None,) * d, (0,) * d),
     ]), max_size=2))
     ops = [m, *others]
-    assert torsion._slot_form(ops) is None
+    assert not torsion._form(ops)[0]
     # two live columns share a target, so the kernel is more than the dead
     # columns' units: a slot reading would miss a vector
     kernel = joint_kernel(ops, d)
@@ -184,7 +191,7 @@ def test_classify_on_non_injective_generators_reads_the_general_path(monkeypatch
     # not injective, so its kernel is spanned by e0 - e1 and e2
     module = torsion.FiniteModule(1, 3, slot_maps=(SlotMap((2, 2, None), (1, 1, 0)),))
     x = poly_monomial((1,))
-    assert torsion._slot_form([module.term_map(x)]) is None
+    assert not torsion._form([module.term_map(x)])[0]
     assert joint_kernel(module.slot_maps, 3) == Subspace(3, [{0: 1, 1: -1}, {2: 1}])
     tag = classify(module, [x])
     assert (tag.gamma_dim, tag.lambda_dim) == (3, 3)

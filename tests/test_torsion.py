@@ -479,8 +479,8 @@ def _fake_fitting(gamma_of, tail_of):
     as the subspace its basis spans and J^inf M as its dimension."""
     fitting = torsion._fitting
 
-    def fake(ops, d):
-        gamma, tail_dim = fitting(ops, d)
+    def fake(slot, family, d):
+        gamma, tail_dim = fitting(slot, family, d)
         return list(gamma_of(Subspace(d, gamma), d).rows), tail_of(tail_dim, d)
 
     return fake

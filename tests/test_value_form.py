@@ -12,10 +12,10 @@ import pytest
 
 from artquot.instances import _random_unimodular, random_finite_module
 from artquot.inverse import InverseSystem
-from artquot.linalg import kernel, op_inverse, rref
+from artquot.linalg import op_inverse, rref
 from artquot.quotient import QuotientModule
 from artquot.ring import parse_input, poly_monomial
-from dense_reference import operator_from_rows
+from dense_reference import kernel, operator_from_rows
 
 # the structure and action ladders: pure-power boxes up to dim 196 and the
 # three worked examples
