@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .diagram import check_drawable, diagram_ascii, diagram_cells, diagram_svg
 from .inverse import hilbert_duality_check, inverse_system
@@ -59,23 +58,14 @@ def _read_module(args) -> QuotientModule:
     return QuotientModule(*_read_input(args))
 
 
-def _dumps(payload: dict) -> str:
-    # exact rationals go out as "p/q" strings, never floats
-    def fallback(obj):
-        if isinstance(obj, Fraction):
-            return str(obj)
-        raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-    return json.dumps(payload, indent=2, default=fallback)
-
-
 def _emit(
     args, variables: VariableSet, ideal: MonomialIdeal, payload: dict, lines: list[str]
 ) -> int:
     """Print the payload or the lines, both headed by the ring and ideal."""
     if args.json:
         gens = [monomial_str(variables.names, g) for g in ideal.min_gens]
-        print(_dumps({"ring": list(variables.names), "ideal": gens, **payload}))
+        payload = {"ring": list(variables.names), "ideal": gens, **payload}
+        print(json.dumps(payload, indent=2))
     else:
         print("\n".join([render(variables, ideal), *lines]))
     return 0
@@ -224,7 +214,7 @@ def cmd_diagram(args) -> int:
         check_drawable(variables.n)
     module = QuotientModule(variables, ideal)
     if args.format == "json":
-        print(_dumps(diagram_cells(module, args.dual)))
+        print(json.dumps(diagram_cells(module, args.dual), indent=2))
     elif args.format == "svg":
         print(diagram_svg(module, args.dual))
     else:
@@ -348,7 +338,7 @@ def cmd_verify(args) -> int:
     result = run_suite(args.suite, args.count, args.seed)
     elapsed = time.monotonic() - started
     if args.json:
-        print(_dumps(result.to_json()))
+        print(json.dumps(result.to_json(), indent=2))
     else:
         print(
             f"suite {result.suite} seed {result.seed}: "

@@ -221,7 +221,7 @@ def perp_of_submodule(
             raise AlgebraError("perp needs dual monomials, got a non-monomial")
         (e,) = f.terms
         closure.update(product(*(range(v + 1) for v in e)))
-    return minimalize(minimal_outside(closure, variables.n))
+    return MonomialIdeal(tuple(minimal_outside(closure, variables.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,6 @@ def divides(a: ExponentVector, b: ExponentVector) -> bool:
     return all(map(le, a, b))
 
 
-def ev_add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    return tuple(ai + bi for ai, bi in zip(a, b))
-
-
 def grlex_key(exps: ExponentVector):
     """Canonical sort key: ascending total degree, then descending lex
     with the first variable largest (so x^2 before x*y before y^2)."""
@@ -155,10 +151,6 @@ class Polynomial:
             k: v.numerator if v.denominator == 1 else v for k, v in acc.items() if v
         }
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_term(self) -> int | Fraction:
         for exps, coeff in self.terms.items():
             if not any(exps):
@@ -167,13 +159,6 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[ExponentVector, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        items = []
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                items.append((ev_add(ea, eb), ca * cb))
-        return Polynomial(items)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -245,11 +230,6 @@ class MonomialIdeal:
     @property
     def n(self) -> int:
         return len(self.min_gens[0])
-
-    def contains(self, exps: ExponentVector) -> bool:
-        if len(exps) != self.n:
-            raise AlgebraError("exponent vector has wrong length")
-        return any(divides(g, exps) for g in self.min_gens)
 
 
 def minimalize(gens: Iterable[ExponentVector]) -> MonomialIdeal:
@@ -536,15 +516,6 @@ def _parse_polynomial(cur: _Cursor, variables: VariableSet) -> Polynomial:
         else:
             break
     return Polynomial(terms)
-
-
-def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
-    """Parse an integer/rational-coefficient polynomial like `x^2 - 2*x*y + 1`."""
-    cur = _Cursor(text)
-    poly = _parse_polynomial(cur, variables)
-    if not cur.eof():
-        raise ParseError("trailing input", cur.pos)
-    return poly
 
 
 def parse_polynomial_list(text: str, variables: VariableSet) -> tuple[Polynomial, ...]:

@@ -30,7 +30,10 @@ echelon forms and tags, and the unit checks to agree.  `apolarity`, the contract
 the reference the inverse-system tests hold the exponent-vector
 `inverse.contraction` and the contraction operators to.  `kernel`, the
 span of `linalg.null_basis`, is the Subspace form the linear-algebra tests
-read a null space in; `torsion.joint_kernel` builds its own.
+read a null space in; `torsion.joint_kernel` builds its own.  `ev_add`,
+`poly_mul` (the product of two polynomials, with which `_squares` builds
+J^2) and `contains` (monomial-ideal membership) were part of `artquot.ring`
+that only tests used; the tests read them here.
 """
 
 from __future__ import annotations
@@ -97,6 +100,29 @@ def operator_from_rows(rows: Sequence[Sequence]) -> Operator:
 def full_space(d: int) -> Subspace:
     """All of k^d."""
     return Subspace(d, ({i: Fraction(1)} for i in range(d)))
+
+
+# ---------------------------------------------------------------------------
+# ring helpers
+
+def ev_add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
+    return tuple(ai + bi for ai, bi in zip(a, b))
+
+
+def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The product of two polynomials, term by term."""
+    return Polynomial(
+        (ev_add(ea, eb), ca * cb)
+        for ea, ca in p.terms.items()
+        for eb, cb in q.terms.items()
+    )
+
+
+def contains(ideal: MonomialIdeal, exps: ExponentVector) -> bool:
+    """Whether x^exps lies in the ideal: some generator divides it."""
+    if len(exps) != ideal.n:
+        raise AlgebraError("exponent vector has wrong length")
+    return any(divides(g, exps) for g in ideal.min_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +295,9 @@ def act_poly_matrix(module: FiniteModule, poly: Polynomial) -> Operator:
 
 
 def _squares(gens):
-    return [gens[i] * gens[j] for i in range(len(gens)) for j in range(i, len(gens))]
+    return [
+        poly_mul(gens[i], gens[j]) for i in range(len(gens)) for j in range(i, len(gens))
+    ]
 
 
 def annihilator_of(module: DenseModule, gens) -> Subspace:

@@ -12,8 +12,8 @@ from pathlib import Path
 import artquot
 
 ROOT = Path(__file__).resolve().parent.parent
-# acceptance criterion 9 (tests/test_acceptance.py) is this check's home
-EXEMPT = {"truncated_dual_report"}
+# names exempt from the check; an exemption lapses once its name is used
+EXEMPT = set()
 
 
 class _Uses(ast.NodeVisitor):

@@ -40,7 +40,7 @@ from artquot.ring import (
     poly_monomial,
 )
 from artquot.suites import run_suite
-from dense_reference import apolarity, complement_min_gens, full_space
+from dense_reference import apolarity, complement_min_gens, full_space, poly_mul
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
 SMALL4 = '{"ring": ["x1","x2"], "ideal": ["x1^2", "x1*x2", "x2^3"]}'
@@ -103,7 +103,7 @@ def test_contraction_is_linear_and_multiplicative():
     p = mono(1, 0)
     q = mono(0, 1)
     assert apolarity(plus(p, q), f) == plus(apolarity(p, f), apolarity(q, f))
-    assert apolarity(p * q, f) == apolarity(p, apolarity(q, f))
+    assert apolarity(poly_mul(p, q), f) == apolarity(p, apolarity(q, f))
     assert apolarity(q, apolarity(p, f)) == apolarity(p, apolarity(q, f))
 
 
@@ -151,7 +151,7 @@ def test_dual_basis_mirrors_the_staircase():
         killed = tuple(
             e
             for e in monomials_up_to_degree(m.n, top)
-            if all(apolarity(g, poly_monomial(e)).is_zero for g in gens)
+            if not any(apolarity(g, poly_monomial(e)).terms for g in gens)
         )
         assert system.basis == killed
 
@@ -191,6 +191,20 @@ def test_perp_of_partial_monomial_span():
     # a nonzero coefficient generates the same submodule
     scaled = [poly_monomial(e, 3) for e in ((0, 0), (1, 0), (0, 1), (1, 1))]
     assert perp_of_submodule(variables, scaled) == minimalize([(2, 0), (0, 2)])
+
+
+def test_perp_refuses_a_generator_set_that_is_not_minimal(monkeypatch):
+    # perp builds its ideal from minimal_outside's list as it stands, so a
+    # surplus multiple of a generator is refused, not silently dropped
+    def with_a_multiple(closure, n):
+        gens = minimal_outside(closure, n)
+        return gens + [tuple(e + 1 for e in gens[0])]
+
+    monkeypatch.setattr(inverse, "minimal_outside", with_a_multiple)
+    variables = VariableSet(("x", "y"))
+    duals = [mono(0, 0), mono(1, 0), mono(0, 1), mono(1, 1)]
+    with pytest.raises(AlgebraError, match="generators are not minimal"):
+        perp_of_submodule(variables, duals)
 
 
 @st.composite

@@ -35,13 +35,13 @@ from artquot.ring import (
     NotArtinianError,
     Polynomial,
     VariableSet,
-    ev_add,
     grlex_key,
     minimalize,
     parse_input,
-    parse_polynomial,
+    parse_polynomial_list,
     poly_monomial,
 )
+from dense_reference import contains, ev_add
 
 STAIR11 = "ring x,y; ideal x^4, x^3*y, x^2*y^2, x*y^3, y^5"
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -69,7 +69,7 @@ def census_staircase(variables, ideal):
     cells = [
         e
         for e in product(*(range(b + 1) for b in bounds))
-        if not ideal.contains(e)
+        if not contains(ideal, e)
     ]
     return sorted(cells, key=grlex_key)
 
@@ -79,7 +79,7 @@ def act_oracle(module, poly, vec):
     for b, c_b in vec.items():
         for e_p, c_p in poly.sorted_terms():
             prod = ev_add(e_p, module.basis[b])
-            if module.ideal.contains(prod):
+            if contains(module.ideal, prod):
                 continue
             k = module.index[prod]
             out[k] = out.get(k, 0) + c_p * c_b
@@ -163,7 +163,7 @@ def test_var_action_tables_match_ring_multiplication():
             for b, e in enumerate(m.basis):
                 target = ev_add(e, step)
                 column = m.action[i][b]
-                if ideal.contains(target):
+                if contains(ideal, target):
                     assert column == {}
                 else:
                     assert column == {m.index[target]: 1}
@@ -193,7 +193,7 @@ def test_act_matches_oracle_on_random_elements():
 
 def test_action_matrix_columns_are_basis_images():
     m = module_from(FLAT7)
-    poly = parse_polynomial("x*y + 2", m.variables)
+    poly = parse_polynomial_list("x*y + 2", m.variables)[0]
     mat = m.poly_matrix(poly)
     for b, e in enumerate(m.basis):
         assert mat[b] == m.act(poly, m.basis_element(e))

@@ -9,6 +9,8 @@ import io
 import sys
 from pathlib import Path
 
+from artquot import SUITE_NAMES
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -31,4 +33,6 @@ def test_worked_examples_run(monkeypatch, capsys):
 def test_run_verification_quick_pass(capsys):
     assert load("run_verification").run(["--scale", "0.1"]) == 0
     out = capsys.readouterr().out
-    assert out.count(" ok (") == 5
+    # one line per suite, then the truncated-dual line
+    assert out.count(" ok (") == len(SUITE_NAMES) + 1
+    assert "truncated-dual   36/36 ok (" in out

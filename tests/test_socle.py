@@ -19,7 +19,7 @@ from artquot.ring import (
     grlex_key,
     minimalize,
     parse_input,
-    parse_polynomial,
+    parse_polynomial_list,
     poly_monomial,
 )
 from artquot.reduced import (
@@ -32,6 +32,7 @@ from artquot.reduced import (
 )
 from artquot.suites import run_suite
 from artquot.torsion import classify
+from dense_reference import poly_mul
 
 STAIR11 = "ring x,y; ideal x^4, x^3*y, x^2*y^2, x*y^3, y^5"
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
@@ -113,10 +114,10 @@ def test_ideal_reducedness_cases():
     m = module_from(FLAT7)
     defining = [poly_monomial(g) for g in m.ideal.min_gens]
     assert classify(m, defining).j_reduced
-    y = parse_polynomial("y", m.variables)
+    y = parse_polynomial_list("y", m.variables)[0]
     assert not classify(m, [y]).j_reduced  # y^2 = 0 but y kills less than that
     flat = module_from("ring x,y; ideal x, y^2")
-    x = parse_polynomial("x", flat.variables)
+    x = parse_polynomial_list("x", flat.variables)[0]
     assert classify(flat, [x]).j_reduced  # x already acts as zero
 
 
@@ -133,7 +134,7 @@ def test_acting_twice_is_acting_by_the_square():
         vecs = [{j: 1} for j in range(m.dim)] + [mixed]
         for a in witness_candidates(m.n, 2, 8, 0):
             for v in vecs:
-                assert m.act(a, m.act(a, v)) == m.act(a * a, v)
+                assert m.act(a, m.act(a, v)) == m.act(poly_mul(a, a), v)
 
 
 def test_positive_degree_span_is_not_coreduced_when_layered():

@@ -34,9 +34,8 @@ from artquot.quotient import QuotientModule
 from artquot.ring import (
     AlgebraError,
     InternalCheckError,
-    ev_add,
     parse_input,
-    parse_polynomial,
+    parse_polynomial_list,
     poly_monomial,
 )
 from artquot.torsion import (
@@ -51,9 +50,11 @@ from artquot.torsion import (
 )
 import dense_reference as ref
 from dense_reference import (
+    ev_add,
     full_space,
     operator_from_rows,
     operator_rows,
+    poly_mul,
     submodule_module,
     word_rank_profile,
 )
@@ -291,14 +292,14 @@ def test_slot_form_and_column_form_build_the_same_module():
 
 def test_poly_matrix_respects_products():
     m = module_from(FLAT7)
-    p = parse_polynomial("x*y + 2*x", m.variables)
-    q = parse_polynomial("y - 1", m.variables)
-    assert m.poly_matrix(p * q) == op_mul(m.poly_matrix(p), m.poly_matrix(q))
+    p = parse_polynomial_list("x*y + 2*x", m.variables)[0]
+    q = parse_polynomial_list("y - 1", m.variables)[0]
+    assert m.poly_matrix(poly_mul(p, q)) == op_mul(m.poly_matrix(p), m.poly_matrix(q))
 
 
 def test_annihilator_and_image_known_values():
     m = module_from(FLAT7)
-    y = parse_polynomial("y", m.variables)
+    y = parse_polynomial_list("y", m.variables)[0]
     ann = annihilator_of(m, [y])
     expected = Subspace(
         m.dim,
@@ -318,9 +319,9 @@ def test_torsion_part_is_everything_for_nilpotent_actions():
     # every variable is nilpotent on an Artinian staircase quotient, so the
     # torsion part is the whole module even though the first level is smaller
     m = module_from(FLAT7)
-    y = parse_polynomial("y", m.variables)
+    y = parse_polynomial_list("y", m.variables)[0]
     assert classify(m, [y]).gamma_dim == m.dim
-    assert annihilator_of(m, [y * y]).dim == m.dim  # y^2 = 0 on this module
+    assert annihilator_of(m, [poly_mul(y, y)]).dim == m.dim  # y^2 = 0 on this module
     assert annihilator_of(m, [y]).dim == 4
 
 
@@ -329,7 +330,7 @@ def test_split_check_fires_when_the_power_is_too_small(monkeypatch):
     # im y (dim 3); their dimensions add up to 7, but im y lies in ker y.
     # y is one term, so its slot map is the one raised to the power
     m = module_from(FLAT7)
-    y = parse_polynomial("y", m.variables)
+    y = parse_polynomial_list("y", m.variables)[0]
     monkeypatch.setattr("artquot.torsion.slot_power", lambda op, k: op)
     with pytest.raises(InternalCheckError, match="direct sum"):
         classify(m, [y])
@@ -339,7 +340,7 @@ def test_split_check_fires_on_the_operator_path_too(monkeypatch):
     # y + x*y = y(1 + x) has the kernel and the image of y, and columns of
     # two entries, so its operator is the one raised, by op_power
     m = module_from(FLAT7)
-    g = parse_polynomial("y + x*y", m.variables)
+    g = parse_polynomial_list("y + x*y", m.variables)[0]
     monkeypatch.setattr("artquot.torsion.op_power", lambda op, k: op)
     with pytest.raises(InternalCheckError, match="direct sum"):
         classify(m, [g])
@@ -389,7 +390,7 @@ def test_matlis_dual_is_an_involution_with_swapped_functors():
 
 def test_reduced_and_coreduced_predicates():
     m = module_from(FLAT7)
-    y = parse_polynomial("y", m.variables)
+    y = parse_polynomial_list("y", m.variables)[0]
     assert not classify(m, [y]).j_reduced
     defining = [poly_monomial(g) for g in m.ideal.min_gens]
     tag = classify(m, defining)
@@ -452,7 +453,7 @@ def test_duality_exchanges_the_classes():
 
 def test_duality_skips_when_hypotheses_fail():
     m = module_from(FLAT7)
-    y = parse_polynomial("y", m.variables)
+    y = parse_polynomial_list("y", m.variables)[0]
     report = verify_ttf_duality(m, [y])  # not reduced relative to <y>
     assert not report.hypothesis_met
     assert report.items == ("skipped", "skipped", "skipped")
