@@ -34,7 +34,7 @@ contractions of I-perp (coefficient e_i), their transposes (all injective
 on the slots they move) and every monomial x^e.  Staircase modules are
 built from slot maps; for any other operator the form is read off its
 columns (`slot_map`), and `slot_columns` turns a slot map back into
-columns.  A slot map injective on its live slots (`slot_injective`) kills
+columns.  A slot map injective on its live slots (`slot_targets`) kills
 exactly the vectors on its dead columns and has the unit vectors at its
 targets as image, so kernels and images of such maps are unit spans
 (`Subspace.units`) read with no elimination.  `rref` also takes the form
@@ -334,6 +334,30 @@ def op_inverse(op: Operator) -> Operator:
     return op_transpose(right)
 
 
+def op_sum(terms: Iterable[tuple], d: int) -> Operator:
+    """The operator sum of c * op over the (c, op) terms, op in dict columns
+    on d slots.  One term 1 * op is op itself."""
+    terms = list(terms)
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    cols: list[dict] = [{} for _ in range(d)]
+    summed = False
+    for c, op in terms:
+        for col, src in zip(cols, op):
+            for t, x in src.items():
+                # as in sparse_apply, an entry of 1 keeps c as it is
+                x = c if x == 1 else x * c
+                if t in col:
+                    col[t] += x
+                    summed = True
+                else:
+                    col[t] = x
+    if summed:
+        # a product of nonzeros is nonzero; only a sum can cancel
+        return tuple({i: x for i, x in col.items() if x} for col in cols)
+    return tuple(cols)
+
+
 # ---------------------------------------------------------------------------
 # single-entry operators
 
@@ -377,13 +401,14 @@ def dead_columns(maps: Iterable[SlotMap], d: int) -> list[int]:
     return sorted(set(range(d)).difference(*map(live_columns, maps)))
 
 
-def slot_injective(m: SlotMap) -> bool:
-    """Whether no two live columns of m share a target slot.  Then m v = 0
-    exactly when v lives on m's dead columns, and m's image is spanned by
-    the unit vectors at its targets."""
+def slot_targets(m: SlotMap) -> set | None:
+    """The set of m's target slots when no two live columns of m share one,
+    else None.  Then m is injective on its live slots: m v = 0 exactly when
+    v lives on m's dead columns, and m's image is spanned by the unit
+    vectors at its targets."""
     targets = set(m.slots)
     targets.discard(None)
-    return len(targets) == len(m.slots) - m.slots.count(None)
+    return targets if len(targets) == len(m.slots) - m.slots.count(None) else None
 
 
 def slot_apply(m: SlotMap, vec: dict) -> dict:

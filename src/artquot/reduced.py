@@ -10,6 +10,7 @@ they agree.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Sequence
 from .linalg import Subspace, dead_columns, rank
 from .quotient import QuotientModule, monomial_span, socle
@@ -67,11 +68,19 @@ def _random_poly(rng: random.Random, n: int, degree_bound: int, constant: bool) 
     return Polynomial(terms)
 
 
+@cache
+def _monomial_witnesses(n: int, degree_bound: int) -> tuple[Polynomial, ...]:
+    """Every monomial in n variables of total degree <= degree_bound, as
+    polynomials, built once per (n, degree_bound) in a process."""
+    return tuple(map(poly_monomial, monomials_up_to_degree(n, degree_bound)))
+
+
 def witness_candidates(n: int, degree_bound: int, trials: int, seed: int) -> list[Polynomial]:
     """The reducedness oracles' search space in n variables: every monomial
     of total degree <= degree_bound, then `trials` seeded random
-    polynomials (alternating with and without constant term)."""
-    cands = [poly_monomial(e) for e in monomials_up_to_degree(n, degree_bound)]
+    polynomials (alternating with and without constant term).  The list is
+    the caller's; the monomials in it are shared between calls."""
+    cands = list(_monomial_witnesses(n, degree_bound))
     rng = random.Random(seed)
     for t in range(trials):
         cands.append(_random_poly(rng, n, degree_bound, constant=t % 2 == 0))

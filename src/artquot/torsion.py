@@ -16,24 +16,29 @@ spans and counts read off the slots, else dict columns, which go to rref.
 Products and powers stay in the family's form.  The torsion part
 Gamma_J M and the completion M / J^inf M come from Fitting's lemma: the
 joint kernel and the image span of the d-th powers of the generator
-operators.  `classify` reads them with J-(co)reducedness off one
-evaluation of the generators, a one-term generator as a slot map, and
+operators, or of any higher powers, here G^(2^j) for the least 2^j >= d,
+squared up from the squares G^2 that the J^2 level already computed and
+stopped at the zero map.  `classify` reads them with J-(co)reducedness off
+one evaluation of the generators, a one-term generator as a slot map, and
 reads dimensions only: (0 : J) lies in (0 : J^2) and J^2 M in J M, so
 J-(co)reducedness is an equality of ranks, and the split
 M = Gamma_J M (+) J^inf M is a rank too, of Gamma's kernel basis beside
 the image columns.  Matlis duality is the linear dual: transpose every
-operator.
+operator; `verify_ttf_duality` hands the dual it built back in its report.
 
 The commutation check composes slot maps when both operators of a pair
 have at most one entry per column, and multiplies them otherwise.  When
 every operator has a slot map, x^e is the product of their powers
 (`monomial_map`) and `poly_matrix` sums coefficient times slot map over
-the terms; otherwise it acts on each unit column.
+the terms; otherwise x^e is the product of the operators' powers
+(`monomial_operator`), x_i its operator itself and x^0 the identity, and
+`poly_matrix` sums coefficient times product.  `act` multiplies one
+element, one pass over each term's variables that stops at a zero image.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, repeat
 from operator import is_not
 from typing import Iterable, Sequence
@@ -46,21 +51,33 @@ from .linalg import (
     null_basis,
     op_mul,
     op_power,
+    op_sum,
     op_transpose,
     rank,
     slot_apply,
     slot_columns,
     slot_compose,
-    slot_injective,
     slot_map,
     slot_maps_commute,
     slot_power,
     slot_sum,
+    slot_targets,
     sparse_apply,
     unit_entries,
     unit_map,
 )
 from .ring import AlgebraError, InternalCheckError, Polynomial
+
+
+def _monomial(ops: Sequence, exps, power, mul):
+    """The product of power(op, k) over the operators and exponents, in
+    the operators' form; None for x^0."""
+    out = None
+    for op, k in zip(ops, exps):
+        if k:
+            p = power(op, k)
+            out = p if out is None else mul(out, p)
+    return out
 
 
 class FiniteModule:
@@ -146,12 +163,15 @@ class FiniteModule:
         raised to their exponents; None if some operator has none."""
         if None in self.slot_maps:
             return None
-        out = None
-        for m, k in zip(self.slot_maps, exps):
-            if k:
-                p = slot_power(m, k)
-                out = p if out is None else slot_compose(out, p)
+        out = _monomial(self.slot_maps, exps, slot_power, slot_compose)
         return unit_map(tuple(range(self.dim))) if out is None else out
+
+    def monomial_operator(self, exps) -> Operator:
+        """x^exps as dict columns, the product of the variables' operators
+        raised to their exponents: x_i is its operator itself, x^0 the
+        identity."""
+        out = _monomial(self.action, exps, op_power, op_mul)
+        return tuple({j: 1} for j in range(self.dim)) if out is None else out
 
     def term_map(self, poly: Polynomial) -> SlotMap | None:
         """A one-term polynomial c*x^e as a slot map, c times x^e's; None
@@ -169,15 +189,17 @@ class FiniteModule:
 
     def poly_matrix(self, poly: Polynomial) -> Operator:
         """Evaluate a polynomial at the action operators: the sum of
-        coefficient * slot map over the terms where every monomial has a
-        slot map, else one `act` per unit column."""
+        coefficient * x^e over the terms, each x^e a slot map when every
+        operator has one (`monomial_map`), else a product of operator
+        powers (`monomial_operator`)."""
         for exps in poly.terms:
             if len(exps) != self.nvars:
                 raise AlgebraError("polynomial arity does not match the module")
+        if None in self.slot_maps:
+            terms = [(c, self.monomial_operator(e)) for e, c in poly.terms.items()]
+            return op_sum(terms, self.dim)
         terms = [(c, self.monomial_map(e)) for e, c in poly.terms.items()]
-        if all(m is not None for _, m in terms):
-            return slot_sum(terms, self.dim)
-        return tuple(self.act(poly, {j: 1}) for j in range(self.dim))
+        return slot_sum(terms, self.dim)
 
     def apply(self, i: int, vec: dict) -> dict:
         """x_i * vec, through x_i's slot map where it has one."""
@@ -185,22 +207,46 @@ class FiniteModule:
         return sparse_apply(self.action[i], vec) if m is None else slot_apply(m, vec)
 
     def act(self, poly: Polynomial, vec: dict) -> dict:
-        """Multiply the sparse element `vec` by the polynomial `poly`."""
+        """Multiply the sparse element `vec`, which stores no zeros, by the
+        polynomial `poly`.  Each term's image is one pass over its variables
+        that stops at the first zero image."""
         if vec and (min(vec) < 0 or max(vec) >= self.dim):
             raise AlgebraError(f"element index out of range({self.dim})")
-        out: dict = {}
+        maps = self.slot_maps
+        out = None
+        summed = False
         for exps, coeff in poly.terms.items():
             if len(exps) != self.nvars:
                 raise AlgebraError("polynomial arity does not match the module")
             img = vec if coeff == 1 else {j: coeff * c for j, c in vec.items()}
             for i, e in enumerate(exps):
-                for _ in range(e):
-                    if not img:
-                        break
-                    img = self.apply(i, img)
+                if not img:
+                    break
+                if e:
+                    m = maps[i]
+                    step, op = (
+                        (sparse_apply, self.action[i]) if m is None else (slot_apply, m)
+                    )
+                    for _ in range(e):
+                        img = step(op, img)
+                        if not img:
+                            break
+            if not img:
+                continue
+            if out is None:
+                # vec itself when the term is the constant 1: the caller's
+                out = dict(img) if img is vec else img
+                continue
             for i, c in img.items():
-                out[i] = out[i] + c if i in out else c
-        return {i: c for i, c in out.items() if c}
+                if i in out:
+                    out[i] += c
+                    summed = True
+                else:
+                    out[i] = c
+        if out is None:
+            return {}
+        # a product of nonzeros is nonzero; only a sum can cancel
+        return {i: c for i, c in out.items() if c} if summed else out
 
 
 # ---------------------------------------------------------------------------
@@ -213,40 +259,53 @@ class FiniteModule:
 # map injective on its live slots kills exactly the vectors on its dead
 # columns and has the unit vectors at its targets as image, so a family of
 # them is read as the columns dead in every map and the targets, and every
-# rank is a count.  Dict columns give their nonzero rows, stacked, and
-# their nonzero columns, and rref reads the ranks, kernels and spans.
+# rank is a count; the targets of the family `_form` read are the union of
+# the sets it built to decide.  Dict columns give their nonzero rows,
+# stacked, and their nonzero columns, and rref reads the ranks, kernels and
+# spans.
 
 
-def _form(ops: Sequence) -> tuple[bool, list]:
-    """(True, the slot maps) when each operator is a slot map injective on
-    its live slots, else (False, the dict columns).  A zero operator adds
-    nothing to a kernel, an image, a product or a power, and is dropped."""
-    maps = []
+def _form(ops: Sequence, image=True) -> tuple[bool, list, set | None]:
+    """(True, the slot maps, the union of their targets) when each operator
+    is a slot map injective on its live slots, else (False, the dict
+    columns, None).  Each map's target set is built once, to decide, and
+    added to the union as it is built, unless the caller reads no image
+    (then the union stays empty).  A zero operator adds nothing to a
+    kernel, an image, a product or a power, and is dropped."""
+    maps, targets = [], set()
     for op in ops:
         m = op if isinstance(op, SlotMap) else slot_map(op)
-        if m is None or not slot_injective(m):
+        t = None if m is None else slot_targets(m)
+        if t is None:
             cols = (slot_columns(op) if isinstance(op, SlotMap) else op for op in ops)
-            return False, [op for op in cols if any(op)]
-        if any(m.coeffs):
+            return False, [op for op in cols if any(op)], None
+        # a map with no target is the zero map
+        if t:
             maps.append(m)
-    return True, maps
+            if image:
+                targets |= t
+    return True, maps, targets
 
 
-def _read(slot: bool, family: Iterable, d: int, kernel=True, image=True) -> tuple:
+def _read(
+    slot: bool, family: Iterable, d: int, kernel=True, image=True, targets=None
+) -> tuple:
     """A family's kernel and image parts, each operator read and dropped in
     turn: the columns dead in every map and the targets, as sets, for slot
-    maps; the nonzero rows, whose null space is the joint kernel, and the
-    nonzero columns, as lists, for dict columns.  A part not asked for is
-    left empty."""
+    maps, the targets read from `targets` when the caller has their union;
+    the nonzero rows, whose null space is the joint kernel, and the nonzero
+    columns, as lists, for dict columns.  A part not asked for is left
+    empty."""
     if slot:
-        dead, targets = set(range(d)) if kernel else set(), set()
+        dead = set(range(d)) if kernel else set()
+        seen = set() if targets is None or not image else targets
         for m in family:
             if kernel:
                 dead.difference_update(live_columns(m))
-            if image:
-                targets.update(m.slots)
-        targets.discard(None)
-        return dead, targets
+            if image and targets is None:
+                seen.update(m.slots)
+        seen.discard(None)
+        return dead, seen
     rows, cols = [], []
     for op in family:
         if kernel:
@@ -256,33 +315,52 @@ def _read(slot: bool, family: Iterable, d: int, kernel=True, image=True) -> tupl
     return rows, cols
 
 
-def _dims(slot: bool, family: Iterable, d: int) -> tuple[int, int]:
+def _dims(slot: bool, family: Iterable, d: int, targets=None) -> tuple[int, int]:
     """The dimensions of a family's joint kernel and image span."""
-    ker, im = _read(slot, family, d)
+    ker, im = _read(slot, family, d, targets=targets)
     return (len(ker), len(im)) if slot else (d - rank(ker, d), rank(im, d))
 
 
 def joint_kernel(ops: Sequence, d: int) -> Subspace:
     """The elements every operator kills: (0 : J) for J's generator operators."""
-    slot, family = _form(ops)
+    slot, family, _ = _form(ops, image=False)
     ker, _ = _read(slot, family, d, image=False)
     return Subspace.units(d, ker) if slot else Subspace(d, null_basis(ker, d))
 
 
 def image_span(ops: Sequence, d: int) -> Subspace:
     """The sum of the operators' images: J M for J's generator operators."""
-    slot, family = _form(ops)
-    _, im = _read(slot, family, d, kernel=False)
+    slot, family, targets = _form(ops)
+    _, im = _read(slot, family, d, kernel=False, targets=targets)
     return Subspace.units(d, im) if slot else Subspace(d, im)
 
 
-def _fitting(slot: bool, family: list, d: int) -> tuple[list[dict], int]:
+def _nonzero(slot: bool, op) -> bool:
+    """Whether an operator in its family's form is not the zero map."""
+    return any(op.coeffs if slot else op)
+
+
+def _square_up(slot: bool, power, d: int):
+    """G^(2^j) for the least j >= 1 with 2^j >= d, squared up from G's
+    square G^2 in its form.  A power that is the zero map stops it: every
+    higher power is zero too."""
+    mul = slot_compose if slot else op_mul
+    k = 2
+    while k < d and _nonzero(slot, power):
+        power, k = mul(power, power), 2 * k
+    return power
+
+
+def _fitting(slot: bool, squares: list, d: int) -> tuple[list[dict], int]:
     """(a basis of Gamma_J M, dim J^inf M), Gamma_J M the joint kernel and
-    J^inf M the image span of the d-th powers of a family in its form.
+    J^inf M the image span of high enough powers of a family in its form,
+    given the square G^2 of each of its operators G.
 
     Fitting's lemma: on a space of dimension d an operator G splits it as
     ker G^d (+) im G^d, both invariant under every operator commuting with
-    G.  Intersecting the kernels gives the elements killed by a power of J,
+    G, and every power from the d-th on has that kernel and image, so
+    G^(2^j) for the least 2^j >= d, squared up from G^2, serves for G^d.
+    Intersecting the kernels gives the elements killed by a power of J,
     summing the images gives the intersection of the J^k M, and the two
     must split M: their dimensions add up to d, and Gamma's basis with the
     image columns spans M.  A power of a slot map injective on its live
@@ -290,8 +368,7 @@ def _fitting(slot: bool, family: list, d: int) -> tuple[list[dict], int]:
     in every power, and the two span M when the dead columns and the
     targets together cover every slot.
     """
-    power = slot_power if slot else op_power
-    ker, tail = _read(slot, (power(op, d) for op in family), d)
+    ker, tail = _read(slot, (_square_up(slot, g, d) for g in squares), d)
     if slot:
         gamma = [{j: 1} for j in sorted(ker)]
         tail_dim, spanned = len(tail), len(tail | ker)
@@ -312,18 +389,22 @@ def _levels(module: FiniteModule, gens: Sequence[Polynomial]):
     (0 : J) lies in (0 : J^2) and J^2 M in J M, so each pair is equal
     exactly when the two dimensions are.  A one-term generator is
     evaluated as a slot map, and the family's form holds for the products
-    of two and the d-th powers, each read and dropped in turn.
+    of two and the powers, each read and dropped in turn but for the
+    squares G^2 of the generators, which `_fitting` squares up.
     """
     d = module.dim
-    slot, family = _form([
+    slot, family, targets = _form([
         module.poly_matrix(g) if m is None else m
         for g, m in zip(gens, map(module.term_map, gens))
     ])
     mul = slot_compose if slot else op_mul
-    ann_dim, image_dim = _dims(slot, family, d)
-    squares = (mul(a, b) for i, a in enumerate(family) for b in family[i:])
-    square_ann_dim, square_image_dim = _dims(slot, squares, d)
-    gamma, tail_dim = _fitting(slot, family, d)
+    ann_dim, image_dim = _dims(slot, family, d, targets)
+    # a zero square adds nothing to J^2's levels or to the split; the
+    # others are kept for `_fitting`, as many as the family holds
+    diagonal = [g for g in map(mul, family, family) if _nonzero(slot, g)]
+    others = (mul(a, b) for i, a in enumerate(family) for b in family[i + 1:])
+    square_ann_dim, square_image_dim = _dims(slot, chain(diagonal, others), d)
+    gamma, tail_dim = _fitting(slot, diagonal, d)
     reduced = ann_dim == square_ann_dim
     coreduced = image_dim == square_image_dim
     return ann_dim, image_dim, reduced, coreduced, gamma, tail_dim
@@ -405,6 +486,8 @@ class DualityReport:
     hypothesis_met: bool
     items: tuple[str, str, str]  # each "pass" | "fail" | "skipped"
     tag: TtfTag  # the classification of M itself
+    # the Matlis dual the check built, None when the hypothesis failed
+    dual: FiniteModule | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -437,7 +520,7 @@ def verify_ttf_duality(
         "pass" if in_f == dual_in_frak else "fail",
         "pass" if in_frak == dual_in_f else "fail",
     )
-    return DualityReport(True, items, mine)
+    return DualityReport(True, items, mine, dual)
 
 
 def conjugate(module: FiniteModule, p: Operator, p_inv: Operator) -> FiniteModule:

@@ -17,9 +17,12 @@ and the scan of all 2^dim bitmasks for the up-closed staircase subsets,
 which the order-ideal walk `radical._upsets` replaced, and the submodule
 envelope scan on subspaces, which `radical`'s scan on staircase slot masks
 replaced, and the evaluation of a polynomial by one `act` per unit column,
-which `FiniteModule.poly_matrix` replaced, on every module whose operators
-have at most one entry per column, by a sum of coefficient times slot map,
-each monomial's map composed from the variables' maps.  So are the set-up
+which `FiniteModule.poly_matrix` replaced by a sum over the terms: of
+coefficient times slot map, each monomial's map composed from the
+variables' maps, on every module whose operators have at most one entry
+per column, and of coefficient times a product of operator powers on the
+others.  `act` itself, one element times a polynomial, is held to the
+dense products.  So are the set-up
 passes that `ring` and `quotient` replaced: the antichain test over all
 ordered pairs of generators, once in `minimalize` and again in the
 `MonomialIdeal` check, the pure-power scan per variable and generator, and

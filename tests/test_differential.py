@@ -7,10 +7,13 @@ completion's dimension through the `classify` fields, and the sparse `rref`
 with the dense one on the rows and columns the torsion core reduces.  On
 staircases, their inverse systems and their Matlis duals, `poly_matrix` (a
 sum of coefficient times slot map) is compared with one `act` per unit
-column.  The set-up passes are compared with the code they replaced: the
-grouped staircase walk with the walk that carried a generator list per
-prefix, `minimalize` and the `MonomialIdeal` check with the all-pairs
-antichain test, and the outside check's slot reading with
+column; on sampler draws and their duals, the sum of coefficient times a
+product of operator powers is compared with the dense products and with
+one `act` per unit column, and `act` itself with the dense products on
+all three kinds of module.  The set-up passes are compared with the code
+they replaced: the grouped staircase walk with the walk that carried a
+generator list per prefix, `minimalize` and the `MonomialIdeal` check with
+the all-pairs antichain test, and the outside check's slot reading with
 `minimal_outside` on exponent vectors.
 """
 
@@ -180,6 +183,99 @@ def test_slot_map_poly_matrix_matches_act_reference():
                 poly = Polynomial(terms)
                 assert all(module.monomial_map(e) is not None for e in poly.terms)
                 assert module.poly_matrix(poly) == ref.act_poly_matrix(module, poly)
+
+
+def operator_polys(rng, n, dim):
+    """A constant, the zero polynomial, a variable, a Fraction-coefficient
+    multi-term polynomial, a high power and a multi-term one with high
+    powers and a constant."""
+    zero = (0,) * n
+    high = tuple(rng.randint(dim, dim + 5) if i == 0 else 0 for i in range(n))
+    return [
+        Polynomial({zero: Fraction(-5, 3)}),
+        Polynomial({}),
+        poly_monomial(tuple(int(i == n - 1) for i in range(n))),
+        random_poly(rng, n),
+        poly_monomial(high),
+        Polynomial({
+            zero: 2,
+            high: Fraction(1, 2),
+            tuple(rng.randint(1, dim + 2) for _ in range(n)): -3,
+            tuple(rng.randint(0, 2) for _ in range(n)): Fraction(7, 4),
+        }),
+    ]
+
+
+def test_operator_poly_matrix_matches_dense_reference_and_act():
+    # modules with a multi-entry column evaluate each term as a product of
+    # operator powers; the dense products and one `act` per unit column
+    # are the references
+    dense_path = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        module = random_finite_module(rng)
+        for mod in (module, matlis_dual(module)):
+            dense_path += None in mod.slot_maps
+            dense = ref.DenseModule.of(mod)
+            for poly in operator_polys(rng, mod.nvars, mod.dim):
+                op = mod.poly_matrix(poly)
+                assert ref.operator_rows(op) == dense.poly_matrix(poly), seed
+                assert op == ref.act_poly_matrix(mod, poly), seed
+                assert all(all(col.values()) for col in op)  # no stored zeros
+    assert dense_path >= 60
+
+
+def random_element(rng, d):
+    return {
+        j: rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-4, 3)))
+        for j in range(d)
+        if rng.random() < 0.6
+    }
+
+
+def test_act_matches_the_dense_reference():
+    rng = random.Random(83)
+    modules = []
+    # the ladder but its dim-27 box, whose dense powers dominate the time
+    for text in LADDER[:3] + LADDER[4:]:
+        m = QuotientModule(*parse_input(text))
+        modules += [m, inverse_system(m), matlis_dual(m)]
+    for seed in range(30):
+        modules.append(random_finite_module(random.Random(seed)))
+    for module in modules:
+        d, n = module.dim, module.nvars
+        dense = ref.DenseModule.of(module)
+        for poly in operator_polys(rng, n, d) + [Polynomial({(0,) * n: 1})]:
+            mat = dense.poly_matrix(poly)
+            for vec in ({}, {0: 1}, {d - 1: Fraction(2, 3)}, random_element(rng, d)):
+                got = module.act(poly, vec)
+                assert got == ref.sparse(ref.mat_vec(mat, ref.dense(vec, d)))
+                assert all(got.values()) and got is not vec
+
+
+def test_act_errors_keep_their_text():
+    for module in (
+        QuotientModule(*parse_input(LADDER[5])),
+        inverse_system(QuotientModule(*parse_input(LADDER[5]))),
+        random_finite_module(random.Random(4)),
+    ):
+        d, n = module.dim, module.nvars
+        x = poly_monomial((1,) + (0,) * (n - 1))
+        out_of_range = rf"^element index out of range\({d}\)$"
+        arity = "^polynomial arity does not match the module$"
+        for vec in ({d: 1}, {-1: 1}, {0: 1, d + 3: 2}):
+            with pytest.raises(AlgebraError, match=out_of_range):
+                module.act(x, vec)
+        # a term of the wrong arity is refused after a high power, which
+        # kills the element on the staircases, and on the empty element
+        high = (d + 1,) + (0,) * (n - 1)
+        for poly in (
+            poly_monomial((1,) * (n + 1)),
+            Polynomial({high: 1, (1,) * (n + 1): 1}),
+        ):
+            for vec in ({}, {0: 1}):
+                with pytest.raises(AlgebraError, match=arity):
+                    module.act(poly, vec)
 
 
 def test_unimodular_draws_match_dense_reference():

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import artquot
-from artquot import SUITE_NAMES
+from artquot import SUITE_NAMES, reduced
 from artquot.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,8 +133,10 @@ def test_every_def_is_reached(monkeypatch, capsys):
             code = frame.f_code
             entered.add((code.co_filename, code.co_firstlineno))
 
-    # the parser is cached per process; an earlier test may have built it
+    # the parser and the monomial witnesses are cached per process; an
+    # earlier test may have built them
     build_parser.cache_clear()
+    reduced._monomial_witnesses.cache_clear()
     sys.setprofile(profile)
     try:
         _drive(monkeypatch, capsys)

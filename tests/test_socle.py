@@ -1,6 +1,7 @@
 """Corner sets, the reduced part, and the element-level reducedness oracle."""
 
 import io
+import random
 import sys
 from fractions import Fraction
 from itertools import product
@@ -257,3 +258,24 @@ def test_coreduced_case_builds_the_witnesses_once(monkeypatch):
     assert len(built) == 4
     # the degree bound is at least 2, the sample 20 polynomials
     assert all(bound >= 2 and trials == 20 for _, bound, trials, _ in built)
+
+
+def test_witness_candidates_are_a_fresh_list_equal_to_the_uncached_build():
+    reduced._monomial_witnesses.cache_clear()
+    cases = ((1, 3, 4, 0), (2, 2, 20, 7), (3, 4, 8, 5), (2, 2, 4, 9))
+    for n, bound, trials, seed in cases:
+        first = witness_candidates(n, bound, trials, seed)
+        second = witness_candidates(n, bound, trials, seed)
+        assert first is not second and first == second
+        first.clear()
+        assert witness_candidates(n, bound, trials, seed) == second
+        # the uncached build: every monomial anew, then the seeded draws
+        rng = random.Random(seed)
+        uncached = [poly_monomial(e) for e in monomials_up_to_degree(n, bound)]
+        uncached += [
+            reduced._random_poly(rng, n, bound, constant=t % 2 == 0)
+            for t in range(trials)
+        ]
+        assert second == uncached
+    # (2, 2) was asked for twice, with other trials and seeds: built once
+    assert reduced._monomial_witnesses.cache_info().misses == 3

@@ -326,22 +326,25 @@ def test_torsion_part_is_everything_for_nilpotent_actions():
 
 
 def test_split_check_fires_when_the_power_is_too_small(monkeypatch):
-    # with G^1 in place of G^d the two halves are ker y (dim 4) and
-    # im y (dim 3); their dimensions add up to 7, but im y lies in ker y.
-    # y is one term, so its slot map is the one raised to the power
+    # with G^2 in place of G^d, G = x, the two halves are ker x^2 (dim 4)
+    # and im x^2 (dim 3); their dimensions add up to 7, but im x^2 lies in
+    # ker x^2.  x is one term, so its slot map is the one squared up
     m = module_from(FLAT7)
-    y = parse_polynomial_list("y", m.variables)[0]
-    monkeypatch.setattr("artquot.torsion.slot_power", lambda op, k: op)
+    x = parse_polynomial_list("x", m.variables)[0]
+    assert classify(m, [x]).gamma_dim == m.dim
+    monkeypatch.setattr(torsion, "_square_up", lambda slot, power, d: power)
     with pytest.raises(InternalCheckError, match="direct sum"):
-        classify(m, [y])
+        classify(m, [x])
 
 
 def test_split_check_fires_on_the_operator_path_too(monkeypatch):
-    # y + x*y = y(1 + x) has the kernel and the image of y, and columns of
-    # two entries, so its operator is the one raised, by op_power
+    # x + x*y = x(1 + y) has the kernels and images of x's powers, and
+    # columns of two entries, so its operator's square is the one squared up
     m = module_from(FLAT7)
-    g = parse_polynomial_list("y + x*y", m.variables)[0]
-    monkeypatch.setattr("artquot.torsion.op_power", lambda op, k: op)
+    g = parse_polynomial_list("x + x*y", m.variables)[0]
+    assert not torsion._form([m.poly_matrix(g)])[0]
+    assert classify(m, [g]).gamma_dim == m.dim
+    monkeypatch.setattr(torsion, "_square_up", lambda slot, power, d: power)
     with pytest.raises(InternalCheckError, match="direct sum"):
         classify(m, [g])
 
@@ -558,3 +561,100 @@ def test_ttf_suite_classifies_each_module_once(monkeypatch):
     assert suites.run_suite("ttf-duality", 20, 0).ok
     # the module, its conjugate, and its dual when the hypothesis holds
     assert len(calls) == 55
+
+
+def test_a_ttf_instance_dualizes_once_and_checks_that_dual(monkeypatch):
+    calls = []
+    original = torsion.matlis_dual
+
+    def counted(module):
+        calls.append(module)
+        return original(module)
+
+    monkeypatch.setattr(torsion, "matlis_dual", counted)
+    monkeypatch.setattr(suites, "matlis_dual", counted)
+    met = set()
+    for seed in range(12):
+        calls.clear()
+        rng = random.Random(seed)
+        module = random_finite_module(rng)
+        gens = random_monomial_ideal_polys(rng, module.nvars)
+        hypothesis = verify_ttf_duality(module, gens).hypothesis_met
+        calls.clear()
+        suites._ttf_case(seed, None)
+        met.add(hypothesis)
+        # the dual the duality check built, then its dual; a module that
+        # misses the hypothesis is dualized by the double-dual check alone
+        assert len(calls) == 2, seed
+        assert calls[1] is not module and calls[1].dim == module.dim
+    assert met == {True, False}
+
+
+def test_the_report_carries_the_dual_it_classified():
+    rng = random.Random(17)
+    for _ in range(20):
+        fm = random_finite_module(rng)
+        gens = random_monomial_ideal_polys(rng, fm.nvars)
+        report = verify_ttf_duality(fm, gens)
+        if report.hypothesis_met:
+            assert report.dual.action == matlis_dual(fm).action
+        else:
+            assert report.dual is None
+
+
+def fitting_by_the_dth_power(slot, family, d):
+    """Gamma_J M and dim J^inf M off op_power/slot_power(G, d) of each G."""
+    power = slot_power if slot else op_power
+    ker, tail = torsion._read(slot, [power(g, d) for g in family], d)
+    if slot:
+        return Subspace.units(d, ker), len(tail)
+    return Subspace(d, ref.kernel(ker, d).rows), Subspace(d, tail).dim
+
+
+def test_squared_up_powers_split_as_the_dth_powers():
+    modules = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        fm = random_finite_module(rng)
+        gens = random_monomial_ideal_polys(rng, fm.nvars)
+        modules += [(fm, gens), (matlis_dual(fm), gens)]
+    for _, m in sample_modules(15, seed=29):
+        xs = [poly_monomial(tuple(int(j == i) for j in range(m.n))) for i in range(m.n)]
+        for gens in ([poly_monomial(g) for g in m.ideal.min_gens], xs, xs[:1]):
+            modules += [(m, gens), (matlis_dual(m), gens)]
+    forms = set()
+    for module, gens in modules:
+        d = module.dim
+        ops = [
+            module.poly_matrix(g) if t is None else t
+            for g, t in zip(gens, map(module.term_map, gens))
+        ]
+        slot, family, _ = torsion._form(ops)
+        forms.add(slot)
+        gamma, tail_dim = torsion._levels(module, gens)[4:]
+        assert (Subspace(d, gamma), tail_dim) == fitting_by_the_dth_power(
+            slot, family, d
+        )
+    assert forms == {True, False}
+
+
+def test_squaring_up_stops_at_the_zero_map(monkeypatch):
+    # x1^2 lies in the ideal, so the square of x1 is the zero map and is
+    # not squared again: one composition in all, where squaring up to
+    # 2^16 >= 65,536 would compose fifteen zero maps of 65,536 cells
+    names = [f"x{i}" for i in range(1, 17)]
+    text = f"ring {','.join(names)}; ideal " + ", ".join(f"{x}^2" for x in names)
+    cube = module_from(text)
+    x1 = poly_monomial((1,) + (0,) * 15)
+    composed = []
+
+    def counted(a, b):
+        composed.append(1)
+        return slot_compose(a, b)
+
+    monkeypatch.setattr(torsion, "slot_compose", counted)
+    start = time.perf_counter()
+    tag = classify(cube, [x1])
+    assert time.perf_counter() - start < 1.0
+    assert len(composed) == 1
+    assert (tag.gamma_dim, tag.lambda_dim) == (cube.dim, cube.dim)
