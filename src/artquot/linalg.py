@@ -22,6 +22,14 @@ come lie in the span and are only checked for out-of-range indices, and
 the rref is the identity, with nothing to back-substitute.  `rank`
 runs the forward pass alone, for callers that read only a dimension: a
 nesting of two spaces is an equality exactly when their ranks agree.
+It first counts rows with at most one nonzero entry by their columns,
+with no elimination: the coreducedness sampling sends it tens of
+thousands of such rows per verify-mix pass, and without that scan the
+benchmark's action-ladder pass read about 3% slower (in process, on a
+2-core host).  `rref` has the one path, as no workload sends it enough
+such rows to pay for a second.
+`echelon_rows` returns the forward pass's rows, so a caller can extend a
+span it has already eliminated.
 `null_basis` reads one kernel vector per free column off a single rref;
 a kernel as a `Subspace` is their span, which `torsion.joint_kernel`
 builds for a family of operators.
@@ -37,13 +45,10 @@ columns (`slot_map`), and `slot_columns` turns a slot map back into
 columns.  A slot map injective on its live slots (`slot_targets`) kills
 exactly the vectors on its dead columns and has the unit vectors at its
 targets as image, so kernels and images of such maps are unit spans
-(`Subspace.units`) read with no elimination.  `rref` also takes the form
-when every row has at most one nonzero entry: such rows need no
-elimination, and the canonical RREF is the sorted, deduplicated unit
-rows.  A module's commutation check composes slot maps when both
-operators have the form (`slot_maps_commute`) and multiplies operators
-otherwise; x^e is a product of the variables' slot maps raised to powers
-(`slot_power`).
+(`Subspace.units`) read with no elimination.  A module's commutation
+check composes slot maps when both operators have the form
+(`slot_maps_commute`) and multiplies operators otherwise; x^e is a
+product of the variables' slot maps raised to powers (`slot_power`).
 """
 
 from __future__ import annotations
@@ -123,31 +128,32 @@ def _echelon(vectors: Iterable[dict], width: int) -> dict[int, dict[int, int]]:
     return pivot_rows
 
 
-def _forward(vectors: Iterable[dict], width: int):
-    """rref's forward pass: (pivot rows, None) as `_echelon` keys them, or
-    (None, columns) when every row has at most one nonzero entry: such rows
-    are unit rows up to scale and need no elimination, and the columns of
-    their entries are the pivots."""
+def rank(vectors: Iterable[dict], width: int) -> int:
+    """The dimension of the span of sparse vectors: rref's forward pass
+    only, for callers that read no more than a dimension.  Rows with at
+    most one nonzero entry each are unit rows up to scale, counted by
+    their columns with no elimination, until the first row with two."""
     vectors = iter(vectors)
     seen, cols = [], set()
     for vec in vectors:
         if len(vec) > 1 and sum(1 for x in vec.values() if x) > 1:
             # the first row with two entries: eliminate everything, in order
-            return _echelon(chain(seen, (vec,), vectors), width), None
+            return len(_echelon(chain(seen, (vec,), vectors), width))
         seen.append(vec)
         for c, x in vec.items():
             if x:
                 if c < 0 or c >= width:
                     raise AlgebraError(f"vector index out of range({width})")
                 cols.add(c)
-    return None, cols
+    return len(cols)
 
 
-def rank(vectors: Iterable[dict], width: int) -> int:
-    """The dimension of the span of sparse vectors: rref's forward pass
-    only, for callers that read no more than a dimension."""
-    pivot_rows, cols = _forward(vectors, width)
-    return len(cols) if pivot_rows is None else len(pivot_rows)
+def echelon_rows(vectors: Iterable[dict], width: int) -> list[dict[int, int]]:
+    """The rows of rref's forward pass: primitive integer rows with
+    distinct leading columns, as many as the rank, spanning what the
+    vectors span.  Put first among more rows, they are pivots again at
+    once, so only the rows after them are eliminated."""
+    return list(_echelon(vectors, width).values())
 
 
 def rref(vectors: Iterable[dict], width: int):
@@ -156,14 +162,12 @@ def rref(vectors: Iterable[dict], width: int):
     Returns (rows, pivots): rows are sparse vectors with pivot entries 1 and
     no other entry in a pivot column; pivots are the pivot columns in
     increasing order.  Zero rows are dropped.  An entry is an int wherever
-    the reduced form is integral.  Rows with at most one nonzero entry
-    each are unit rows up to scale and skip elimination; a full span is
-    the identity and skips back-substitution.
+    the reduced form is integral.  A full span is the identity and skips
+    back-substitution.
     """
-    pivot_rows, cols = _forward(vectors, width)
-    if pivot_rows is None or len(pivot_rows) == width:
-        # unit rows, or a full span, whose rref is the identity
-        pivots = tuple(sorted(cols)) if pivot_rows is None else tuple(range(width))
+    pivot_rows = _echelon(vectors, width)
+    if len(pivot_rows) == width:
+        pivots = tuple(range(width))
         return tuple([{c: 1} for c in pivots]), pivots
     pivots = tuple(sorted(pivot_rows))
     # eliminate above the pivots in integers, bottom row first: the rows
@@ -477,24 +481,3 @@ def slot_maps_commute(a: SlotMap, b: SlotMap, ones: bool | None = None) -> bool:
             None if t is None else sb[t] for t in sa
         ]
     return slot_compose(a, b) == slot_compose(b, a)
-
-
-def slot_sum(terms: Iterable[tuple], d: int) -> Operator:
-    """The operator sum of c * m over the (c, m) terms, m a slot map on d slots."""
-    cols: list[dict] = [{} for _ in range(d)]
-    summed = False
-    for c, (slots, coeffs) in terms:
-        for col, t, x in zip(cols, slots, coeffs):
-            if t is None:
-                continue
-            # as in sparse_apply, an entry of 1 keeps c as it is
-            x = c if x == 1 else x * c
-            if t in col:
-                col[t] += x
-                summed = True
-            else:
-                col[t] = x
-    if summed:
-        # a product of nonzeros is nonzero; only a sum can cancel
-        return tuple({i: x for i, x in col.items() if x} for col in cols)
-    return tuple(cols)

@@ -4,12 +4,12 @@ The envelope of zero collects the products r*m where some power of r kills
 m; for an Artinian monomial quotient its span, the Jacobson radical, and
 the intersection of the semiprime submodules all equal the span of the
 positive-degree standard monomials.  Alongside the span, every variable is
-checked nilpotent and every unit of degree <= 2 (a polynomial with nonzero
-constant term) invertible by the slot order: the staircase is listed in
-grlex order, so a positive-degree monomial sends each slot to a later slot
-or to zero.  That scan reads one monomial's slot map, so it runs once per
-positive-degree exponent of degree <= 2, the whole finite domain of such
-units' terms.
+checked nilpotent by the slot order (the staircase is listed in grlex
+order, so a variable sends each slot to a later slot or to zero), and
+every unit (a polynomial with nonzero constant term) invertible by the
+grading: each variable raises the total degree of every slot it does not
+kill by exactly one, so every positive-degree term of a unit is
+nilpotent.
 Semiprime submodules are found among the monomial submodules, which are
 exactly the up-closed subsets (order ideals) of the staircase under
 divisibility, enumerated by one walk over the basis.  After the envelope
@@ -29,7 +29,6 @@ from typing import Sequence
 from .linalg import Subspace
 from .quotient import QuotientModule, positive_degree_span
 from .ring import AlgebraError, InternalCheckError, total_degree
-from .reduced import monomials_up_to_degree
 from .torsion import image_span
 
 # Monomial submodules are enumerated only up to this module dimension.
@@ -46,24 +45,25 @@ def _forward(slots) -> bool:
 def envelope_zero(module: QuotientModule) -> Subspace:
     """Span of {r*m : r^k m = 0 for some k}, which is m*M here.
 
-    Two exact checks run alongside the span, read off the slot order.
-    Every variable sends each slot b to later slots only, so it is strictly
-    lower triangular and nilpotent.  Every unit r = c + sum a_e x^e of
-    degree <= 2 (c != 0) has terms whose slot maps send each slot to a
-    later slot or to None: r is c*I plus a strictly lower-triangular part,
-    of determinant c^dim != 0, so no power of r kills a nonzero element.
-    That scan reads a term's exponent and nothing else, so it runs once per
-    positive-degree exponent of degree <= 2 (2, 5 or 9 of them in one, two
-    or three variables), which covers every such unit at once.
+    Two exact checks run alongside the span.  Every variable sends each
+    slot b to later slots only, read off the slot order, so it is strictly
+    lower triangular and nilpotent.  Every variable sends each slot it does
+    not kill to a cell of total degree one higher, read off the grading
+    (the basis exponents).  Then the positive-degree part of a unit
+    r = c + sum a_e x^e (c != 0) raises degree by at least one, so it is
+    nilpotent, r is c*I plus a nilpotent part and invertible, and no power
+    of r kills a nonzero element.  One check covers every unit.
     """
     span = image_span(module.slot_maps, module.dim)
     # every variable multiple of a basis class lands in the envelope
     for m in module.slot_maps:
         if not _forward(m.slots):
             raise InternalCheckError("a variable failed to be nilpotent")
-    # grlex lists the zero exponent first
-    for e in monomials_up_to_degree(module.n, 2)[1:]:
-        if not _forward(module.monomial_map(e).slots):
+    degree = list(map(total_degree, module.basis))
+    for m in module.slot_maps:
+        if any([
+            degree[t] != degree[b] + 1 for b, t in enumerate(m.slots) if t is not None
+        ]):
             raise InternalCheckError(
                 "a unit-like polynomial had a vanishing power on a nonzero element"
             )

@@ -29,11 +29,11 @@ operator; `verify_ttf_duality` hands the dual it built back in its report.
 The commutation check composes slot maps when both operators of a pair
 have at most one entry per column, and multiplies them otherwise.  When
 every operator has a slot map, x^e is the product of their powers
-(`monomial_map`) and `poly_matrix` sums coefficient times slot map over
-the terms; otherwise x^e is the product of the operators' powers
-(`monomial_operator`), x_i its operator itself and x^0 the identity, and
-`poly_matrix` sums coefficient times product.  `act` multiplies one
-element, one pass over each term's variables that stops at a zero image.
+(`monomial_map`); `monomial_operator` gives x^e as dict columns, those of
+that slot map or else the product of the operators' powers, x_i its
+operator itself and x^0 the identity, and `poly_matrix` sums coefficient
+times `monomial_operator` over the terms.  `act` multiplies one element,
+one pass over each term's variables that stops at a zero image.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .linalg import (
     Operator,
     SlotMap,
     Subspace,
+    echelon_rows,
     live_columns,
     null_basis,
     op_mul,
@@ -60,7 +61,6 @@ from .linalg import (
     slot_map,
     slot_maps_commute,
     slot_power,
-    slot_sum,
     slot_targets,
     sparse_apply,
     unit_entries,
@@ -167,9 +167,13 @@ class FiniteModule:
         return unit_map(tuple(range(self.dim))) if out is None else out
 
     def monomial_operator(self, exps) -> Operator:
-        """x^exps as dict columns, the product of the variables' operators
-        raised to their exponents: x_i is its operator itself, x^0 the
+        """x^exps as dict columns: the columns of its slot map when every
+        operator has one, else the product of the variables' operators
+        raised to their exponents, x_i its operator itself and x^0 the
         identity."""
+        m = self.monomial_map(exps)
+        if m is not None:
+            return slot_columns(m)
         out = _monomial(self.action, exps, op_power, op_mul)
         return tuple({j: 1} for j in range(self.dim)) if out is None else out
 
@@ -189,17 +193,13 @@ class FiniteModule:
 
     def poly_matrix(self, poly: Polynomial) -> Operator:
         """Evaluate a polynomial at the action operators: the sum of
-        coefficient * x^e over the terms, each x^e a slot map when every
-        operator has one (`monomial_map`), else a product of operator
-        powers (`monomial_operator`)."""
+        coefficient * x^e over the terms, x^e as `monomial_operator`
+        gives it."""
         for exps in poly.terms:
             if len(exps) != self.nvars:
                 raise AlgebraError("polynomial arity does not match the module")
-        if None in self.slot_maps:
-            terms = [(c, self.monomial_operator(e)) for e, c in poly.terms.items()]
-            return op_sum(terms, self.dim)
-        terms = [(c, self.monomial_map(e)) for e, c in poly.terms.items()]
-        return slot_sum(terms, self.dim)
+        terms = [(c, self.monomial_operator(e)) for e, c in poly.terms.items()]
+        return op_sum(terms, self.dim)
 
     def apply(self, i: int, vec: dict) -> dict:
         """x_i * vec, through x_i's slot map where it has one."""
@@ -259,79 +259,63 @@ class FiniteModule:
 # map injective on its live slots kills exactly the vectors on its dead
 # columns and has the unit vectors at its targets as image, so a family of
 # them is read as the columns dead in every map and the targets, and every
-# rank is a count; the targets of the family `_form` read are the union of
-# the sets it built to decide.  Dict columns give their nonzero rows,
-# stacked, and their nonzero columns, and rref reads the ranks, kernels and
-# spans.
+# rank is a count.  Dict columns give their nonzero rows, stacked, and
+# their nonzero columns, and rref reads the ranks, kernels and spans.
 
 
-def _form(ops: Sequence, image=True) -> tuple[bool, list, set | None]:
-    """(True, the slot maps, the union of their targets) when each operator
-    is a slot map injective on its live slots, else (False, the dict
-    columns, None).  Each map's target set is built once, to decide, and
-    added to the union as it is built, unless the caller reads no image
-    (then the union stays empty).  A zero operator adds nothing to a
-    kernel, an image, a product or a power, and is dropped."""
-    maps, targets = [], set()
+def _form(ops: Sequence) -> tuple[bool, list]:
+    """(True, the slot maps) when each operator is a slot map injective on
+    its live slots, else (False, the dict columns).  A zero operator adds
+    nothing to a kernel, an image, a product or a power, and is dropped."""
+    maps = []
     for op in ops:
         m = op if isinstance(op, SlotMap) else slot_map(op)
         t = None if m is None else slot_targets(m)
         if t is None:
             cols = (slot_columns(op) if isinstance(op, SlotMap) else op for op in ops)
-            return False, [op for op in cols if any(op)], None
+            return False, [op for op in cols if any(op)]
         # a map with no target is the zero map
         if t:
             maps.append(m)
-            if image:
-                targets |= t
-    return True, maps, targets
+    return True, maps
 
 
-def _read(
-    slot: bool, family: Iterable, d: int, kernel=True, image=True, targets=None
-) -> tuple:
+def _read(slot: bool, family: Iterable, d: int) -> tuple:
     """A family's kernel and image parts, each operator read and dropped in
     turn: the columns dead in every map and the targets, as sets, for slot
-    maps, the targets read from `targets` when the caller has their union;
-    the nonzero rows, whose null space is the joint kernel, and the nonzero
-    columns, as lists, for dict columns.  A part not asked for is left
-    empty."""
+    maps; the nonzero rows, whose null space is the joint kernel, and the
+    nonzero columns, as lists, for dict columns."""
     if slot:
-        dead = set(range(d)) if kernel else set()
-        seen = set() if targets is None or not image else targets
+        dead, seen = set(range(d)), set()
         for m in family:
-            if kernel:
-                dead.difference_update(live_columns(m))
-            if image and targets is None:
-                seen.update(m.slots)
+            dead.difference_update(live_columns(m))
+            seen.update(m.slots)
         seen.discard(None)
         return dead, seen
     rows, cols = [], []
     for op in family:
-        if kernel:
-            rows += filter(None, op_transpose(op))
-        if image:
-            cols += filter(None, op)
+        rows += filter(None, op_transpose(op))
+        cols += filter(None, op)
     return rows, cols
 
 
-def _dims(slot: bool, family: Iterable, d: int, targets=None) -> tuple[int, int]:
+def _dims(slot: bool, family: Iterable, d: int) -> tuple[int, int]:
     """The dimensions of a family's joint kernel and image span."""
-    ker, im = _read(slot, family, d, targets=targets)
+    ker, im = _read(slot, family, d)
     return (len(ker), len(im)) if slot else (d - rank(ker, d), rank(im, d))
 
 
 def joint_kernel(ops: Sequence, d: int) -> Subspace:
     """The elements every operator kills: (0 : J) for J's generator operators."""
-    slot, family, _ = _form(ops, image=False)
-    ker, _ = _read(slot, family, d, image=False)
+    slot, family = _form(ops)
+    ker, _ = _read(slot, family, d)
     return Subspace.units(d, ker) if slot else Subspace(d, null_basis(ker, d))
 
 
 def image_span(ops: Sequence, d: int) -> Subspace:
     """The sum of the operators' images: J M for J's generator operators."""
-    slot, family, targets = _form(ops)
-    _, im = _read(slot, family, d, kernel=False, targets=targets)
+    slot, family = _form(ops)
+    _, im = _read(slot, family, d)
     return Subspace.units(d, im) if slot else Subspace(d, im)
 
 
@@ -366,7 +350,9 @@ def _fitting(slot: bool, squares: list, d: int) -> tuple[list[dict], int]:
     image columns spans M.  A power of a slot map injective on its live
     slots is another, so for slot maps Gamma is spanned by the columns dead
     in every power, and the two span M when the dead columns and the
-    targets together cover every slot.
+    targets together cover every slot.  For dict columns the image columns
+    are eliminated once: their echelon rows count dim J^inf M, and Gamma's
+    basis is eliminated against those rows for the split.
     """
     ker, tail = _read(slot, (_square_up(slot, g, d) for g in squares), d)
     if slot:
@@ -374,7 +360,8 @@ def _fitting(slot: bool, squares: list, d: int) -> tuple[list[dict], int]:
         tail_dim, spanned = len(tail), len(tail | ker)
     else:
         gamma = null_basis(ker, d)
-        tail_dim, spanned = rank(tail, d), rank(gamma + tail, d)
+        tail = echelon_rows(tail, d)
+        tail_dim, spanned = len(tail), rank(tail + gamma, d)
     if len(gamma) + tail_dim != d or spanned != d:
         raise InternalCheckError(
             "M is not the direct sum of its torsion part and J^inf M"
@@ -393,12 +380,12 @@ def _levels(module: FiniteModule, gens: Sequence[Polynomial]):
     squares G^2 of the generators, which `_fitting` squares up.
     """
     d = module.dim
-    slot, family, targets = _form([
+    slot, family = _form([
         module.poly_matrix(g) if m is None else m
         for g, m in zip(gens, map(module.term_map, gens))
     ])
     mul = slot_compose if slot else op_mul
-    ann_dim, image_dim = _dims(slot, family, d, targets)
+    ann_dim, image_dim = _dims(slot, family, d)
     # a zero square adds nothing to J^2's levels or to the split; the
     # others are kept for `_fitting`, as many as the family holds
     diagonal = [g for g in map(mul, family, family) if _nonzero(slot, g)]

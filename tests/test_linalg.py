@@ -152,21 +152,23 @@ def test_rref_matches_sympy(matrix):
 
 
 def test_unit_rows_need_no_back_substitution(monkeypatch):
-    # each shift column is a unit vector, so no echelon row holds another
-    # row's pivot column and back-substitution subtracts nothing
+    # each shift column is a unit vector, so every echelon row is one too,
+    # no row holds another row's pivot column, and back-substitution
+    # eliminates nothing: rref makes only the forward pass's eliminations
     module = QuotientModule(*parse_input("ring x,y; ideal x^14, y^14"))
     calls = []
-    axpy = linalg._axpy
-
-    def counted(*args):
-        calls.append(args)
-        axpy(*args)
-
-    monkeypatch.setattr(linalg, "_axpy", counted)
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(
+        linalg, "_eliminate", lambda *a: calls.append(a) or eliminate(*a)
+    )
     columns = [col for op in module.action for col in op]
+    forward = linalg.echelon_rows(columns, module.dim)
+    assert all(len(row) == 1 for row in forward)
+    assert calls  # a cell that two shifts reach is eliminated once
+    before = len(calls)
     rows, pivots = rref(columns, module.dim)
     assert len(pivots) == module.dim - 1  # every monomial but 1 is a shift
-    assert calls == []
+    assert len(calls) == 2 * before
 
 
 @st.composite
@@ -187,10 +189,14 @@ def single_entry_matrices(draw, max_width=10, max_rows=8):
 
 @given(single_entry_matrices())
 def test_single_entry_rows_skip_elimination(matrix):
+    # rank counts such rows by their columns; rref eliminates them as it
+    # does any rows, down to the sorted unit rows
     width, vectors = matrix
     with mock.patch.object(linalg, "_echelon", side_effect=AssertionError):
-        rows, pivots = rref(vectors, width)
+        r = linalg.rank(vectors, width)
+    rows, pivots = rref(vectors, width)
     cols = sorted({c for v in vectors for c, x in v.items() if x})
+    assert r == len(cols)
     assert pivots == tuple(cols)
     assert rows == tuple({c: 1} for c in cols)
     assert all(type(x) is int for r in rows for x in r.values())

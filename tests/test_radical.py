@@ -105,15 +105,19 @@ def test_nilpotency_check_is_live(monkeypatch, capsys):
     )
 
 
+class _DegreeJump(QuotientModule):
+    """k[x]/(x^3) with x acting by 1 -> x^2 and killing x and x^2:
+    nilpotent and sending each slot to a later one, but 1 goes to a cell
+    two degrees up."""
+
+    def _shift_maps(self):
+        return (SlotMap((2, None, None), (1, 0, 0)),)
+
+
 def test_unit_check_is_live(monkeypatch, capsys):
-    # every term fixes every slot, so no unit reads as c*I plus a strictly
-    # triangular part
-    monkeypatch.setattr(
-        QuotientModule,
-        "monomial_map",
-        lambda module, e: SlotMap(tuple(range(module.dim)), (1,) * module.dim),
-    )
-    monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
+    mutant = _DegreeJump(*parse_input("ring x; ideal x^3"))
+    assert not any(op_power(mutant.action[0], mutant.dim))
+    monkeypatch.setattr(cli, "_read_module", lambda args: mutant)
     assert main(["radical"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -123,68 +127,16 @@ def test_unit_check_is_live(monkeypatch, capsys):
     )
 
 
-def _unit_domain(n):
-    """The exponents envelope_zero's unit check reads: every positive-degree
-    one of degree <= 2."""
-    return [e for e in monomials_up_to_degree(n, 2) if any(e)]
-
-
-@pytest.mark.parametrize("seed", [0, 5])
-def test_unit_check_reads_each_exponent_once(seed, monkeypatch):
-    # one slot map per exponent of the domain, whatever seed the radical
-    # formula runs under: 2, 5 or 9 of them in one, two or three variables
-    calls = Counter()
-    inside = []
-    original_map = QuotientModule.monomial_map
-    original_envelope = radical.envelope_zero
-
-    def counted(module, e):
-        if inside:
-            calls[e] += 1
-        return original_map(module, e)
-
-    def envelope(module):
-        inside.append(module)
-        try:
-            return original_envelope(module)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(QuotientModule, "monomial_map", counted)
-    monkeypatch.setattr(radical, "envelope_zero", envelope)
+def test_envelope_zero_calls_no_monomial_map(monkeypatch):
+    # the unit check reads the variables' maps and the grading, so no
+    # monomial's slot map is built, in one, two or three variables
     sampled = [m for _, m in sample_modules(20, seed=47, config=SamplerConfig(dim_bound=30))]
     assert {m.n for m in sampled} == {1, 2, 3}
-    for m in sampled:
-        calls.clear()
-        satisfies_radical_formula(m, seed=seed)
-        assert list(calls) == _unit_domain(m.n)
-        assert set(calls.values()) == {1}
-        assert len(calls) == {1: 2, 2: 5, 3: 9}[m.n]
-
-
-def test_unit_check_reads_every_drawn_exponent(monkeypatch, capsys):
-    # a slot map broken at one exponent only, which then fixes every slot,
-    # fails the check, for each exponent of the domain: x*y included, on a
-    # three-variable staircase that holds it
-    original = QuotientModule.monomial_map
-    for text in (FLAT7, "ring x,y,z; ideal z, y^2, x^4"):
-        m = module_from(text)
-        exponents = _unit_domain(m.n)
-        assert len(exponents) == {2: 5, 3: 9}[m.n]
-        for bad in exponents:
-            def broken(module, e, bad=bad):
-                if e == bad:
-                    return SlotMap(tuple(range(module.dim)), (1,) * module.dim)
-                return original(module, e)
-
-            monkeypatch.setattr(QuotientModule, "monomial_map", broken)
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
-            assert main(["radical"]) == 3
-            assert capsys.readouterr() == ("", (
-                "internal check failed: "
-                "a unit-like polynomial had a vanishing power on a nonzero element\n"
-            ))
-    assert (1, 1, 0) in exponents and (1, 1, 0) in m.index
+    monkeypatch.setattr(
+        QuotientModule, "monomial_map", lambda *args: pytest.fail("monomial_map")
+    )
+    for m in sampled + [module_from(FLAT7), module_from(STAIR11)]:
+        assert envelope_zero(m) == positive_degree_span(m)
 
 
 def test_envelope_builds_no_polynomial(monkeypatch):

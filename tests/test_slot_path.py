@@ -55,9 +55,9 @@ def columns(op):
     return slot_columns(op) if isinstance(op, SlotMap) else op
 
 
-def general_form(ops, image=True):
+def general_form(ops):
     """`torsion._form` forced onto the general path: the dict columns."""
-    return False, [columns(op) for op in ops], None
+    return False, [columns(op) for op in ops]
 
 
 def general_kernel(ops, d):

@@ -629,7 +629,7 @@ def test_squared_up_powers_split_as_the_dth_powers():
             module.poly_matrix(g) if t is None else t
             for g, t in zip(gens, map(module.term_map, gens))
         ]
-        slot, family, _ = torsion._form(ops)
+        slot, family = torsion._form(ops)
         forms.add(slot)
         gamma, tail_dim = torsion._levels(module, gens)[4:]
         assert (Subspace(d, gamma), tail_dim) == fitting_by_the_dth_power(
