@@ -127,6 +127,60 @@ def test_unit_check_is_live(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_unit_check_reads_each_exponent_once(seed, monkeypatch):
+    # the grading is read once per basis exponent, in slot order, whatever
+    # seed the radical formula runs under, in one, two or three variables
+    calls = Counter()
+    inside = []
+    original_degree = radical.total_degree
+    original_envelope = radical.envelope_zero
+
+    def counted(e):
+        if inside:
+            calls[e] += 1
+        return original_degree(e)
+
+    def envelope(module):
+        inside.append(module)
+        try:
+            return original_envelope(module)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(radical, "total_degree", counted)
+    monkeypatch.setattr(radical, "envelope_zero", envelope)
+    sampled = [m for _, m in sample_modules(20, seed=47, config=SamplerConfig(dim_bound=30))]
+    assert {m.n for m in sampled} == {1, 2, 3}
+    for m in sampled:
+        calls.clear()
+        satisfies_radical_formula(m, seed=seed)
+        assert list(calls) == list(m.basis)
+        assert set(calls.values()) == {1}
+
+
+def test_unit_check_reads_every_drawn_exponent(monkeypatch, capsys):
+    # a grading off by one at a single basis exponent fails the check, for
+    # each exponent of the staircase: the unit and x*y included, on a
+    # three-variable staircase that holds x*y
+    original = radical.total_degree
+    for text in (FLAT7, "ring x,y,z; ideal z, y^2, x^4"):
+        m = module_from(text)
+        assert m.dim > 1
+        for bad in m.basis:
+            def broken(e, bad=bad):
+                return original(e) + (e == bad)
+
+            monkeypatch.setattr(radical, "total_degree", broken)
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["radical"]) == 3
+            assert capsys.readouterr() == ("", (
+                "internal check failed: "
+                "a unit-like polynomial had a vanishing power on a nonzero element\n"
+            ))
+    assert (0, 0, 0) in m.index and (1, 1, 0) in m.index
+
+
 def test_envelope_zero_calls_no_monomial_map(monkeypatch):
     # the unit check reads the variables' maps and the grading, so no
     # monomial's slot map is built, in one, two or three variables
