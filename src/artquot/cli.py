@@ -152,7 +152,7 @@ def cmd_hilbert(args) -> int:
 
 def cmd_classify(args) -> int:
     module = _read_module(args)
-    if args.ideal:
+    if args.ideal is not None:
         gens = parse_polynomial_list(args.ideal, module.variables)
     else:
         gens = tuple(poly_monomial(g) for g in module.ideal.min_gens)

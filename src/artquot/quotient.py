@@ -71,13 +71,18 @@ class HilbertSeries:
         return " + ".join(parts)
 
 
-# Largest staircase enumerated.  Near this budget every command peaks
-# under 170 MB RSS (ru_maxrss, one process per command, Python 3.11) and
-# ends within 9 s on a shared 2-core host: 0.3-0.7 s and 34-105 MB on
-# x^316,y^316 (dim 99,856), 0.2-2.6 s and 40-124 MB on x1^2..x16^2 (dim
-# 65,536), and 0.3-8.3 s and 49-165 MB on x1^2..x16^2 with x17..x32 as
-# generators, where `radical` is the slowest and `dual`, `hilbert` and
-# `report` are the heaviest.
+# Largest staircase enumerated.  Near this budget every command, with
+# `classify` by the defining ideal, peaks under 170 MB RSS (ru_maxrss, one
+# process per command, Python 3.11) and ends within 9 s on a shared 2-core
+# host: 0.3-0.7 s and 34-105 MB on x^316,y^316 (dim 99,856), 0.2-2.6 s
+# and 40-124 MB on x1^2..x16^2 (dim 65,536), and 0.3-8.3 s and 49-165 MB
+# on x1^2..x16^2 with x17..x32 as generators, where `radical` is the
+# slowest and `dual`, `hilbert` and `report` are the heaviest.  `classify`
+# by a multi-term --ideal is not held to that: its powers of the
+# generators fill in as they are squared up.  `--ideal x1+x2` on
+# x1^2..x16^2 takes 1.1 s and 95 MB, but `--ideal x+y` takes 9.0 s and
+# 164 MB on x^150,y^150 (dim 22,500) and 28.8 s and 360 MB on
+# x^200,y^200 (dim 40,000), in process, one run each.
 MAX_DIM = 10**5
 
 

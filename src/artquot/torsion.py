@@ -23,8 +23,12 @@ one evaluation of the generators, a one-term generator as a slot map, and
 reads dimensions only: (0 : J) lies in (0 : J^2) and J^2 M in J M, so
 J-(co)reducedness is an equality of ranks, and the split
 M = Gamma_J M (+) J^inf M is a rank too, of Gamma's kernel basis beside
-the image columns.  Matlis duality is the linear dual: transpose every
-operator; `verify_ttf_duality` hands the dual it built back in its report.
+the image columns.  A level whose family is one operator on dict columns,
+as for a single generator such as x+y, is one elimination of its
+columns: row rank equals column rank, so rank-nullity gives the kernel's
+dimension from the image's.  Matlis duality is the linear dual: transpose
+every operator; `verify_ttf_duality` hands the dual it built back in its
+report.
 
 The commutation check composes slot maps when both operators of a pair
 have at most one entry per column, and multiplies them otherwise.  When
@@ -39,7 +43,7 @@ one pass over each term's variables that stops at a zero image.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from operator import is_not
 from typing import Iterable, Sequence
 
@@ -300,7 +304,17 @@ def _read(slot: bool, family: Iterable, d: int) -> tuple:
 
 
 def _dims(slot: bool, family: Iterable, d: int) -> tuple[int, int]:
-    """The dimensions of a family's joint kernel and image span."""
+    """The dimensions of a family's joint kernel and image span.  A family
+    of one dict-column operator G is read once, by its columns: its row
+    rank is its column rank r, so rank-nullity gives (d - r, r).  The
+    family is peeked at two operators at most, the rest chained back."""
+    if not slot:
+        family = iter(family)
+        head = list(islice(family, 2))
+        if len(head) == 1:
+            r = rank(filter(None, head[0]), d)
+            return d - r, r
+        family = chain(head, family)
     ker, im = _read(slot, family, d)
     return (len(ker), len(im)) if slot else (d - rank(ker, d), rank(im, d))
 

@@ -127,6 +127,14 @@ def test_classify_explicit_ideal(monkeypatch, capsys):
     assert data["gamma_dim"] == 7  # y is nilpotent, the chain fills up
 
 
+@pytest.mark.parametrize("ideal", ["", " ", ",", " , "])
+def test_classify_by_an_empty_ideal_is_refused(ideal, monkeypatch, capsys):
+    # an empty option value is a generator set with no generator, not an
+    # absent option: it must not fall back to the defining ideal
+    err = _one_line_refusal(["classify", "--ideal", ideal], FLAT7, monkeypatch, capsys)
+    assert err == "error: empty generator set\n"
+
+
 def test_classify_by_a_huge_power_stops_at_zero(monkeypatch, capsys):
     # x^40 already acts as zero, so x^2000000 must cost no more than x^40,
     # and a 4000-digit exponent must stop squaring once the power is zero

@@ -25,6 +25,8 @@ from artquot.linalg import (
     Subspace,
     op_mul,
     op_power,
+    op_transpose,
+    rank,
     slot_compose,
     slot_map,
     slot_maps_commute,
@@ -658,3 +660,83 @@ def test_squaring_up_stops_at_the_zero_map(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert len(composed) == 1
     assert (tag.gamma_dim, tag.lambda_dim) == (cube.dim, cube.dim)
+
+
+def test_one_generator_is_eliminated_once_per_level(monkeypatch):
+    # x+y has no slot map, so each level's family is one dict-column
+    # operator: its columns alone give both dimensions.  The J level, the
+    # J^2 level and the split make one `rank` each, and only the Fitting
+    # power is transposed, for Gamma's basis
+    module = module_from("ring x,y; ideal x^4, y^4")
+    (gen,) = parse_polynomial_list("x+y", module.variables)
+    calls = {"rank": 0, "op_transpose": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(torsion, "rank", counting("rank", rank))
+    monkeypatch.setattr(torsion, "op_transpose", counting("op_transpose", op_transpose))
+    tag = classify(module, [gen])
+    assert calls == {"rank": 3, "op_transpose": 1}
+    # x+y is nilpotent on the 16-dimensional box, with a kernel of 4 and
+    # a square's kernel of 7, so the levels do not collapse
+    assert tag == TtfTag("none", False, False, 16, 16)
+
+
+_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(-3, 3, max_denominator=5).filter(lambda q: q.denominator > 1),
+)
+
+
+@st.composite
+def dict_operators(draw, d):
+    """(an operator on k^d as dict columns, its kind): zero, nilpotent
+    (strictly upper triangular), full rank (upper triangular with a nonzero
+    diagonal) or any entries, with int and Fraction values."""
+    kind = draw(st.sampled_from(["zero", "nilpotent", "full", "any"]))
+    cols = []
+    for j in range(d):
+        col = {}
+        for i in range(d):
+            if kind == "zero" or (kind != "any" and i > j):
+                continue
+            if kind == "nilpotent" and i == j:
+                continue
+            x = draw(_ENTRIES)
+            if kind == "full" and i == j:
+                x = x or 1
+            if x:
+                col[i] = x
+        cols.append(col)
+    return tuple(cols), kind
+
+
+def two_readings(ops, d):
+    """The dimensions of a family's joint kernel and image span, read off
+    its stacked nonzero rows and its nonzero columns."""
+    rows = [r for op in ops for r in op_transpose(op) if r]
+    cols = [c for op in ops for c in op if c]
+    return d - rank(rows, d), rank(cols, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(dict_operators(d), min_size=3, max_size=3))
+))
+def test_one_operator_family_matches_both_readings(drawn):
+    d, ops = drawn
+    (g, kind), *_ = ops
+    dims = torsion._dims(False, [g], d)
+    assert dims == two_readings([g], d)
+    expected = {"zero": 0, "full": d}.get(kind)
+    if expected is not None:
+        assert dims[1] == expected
+    if kind == "nilpotent":
+        assert dims[0] >= 1
+    # a family of three, handed over as an iterator, keeps both readings
+    family = [op for op, _ in ops]
+    assert torsion._dims(False, iter(family), d) == two_readings(family, d)
