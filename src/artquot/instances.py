@@ -20,10 +20,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .linalg import Operator, op_inverse, op_mul
+from .linalg import Operator, op_conjugate, op_inverse, op_mul
 from .quotient import QuotientModule, staircase
 from .ring import MonomialIdeal, Polynomial, VariableSet, minimalize, poly_monomial
-from .torsion import FiniteModule, conjugate
+from .torsion import FiniteModule
 
 SEED_STRIDE = 1_000_003
 # The fixed shape of every draw: variables, pure-power exponent, and the
@@ -121,7 +121,9 @@ def random_finite_module(
     rng: random.Random, conjugated: bool = True
 ) -> FiniteModule:
     """Commuting family: polynomials in one triangular base matrix, then an
-    optional change of basis."""
+    optional change of basis of those operators, and one module built from
+    them.  P A P^-1 is exact, so the module's commutation check holds
+    exactly when it would hold before the change of basis."""
     n = rng.randint(1, MAX_VARS)
     dim = rng.randint(1, MAX_MODULE_DIM)
     base = _random_base_matrix(rng, dim)
@@ -130,10 +132,10 @@ def random_finite_module(
     for _ in range(n - 1):
         coeffs = [rng.choice(_ENTRY_POOL) for _ in range(3)]
         mats.append(line.poly_matrix(Polynomial(((k,), c) for k, c in enumerate(coeffs))))
-    module = FiniteModule(n, dim, tuple(mats))
     if conjugated:
-        module = conjugate(module, *_random_unimodular(rng, dim))
-    return module
+        p, p_inv = _random_unimodular(rng, dim)
+        mats = [op_conjugate(op, p, p_inv) for op in mats]
+    return FiniteModule(n, dim, tuple(mats))
 
 
 def random_monomial_ideal_polys(

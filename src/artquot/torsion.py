@@ -54,6 +54,7 @@ from .linalg import (
     echelon_rows,
     live_columns,
     null_basis,
+    op_conjugate,
     op_mul,
     op_power,
     op_sum,
@@ -526,5 +527,5 @@ def verify_ttf_duality(
 
 def conjugate(module: FiniteModule, p: Operator, p_inv: Operator) -> FiniteModule:
     """Change of basis: every action operator A becomes P A P^{-1}."""
-    mats = tuple(op_mul(op_mul(p, op), p_inv) for op in module.action)
+    mats = tuple(op_conjugate(op, p, p_inv) for op in module.action)
     return FiniteModule(module.nvars, module.dim, mats)

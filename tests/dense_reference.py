@@ -5,8 +5,11 @@ variable acts by a row-major tuple of Fraction rows, products are dense
 `mat_mul`, and the torsion and completion functors run the stabilization
 chains (ascending annihilators of J^k, descending images J^k M) that
 artquot.torsion replaced by Fitting's lemma.  The earlier row reduction on
-dense tuples is kept too, and so is the sampled-vector unit check that
-artquot.radical replaced by the rank of each unit's operator, and that
+dense tuples is kept too, and so is the sparse forward pass that divided
+each row by its content after every elimination step, which
+`linalg._echelon` replaced by one division per pivot row, and the
+sampled-vector unit check that artquot.radical replaced by the rank of
+each unit's operator, and that
 rank test, `is_invertible` on the sparse forward pass, which
 artquot.radical replaced in turn by reading the slot order, and the
 sampler's dense draws of a base matrix and of a change of basis with its
@@ -49,6 +52,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from artquot import linalg
 from artquot.inverse import contraction
 from artquot.linalg import (
     Operator, Subspace, _echelon, null_basis, op_mul, op_transpose, sparse_apply,
@@ -188,6 +192,32 @@ def rref(vectors: Iterable[Sequence], width: int):
             if f:
                 rows[i] = [xi - f * xj for xi, xj in zip(rows[i], rows[j])]
     return tuple(tuple(r) for r in rows), pivots
+
+
+def echelon_normalizing_each_step(vectors: Iterable[dict], width: int) -> list[dict]:
+    """The forward pass `linalg._echelon` made before it deferred content
+    removal to the pivot rows: the row is divided by its content before the
+    first elimination step and again after every step."""
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        row = linalg._integerize(vec)
+        if not row:
+            continue
+        c = min(row)
+        if c < 0 or max(row) >= width:
+            raise AlgebraError(f"vector index out of range({width})")
+        row = linalg._gcd_normalize(row, c)
+        while c in pivot_rows:
+            row = linalg._eliminate(row, pivot_rows[c], c)
+            if not row:
+                break
+            c = min(row)
+            row = linalg._gcd_normalize(row, c)
+        if row:
+            pivot_rows[c] = row
+            if len(pivot_rows) == width:
+                break
+    return list(pivot_rows.values())
 
 
 def rank(vectors: Iterable[Sequence], width: int) -> int:

@@ -10,6 +10,7 @@ depend on the form.
 """
 
 from fractions import Fraction
+from math import gcd
 import random
 from unittest import mock
 
@@ -169,6 +170,50 @@ def test_unit_rows_need_no_back_substitution(monkeypatch):
     rows, pivots = rref(columns, module.dim)
     assert len(pivots) == module.dim - 1  # every monomial but 1 is a shift
     assert len(calls) == 2 * before
+
+
+@st.composite
+def content_matrices(draw, max_width=7, max_rows=8):
+    """(width, rows): int and Fraction entries, some of 10^6 and more in
+    size, in rows that are often scaled by a common factor."""
+    width = draw(st.integers(1, max_width))
+    big = st.one_of(st.integers(10**6, 10**12), st.integers(-(10**12), -(10**6)))
+    value = st.one_of(entries, big, big.map(Fraction), big.map(lambda x: Fraction(x, 7)))
+    factors = st.sampled_from((1, 1, 6, -(10**6), 3**20, Fraction(5, 3)))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        row = draw(st.dictionaries(st.integers(0, width - 1), value.filter(bool)))
+        factor = draw(factors)
+        rows.append({i: factor * x for i, x in row.items()})
+    return width, rows
+
+
+@settings(deadline=None)
+@given(content_matrices())
+def test_echelon_rows_match_per_step_normalization(matrix):
+    width, rows = matrix
+    before = [dict(row) for row in rows]
+    got = linalg.echelon_rows(rows, width)
+    assert rows == before  # no input vector is mutated
+    assert got == ref.echelon_normalizing_each_step(before, width)
+    for row in got:
+        # primitive integer rows with a positive lead
+        assert all(type(x) is int for x in row.values())
+        assert row[min(row)] > 0 and gcd(*row.values()) == 1
+
+
+def test_echelon_divides_out_each_pivot_rows_content_once(monkeypatch):
+    # a dense integer matrix whose pivots are rarely 1: its content is
+    # divided out once per pivot row, not after every elimination step
+    rng = random.Random(28)
+    rows = [{j: rng.choice((-1, 1)) * rng.randint(2, 9) for j in range(8)} for _ in range(8)]
+    calls = []
+    normalize = linalg._gcd_normalize
+    monkeypatch.setattr(
+        linalg, "_gcd_normalize", lambda *a: calls.append(a) or normalize(*a)
+    )
+    forward = linalg.echelon_rows(rows, 8)
+    assert len(forward) == rank([dense(row, 8) for row in rows], 8) == len(calls)
 
 
 @st.composite

@@ -196,3 +196,14 @@ def test_suite_checks_are_live(suite, stand_ins, message, monkeypatch):
         monkeypatch.setattr(suites, name, stand_in)
     result = run_suite(suite, 1, 0)
     assert [f["error"] for f in result.failures] == [f"InternalCheckError: {message}"]
+
+
+def test_double_dual_check_is_live_on_the_reports_dual(monkeypatch):
+    # instance seed 1 meets the duality hypothesis: the double-dual check
+    # transposes the dual the duality check built and dualizes nothing
+    monkeypatch.setattr(suites, "matlis_dual", None)
+    assert run_suite("ttf-duality", 1, 1).ok
+    monkeypatch.setattr(suites, "op_transpose", lambda op: ())
+    result = run_suite("ttf-duality", 1, 1)
+    message = "double dual changed the action"
+    assert [f["error"] for f in result.failures] == [f"InternalCheckError: {message}"]

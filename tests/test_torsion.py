@@ -566,30 +566,61 @@ def test_ttf_suite_classifies_each_module_once(monkeypatch):
 
 
 def test_a_ttf_instance_dualizes_once_and_checks_that_dual(monkeypatch):
-    calls = []
+    calls, duals, transposed = [], [], []
     original = torsion.matlis_dual
+    transpose = suites.op_transpose
 
     def counted(module):
         calls.append(module)
-        return original(module)
+        duals.append(original(module))
+        return duals[-1]
 
     monkeypatch.setattr(torsion, "matlis_dual", counted)
     monkeypatch.setattr(suites, "matlis_dual", counted)
+    monkeypatch.setattr(
+        suites, "op_transpose", lambda op: transposed.append(op) or transpose(op)
+    )
     met = set()
     for seed in range(12):
-        calls.clear()
         rng = random.Random(seed)
         module = random_finite_module(rng)
         gens = random_monomial_ideal_polys(rng, module.nvars)
         hypothesis = verify_ttf_duality(module, gens).hypothesis_met
         calls.clear()
+        duals.clear()
+        transposed.clear()
         suites._ttf_case(seed, None)
         met.add(hypothesis)
-        # the dual the duality check built, then its dual; a module that
-        # misses the hypothesis is dualized by the double-dual check alone
-        assert len(calls) == 2, seed
-        assert calls[1] is not module and calls[1].dim == module.dim
+        # the module is dualized once: by the duality check, or by the
+        # double-dual check when the module misses the hypothesis; the
+        # double-dual check transposes the operators of that one dual
+        assert len(calls) == 1, seed
+        assert calls[0].action == module.action, seed
+        assert list(map(id, transposed)) == list(map(id, duals[0].action)), seed
     assert met == {True, False}
+
+
+def test_a_ttf_instance_builds_each_module_once(monkeypatch):
+    built, met = [], []
+    post_init = FiniteModule.__post_init__
+    check = suites.verify_ttf_duality
+
+    def recorded(module, gens):
+        report = check(module, gens)
+        met.append(report.hypothesis_met)
+        return report
+
+    monkeypatch.setattr(
+        FiniteModule, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    monkeypatch.setattr(suites, "verify_ttf_duality", recorded)
+    for seed in range(12):
+        built.clear()
+        suites._ttf_case(seed, None)
+        # the sampler's one-operator module that evaluates the polynomials,
+        # the drawn module, its conjugate and its dual
+        assert len(built) == 4, seed
+    assert set(met) == {True, False}
 
 
 def test_the_report_carries_the_dual_it_classified():
