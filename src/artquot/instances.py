@@ -10,6 +10,9 @@ reproducible from a seed alone:
   * the generator set is minimalized, and the whole draw is rejected and
     retried when the staircase dimension leaves [1, dim_bound].
 
+The staircase walked to accept a draw is the basis of its module:
+`sample_modules` hands it to QuotientModule, which walks no staircase.
+
 Instance i of a run with master seed s uses its own seed s + 1000003*i, so
 any single instance can be replayed with --count 1.
 """
@@ -20,9 +23,16 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .linalg import Operator, op_conjugate, op_inverse, op_mul
+from .linalg import Operator, op_conjugate, op_inverse, op_mul, op_sum
 from .quotient import QuotientModule, staircase
-from .ring import MonomialIdeal, Polynomial, VariableSet, minimalize, poly_monomial
+from .ring import (
+    ExponentVector,
+    MonomialIdeal,
+    Polynomial,
+    VariableSet,
+    minimalize,
+    poly_monomial,
+)
 from .torsion import FiniteModule
 
 SEED_STRIDE = 1_000_003
@@ -42,9 +52,11 @@ def instance_seed(master_seed: int, index: int) -> int:
     return master_seed + SEED_STRIDE * index
 
 
-def random_artinian_ideal(
-    rng: random.Random, config: SamplerConfig = SamplerConfig()
-) -> tuple[VariableSet, MonomialIdeal]:
+def _draw(
+    rng: random.Random, config: SamplerConfig
+) -> tuple[VariableSet, MonomialIdeal, list[ExponentVector]]:
+    """One accepted draw: variables, ideal and the staircase walked to
+    accept it."""
     while True:
         n = rng.randint(1, MAX_VARS)
         variables = VariableSet(("x", "y", "z")[:n])
@@ -59,9 +71,15 @@ def random_artinian_ideal(
             if any(e):
                 gens.append(e)
         ideal = minimalize(gens)
-        dim = len(staircase(variables, ideal))
-        if 1 <= dim <= config.dim_bound:
-            return variables, ideal
+        cells = staircase(variables, ideal)
+        if 1 <= len(cells) <= config.dim_bound:
+            return variables, ideal, cells
+
+
+def random_artinian_ideal(
+    rng: random.Random, config: SamplerConfig = SamplerConfig()
+) -> tuple[VariableSet, MonomialIdeal]:
+    return _draw(rng, config)[:2]
 
 
 def sample_ideals(
@@ -76,8 +94,9 @@ def sample_ideals(
 def sample_modules(
     count: int, seed: int, config: SamplerConfig = SamplerConfig()
 ) -> Iterator[tuple[int, QuotientModule]]:
-    for s, variables, ideal in sample_ideals(count, seed, config):
-        yield s, QuotientModule(variables, ideal)
+    for i in range(count):
+        s = instance_seed(seed, i)
+        yield s, QuotientModule(*_draw(random.Random(s), config))
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +139,19 @@ def _random_unimodular(rng: random.Random, dim: int) -> tuple[Operator, Operator
 def random_finite_module(
     rng: random.Random, conjugated: bool = True
 ) -> FiniteModule:
-    """Commuting family: polynomials in one triangular base matrix, then an
-    optional change of basis of those operators, and one module built from
-    them.  P A P^-1 is exact, so the module's commutation check holds
-    exactly when it would hold before the change of basis."""
+    """Commuting family: polynomials of degree at most 2 in one triangular
+    base matrix, summed over its powers 1, A and A^2, then an optional
+    change of basis of those operators, and one module built from them.
+    P A P^-1 is exact, so the module's commutation check holds exactly
+    when it would hold before the change of basis."""
     n = rng.randint(1, MAX_VARS)
     dim = rng.randint(1, MAX_MODULE_DIM)
     base = _random_base_matrix(rng, dim)
-    line = FiniteModule(1, dim, (base,))
+    powers = (tuple({j: 1} for j in range(dim)), base, op_mul(base, base))
     mats = [base]
     for _ in range(n - 1):
         coeffs = [rng.choice(_ENTRY_POOL) for _ in range(3)]
-        mats.append(line.poly_matrix(Polynomial(((k,), c) for k, c in enumerate(coeffs))))
+        mats.append(op_sum([(c, p) for c, p in zip(coeffs, powers) if c], dim))
     if conjugated:
         p, p_inv = _random_unimodular(rng, dim)
         mats = [op_conjugate(op, p, p_inv) for op in mats]

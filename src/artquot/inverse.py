@@ -211,7 +211,8 @@ def perp_of_submodule(
     Contraction commutes with the ring action, so annihilating the listed
     elements annihilates the submodule they generate: the dual monomials
     below them, whose complement is generated by the returned ideal.  Each
-    dual must be a single term; its nonzero coefficient does not matter.
+    dual must be a single term in the ring's variables; its nonzero
+    coefficient does not matter.
     """
     if not duals:
         raise AlgebraError("empty dual generator set")
@@ -220,6 +221,8 @@ def perp_of_submodule(
         if len(f.terms) != 1:
             raise AlgebraError("perp needs dual monomials, got a non-monomial")
         (e,) = f.terms
+        if len(e) != variables.n:
+            raise AlgebraError("mismatched arities under apolarity")
         closure.update(product(*(range(v + 1) for v in e)))
     return MonomialIdeal(tuple(minimal_outside(closure, variables.n)))
 

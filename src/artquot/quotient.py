@@ -202,12 +202,19 @@ def standard_basis(
 
 
 class QuotientModule(FiniteModule):
-    """R/I on its staircase basis; each variable acts by a staircase shift."""
+    """R/I on its staircase basis; each variable acts by a staircase shift.
+    A caller that has already walked the staircase, as the sampler has to
+    accept a draw, passes that walk as `basis`, and no second walk runs."""
 
-    def __init__(self, variables: VariableSet, ideal: MonomialIdeal):
+    def __init__(
+        self,
+        variables: VariableSet,
+        ideal: MonomialIdeal,
+        basis: Iterable[ExponentVector] | None = None,
+    ):
         self.variables = variables
         self.ideal = ideal
-        self.basis = standard_basis(variables, ideal)
+        self.basis = standard_basis(variables, ideal) if basis is None else tuple(basis)
         self.index = dict(zip(self.basis, range(len(self.basis))))
         self.names = variables.names
         super().__init__(variables.n, len(self.basis), slot_maps=self._shift_maps())

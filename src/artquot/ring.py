@@ -13,7 +13,7 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
+from operator import le, neg
 
 
 class AlgebraError(Exception):
@@ -63,7 +63,7 @@ def divides(a: ExponentVector, b: ExponentVector) -> bool:
 def grlex_key(exps: ExponentVector):
     """Canonical sort key: ascending total degree, then descending lex
     with the first variable largest (so x^2 before x*y before y^2)."""
-    return (sum(exps), tuple(-e for e in exps))
+    return (sum(exps), tuple(map(neg, exps)))
 
 
 def monomial_str(names: tuple[str, ...], exps: ExponentVector) -> str:
@@ -141,8 +141,8 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict = {}
         for exps, coeff in items:
-            key = tuple(int(e) for e in exps)
-            if any(e < 0 for e in key):
+            key = tuple(map(int, exps))
+            if min(key, default=0) < 0:
                 raise AlgebraError("negative exponent in polynomial term")
             if type(coeff) is not int:
                 coeff = Fraction(coeff)
@@ -218,7 +218,7 @@ class MonomialIdeal:
         for g in gens:
             if len(g) != n:
                 raise AlgebraError("generators have mixed lengths")
-            if any(e < 0 for e in g):
+            if min(g, default=0) < 0:
                 raise AlgebraError("negative exponent in generator")
         order = sorted(gens, key=grlex_key)
         for k, g in enumerate(order):
@@ -238,14 +238,17 @@ def minimalize(gens: Iterable[ExponentVector]) -> MonomialIdeal:
     compared.  The pool is sorted in grlex order once, and a generator is
     kept unless an already kept one divides it: a proper divisor has the
     smaller degree, so it comes first."""
-    pool = sorted({tuple(int(e) for e in g) for g in gens}, key=grlex_key)
+    pool = sorted({tuple(map(int, g)) for g in gens}, key=grlex_key)
     if not pool:
         raise AlgebraError("empty generator set")
     if len(set(map(len, pool))) > 1:
         raise AlgebraError("generators have mixed lengths")
     keep: list = []
     for g in pool:
-        if not any(divides(h, g) for h in keep):
+        for h in keep:
+            if divides(h, g):
+                break
+        else:
             keep.append(g)
     return MonomialIdeal(tuple(keep))
 

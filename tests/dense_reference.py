@@ -30,7 +30,12 @@ passes that `ring` and `quotient` replaced: the antichain test over all
 ordered pairs of generators, once in `minimalize` and again in the
 `MonomialIdeal` check, the pure-power scan per variable and generator, and
 the staircase walk that carried a generator list with every prefix and
-sliced each generator's tail for its height.  The differential
+sliced each generator's tail for its height.  The exponent-vector checks
+as they read one entry per Python step are kept too (`minimalize`, the
+`MonomialIdeal` check and the `Polynomial` constructor), and so are the
+sampler's rejection loop that returned no staircase, so that
+`QuotientModule` walked it again, and its commuting families evaluated on
+a throwaway one-variable module.  The differential
 tests require the sparse code to give the same matrices, subspaces,
 echelon forms and tags, and the unit checks to agree.  `apolarity`, the contraction extended bilinearly to polynomials, is
 the reference the inverse-system tests hold the exponent-vector
@@ -45,6 +50,7 @@ that only tests used; the tests read them here.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -53,11 +59,12 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from artquot import linalg
+from artquot.instances import _random_base_matrix, _random_unimodular
 from artquot.inverse import contraction
 from artquot.linalg import (
     Operator, Subspace, _echelon, null_basis, op_mul, op_transpose, sparse_apply,
 )
-from artquot.quotient import QuotientModule, monomial_span
+from artquot.quotient import QuotientModule, monomial_span, staircase
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
 from artquot.quotient import MAX_DIM
 from artquot.ring import (
@@ -678,3 +685,104 @@ def staircase_by_prefixes(
                 grown.append((prefix + (a,), gens[:k]))
         walk = grown
     return sorted(sorted((cell for cell, _ in walk), reverse=True), key=sum)
+
+
+# ---------------------------------------------------------------------------
+# the exponent-vector checks one entry at a time, and the sampler's draws
+# before its staircase became the module's basis
+
+
+def grlex_key_per_entry(exps: ExponentVector):
+    return (sum(exps), tuple(-e for e in exps))
+
+
+def polynomial_terms_per_entry(terms) -> dict:
+    """The earlier `Polynomial` constructor: each key built and checked for
+    negative exponents one entry at a time."""
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    acc: dict = {}
+    for exps, coeff in items:
+        key = tuple(int(e) for e in exps)
+        if any(e < 0 for e in key):
+            raise AlgebraError("negative exponent in polynomial term")
+        if type(coeff) is not int:
+            coeff = Fraction(coeff)
+        acc[key] = acc.get(key, 0) + coeff
+    return {k: v.numerator if v.denominator == 1 else v for k, v in acc.items() if v}
+
+
+def check_ideal_per_entry(gens: Sequence[ExponentVector]) -> None:
+    """The earlier `MonomialIdeal` check: lengths and signs entry by entry,
+    then the antichain along the grlex order, then the order."""
+    if not gens:
+        raise AlgebraError("empty generator set")
+    n = len(gens[0])
+    for g in gens:
+        if len(g) != n:
+            raise AlgebraError("generators have mixed lengths")
+        if any(e < 0 for e in g):
+            raise AlgebraError("negative exponent in generator")
+    order = sorted(gens, key=grlex_key_per_entry)
+    for k, g in enumerate(order):
+        if any(divides(h, g) for h in order[:k]):
+            raise AlgebraError("generators are not minimal")
+    if list(gens) != order:
+        raise AlgebraError("generators are not canonically sorted")
+
+
+def minimalize_per_entry(gens: Iterable[ExponentVector]) -> tuple:
+    """The earlier `minimalize`: each generator converted one entry at a
+    time, kept unless a kept one divides it, then `check_ideal_per_entry`."""
+    pool = sorted({tuple(int(e) for e in g) for g in gens}, key=grlex_key_per_entry)
+    if not pool:
+        raise AlgebraError("empty generator set")
+    if len(set(map(len, pool))) > 1:
+        raise AlgebraError("generators have mixed lengths")
+    keep: list = []
+    for g in pool:
+        if not any(divides(h, g) for h in keep):
+            keep.append(g)
+    check_ideal_per_entry(keep)
+    return tuple(keep)
+
+
+def random_artinian_ideal_by_rejection(rng: random.Random, config):
+    """The earlier sampler loop: it walked each draw's staircase for its
+    dimension only, and `QuotientModule` walked the accepted one again."""
+    while True:
+        n = rng.randint(1, 3)
+        variables = VariableSet(("x", "y", "z")[:n])
+        bounds = [rng.randint(1, 6) for _ in range(n)]
+        gens = []
+        for i in range(n):
+            e = [0] * n
+            e[i] = bounds[i]
+            gens.append(tuple(e))
+        for _ in range(rng.randint(0, 2 * n)):
+            e = tuple(rng.randrange(b) for b in bounds)
+            if any(e):
+                gens.append(e)
+        ideal = minimalize(gens)
+        dim = len(staircase(variables, ideal))
+        if 1 <= dim <= config.dim_bound:
+            return variables, ideal
+
+
+def random_finite_module_by_line_module(
+    rng: random.Random, conjugated: bool = True
+) -> FiniteModule:
+    """The earlier commuting family: each extra operator a polynomial in
+    the base matrix, evaluated by `poly_matrix` on a one-variable module
+    built for that purpose."""
+    n = rng.randint(1, 3)
+    dim = rng.randint(1, 8)
+    base = _random_base_matrix(rng, dim)
+    line = FiniteModule(1, dim, (base,))
+    mats = [base]
+    for _ in range(n - 1):
+        coeffs = [rng.choice(_ENTRY_POOL) for _ in range(3)]
+        mats.append(line.poly_matrix(Polynomial(((k,), c) for k, c in enumerate(coeffs))))
+    if conjugated:
+        p, p_inv = _random_unimodular(rng, dim)
+        mats = [linalg.op_conjugate(op, p, p_inv) for op in mats]
+    return FiniteModule(n, dim, tuple(mats))

@@ -14,7 +14,13 @@ all three kinds of module.  The set-up passes are compared with the code
 they replaced: the grouped staircase walk with the walk that carried a
 generator list per prefix, `minimalize` and the `MonomialIdeal` check with
 the all-pairs antichain test, and the outside check's slot reading with
-`minimal_outside` on exponent vectors.
+`minimal_outside` on exponent vectors.  The sampler is held to its earlier
+draws: a module drawn with its staircase to the module built from the
+drawn ideal, the rng stream to the loop that walked each staircase twice,
+and the commuting families to their evaluation on a one-variable module.
+`minimalize`, the `MonomialIdeal` check and the `Polynomial` constructor
+are held to the same checks made one exponent at a time, result for result
+and error for error.
 """
 
 import random
@@ -28,6 +34,7 @@ import dense_reference as ref
 from artquot import instances
 from artquot.instances import (
     SamplerConfig,
+    random_artinian_ideal,
     random_finite_module,
     random_monomial_ideal_polys,
     sample_ideals,
@@ -301,6 +308,48 @@ def test_sampler_draws_match_dense_reference(conjugated, monkeypatch):
         assert rng.getstate() == state, seed
 
 
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_commuting_families_match_the_line_module_reference(conjugated):
+    # powers of the base matrix summed by op_sum, against poly_matrix on a
+    # one-variable module: the same operators and the same rng stream
+    for seed in range(3000):
+        rng, old = random.Random(seed), random.Random(seed)
+        got = random_finite_module(rng, conjugated)
+        want = ref.random_finite_module_by_line_module(old, conjugated)
+        assert (got.nvars, got.action) == (want.nvars, want.action), seed
+        assert rng.getstate() == old.getstate(), seed
+
+
+SAMPLER_CONFIGS = [SamplerConfig(), SamplerConfig(dim_bound=14)]
+
+
+@pytest.mark.parametrize("config", SAMPLER_CONFIGS)
+def test_a_sampled_module_is_the_module_of_its_sampled_ideal(config):
+    # the staircase walked to accept the draw is the basis QuotientModule
+    # walks for itself
+    for seed in range(500):
+        ((s, got),) = sample_modules(1, seed, config)
+        ((t, variables, ideal),) = sample_ideals(1, seed, config)
+        want = QuotientModule(variables, ideal)
+        assert (s, got.variables, got.ideal) == (t, variables, ideal), seed
+        assert (got.basis, got.index) == (want.basis, want.index), seed
+        assert got.slot_maps == want.slot_maps, seed
+
+
+@pytest.mark.parametrize("config", SAMPLER_CONFIGS)
+def test_the_sampler_keeps_the_rng_stream_of_the_loop_that_walked_twice(config):
+    for seed in range(500):
+        rng, old = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            variables, ideal, cells = instances._draw(rng, config)
+            assert (variables, ideal) == ref.random_artinian_ideal_by_rejection(old, config)
+            assert cells == staircase(variables, ideal)
+            assert rng.getstate() == old.getstate(), seed
+        want = ref.random_artinian_ideal_by_rejection(old, config)
+        assert random_artinian_ideal(rng, config) == want
+        assert rng.getstate() == old.getstate(), seed
+
+
 # ---------------------------------------------------------------------------
 # the set-up passes against the code they replaced
 
@@ -466,3 +515,66 @@ def test_slot_read_outside_set_matches_minimal_outside_on_drawn_ideals(drawn):
     module = QuotientModule(*drawn)
     outside = _minimal_outside(module, inverse_system(module))
     assert outside == minimal_outside(module.index, module.n)
+
+
+# ---------------------------------------------------------------------------
+# the exponent-vector checks against the same checks one entry at a time
+
+# mostly nonnegative, so that many draws get past the sign check
+entries = st.sampled_from((0, 0, 1, 1, 2, 3, -1))
+
+
+@st.composite
+def generator_tuples(draw):
+    """Empty or not; one length or mixed lengths, the empty vector among
+    them; negative exponents, repeats and multiples; in any order, or
+    deduplicated and in canonical order."""
+    n = draw(st.integers(0, 3))
+    same = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    free = st.lists(entries, max_size=3).map(tuple)
+    gens = draw(st.lists(st.one_of(same, free) if draw(st.booleans()) else same, max_size=7))
+    if draw(st.booleans()):
+        gens = sorted(set(gens), key=ref.grlex_key_per_entry)
+    return tuple(gens)
+
+
+def result(f, *args):
+    try:
+        return "value", f(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+
+
+@given(generator_tuples())
+def test_minimalize_matches_the_per_entry_reference(gens):
+    got = result(lambda: minimalize(gens).min_gens)
+    assert got == result(ref.minimalize_per_entry, gens)
+
+
+@given(generator_tuples())
+def test_the_ideal_check_matches_the_per_entry_reference(gens):
+    got = result(lambda: MonomialIdeal(gens).min_gens)
+    assert got == result(lambda: ref.check_ideal_per_entry(gens) or gens)
+
+
+@st.composite
+def polynomial_terms(draw):
+    """(exponents, coefficient) pairs, as a list or a dict: exponents of any
+    length with negative ones, repeated keys, zero and cancelling
+    coefficients, Fractions, and coefficients Fraction refuses."""
+    exps = st.lists(entries, max_size=3).map(tuple)
+    coeffs = st.one_of(
+        st.integers(-2, 2), st.fractions(max_denominator=3), st.sampled_from(("1/2", "x"))
+    )
+    terms = draw(st.lists(st.tuples(exps, coeffs), max_size=5))
+    return dict(terms) if draw(st.booleans()) else terms
+
+
+def typed_terms(terms: dict) -> list:
+    return [(k, type(v), v) for k, v in terms.items()]
+
+
+@given(polynomial_terms())
+def test_polynomials_match_the_per_entry_reference(terms):
+    got = result(lambda: typed_terms(Polynomial(terms).terms))
+    assert got == result(lambda: typed_terms(ref.polynomial_terms_per_entry(terms)))

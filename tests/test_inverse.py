@@ -232,6 +232,15 @@ def test_perp_rejects_a_non_monomial_dual():
             perp_of_submodule(variables, [mono(0, 0), w])
 
 
+def test_perp_rejects_a_dual_of_the_wrong_arity():
+    # too short, too long, and a zero vector one entry too long, which
+    # the closure would take as the cell 1 of a 3-variable ring
+    variables = VariableSet(("x", "y"))
+    for exps in ((3,), (1, 2, 3), (0, 0, 0)):
+        with pytest.raises(AlgebraError, match="^mismatched arities under apolarity$"):
+            perp_of_submodule(variables, [mono(0, 0), poly_monomial(exps)])
+
+
 def test_perp_rejects_empty_input():
     with pytest.raises(AlgebraError):
         perp_of_submodule(VariableSet(("x",)), [])

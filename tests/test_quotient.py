@@ -15,7 +15,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from artquot.instances import sample_ideals
+from artquot import instances, quotient
+from artquot.instances import SamplerConfig, sample_ideals, sample_modules
 from artquot.linalg import Subspace, op_mul
 from artquot.quotient import (
     HilbertSeries,
@@ -101,6 +102,30 @@ def test_second_known_staircase():
     m = module_from(FLAT7)
     assert m.dim == 7
     assert hilbert(m).coeffs == (1, 2, 2, 2)
+
+
+@pytest.mark.parametrize("dim_bound", [60, 14])
+def test_a_sampled_instance_walks_its_staircase_once_per_draw(dim_bound, monkeypatch):
+    # every draw the sampler makes, accepted or not, walks its staircase
+    # once; the accepted walk is the module's basis, and QuotientModule
+    # walks none
+    walks, draws = [], []
+    walk, minimalize_draw = instances.staircase, instances.minimalize
+
+    def counted_walk(variables, ideal):
+        walks.append(ideal)
+        return walk(variables, ideal)
+
+    def no_walk(variables, ideal):
+        raise AssertionError("QuotientModule walked a staircase")
+
+    monkeypatch.setattr(instances, "staircase", counted_walk)
+    monkeypatch.setattr(instances, "minimalize", lambda g: draws.append(g) or minimalize_draw(g))
+    monkeypatch.setattr(quotient, "staircase", no_walk)
+    assert len(list(sample_modules(40, 3, SamplerConfig(dim_bound)))) == 40
+    assert len(walks) == len(draws) >= 40
+    if dim_bound == 14:
+        assert len(draws) > 40  # some draws were rejected
 
 
 def test_staircase_matches_census_on_samples():

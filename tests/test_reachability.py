@@ -39,6 +39,14 @@ ALLOWED = {
     "radical.SemiprimeReport.submodules_scanned": (
         "read by the layertrace hook on semiprime_bruteforce"
     ),
+    "instances.random_artinian_ideal": (
+        "perfbench/workloads.py draws its ladder instances with it; the "
+        "suites draw through sample_modules, which keeps the staircase"
+    ),
+    "instances.sample_ideals": (
+        "perfbench/workloads.py reads a suite instance's shape with it; the "
+        "suites draw through sample_modules, which keeps the staircase"
+    ),
     "linalg.Subspace.__repr__": "debugging and pytest failure messages",
     "quotient.QuotientModule.__repr__": "debugging and pytest failure messages",
     "ring.Polynomial.__repr__": "debugging and pytest failure messages",

@@ -617,9 +617,9 @@ def test_a_ttf_instance_builds_each_module_once(monkeypatch):
     for seed in range(12):
         built.clear()
         suites._ttf_case(seed, None)
-        # the sampler's one-operator module that evaluates the polynomials,
-        # the drawn module, its conjugate and its dual
-        assert len(built) == 4, seed
+        # the drawn module, its conjugate and its dual; the sampler sums
+        # the base matrix's powers without a module of its own
+        assert len(built) == 3, seed
     assert set(met) == {True, False}
 
 
