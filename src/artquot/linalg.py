@@ -44,19 +44,17 @@ builds for a family of operators.
 
 Operators with at most one entry per column have a second, single-entry
 form: a slot map (`SlotMap`), the target slot of each column or None for
-an empty one, and a coefficient per column (0 for an empty one).  Every
-operator a staircase module has takes it: the shifts of M, the
-contractions of I-perp (coefficient e_i), their transposes (all injective
-on the slots they move) and every monomial x^e.  Staircase modules are
-built from slot maps; for any other operator the form is read off its
-columns (`slot_map`), and `slot_columns` turns a slot map back into
-columns.  A slot map injective on its live slots (`slot_targets`) kills
-exactly the vectors on its dead columns and has the unit vectors at its
-targets as image, so kernels and images of such maps are unit spans
-(`Subspace.units`) read with no elimination.  A module's commutation
-check composes slot maps when both operators have the form
-(`slot_maps_commute`) and multiplies operators otherwise; x^e is a
-product of the variables' slot maps raised to powers (`slot_power`).
+an empty one, and a coefficient per column (0 for an empty one).  The
+operators of a staircase module take it: the shifts of M, the
+contractions of I-perp (coefficient e_i) and every monomial x^e.
+Staircase modules are built from slot maps, and `slot_columns` turns a
+slot map into columns; no slot map is read off an operator's columns.  A
+slot map injective on its live slots (`slot_targets`) kills exactly the
+vectors on its dead columns and has the unit vectors at its targets as
+image, so kernels and images of such maps are unit spans
+(`Subspace.units`) read with no elimination.  The commutation check of a
+module built from slot maps composes them (`slot_maps_commute`); x^e is
+a product of the variables' slot maps raised to powers (`slot_power`).
 """
 
 from __future__ import annotations
@@ -389,23 +387,13 @@ class SlotMap(NamedTuple):
     coeffs: tuple
 
 
-def slot_map(op: Operator) -> SlotMap | None:
-    """op as a slot map, or None when some column holds two entries or more."""
-    if max(map(len, op), default=0) > 1:
-        return None
-    return SlotMap(
-        tuple(map(next, map(iter, op), repeat(None))),
-        tuple(map(next, map(iter, map(dict.values, op)), repeat(0))),
-    )
-
-
 def unit_map(slots: tuple) -> SlotMap:
     """The slot map with these slots whose every filled column holds 1."""
     return SlotMap(slots, tuple([0 if t is None else 1 for t in slots]))
 
 
 def slot_columns(m: SlotMap) -> Operator:
-    """m as an operator, one dict per column: the inverse of `slot_map`."""
+    """m as an operator, one dict per column."""
     return tuple({} if t is None else {t: x} for t, x in zip(*m))
 
 

@@ -2,9 +2,13 @@
 
 An element m of a module is "reduced" when a^2 m = 0 forces a m = 0 for
 every ring element a.  For a staircase quotient the reduced part, the
-socle, and the span of the outside corner monomials all coincide; the
-functions here compute the three descriptions separately and insist that
-they agree.
+socle, and the span of the outside corner monomials all coincide, and the
+functions here insist that they agree.  The socle and the corner span are
+not independent readings: both are the columns dead in every one of M's
+shift slot maps (`quotient.socle` reads them through `joint_kernel`,
+`outside_corners` through `dead_columns`), so their comparison can fail
+only through a bug in that reading.  A corner set read from the
+generators alone would make it a cross-check (ROADMAP item 1).
 """
 
 from __future__ import annotations

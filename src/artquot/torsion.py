@@ -2,42 +2,42 @@
 
 A FiniteModule holds n pairwise-commuting operators over the rationals,
 one per variable, with entries in the value form `linalg` states (ints
-where integral).  It is built from whichever form the caller has: dict
+where integral).  It keeps the one form the caller built it from: dict
 columns (sampler draws, conjugates, duals) or slot maps (a staircase
-quotient R/I and its inverse system, see quotient.QuotientModule).  The
-other form is derived: slot maps are read off the columns, and the
-columns of a module built from slot maps only when a general path reads
-`action`.  The joint kernel and the image span of a family of operators
-live here once: on the generator operators of J they are (0 : J) and
-J M, on the variables' operators (0 : m) and m M.  The form a family is
-read in is decided once, by `_form`: slot maps when each operator is one
-injective on its live slots, whose kernels, images and ranks are unit
-spans and counts read off the slots, else dict columns, which go to rref.
-Products and powers stay in the family's form.  The torsion part
-Gamma_J M and the completion M / J^inf M come from Fitting's lemma: the
-joint kernel and the image span of the d-th powers of the generator
-operators, or of any higher powers, here G^(2^j) for the least 2^j >= d,
-squared up from the squares G^2 that the J^2 level already computed and
-stopped at the zero map.  `classify` reads them with J-(co)reducedness off
-one evaluation of the generators, a one-term generator as a slot map, and
+quotient R/I and its inverse system, see quotient.QuotientModule).  No
+slot map is read off a column; a module built from slot maps builds its
+columns only when a general path reads `action`.  Each reader asks the
+module once which form it holds.  The joint kernel and the image span of
+a family of operators live here once: on the generator operators of J
+they are (0 : J) and J M, on the variables' operators (0 : m) and m M.
+The form a family is read in is decided once, by `_form`: slot maps when
+each operator is a slot map injective on its live slots, whose kernels,
+images and ranks are unit spans and counts read off the slots, else dict
+columns, which go to rref.  Products and powers stay in the family's
+form.  The torsion part Gamma_J M and the completion M / J^inf M come
+from Fitting's lemma: the joint kernel and the image span of the d-th
+powers of the generator operators, or of any higher powers, here G^(2^j)
+for the least 2^j >= d, squared up from the squares G^2 that the J^2
+level already computed and stopped at the zero map.  `classify` reads
+them with J-(co)reducedness off one evaluation of the generators, a
+one-term generator on a module built from slot maps as a slot map, and
 reads dimensions only: (0 : J) lies in (0 : J^2) and J^2 M in J M, so
-J-(co)reducedness is an equality of ranks, and the split
-M = Gamma_J M (+) J^inf M is a rank too, of Gamma's kernel basis beside
-the image columns.  A level whose family is one operator on dict columns,
-as for a single generator such as x+y, is one elimination of its
-columns: row rank equals column rank, so rank-nullity gives the kernel's
-dimension from the image's.  Matlis duality is the linear dual: transpose
-every operator; `verify_ttf_duality` hands the dual it built back in its
-report.
+J-(co)reducedness is an equality of ranks, and the split M = Gamma_J M
+(+) J^inf M is a rank too, of Gamma's kernel basis beside the image
+columns.  A level whose family is one operator on dict columns, as for a
+single generator such as x+y, is one elimination of its columns: row rank
+equals column rank, so rank-nullity gives the kernel's dimension from the
+image's.  Matlis duality is the linear dual: transpose every operator;
+`verify_ttf_duality` hands the dual it built back in its report.
 
-The commutation check composes slot maps when both operators of a pair
-have at most one entry per column, and multiplies them otherwise.  When
-every operator has a slot map, x^e is the product of their powers
-(`monomial_map`); `monomial_operator` gives x^e as dict columns, those of
-that slot map or else the product of the operators' powers, x_i its
-operator itself and x^0 the identity, and `poly_matrix` sums coefficient
-times `monomial_operator` over the terms.  `act` multiplies one element,
-one pass over each term's variables that stops at a zero image.
+The commutation check composes the slot maps of a module built from
+them, and multiplies the dict columns of any other.  On slot maps, x^e is
+the product of their powers (`monomial_map`); `monomial_operator` gives
+x^e as dict columns, those of that slot map or else the product of the
+operators' powers, x_i its operator itself and x^0 the identity, and
+`poly_matrix` sums coefficient times `monomial_operator` over the terms.
+`act` multiplies one element, one pass over each term's variables that
+stops at a zero image.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .linalg import (
     slot_apply,
     slot_columns,
     slot_compose,
-    slot_map,
     slot_maps_commute,
     slot_power,
     slot_targets,
@@ -87,11 +86,10 @@ def _monomial(ops: Sequence, exps, power, mul):
 
 class FiniteModule:
     """A finite-dimensional module over k[x_1..x_n] given by commuting
-    operators, one per variable: as dict columns (`action`) or as slot
-    maps (`slot_maps`), whichever the caller has.  Given the columns, the
-    slot maps are read off them, None for an operator with a column of two
-    entries or more; given the slot maps, the columns are built only when
-    `action` is first read."""
+    operators, one per variable, in the one form the caller has: dict
+    columns (`action`) or slot maps (`slot_maps`).  A module given the
+    columns has `slot_maps` None; a module given the slot maps keeps them,
+    and builds its columns only when `action` is first read."""
 
     def __init__(
         self,
@@ -111,11 +109,12 @@ class FiniteModule:
         form given, then every pair of operators commutes."""
         if (self._action is None) == (self.slot_maps is None):
             raise AlgebraError("give the action operators or their slot maps")
-        given = self.slot_maps if self._action is None else self._action
+        maps = self.slot_maps
+        given = self._action if maps is None else maps
         if len(given) != self.nvars:
             raise AlgebraError("need one action matrix per variable")
-        if self._action is not None:
-            for op in self._action:
+        if maps is None:
+            for op in given:
                 if (
                     len(op) != self.dim
                     or not all(chain.from_iterable(map(dict.values, op)))
@@ -125,9 +124,11 @@ class FiniteModule:
                     raise AlgebraError(
                         "action operator has the wrong shape or a stored zero"
                     )
-            self.slot_maps = tuple(map(slot_map, self._action))
+
+            def commute(i, j):
+                return op_mul(given[i], given[j]) == op_mul(given[j], given[i])
         else:
-            for slots, coeffs in self.slot_maps:
+            for slots, coeffs in maps:
                 live = list(compress(slots, map(is_not, slots, repeat(None))))
                 # with as many zeros as empty columns and none on a filled
                 # one, every empty column holds 0
@@ -142,17 +143,13 @@ class FiniteModule:
                     raise AlgebraError(
                         "action operator has the wrong shape or a stored zero"
                     )
-        maps = self.slot_maps
-        # read once per operator, not once per pair
-        ones = [m is not None and unit_entries(m) for m in maps]
+            # read once per operator, not once per pair
+            ones = list(map(unit_entries, maps))
+
+            def commute(i, j):
+                return slot_maps_commute(maps[i], maps[j], ones[i] and ones[j])
         for i, j in combinations(range(self.nvars), 2):
-            if maps[i] is not None and maps[j] is not None:
-                same = slot_maps_commute(maps[i], maps[j], ones[i] and ones[j])
-            else:
-                ab = op_mul(self.action[i], self.action[j])
-                ba = op_mul(self.action[j], self.action[i])
-                same = ab == ba
-            if not same:
+            if not commute(i, j):
                 raise AlgebraError(f"action matrices {i} and {j} do not commute")
 
     @property
@@ -165,15 +162,15 @@ class FiniteModule:
 
     def monomial_map(self, exps) -> SlotMap | None:
         """x^exps as a slot map, the product of the variables' slot maps
-        raised to their exponents; None if some operator has none."""
-        if None in self.slot_maps:
+        raised to their exponents; None for a module given dict columns."""
+        if self.slot_maps is None:
             return None
         out = _monomial(self.slot_maps, exps, slot_power, slot_compose)
         return unit_map(tuple(range(self.dim))) if out is None else out
 
     def monomial_operator(self, exps) -> Operator:
-        """x^exps as dict columns: the columns of its slot map when every
-        operator has one, else the product of the variables' operators
+        """x^exps as dict columns: the columns of its slot map for a module
+        given slot maps, else the product of the variables' operators
         raised to their exponents, x_i its operator itself and x^0 the
         identity."""
         m = self.monomial_map(exps)
@@ -184,7 +181,7 @@ class FiniteModule:
 
     def term_map(self, poly: Polynomial) -> SlotMap | None:
         """A one-term polynomial c*x^e as a slot map, c times x^e's; None
-        for any other polynomial, or when x^e has no slot map."""
+        for any other polynomial, or for a module given dict columns."""
         for exps in poly.terms:
             if len(exps) != self.nvars:
                 raise AlgebraError("polynomial arity does not match the module")
@@ -207,9 +204,10 @@ class FiniteModule:
         return op_sum(terms, self.dim)
 
     def apply(self, i: int, vec: dict) -> dict:
-        """x_i * vec, through x_i's slot map where it has one."""
-        m = self.slot_maps[i]
-        return sparse_apply(self.action[i], vec) if m is None else slot_apply(m, vec)
+        """x_i * vec, in the form the module was given."""
+        if self.slot_maps is None:
+            return sparse_apply(self.action[i], vec)
+        return slot_apply(self.slot_maps[i], vec)
 
     def act(self, poly: Polynomial, vec: dict) -> dict:
         """Multiply the sparse element `vec`, which stores no zeros, by the
@@ -217,7 +215,10 @@ class FiniteModule:
         that stops at the first zero image."""
         if vec and (min(vec) < 0 or max(vec) >= self.dim):
             raise AlgebraError(f"element index out of range({self.dim})")
-        maps = self.slot_maps
+        step, ops = (
+            (sparse_apply, self.action) if self.slot_maps is None
+            else (slot_apply, self.slot_maps)
+        )
         out = None
         summed = False
         for exps, coeff in poly.terms.items():
@@ -228,10 +229,7 @@ class FiniteModule:
                 if not img:
                     break
                 if e:
-                    m = maps[i]
-                    step, op = (
-                        (sparse_apply, self.action[i]) if m is None else (slot_apply, m)
-                    )
+                    op = ops[i]
                     for _ in range(e):
                         img = step(op, img)
                         if not img:
@@ -258,14 +256,15 @@ class FiniteModule:
 # joint kernels and image spans
 #
 # An operator here is an Operator (dict columns) or a SlotMap.  `_form`
-# makes the one decision per family: slot maps when each operator is one
-# injective on its live slots, else dict columns; products and powers stay
-# in that form.  `_read` gives a family's kernel and image parts.  A slot
-# map injective on its live slots kills exactly the vectors on its dead
-# columns and has the unit vectors at its targets as image, so a family of
-# them is read as the columns dead in every map and the targets, and every
-# rank is a count.  Dict columns give their nonzero rows, stacked, and
-# their nonzero columns, and rref reads the ranks, kernels and spans.
+# makes the one decision per family: slot maps when each operator is a
+# slot map injective on its live slots, else dict columns, to which the
+# family's slot maps are turned; products and powers stay in that form.
+# `_read` gives a family's kernel and image parts.  A slot map injective
+# on its live slots kills exactly the vectors on its dead columns and has
+# the unit vectors at its targets as image, so a family of them is read as
+# the columns dead in every map and the targets, and every rank is a
+# count.  Dict columns give their nonzero rows, stacked, and their nonzero
+# columns, and rref reads the ranks, kernels and spans.
 
 
 def _form(ops: Sequence) -> tuple[bool, list]:
@@ -274,14 +273,13 @@ def _form(ops: Sequence) -> tuple[bool, list]:
     nothing to a kernel, an image, a product or a power, and is dropped."""
     maps = []
     for op in ops:
-        m = op if isinstance(op, SlotMap) else slot_map(op)
-        t = None if m is None else slot_targets(m)
+        t = slot_targets(op) if isinstance(op, SlotMap) else None
         if t is None:
             cols = (slot_columns(op) if isinstance(op, SlotMap) else op for op in ops)
             return False, [op for op in cols if any(op)]
         # a map with no target is the zero map
         if t:
-            maps.append(m)
+            maps.append(op)
     return True, maps
 
 
@@ -389,10 +387,11 @@ def _levels(module: FiniteModule, gens: Sequence[Polynomial]):
     Gamma_J M and dim J^inf M, from one evaluation of the generators.
 
     (0 : J) lies in (0 : J^2) and J^2 M in J M, so each pair is equal
-    exactly when the two dimensions are.  A one-term generator is
-    evaluated as a slot map, and the family's form holds for the products
-    of two and the powers, each read and dropped in turn but for the
-    squares G^2 of the generators, which `_fitting` squares up.
+    exactly when the two dimensions are.  A one-term generator on a module
+    built from slot maps is evaluated as a slot map, and the family's form
+    holds for the products of two and the powers, each read and dropped in
+    turn but for the squares G^2 of the generators, which `_fitting`
+    squares up.
     """
     d = module.dim
     slot, family = _form([
@@ -455,9 +454,15 @@ def classify(module: FiniteModule, gens: Iterable[Polynomial]) -> TtfTag:
     gens = list(gens)
     ann_dim, image_dim, reduced, coreduced, gamma, tail_dim = _levels(module, gens)
     gamma_dim = len(gamma)
-    semisimple = all(
-        m is not None and m.slots.count(None) == module.dim for m in module.slot_maps
-    ) and all(g.constant_term() == 0 for g in gens)
+    # every variable acts by zero when no column holds an entry, or no slot
+    # map a nonzero coefficient
+    entries = (
+        module.action if module.slot_maps is None
+        else (m.coeffs for m in module.slot_maps)
+    )
+    semisimple = not any(chain.from_iterable(entries)) and all(
+        g.constant_term() == 0 for g in gens
+    )
     if semisimple and not gamma_dim == ann_dim == module.dim:
         raise InternalCheckError("semisimple module with proper torsion levels")
     if reduced and gamma_dim != ann_dim:

@@ -44,7 +44,10 @@ span of `linalg.null_basis`, is the Subspace form the linear-algebra tests
 read a null space in; `torsion.joint_kernel` builds its own.  `ev_add`,
 `poly_mul` (the product of two polynomials, with which `_squares` builds
 J^2) and `contains` (monomial-ideal membership) were part of `artquot.ring`
-that only tests used; the tests read them here.
+that only tests used; the tests read them here.  `slot_map` is the
+read-off by which a module built from dict columns carried slot maps as
+well, operator by operator; `slot_module` rebuilds such a module from its
+read-off slot maps, for the tests that hold the two forms to each other.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from artquot import linalg
 from artquot.instances import _random_base_matrix, _random_unimodular
 from artquot.inverse import contraction
 from artquot.linalg import (
-    Operator, Subspace, _echelon, null_basis, op_mul, op_transpose, sparse_apply,
+    Operator, SlotMap, Subspace, _echelon, null_basis, op_mul, op_transpose,
+    sparse_apply,
 )
 from artquot.quotient import QuotientModule, monomial_span, staircase
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
@@ -114,6 +118,25 @@ def operator_from_rows(rows: Sequence[Sequence]) -> Operator:
 def full_space(d: int) -> Subspace:
     """All of k^d."""
     return Subspace(d, ({i: Fraction(1)} for i in range(d)))
+
+
+def slot_map(op: Operator) -> SlotMap | None:
+    """op as a slot map, or None when some column holds two entries or more."""
+    if max(map(len, op), default=0) > 1:
+        return None
+    return SlotMap(
+        tuple(next(iter(col), None) for col in op),
+        tuple(next(iter(col.values()), 0) for col in op),
+    )
+
+
+def slot_module(module: FiniteModule) -> FiniteModule | None:
+    """The module built from the slot maps read off its operators, None
+    when some operator has a column of two entries or more."""
+    maps = tuple(map(slot_map, module.action))
+    if None in maps:
+        return None
+    return FiniteModule(module.nvars, module.dim, slot_maps=maps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from artquot.inverse import (
     truncated_dual,
     truncated_dual_report,
 )
-from artquot.linalg import SlotMap, slot_columns, slot_map
+from artquot.linalg import SlotMap, slot_columns
 from artquot.quotient import QuotientModule, hilbert, minimal_outside
 from artquot.reduced import monomials_up_to_degree, outside_corners
 from artquot.ring import (
@@ -40,7 +40,9 @@ from artquot.ring import (
     poly_monomial,
 )
 from artquot.suites import run_suite
-from dense_reference import apolarity, complement_min_gens, full_space, poly_mul
+from dense_reference import (
+    apolarity, complement_min_gens, full_space, poly_mul, slot_map,
+)
 
 FLAT7 = "ring x,y; ideal x^4, x^3*y, y^2"
 SMALL4 = '{"ring": ["x1","x2"], "ideal": ["x1^2", "x1*x2", "x2^3"]}'

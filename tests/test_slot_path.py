@@ -10,14 +10,21 @@ The inputs are the modules the dense-reference tests draw (the ladder,
 sampled staircases, random commuting families with and without a change
 of basis), their inverse systems and their Matlis duals, and single-entry
 maps that are not injective on their live slots, which must take the
-general path.
+general path.  A module built from dict columns, as a Matlis dual or a
+random family is, takes the general path; rebuilt from the slot maps read
+off its columns (`dense_reference.slot_module`), where every column holds
+one entry at most, it takes the slot path, and the two must agree.
 """
 
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as ref
 from artquot import torsion
 from artquot.instances import (
     SamplerConfig,
@@ -38,7 +45,7 @@ from artquot.linalg import (
     slot_targets,
 )
 from artquot.quotient import QuotientModule
-from artquot.ring import Polynomial, parse_input, poly_monomial
+from artquot.ring import AlgebraError, Polynomial, parse_input, poly_monomial
 from artquot.torsion import _levels, classify, image_span, joint_kernel, matlis_dual
 
 LADDER = (
@@ -115,10 +122,16 @@ def assert_levels_agree(module, gens, monkeypatch):
 
 
 def test_staircases_and_their_duals_take_the_slot_path(monkeypatch):
+    # the duals are built from dict columns, which go to rref; rebuilt from
+    # their read-off slot maps they take the slot path
     seen = 0
     for module in staircase_modules():
         system = inverse_system(module)
-        for mod in (module, system, matlis_dual(module), matlis_dual(system)):
+        for dual in (matlis_dual(module), matlis_dual(system)):
+            assert dual.slot_maps is None
+            assert not torsion._form(dual.action)[0]
+        duals = map(ref.slot_module, map(matlis_dual, (module, system)))
+        for mod in (module, system, *duals):
             assert torsion._form(mod.slot_maps)[0]
             assert_paths_agree(mod.slot_maps, mod.dim)
             assert_paths_agree(mod.action, mod.dim)
@@ -136,10 +149,15 @@ def test_staircases_and_their_duals_take_the_slot_path(monkeypatch):
 
 
 def test_random_modules_and_their_duals_agree_on_both_paths(monkeypatch):
+    # a random module and its dual take the general path; those whose
+    # columns hold one entry at most take the slot path too, rebuilt from
+    # their read-off slot maps
     slot, general = 0, 0
     for module, rng in random_modules():
         gens = random_monomial_ideal_polys(rng, module.nvars)
-        for mod in (module, matlis_dual(module)):
+        mods = [module, matlis_dual(module)]
+        mods += [m for m in map(ref.slot_module, mods) if m is not None]
+        for mod in mods:
             for ops in families(mod, gens):
                 assert_paths_agree(ops, mod.dim)
                 if torsion._form(ops)[0]:
@@ -197,3 +215,87 @@ def test_classify_on_non_injective_generators_reads_the_general_path(monkeypatch
     assert (tag.gamma_dim, tag.lambda_dim) == (3, 3)
     assert_levels_agree(module, [x], monkeypatch)
     assert_levels_agree(module, [Polynomial({(1,): 2})], monkeypatch)
+
+
+def both_forms(module):
+    """(the module built from slot maps, the module built from the dict
+    columns of the same operators): a Matlis dual, built from columns, is
+    rebuilt from the slot maps read off them."""
+    slot = ref.slot_module(module) if module.slot_maps is None else module
+    cols = torsion.FiniteModule(module.nvars, module.dim, module.action)
+    assert slot.slot_maps is not None and cols.slot_maps is None
+    return slot, cols
+
+
+def test_each_module_reads_the_same_in_both_forms():
+    # the ladder, sampled staircases, their inverse systems and their
+    # Matlis duals, each as the slot-map module and as the column module of
+    # the same operators: the same levels and tags by the defining ideal, a
+    # monomial ideal, a multi-term ideal and a mixed one, the same
+    # evaluations, and the same products of elements
+    rng = random.Random(97)
+    seen = 0
+    for module in staircase_modules():
+        system = inverse_system(module)
+        for mod in (module, system, matlis_dual(module), matlis_dual(system)):
+            slot, cols = both_forms(mod)
+            n, d = mod.nvars, mod.dim
+            x1 = (1,) + (0,) * (n - 1)
+            multi = Polynomial({x1: 1, (0,) * (n - 1) + (2,): 2})  # x_1 + 2 x_n^2
+            unit = Polynomial({(0,) * n: 1, x1: Fraction(-1, 3)})  # 1 - x_1 / 3
+            ideals = (
+                [poly_monomial(g) for g in module.ideal.min_gens],
+                list(random_monomial_ideal_polys(rng, n)),
+                [multi, unit],
+                [poly_monomial(x1), multi, Polynomial({(1,) * n: -2})],
+            )
+            for gens in ideals:
+                a, b = _levels(slot, gens), _levels(cols, gens)
+                assert a[:4] == b[:4] and a[5] == b[5]
+                assert Subspace(d, a[4]) == Subspace(d, b[4])
+                assert classify(slot, gens) == classify(cols, gens)
+            vecs = ({}, {0: 1}, {d - 1: Fraction(2, 3)},
+                    {j: rng.choice((1, -2, Fraction(1, 2))) for j in range(d)
+                     if rng.random() < 0.5})
+            for poly in (Polynomial({(0,) * n: Fraction(-5, 3)}), Polynomial({}),
+                         multi, unit, poly_monomial((d,) + (0,) * (n - 1))):
+                assert slot.poly_matrix(poly) == cols.poly_matrix(poly)
+                for vec in vecs:
+                    assert slot.act(poly, vec) == cols.act(poly, vec)
+            for i in range(n):
+                for vec in vecs:
+                    assert slot.apply(i, vec) == cols.apply(i, vec)
+            seen += 1
+    assert seen == 4 * (len(LADDER) + 30)
+
+
+def test_both_forms_refuse_the_shifts_of_a_non_down_set():
+    # the shifts of test_torsion._NotDownSet, on {1, x, x*y}: y * 1 = 0
+    # while y * x = x*y, so x and y do not commute, as slot maps or as
+    # dict columns
+    maps = QuotientModule._shift_maps(SimpleNamespace(basis=((0, 0), (1, 0), (1, 1))))
+    message = "action matrices 0 and 1 do not commute"
+    with pytest.raises(AlgebraError, match=message):
+        torsion.FiniteModule(2, 3, slot_maps=maps)
+    with pytest.raises(AlgebraError, match=message):
+        torsion.FiniteModule(2, 3, tuple(map(slot_columns, maps)))
+
+
+def test_classify_by_a_monomial_ideal_reads_slot_maps_only(monkeypatch):
+    # x and y*z act on k[x,y,z]/(x^3, y^3, z^3) by slot maps injective on
+    # their live slots, so classify reads every level off the slots: no
+    # product of dict columns and no elimination
+    module = QuotientModule(*parse_input("ring x,y,z; ideal x^3, y^3, z^3"))
+    gens = [poly_monomial((1, 0, 0)), poly_monomial((0, 1, 1))]
+    want = classify(torsion.FiniteModule(3, 27, module.action), gens)
+
+    def refuse(name):
+        def refused(*args):
+            pytest.fail(f"classify called {name}")
+        return refused
+
+    for name in ("op_mul", "rank", "null_basis", "echelon_rows"):
+        monkeypatch.setattr(torsion, name, refuse(name))
+    tag = classify(module, gens)
+    assert tag == want
+    assert (tag.tag, tag.gamma_dim, tag.lambda_dim) == ("none", 27, 27)

@@ -28,7 +28,6 @@ from artquot.linalg import (
     op_transpose,
     rank,
     slot_compose,
-    slot_map,
     slot_maps_commute,
     slot_power,
 )
@@ -57,6 +56,7 @@ from dense_reference import (
     operator_from_rows,
     operator_rows,
     poly_mul,
+    slot_map,
     submodule_module,
     word_rank_profile,
 )
@@ -192,15 +192,18 @@ def test_slot_power_stops_at_the_zero_map(monkeypatch):
 
 
 def test_monomial_maps_need_single_entry_operators():
+    # only a module built from slot maps has monomial maps: one built from
+    # dict columns has none, even where every column holds one entry
     a = operator_from_rows(((1, 1), (0, 1)))  # column 1 holds two entries
     b = operator_from_rows(((2, 0), (0, 2)))
-    module = FiniteModule(2, 2, (a, op_mul(a, a)))
-    assert module.slot_maps == (None, None)
-    assert module.monomial_map((1, 0)) is None
-    mixed = FiniteModule(2, 2, (b, a))
-    assert mixed.slot_maps == (slot_map(b), None)
-    assert mixed.monomial_map((1, 0)) is None
-    assert mixed.poly_matrix(poly_monomial((1, 0), 1)) == b
+    for module in (FiniteModule(2, 2, (a, op_mul(a, a))), FiniteModule(2, 2, (b, a))):
+        assert module.slot_maps is None
+        assert module.monomial_map((1, 0)) is None
+        assert module.term_map(poly_monomial((1, 0), 3)) is None
+    assert FiniteModule(2, 2, (b, a)).poly_matrix(poly_monomial((1, 0), 1)) == b
+    single = FiniteModule(1, 2, slot_maps=(slot_map(b),))
+    assert single.monomial_map((1,)) == slot_map(b)
+    assert single.monomial_map((2,)) == SlotMap((0, 1), (4, 4))
 
 
 def test_huge_power_of_a_cycle_is_composed_not_applied():
@@ -274,7 +277,7 @@ def test_slot_form_operators_are_validated():
             FiniteModule(1, 2, slot_maps=(bad,))
     with pytest.raises(AlgebraError, match="one action matrix per variable"):
         FiniteModule(2, 2, slot_maps=(good,))
-    assert FiniteModule(0, 2, ()).slot_maps == ()
+    assert FiniteModule(0, 2, ()).slot_maps is None
     assert FiniteModule(0, 2, slot_maps=()).action == ()
     with pytest.raises(AlgebraError, match="operators or their slot maps"):
         FiniteModule(1, 2)
@@ -283,9 +286,12 @@ def test_slot_form_operators_are_validated():
 
 
 def test_slot_form_and_column_form_build_the_same_module():
+    # the module built from the columns keeps them and no slot map; the
+    # slot maps read off its columns are the ones the staircase was built from
     for _, m in sample_modules(20, seed=47):
         again = FiniteModule(m.nvars, m.dim, m.action)
-        assert again.slot_maps == m.slot_maps
+        assert again.slot_maps is None
+        assert tuple(map(slot_map, again.action)) == m.slot_maps
         assert again.action == m.action
     with pytest.raises(AlgebraError, match="action matrices 0 and 1 do not commute"):
         FiniteModule(2, 3, slot_maps=(SlotMap((1, None, None), (1, 0, 0)),
