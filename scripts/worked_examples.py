@@ -35,10 +35,10 @@ def show(title, text):
     corners = outside_corners(module)
     soc = socle(module)
     print(f"   corners: {', '.join(module.label(e) for e in corners)}")
-    print(f"   socle dim {soc.dim}")
+    print(f"   socle dim {len(soc)}")
     system = inverse_system(module)
     print(f"   dual basis: {', '.join(system.labels())}")
-    print(f"   m acting on the dual spans {system.inner.dim} of them")
+    print(f"   m acting on the dual spans {len(system.inner)} of them")
     duals = ", ".join(system.label(e) for e in system.corners)
     print(f"   reduced-part duals: {duals}")
     assert system.corners == corners

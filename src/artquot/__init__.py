@@ -19,7 +19,7 @@ from .inverse import (
     truncated_dual,
     truncated_dual_report,
 )
-from .linalg import Subspace, rref
+from .linalg import rref
 from .quotient import (
     HilbertSeries,
     QuotientModule,
@@ -75,7 +75,6 @@ __all__ = [
     "Polynomial",
     "QuotientModule",
     "SUITE_NAMES",
-    "Subspace",
     "TtfTag",
     "VariableSet",
     "classify",

@@ -85,20 +85,20 @@ def cmd_basis(args) -> int:
 def cmd_socle(args) -> int:
     module = _read_module(args)
     corners = outside_corners(module)
-    span = largest_reduced_submodule(module, corners)
+    dim = len(largest_reduced_submodule(module, corners))
     socle_hs = HilbertSeries.from_degrees(total_degree(e) for e in corners)
     corner_labels = [module.label(e) for e in corners]
     payload = {
-        "dim": span.dim,
+        "dim": dim,
         "corners": corner_labels,
         "hilbert": list(socle_hs.coeffs),
-        "gorenstein": span.dim == 1,
+        "gorenstein": dim == 1,
     }
     lines = [
-        f"socle dim {span.dim}",
+        f"socle dim {dim}",
         "corners " + ", ".join(corner_labels),
         f"socle hilbert {socle_hs}",
-        f"gorenstein {_YES[span.dim == 1]}",
+        f"gorenstein {_YES[dim == 1]}",
     ]
     return _emit(args, module.variables, module.ideal, payload, lines)
 
@@ -226,7 +226,7 @@ def _report_rows(module: QuotientModule) -> list[dict]:
     system = inverse_system(module)
     corners = outside_corners(module)
     reduced = largest_reduced_submodule(module, corners)
-    inner = system.inner
+    reduced_dim, inner_dim = len(reduced), len(system.inner)
     hs_m, hs_d, hs_r, hs_rd = hilbert_duality_check(module, system, corners)
     # the dual elements killed by every variable are exactly the constants
     dual_socle_ok = outside_corners(system) == ((0,) * module.n,)
@@ -258,17 +258,17 @@ def _report_rows(module: QuotientModule) -> list[dict]:
         },
         {
             "row": 4,
-            "left": f"dim M / reduced = {dim - reduced.dim}",
-            "right": f"dim (m o dual) = {inner.dim}",
+            "left": f"dim M / reduced = {dim - reduced_dim}",
+            "right": f"dim (m o dual) = {inner_dim}",
             "remark": "generated by the inner elements",
-            "ok": dim - reduced.dim == inner.dim,
+            "ok": dim - reduced_dim == inner_dim,
         },
         {
             "row": 5,
             "left": "reduced part embeds in M",
             "right": "dual surjects onto dual/(m o dual)",
             "remark": "an embedding and a surjection respectively",
-            "ok": reduced.dim == system.dim - inner.dim,
+            "ok": reduced_dim == system.dim - inner_dim,
         },
         {
             "row": 6,
@@ -286,7 +286,7 @@ def _report_rows(module: QuotientModule) -> list[dict]:
         },
         {
             "row": 8,
-            "left": f"reduced part = socle, dim {reduced.dim}",
+            "left": f"reduced part = socle, dim {reduced_dim}",
             "right": "dual reduced part = dual socle, dim 1",
             "remark": "the reduced submodule and the socle coincide",
             "ok": dual_socle_ok,
@@ -302,9 +302,9 @@ def _report_rows(module: QuotientModule) -> list[dict]:
     return rows
 
 
-def _m_kills_reduced(module: QuotientModule, reduced) -> bool:
+def _m_kills_reduced(module: QuotientModule, reduced: tuple[int, ...]) -> bool:
     return not any(
-        module.apply(i, row) for i in range(module.n) for row in reduced.rows
+        module.apply(i, {b: 1}) for i in range(module.n) for b in reduced
     )
 
 

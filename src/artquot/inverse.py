@@ -36,8 +36,15 @@ from itertools import combinations_with_replacement, product
 from math import perm, prod
 from typing import Sequence
 
-from .linalg import SlotMap, Subspace, dead_columns
-from .quotient import HilbertSeries, QuotientModule, hilbert, minimal_outside
+from .linalg import SlotMap, dead_columns
+from .quotient import (
+    MAX_DIM,
+    HilbertSeries,
+    QuotientModule,
+    _too_large,
+    hilbert,
+    minimal_outside,
+)
 from .ring import (
     AlgebraError,
     ExponentVector,
@@ -87,7 +94,7 @@ class InverseSystem(QuotientModule):
     """
 
     grading: HilbertSeries
-    inner: Subspace  # the contraction image m o I-perp
+    inner: tuple[int, ...]  # the slots of the contraction image m o I-perp
     corners: tuple[ExponentVector, ...]  # dual basis monomials outside it
 
     def __init__(self, module: QuotientModule):
@@ -108,7 +115,7 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
     closed (the operators check it), the first check covers every dual
     basis monomial, since each divides a maximal one, and the second every
     non-staircase one.  The dual corners are then the basis monomials off
-    the pivots of that image.  The grading counts each dual monomial's
+    the slots of that image.  The grading counts each dual monomial's
     depth under contraction, which `hilbert_duality_check` holds to M's
     Hilbert series.
     """
@@ -129,14 +136,14 @@ def inverse_system(module: QuotientModule) -> InverseSystem:
                 f"non-staircase dual monomial {e} annihilated by every generator"
             )
     inner = image_span(system.slot_maps, d)
-    if inner != Subspace.units(d, set(range(d)).difference(maximal)):
+    if inner != tuple(sorted(set(range(d)).difference(maximal))):
         raise InternalCheckError(
             "contraction image differs from the span of non-maximal duals"
         )
-    pivots = set(inner.pivots)
+    inside = set(inner)
     system.grading = HilbertSeries.from_degrees(_contraction_depths(system))
     system.inner = inner
-    system.corners = tuple(e for k, e in enumerate(basis) if k not in pivots)
+    system.corners = tuple(e for k, e in enumerate(basis) if k not in inside)
     return system
 
 
@@ -212,18 +219,28 @@ def perp_of_submodule(
     elements annihilates the submodule they generate: the dual monomials
     below them, whose complement is generated by the returned ideal.  Each
     dual must be a single term in the ring's variables; its nonzero
-    coefficient does not matter.
+    coefficient does not matter.  The dual monomials below them are the
+    staircase of the returned ideal, held to `MAX_DIM` like any other: a
+    dual with more than that many below it is refused before any is
+    listed, and a union of smaller ones as soon as it outgrows the budget.
     """
     if not duals:
         raise AlgebraError("empty dual generator set")
-    closure = set()
+    tops = []
     for f in duals:
         if len(f.terms) != 1:
             raise AlgebraError("perp needs dual monomials, got a non-monomial")
         (e,) = f.terms
         if len(e) != variables.n:
             raise AlgebraError("mismatched arities under apolarity")
+        if prod(v + 1 for v in e) > MAX_DIM:
+            raise _too_large()
+        tops.append(e)
+    closure = set()
+    for e in tops:
         closure.update(product(*(range(v + 1) for v in e)))
+        if len(closure) > MAX_DIM:
+            raise _too_large()
     return MonomialIdeal(tuple(minimal_outside(closure, variables.n)))
 
 

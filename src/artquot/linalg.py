@@ -38,9 +38,8 @@ benchmark's action-ladder pass read about 3% slower (in process, on a
 such rows to pay for a second.
 `echelon_rows` returns the forward pass's rows, so a caller can extend a
 span it has already eliminated.
-`null_basis` reads one kernel vector per free column off a single rref;
-a kernel as a `Subspace` is their span, which `torsion.joint_kernel`
-builds for a family of operators.
+`null_basis` reads one kernel vector per free column off a single rref,
+for `torsion`'s Fitting split on dict columns.
 
 Operators with at most one entry per column have a second, single-entry
 form: a slot map (`SlotMap`), the target slot of each column or None for
@@ -51,10 +50,11 @@ Staircase modules are built from slot maps, and `slot_columns` turns a
 slot map into columns; no slot map is read off an operator's columns.  A
 slot map injective on its live slots (`slot_targets`) kills exactly the
 vectors on its dead columns and has the unit vectors at its targets as
-image, so kernels and images of such maps are unit spans
-(`Subspace.units`) read with no elimination.  The commutation check of a
-module built from slot maps composes them (`slot_maps_commute`); x^e is
-a product of the variables' slot maps raised to powers (`slot_power`).
+image, so the kernels and images of such maps are spans of unit
+vectors, read as sets of slots with no elimination; no span has another
+form in the package.  The commutation check of a module built from slot
+maps composes them (`slot_maps_commute`); x^e is a product of the
+variables' slot maps raised to powers (`slot_power`).
 """
 
 from __future__ import annotations
@@ -205,57 +205,6 @@ def _axpy(v: dict, f, row: dict) -> None:
             v[i] = y
         else:
             del v[i]
-
-
-class Subspace:
-    """A linear subspace of k^ambient, stored as canonical RREF rows."""
-
-    __slots__ = ("ambient", "rows", "pivots")
-
-    def __init__(self, ambient: int, vectors: Iterable[dict] = ()):
-        self.ambient = ambient
-        self.rows, self.pivots = rref(vectors, ambient)
-
-    @classmethod
-    def units(cls, ambient: int, cols: Iterable[int]) -> "Subspace":
-        """The span of the unit vectors at `cols`: its rref is their unit
-        rows in increasing order, so no elimination runs."""
-        space = cls.__new__(cls)
-        space.ambient = ambient
-        space.pivots = tuple(sorted(set(cols)))
-        if space.pivots and (space.pivots[0] < 0 or space.pivots[-1] >= ambient):
-            raise AlgebraError(f"vector index out of range({ambient})")
-        space.rows = tuple([{c: 1} for c in space.pivots])
-        return space
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, vec: dict) -> dict:
-        """vec minus its part along the stored rows; empty iff vec is in the span."""
-        if vec and (min(vec) < 0 or max(vec) >= self.ambient):
-            raise AlgebraError(f"vector index out of range({self.ambient})")
-        v = {i: x for i, x in vec.items() if x}
-        for row, p in zip(self.rows, self.pivots):
-            f = v.get(p)
-            if f:
-                _axpy(v, -f, row)
-        return v
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.pivots == other.pivots
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
 def null_basis(vectors: Iterable[dict], width: int) -> list[dict]:

@@ -8,10 +8,11 @@ x_i-multiple, or to zero when that lies in I.  The module is built from
 the shifts' slot maps, one lookup per cell each, and builds no dict
 operator.  Module elements are sparse vectors {position: value} over that
 basis, values in the form `linalg` states; every shift entry is the int
-1.  A shift is injective on the cells it moves, so the socle is the span
-of the cells no shift moves.  Every monomial x^e acts by a slot map
-(`monomial_map`), composed from the shifts' own slot maps, which
-`poly_matrix` sums over a polynomial's terms.
+1.  Every span here is spanned by standard monomials and is read as the
+sorted tuple of their slots.  A shift is injective on the cells it moves,
+so the socle is the span of the cells no shift moves.  Every monomial x^e
+acts by a slot map (`monomial_map`), composed from the shifts' own slot
+maps, which `poly_matrix` sums over a polynomial's terms.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import compress, repeat
 from operator import add, mul
 from typing import Iterable
 
-from .linalg import SlotMap, Subspace, unit_map
+from .linalg import SlotMap, unit_map
 from .ring import (
     AlgebraError,
     ExponentVector,
@@ -72,21 +73,19 @@ class HilbertSeries:
 
 
 # Largest staircase enumerated.  Near this budget every command, with
-# `classify` by the defining ideal, peaks under 170 MB RSS (ru_maxrss, one
-# process per command, Python 3.11) and ends within 9 s on a shared 2-core
-# host: 0.3-0.7 s and 34-105 MB on x^316,y^316 (dim 99,856), 0.2-2.6 s
-# and 40-124 MB on x1^2..x16^2 (dim 65,536), and 0.3-8.3 s and 49-165 MB
-# on x1^2..x16^2 with x17..x32 as generators, where `radical` is the
-# slowest and `dual`, `hilbert` and `report` are the heaviest.  `classify`
-# by a multi-term --ideal is not held to that: its powers of the
-# generators fill in as they are squared up.  `--ideal x1+x2` on
-# x1^2..x16^2 takes 1.1 s and 95 MB, but `--ideal x+y` takes 9.0 s and
-# 164 MB on x^150,y^150 (dim 22,500) and 28.8 s and 360 MB on
-# x^200,y^200 (dim 40,000), in process, one run each.  Two generators
-# with non-unit leads eliminate longer: `--ideal '2*x+3*y, 5*x^2+7*y'`
-# on x^70,y^70 (dim 4,900) takes 5.3-6.0 s and 35 MB, and took 11.1-11.4 s
-# while each elimination step divided the row by its content (in
-# process, three runs each).
+# `classify` by the defining ideal, peaks under 170 MB RSS and ends within
+# 9 s on a shared 2-core host (ru_maxrss, one process per command,
+# `cli.main` in process, Python 3.11, best of 3): 0.2-0.8 s and 35-79 MB
+# on x^46,y^46,z^46 (dim 97,336), 0.2-2.5 s and 40-99 MB on x1^2..x16^2
+# (dim 65,536), and 0.3-4.9 s and 50-139 MB on x1^2..x16^2 with x17..x32
+# as generators, where `report` is the slowest and `dual`, `hilbert` and
+# `report` are the heaviest.  `classify` by an --ideal is not held to
+# that.  Its J^2 level composes every pair of generators, so 32 monomials
+# on x^316,y^316 take 11.3 s and 171 MB.  The powers of a multi-term
+# generator fill in as they are squared up: `--ideal x+y` takes 14.3 s
+# and 164 MB on x^150,y^150 (dim 22,500), and `--ideal '2*x+3*y,
+# 5*x^2+7*y'`, whose non-unit leads eliminate longer, 9.7 s and 36 MB on
+# x^70,y^70 (dim 4,900), one run each.
 MAX_DIM = 10**5
 
 
@@ -267,18 +266,18 @@ def hilbert(module: QuotientModule) -> HilbertSeries:
     return HilbertSeries.from_degrees(map(sum, module.basis))
 
 
-def socle(module: QuotientModule) -> Subspace:
-    """(0 :_M m), the joint kernel of the variable operators."""
+def socle(module: QuotientModule) -> tuple[int, ...]:
+    """(0 :_M m), the joint kernel of the variable operators, as its slots."""
     return joint_kernel(module.slot_maps, module.dim)
 
 
-def monomial_span(module: QuotientModule, exps_list: Iterable[ExponentVector]) -> Subspace:
-    """Span of classes of standard monomials."""
-    return Subspace.units(module.dim, map(module.position, exps_list))
+def monomial_span(
+    module: QuotientModule, exps_list: Iterable[ExponentVector]
+) -> tuple[int, ...]:
+    """Span of classes of standard monomials, as their sorted slots."""
+    return tuple(sorted(set(map(module.position, exps_list))))
 
 
-def positive_degree_span(module: QuotientModule) -> Subspace:
-    """Span of all standard monomials of positive degree."""
-    return monomial_span(
-        module, (e for e in module.basis if total_degree(e) > 0)
-    )
+def positive_degree_span(module: QuotientModule) -> tuple[int, ...]:
+    """Span of all standard monomials of positive degree, as their slots."""
+    return tuple(b for b, e in enumerate(module.basis) if total_degree(e) > 0)

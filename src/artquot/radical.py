@@ -12,9 +12,10 @@ kill by exactly one, so every positive-degree term of a unit is
 nilpotent.
 Semiprime submodules are found among the monomial submodules, which are
 exactly the up-closed subsets (order ideals) of the staircase under
-divisibility, enumerated by one walk over the basis.  After the envelope
-and Jacobson checks, which compare exact subspaces, a monomial submodule is
-a bitmask over the staircase slots: the envelope is read into one mask, and
+divisibility, enumerated by one walk over the basis.  The envelope and the
+Jacobson radical are spanned by standard monomials and compared as the
+sorted tuples of their slots.  After that check a monomial submodule is a
+bitmask over the staircase slots: the envelope is read into one mask, and
 the semiprime intersection and the spot-checked submodule envelopes are
 masks, each monomial acting on slots by its slot map
 (`FiniteModule.monomial_map`, composed from the shifts' slot maps).
@@ -26,7 +27,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Subspace
 from .quotient import QuotientModule, positive_degree_span
 from .ring import AlgebraError, InternalCheckError, total_degree
 from .torsion import image_span
@@ -42,8 +42,8 @@ def _forward(slots) -> bool:
     return not any([t <= b for b, t in enumerate(slots) if t is not None])
 
 
-def envelope_zero(module: QuotientModule) -> Subspace:
-    """Span of {r*m : r^k m = 0 for some k}, which is m*M here.
+def envelope_zero(module: QuotientModule) -> tuple[int, ...]:
+    """Span of {r*m : r^k m = 0 for some k}, which is m*M here, as its slots.
 
     Two exact checks run alongside the span.  Every variable sends each
     slot b to later slots only, read off the slot order, so it is strictly
@@ -70,9 +70,11 @@ def envelope_zero(module: QuotientModule) -> Subspace:
     return span
 
 
-def jacobson_radical(module: QuotientModule, envelope: Subspace) -> Subspace:
-    """Span of the positive-degree standard monomials; checked against
-    `envelope`, the envelope of zero of M."""
+def jacobson_radical(
+    module: QuotientModule, envelope: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Span of the positive-degree standard monomials, as their slots;
+    checked against `envelope`, the envelope of zero of M."""
     span = positive_degree_span(module)
     if span != envelope:
         raise InternalCheckError("Jacobson radical differs from the envelope of zero")
@@ -82,16 +84,9 @@ def jacobson_radical(module: QuotientModule, envelope: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 # monomial submodules as bitmasks over the staircase
 
-def _slot_mask(space: Subspace) -> int:
-    """The bitmask of the staircase slots whose monomials span `space`."""
-    mask = 0
-    for row in space.rows:
-        # an RREF row with a single entry is a unit vector
-        if len(row) != 1:
-            raise InternalCheckError("expected a monomial-spanned subspace")
-        (i,) = row
-        mask |= 1 << i
-    return mask
+def _slot_mask(slots: tuple[int, ...]) -> int:
+    """The bitmask of the staircase slots `slots`."""
+    return sum(1 << b for b in slots)
 
 
 def _upsets(module: QuotientModule) -> list[int]:
@@ -131,11 +126,13 @@ class SemiprimeReport:
         return len(self.semiprime) == 1
 
 
-def semiprime_bruteforce(module: QuotientModule, mm: Subspace) -> SemiprimeReport:
+def semiprime_bruteforce(
+    module: QuotientModule, mm: tuple[int, ...]
+) -> SemiprimeReport:
     """Enumerate proper monomial submodules N and keep those with M/N reduced.
 
     M/N is reduced exactly when the maximal ideal maps M into N, so the
-    test is the single containment m*M <= N; `mm` is m*M, the span of the
+    test is the single containment m*M <= N; `mm` is m*M, the slots of the
     positive-degree standard monomials.  The quotient by the full
     module is zero and vacuously reduced; submodules are therefore required
     to be proper, matching the usual properness convention for (semi)prime
@@ -236,8 +233,8 @@ def satisfies_radical_formula(
                 )
             done += 1
     return RadicalFormulaReport(
-        envelope_dim=env.dim,
-        jacobson_dim=jac.dim,
+        envelope_dim=len(env),
+        jacobson_dim=len(jac),
         semiprime_dim=semiprime_dim,
         semiprime_unique=unique,
         enumeration_skipped=skipped,

@@ -3,12 +3,14 @@
 An element m of a module is "reduced" when a^2 m = 0 forces a m = 0 for
 every ring element a.  For a staircase quotient the reduced part, the
 socle, and the span of the outside corner monomials all coincide, and the
-functions here insist that they agree.  The socle and the corner span are
-not independent readings: both are the columns dead in every one of M's
-shift slot maps (`quotient.socle` reads them through `joint_kernel`,
-`outside_corners` through `dead_columns`), so their comparison can fail
-only through a bug in that reading.  A corner set read from the
-generators alone would make it a cross-check (ROADMAP item 1).
+functions here insist that they agree.  Each is spanned by standard
+monomials and read as the sorted tuple of their slots, so two of them
+agree when the tuples do.  The socle and the corner span are not
+independent readings: both are the columns dead in every one of M's
+shift slot maps, read by `linalg.dead_columns` (`quotient.socle` through
+`joint_kernel`), so their comparison can fail only through a bug in that
+reading.  A corner set read from the generators alone would make it a
+cross-check (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from functools import cache
 from typing import Sequence
-from .linalg import Subspace, dead_columns, rank
+from .linalg import dead_columns, rank
 from .quotient import QuotientModule, monomial_span, socle
 from .ring import (
     AlgebraError,
@@ -39,14 +41,15 @@ def outside_corners(module: QuotientModule) -> tuple[ExponentVector, ...]:
 
 def largest_reduced_submodule(
     module: QuotientModule, corners: Sequence[ExponentVector]
-) -> Subspace:
-    """Span of the outside corners of M; checked against (0 :_M m) exactly."""
+) -> tuple[int, ...]:
+    """Span of the outside corners of M, as their slots; checked against
+    (0 :_M m) exactly."""
     span = monomial_span(module, corners)
     ann = socle(module)
     if span != ann:
         raise InternalCheckError(
             "corner span and maximal-ideal annihilator disagree: "
-            f"dims {span.dim} vs {ann.dim}"
+            f"dims {len(span)} vs {len(ann)}"
         )
     return span
 
@@ -105,9 +108,10 @@ def reduced_membership_oracle(
 
 
 def is_coreduced_subspace(
-    module: QuotientModule, space: Subspace, witnesses: Sequence[Polynomial]
+    module: QuotientModule, space: Sequence[int], witnesses: Sequence[Polynomial]
 ) -> bool:
-    """Whether the submodule N spanned by `space` satisfies aN = a^2 N for all a.
+    """Whether the submodule N spanned by the standard monomials at the
+    slots `space` satisfies aN = a^2 N for all a.
 
     Exact criterion: N is coreduced iff every variable kills N.  The verdict
     is cross-validated on `witnesses`, built once per module by
@@ -115,15 +119,17 @@ def is_coreduced_subspace(
     InternalCheckError.  Raises AlgebraError when `space` is not closed
     under the module action.
     """
-    if space.ambient != module.dim:
+    if min(space, default=0) < 0 or max(space, default=-1) >= module.dim:
         raise AlgebraError("subspace does not live in this module")
-    images = [module.apply(i, row) for row in space.rows for i in range(module.n)]
-    if not all(space.contains(v) for v in images):
+    units = [{b: 1} for b in space]
+    images = [module.apply(i, u) for u in units for i in range(module.n)]
+    # a vector lies in a span of unit vectors when its support does
+    if not all(map(set(space).issuperset, images)):
         raise AlgebraError("subspace is not a submodule")
     exact = not any(images)
     violated = False
     for a in witnesses:
-        a_rows = [module.act(a, r) for r in space.rows]
+        a_rows = [module.act(a, u) for u in units]
         # a^2 N = a(aN) lies in aN, as N is closed, so the ranks decide
         aa_rows = [module.act(a, v) for v in a_rows]
         if rank(a_rows, module.dim) != rank(aa_rows, module.dim):
@@ -132,7 +138,7 @@ def is_coreduced_subspace(
                 raise InternalCheckError(
                     "coreduced criterion said yes but sampling found aN != a^2 N"
                 )
-    if not exact and not violated and space.dim > 0:
+    if not exact and not violated and space:
         raise InternalCheckError(
             "coreduced criterion said no but sampling found no violation"
         )

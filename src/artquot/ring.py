@@ -290,8 +290,9 @@ def render(variables: VariableSet, ideal: MonomialIdeal) -> str:
 _DIGITS_RE = re.compile(r"[0-9]+")
 
 # Input budget: minimalizing and checking generators compares each with the
-# ones before it in grlex order, quadratic in their number, and every module
-# checks that each pair of variable operators commutes.
+# ones before it in grlex order, quadratic in their number, every module
+# checks that each pair of variable operators commutes, and `classify`
+# composes each pair of the generators of its --ideal for J^2.
 MAX_VARIABLES = 32
 MAX_GENERATORS = 256
 
@@ -435,9 +436,13 @@ def _variable_set(names: list) -> VariableSet:
         raise ParseError(str(exc)) from None
 
 
-def _ideal_of(gens: list) -> MonomialIdeal:
+def _check_generator_count(gens: list) -> None:
     if len(gens) > MAX_GENERATORS:
         raise ParseError(f"more than {MAX_GENERATORS} generators: input too large")
+
+
+def _ideal_of(gens: list) -> MonomialIdeal:
+    _check_generator_count(gens)
     return minimalize(gens)
 
 
@@ -532,4 +537,5 @@ def parse_polynomial_list(text: str, variables: VariableSet) -> tuple[Polynomial
         polys.append(_parse_polynomial(cur, variables))
     if not cur.eof():
         raise ParseError("trailing input", cur.pos)
+    _check_generator_count(polys)
     return tuple(polys)

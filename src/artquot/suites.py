@@ -61,7 +61,7 @@ def _socle_equality_case(seed: int, module: QuotientModule):
     corners = outside_corners(module)
     # asserts span == annihilator
     span = largest_reduced_submodule(module, corners)
-    if span.dim != len(corners):
+    if len(span) != len(corners):
         raise InternalCheckError("corner span has the wrong dimension")
     bound = max(max(g) for g in module.ideal.min_gens)
     witnesses = witness_candidates(module.n, bound, 4, seed)

@@ -8,17 +8,18 @@ quotient R/I and its inverse system, see quotient.QuotientModule).  No
 slot map is read off a column; a module built from slot maps builds its
 columns only when a general path reads `action`.  Each reader asks the
 module once which form it holds.  The joint kernel and the image span of
-a family of operators live here once: on the generator operators of J
-they are (0 : J) and J M, on the variables' operators (0 : m) and m M.
-The form a family is read in is decided once, by `_form`: slot maps when
-each operator is a slot map injective on its live slots, whose kernels,
-images and ranks are unit spans and counts read off the slots, else dict
-columns, which go to rref.  Products and powers stay in the family's
-form.  The torsion part Gamma_J M and the completion M / J^inf M come
-from Fitting's lemma: the joint kernel and the image span of the d-th
-powers of the generator operators, or of any higher powers, here G^(2^j)
-for the least 2^j >= d, squared up from the squares G^2 that the J^2
-level already computed and stopped at the zero map.  `classify` reads
+a family of slot maps, each injective on its live slots, live here once,
+as the sorted slots whose unit vectors span them: on the generator maps
+of J they are (0 : J) and J M, on the variables' maps (0 : m) and m M.
+`classify` reads dimensions in the form `_form` decides once per family:
+slot maps when each operator is a slot map injective on its live slots,
+whose ranks are counts read off the slots, else dict columns, which go to
+rref.  Products and powers stay in the family's form.  The torsion part
+Gamma_J M and the completion M / J^inf M come from Fitting's lemma: the
+joint kernel and the image span of the d-th powers of the generator
+operators, or of any higher powers, here G^(2^j) for the least 2^j >= d,
+squared up from the squares G^2 that the J^2 level already computed and
+stopped at the zero map.  `classify` reads
 them with J-(co)reducedness off one evaluation of the generators, a
 one-term generator on a module built from slot maps as a slot map, and
 reads dimensions only: (0 : J) lies in (0 : J^2) and J^2 M in J M, so
@@ -45,12 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, islice, repeat
 from operator import is_not
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     Operator,
     SlotMap,
-    Subspace,
+    dead_columns,
     echelon_rows,
     live_columns,
     null_basis,
@@ -255,16 +256,17 @@ class FiniteModule:
 # ---------------------------------------------------------------------------
 # joint kernels and image spans
 #
-# An operator here is an Operator (dict columns) or a SlotMap.  `_form`
-# makes the one decision per family: slot maps when each operator is a
-# slot map injective on its live slots, else dict columns, to which the
-# family's slot maps are turned; products and powers stay in that form.
-# `_read` gives a family's kernel and image parts.  A slot map injective
-# on its live slots kills exactly the vectors on its dead columns and has
-# the unit vectors at its targets as image, so a family of them is read as
-# the columns dead in every map and the targets, and every rank is a
-# count.  Dict columns give their nonzero rows, stacked, and their nonzero
-# columns, and rref reads the ranks, kernels and spans.
+# A slot map injective on its live slots kills exactly the vectors on its
+# dead columns and has the unit vectors at its targets as image, so the
+# joint kernel and the image span of a family of them are the columns dead
+# in every map and the union of the targets.  For `classify`, an operator
+# is an Operator (dict columns) or a SlotMap.  `_form` makes the one
+# decision per family: slot maps when each operator is a slot map
+# injective on its live slots, else dict columns, to which the family's
+# slot maps are turned; products and powers stay in that form.  `_read`
+# gives a family's kernel and image parts: for slot maps the dead columns
+# and the targets, whose ranks are counts; for dict columns their nonzero
+# rows, stacked, and their nonzero columns, whose ranks rref reads.
 
 
 def _form(ops: Sequence) -> tuple[bool, list]:
@@ -318,18 +320,32 @@ def _dims(slot: bool, family: Iterable, d: int) -> tuple[int, int]:
     return (len(ker), len(im)) if slot else (d - rank(ker, d), rank(im, d))
 
 
-def joint_kernel(ops: Sequence, d: int) -> Subspace:
-    """The elements every operator kills: (0 : J) for J's generator operators."""
-    slot, family = _form(ops)
-    ker, _ = _read(slot, family, d)
-    return Subspace.units(d, ker) if slot else Subspace(d, null_basis(ker, d))
+def _targets(maps: Sequence[SlotMap]) -> Iterator[set]:
+    """Each map's target set in turn, one held at a time; InternalCheckError
+    at a map that is not injective on its live slots, whose kernel is then
+    more than its dead columns."""
+    for m in maps:
+        targets = slot_targets(m)
+        if targets is None:
+            raise InternalCheckError("a slot map is not injective on its live slots")
+        yield targets
 
 
-def image_span(ops: Sequence, d: int) -> Subspace:
-    """The sum of the operators' images: J M for J's generator operators."""
-    slot, family = _form(ops)
-    _, im = _read(slot, family, d)
-    return Subspace.units(d, im) if slot else Subspace(d, im)
+def joint_kernel(maps: Sequence[SlotMap], d: int) -> tuple[int, ...]:
+    """The slots whose unit vectors span the elements every map kills,
+    the columns dead in every map: (0 : J) for J's generator maps.  A
+    zero map, with no target, kills every vector and is skipped."""
+    live = [m for m, targets in zip(maps, _targets(maps)) if targets]
+    return tuple(dead_columns(live, d))
+
+
+def image_span(maps: Sequence[SlotMap], d: int) -> tuple[int, ...]:
+    """The slots whose unit vectors span the sum of the maps' images, the
+    union of their targets: J M for J's generator maps."""
+    image = set()
+    for targets in _targets(maps):
+        image |= targets
+    return tuple(sorted(image))
 
 
 def _nonzero(slot: bool, op) -> bool:

@@ -39,9 +39,16 @@ a throwaway one-variable module.  The differential
 tests require the sparse code to give the same matrices, subspaces,
 echelon forms and tags, and the unit checks to agree.  `apolarity`, the contraction extended bilinearly to polynomials, is
 the reference the inverse-system tests hold the exponent-vector
-`inverse.contraction` and the contraction operators to.  `kernel`, the
-span of `linalg.null_basis`, is the Subspace form the linear-algebra tests
-read a null space in; `torsion.joint_kernel` builds its own.  `ev_add`,
+`inverse.contraction` and the contraction operators to.  `Subspace` is
+the general subspace, kept as canonical rref rows, that `artquot.linalg`
+carried while some span was read by elimination; every span the package
+builds is spanned by standard monomials and read as their slots now, and
+the tests hold those slots to it (`Subspace.units` is such a span).
+`joint_kernel` and `image_span` are the general readings that
+`artquot.torsion` replaced by slot reads: the null space of the stacked
+rows and the span of the columns of a family of operators in either form.
+`kernel`, the span of `linalg.null_basis`, is the Subspace form the
+linear-algebra tests read a null space in.  `ev_add`,
 `poly_mul` (the product of two polynomials, with which `_squares` builds
 J^2) and `contains` (monomial-ideal membership) were part of `artquot.ring`
 that only tests used; the tests read them here.  `slot_map` is the
@@ -65,8 +72,8 @@ from artquot import linalg
 from artquot.instances import _random_base_matrix, _random_unimodular
 from artquot.inverse import contraction
 from artquot.linalg import (
-    Operator, SlotMap, Subspace, _echelon, null_basis, op_mul, op_transpose,
-    sparse_apply,
+    Operator, SlotMap, _axpy, _echelon, null_basis, op_mul, op_transpose,
+    slot_columns, sparse_apply,
 )
 from artquot.quotient import QuotientModule, monomial_span, staircase
 from artquot.reduced import _COEFF_POOL, _random_poly, monomials_up_to_degree
@@ -113,6 +120,75 @@ def operator_from_rows(rows: Sequence[Sequence]) -> Operator:
             if x:
                 cols[j][i] = Fraction(x)
     return tuple(cols)
+
+
+class Subspace:
+    """A linear subspace of k^ambient, stored as canonical RREF rows."""
+
+    __slots__ = ("ambient", "rows", "pivots")
+
+    def __init__(self, ambient: int, vectors: Iterable[dict] = ()):
+        self.ambient = ambient
+        self.rows, self.pivots = linalg.rref(vectors, ambient)
+
+    @classmethod
+    def units(cls, ambient: int, cols: Iterable[int]) -> "Subspace":
+        """The span of the unit vectors at `cols`: its rref is their unit
+        rows in increasing order, so no elimination runs."""
+        space = cls.__new__(cls)
+        space.ambient = ambient
+        space.pivots = tuple(sorted(set(cols)))
+        if space.pivots and (space.pivots[0] < 0 or space.pivots[-1] >= ambient):
+            raise AlgebraError(f"vector index out of range({ambient})")
+        space.rows = tuple([{c: 1} for c in space.pivots])
+        return space
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        """vec minus its part along the stored rows; empty iff vec is in the span."""
+        if vec and (min(vec) < 0 or max(vec) >= self.ambient):
+            raise AlgebraError(f"vector index out of range({self.ambient})")
+        v = {i: x for i, x in vec.items() if x}
+        for row, p in zip(self.rows, self.pivots):
+            f = v.get(p)
+            if f:
+                _axpy(v, -f, row)
+        return v
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.ambient == other.ambient
+            and self.pivots == other.pivots
+            and self.rows == other.rows
+        )
+
+    def __repr__(self):
+        return f"Subspace(dim={self.dim}, ambient={self.ambient})"
+
+
+def columns(op) -> Operator:
+    """An operator's dict columns, read off its slot map if it has one."""
+    return slot_columns(op) if isinstance(op, SlotMap) else op
+
+
+def joint_kernel(ops: Sequence, d: int) -> Subspace:
+    """The elements every operator kills, operators as dict columns or
+    slot maps: the null space of their stacked nonzero rows."""
+    rows = [row for op in ops for row in op_transpose(columns(op)) if row]
+    return Subspace(d, null_basis(rows, d))
+
+
+def image_span(ops: Sequence, d: int) -> Subspace:
+    """The sum of the operators' images, operators as dict columns or slot
+    maps: the span of their nonzero columns."""
+    return Subspace(d, [col for op in ops for col in columns(op) if col])
 
 
 def full_space(d: int) -> Subspace:
@@ -621,7 +697,7 @@ def envelope_of_submodule_bruteforce(
     """{r*m : r in `operators`, m basis class, r^k m in N} on subspaces:
     N is the span of the monomials `exps`, and each power r^k m, k <= dim+1,
     is tested by `Subspace.contains`."""
-    n_space = monomial_span(module, exps)
+    n_space = Subspace.units(module.dim, monomial_span(module, exps))
     vecs = list(n_space.rows)
     for r in operators:
         for b in range(module.dim):

@@ -14,7 +14,12 @@ from artquot import quotient, torsion
 from artquot.cli import build_parser, main
 from artquot.linalg import slot_columns
 from artquot.quotient import staircase
-from artquot.ring import InternalCheckError, VariableSet, parse_input
+from artquot.ring import (
+    InternalCheckError,
+    VariableSet,
+    parse_input,
+    parse_polynomial_list,
+)
 from artquot.torsion import FiniteModule, matlis_dual
 
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
@@ -519,6 +524,18 @@ def test_input_over_the_count_budget_exits_one(
         for command in ("basis", "dual"):
             err = _one_line_refusal([command], text, monkeypatch, capsys)
             assert message in err
+
+
+def test_reference_ideal_over_the_count_budget_exits_one(monkeypatch, capsys):
+    # J^2 composes every pair of the generators of --ideal, so 1000 copies
+    # of x+y are refused as the defining ideal's 1000 generators would be
+    polys = ", ".join(["x+y"] * 1000)
+    err = _one_line_refusal(
+        ["classify", "--ideal", polys], "ring x,y; ideal x^3, y^3", monkeypatch, capsys
+    )
+    assert err == "error: more than 256 generators: input too large\n"
+    variables = parse_input("ring x,y; ideal x^3, y^3")[0]
+    assert len(parse_polynomial_list(", ".join(["x+y"] * 256), variables)) == 256
 
 
 def test_input_at_the_count_budget_is_accepted(monkeypatch, capsys):

@@ -42,7 +42,7 @@ from artquot.instances import (
     sample_modules,
 )
 from artquot.inverse import _minimal_outside, inverse_system
-from artquot.linalg import Subspace, op_mul, op_power, op_transpose, rref
+from artquot.linalg import op_mul, op_power, op_transpose, rref
 from artquot.quotient import MAX_DIM, QuotientModule, minimal_outside, staircase
 from artquot.ring import (
     AlgebraError,
@@ -92,10 +92,10 @@ def assert_matches_reference(module, gens, rng):
         poly = random_poly(rng, module.nvars)
         assert ref.operator_rows(module.poly_matrix(poly)) == dense.poly_matrix(poly)
     ops = [module.poly_matrix(g) for g in gens]
-    assert joint_kernel(ops, module.dim) == ref.annihilator_of(dense, gens)
-    assert image_span(ops, module.dim) == ref.image_of(dense, gens)
+    assert ref.joint_kernel(ops, module.dim) == ref.annihilator_of(dense, gens)
+    assert ref.image_span(ops, module.dim) == ref.image_of(dense, gens)
     gamma, _ = ref.torsion_part_with_exponent(dense, gens)
-    assert Subspace(module.dim, _levels(module, gens)[4]) == gamma
+    assert ref.Subspace(module.dim, _levels(module, gens)[4]) == gamma
     assert_classify_matches_reference(module, gens)
 
 
@@ -157,10 +157,11 @@ def test_ladder_staircases_match_dense_reference(text):
     module = QuotientModule(*parse_input(text))
     rng = random.Random(text)
     xs = variable_polys(module.n)
-    # the maximal ideal read straight off the action: (0 : m) and m M
-    dense = ref.DenseModule.of(module)
-    assert joint_kernel(module.action, module.dim) == ref.annihilator_of(dense, xs)
-    assert image_span(module.action, module.dim) == ref.image_of(dense, xs)
+    # the maximal ideal read straight off the shift slot maps: (0 : m) and m M
+    dense, d = ref.DenseModule.of(module), module.dim
+    units = ref.Subspace.units
+    assert units(d, joint_kernel(module.slot_maps, d)) == ref.annihilator_of(dense, xs)
+    assert units(d, image_span(module.slot_maps, d)) == ref.image_of(dense, xs)
     for gens in (
         [poly_monomial(g) for g in module.ideal.min_gens],
         [Polynomial({**xs[0].terms, **xs[1].terms})],  # x_1 + x_2

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from artquot import linalg
 from artquot.linalg import (
-    Subspace,
     op_inverse,
     op_mul,
     op_power,
@@ -34,6 +33,7 @@ from artquot.ring import AlgebraError, Polynomial, parse_input, poly_monomial
 from artquot.torsion import FiniteModule
 import dense_reference as ref
 from dense_reference import (
+    Subspace,
     coords,
     dense,
     full_space,

@@ -16,10 +16,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from artquot import radical, suites
+from artquot import inverse, radical, suites, torsion
 from artquot.cli import main
 from artquot.inverse import hilbert_duality_check, inverse_system
-from artquot.linalg import Subspace
+from artquot.linalg import SlotMap
 from artquot.quotient import QuotientModule
 from artquot.reduced import outside_corners
 from artquot.ring import InternalCheckError, parse_input
@@ -66,8 +66,6 @@ FIRED = {
         "test_radical.py::test_unit_check_is_live",
     "Jacobson radical differs from the envelope of zero":
         "test_live_checks.py::test_jacobson_check_is_live",
-    "expected a monomial-spanned subspace":
-        "test_radical.py::test_semiprime_needs_a_monomial_spanned_radical",
     "semiprime intersection differs from the envelope of zero":
         "test_radical.py::test_mask_checks_are_live",
     "submodule envelope differs from N + m*M":
@@ -99,6 +97,8 @@ FIRED = {
     "semiprime submodule is not unique":
         "test_live_checks.py::test_suite_checks_are_live",
     # torsion.py
+    "a slot map is not injective on its live slots":
+        "test_live_checks.py::test_injectivity_check_is_live",
     "M is not the direct sum of its torsion part and J^inf M":
         "test_torsion.py::test_split_check_fires_when_the_power_is_too_small",
     "semisimple module with proper torsion levels":
@@ -142,12 +142,36 @@ def test_reduced_hilbert_check_is_live():
 
 def test_jacobson_check_is_live(monkeypatch, capsys):
     # the whole module in place of the positive-degree span
-    monkeypatch.setattr(
-        radical, "positive_degree_span", lambda m: Subspace.units(m.dim, range(m.dim))
-    )
+    monkeypatch.setattr(radical, "positive_degree_span", lambda m: tuple(range(m.dim)))
     monkeypatch.setattr("sys.stdin", io.StringIO(FLAT7))
     assert main(["radical"]) == 3
     message = "Jacobson radical differs from the envelope of zero"
+    assert capsys.readouterr() == ("", f"internal check failed: {message}\n")
+
+
+def test_injectivity_check_is_live(monkeypatch, capsys):
+    # contraction by x sends X*Y to 1 as well as X: two live columns share
+    # a target, so the contraction image is not the units at the targets
+    # alone, and reading it off the slots is refused; the commutation
+    # check, which would refuse the maps first, is patched out
+    cube = "ring x,y,z; ideal x^2, y^2, z^2"
+    index = QuotientModule(*parse_input(cube)).index
+    original = inverse._contraction_map
+
+    def redirected(shift, exps):
+        m = original(shift, exps)
+        if not exps[index[(1, 0, 0)]]:
+            # not contraction by x, whose exponents are the x-exponents
+            return m
+        slots = list(m.slots)
+        slots[index[(1, 1, 0)]] = index[(0, 0, 0)]
+        return SlotMap(tuple(slots), m.coeffs)
+
+    monkeypatch.setattr(inverse, "_contraction_map", redirected)
+    monkeypatch.setattr(torsion, "slot_maps_commute", lambda *args: True)
+    monkeypatch.setattr("sys.stdin", io.StringIO(cube))
+    assert main(["hilbert"]) == 3
+    message = "a slot map is not injective on its live slots"
     assert capsys.readouterr() == ("", f"internal check failed: {message}\n")
 
 
@@ -160,7 +184,7 @@ def _replaced(name, **fields):
 SUITE_CASES = [
     # (suite, {suites.<name>: stand-in}, message)
     ("socle-equality",
-     {"largest_reduced_submodule": lambda m, corners: Subspace.units(m.dim, ())},
+     {"largest_reduced_submodule": lambda m, corners: ()},
      "corner span has the wrong dimension"),
     ("socle-equality", {"reduced_membership_oracle": lambda *args: False},
      "oracle fixed set differs from the corner set"),

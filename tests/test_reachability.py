@@ -25,11 +25,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(artquot.__file__).resolve().parent
 
 ALLOWED = {
-    "linalg.Subspace.__init__": (
-        "the rref path of joint_kernel and image_span; every staircase "
-        "module reads them as slot maps, and tests/test_slot_path.py forces "
-        "this path as the reference"
-    ),
     "ring.Polynomial.__eq__": (
         "perfbench/layertrace.py adds (id(module), poly) pairs to a set"
     ),
@@ -47,7 +42,6 @@ ALLOWED = {
         "perfbench/workloads.py reads a suite instance's shape with it; the "
         "suites draw through sample_modules, which keeps the staircase"
     ),
-    "linalg.Subspace.__repr__": "debugging and pytest failure messages",
     "quotient.QuotientModule.__repr__": "debugging and pytest failure messages",
     "ring.Polynomial.__repr__": "debugging and pytest failure messages",
 }

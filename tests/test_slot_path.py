@@ -5,12 +5,14 @@ live slots: then `joint_kernel` reads the columns dead in every map,
 `image_span` the union of the targets, and `_levels`/`_fitting` count both
 for J, J^2 and the d-th powers.  The general path, which the tests force
 through `_form`, stacks dict columns and runs `null_basis`, `rank` and
-`rref`.
+`rref`; the kernel and image it reads are `dense_reference.joint_kernel`
+and `image_span`, which the slot reads are held to.
 The inputs are the modules the dense-reference tests draw (the ladder,
 sampled staircases, random commuting families with and without a change
 of basis), their inverse systems and their Matlis duals, and single-entry
 maps that are not injective on their live slots, which must take the
-general path.  A module built from dict columns, as a Matlis dual or a
+general path in `classify` and which `joint_kernel` and `image_span`
+refuse.  A module built from dict columns, as a Matlis dual or a
 random family is, takes the general path; rebuilt from the slot maps read
 off its columns (`dense_reference.slot_module`), where every column holds
 one entry at most, it takes the slot path, and the two must agree.
@@ -35,17 +37,19 @@ from artquot.instances import (
 from artquot.inverse import inverse_system
 from artquot.linalg import (
     SlotMap,
-    Subspace,
-    null_basis,
-    op_transpose,
-    rank,
     slot_columns,
     slot_compose,
     slot_power,
     slot_targets,
 )
 from artquot.quotient import QuotientModule
-from artquot.ring import AlgebraError, Polynomial, parse_input, poly_monomial
+from artquot.ring import (
+    AlgebraError,
+    InternalCheckError,
+    Polynomial,
+    parse_input,
+    poly_monomial,
+)
 from artquot.torsion import _levels, classify, image_span, joint_kernel, matlis_dual
 
 LADDER = (
@@ -58,22 +62,9 @@ LADDER = (
 )
 
 
-def columns(op):
-    return slot_columns(op) if isinstance(op, SlotMap) else op
-
-
 def general_form(ops):
     """`torsion._form` forced onto the general path: the dict columns."""
-    return False, [columns(op) for op in ops]
-
-
-def general_kernel(ops, d):
-    rows = [row for op in ops for row in op_transpose(columns(op)) if row]
-    return Subspace(d, null_basis(rows, d))
-
-
-def general_image(ops, d):
-    return Subspace(d, [col for op in ops for col in columns(op) if col])
+    return False, [ref.columns(op) for op in ops]
 
 
 def staircase_modules():
@@ -105,8 +96,9 @@ def families(module, gens):
 
 
 def assert_paths_agree(ops, d):
-    assert joint_kernel(ops, d) == general_kernel(ops, d)
-    assert image_span(ops, d) == general_image(ops, d)
+    """The slot reads of a family of slot maps against the general ones."""
+    assert ref.Subspace.units(d, joint_kernel(ops, d)) == ref.joint_kernel(ops, d)
+    assert ref.Subspace.units(d, image_span(ops, d)) == ref.image_span(ops, d)
 
 
 def assert_levels_agree(module, gens, monkeypatch):
@@ -117,7 +109,7 @@ def assert_levels_agree(module, gens, monkeypatch):
         slow = _levels(module, gens)
         slow_tag = classify(module, gens)
     assert fast[:4] == slow[:4] and fast[5] == slow[5]
-    assert Subspace(module.dim, fast[4]) == Subspace(module.dim, slow[4])
+    assert ref.Subspace(module.dim, fast[4]) == ref.Subspace(module.dim, slow[4])
     assert fast_tag == slow_tag
 
 
@@ -134,7 +126,6 @@ def test_staircases_and_their_duals_take_the_slot_path(monkeypatch):
         for mod in (module, system, *duals):
             assert torsion._form(mod.slot_maps)[0]
             assert_paths_agree(mod.slot_maps, mod.dim)
-            assert_paths_agree(mod.action, mod.dim)
             ideal = [poly_monomial(g) for g in module.ideal.min_gens]
             variables = [poly_monomial(tuple(int(j == i) for j in range(mod.nvars)))
                          for i in range(mod.nvars)]
@@ -159,8 +150,8 @@ def test_random_modules_and_their_duals_agree_on_both_paths(monkeypatch):
         mods += [m for m in map(ref.slot_module, mods) if m is not None]
         for mod in mods:
             for ops in families(mod, gens):
-                assert_paths_agree(ops, mod.dim)
                 if torsion._form(ops)[0]:
+                    assert_paths_agree(ops, mod.dim)
                     slot += 1
                 else:
                     general += 1
@@ -194,14 +185,16 @@ def test_non_injective_maps_take_the_general_path(m, data):
     ops = [m, *others]
     assert not torsion._form(ops)[0]
     # two live columns share a target, so the kernel is more than the dead
-    # columns' units: a slot reading would miss a vector
-    kernel = joint_kernel(ops, d)
-    assert kernel == general_kernel(ops, d)
+    # columns' units: a slot reading would miss a vector, and is refused
+    kernel = ref.joint_kernel(ops, d)
     dead = [j for j in range(d) if all(o.slots[j] is None for o in ops)]
     if not others or all(o.slots[0] is None for o in others):
         assert kernel.dim > len(dead)
-    assert image_span(ops, d) == general_image(ops, d)
-    assert image_span(ops, d).dim == rank(general_image(ops, d).rows, d)
+    image = ref.image_span(ops, d)
+    assert torsion._dims(*torsion._form(ops), d) == (kernel.dim, image.dim)
+    for read in (joint_kernel, image_span):
+        with pytest.raises(InternalCheckError, match="^a slot map is not injective"):
+            read(ops, d)
 
 
 def test_classify_on_non_injective_generators_reads_the_general_path(monkeypatch):
@@ -210,7 +203,11 @@ def test_classify_on_non_injective_generators_reads_the_general_path(monkeypatch
     module = torsion.FiniteModule(1, 3, slot_maps=(SlotMap((2, 2, None), (1, 1, 0)),))
     x = poly_monomial((1,))
     assert not torsion._form([module.term_map(x)])[0]
-    assert joint_kernel(module.slot_maps, 3) == Subspace(3, [{0: 1, 1: -1}, {2: 1}])
+    assert ref.joint_kernel(module.slot_maps, 3) == ref.Subspace(
+        3, [{0: 1, 1: -1}, {2: 1}]
+    )
+    with pytest.raises(InternalCheckError, match="^a slot map is not injective"):
+        joint_kernel(module.slot_maps, 3)
     tag = classify(module, [x])
     assert (tag.gamma_dim, tag.lambda_dim) == (3, 3)
     assert_levels_agree(module, [x], monkeypatch)
@@ -252,7 +249,7 @@ def test_each_module_reads_the_same_in_both_forms():
             for gens in ideals:
                 a, b = _levels(slot, gens), _levels(cols, gens)
                 assert a[:4] == b[:4] and a[5] == b[5]
-                assert Subspace(d, a[4]) == Subspace(d, b[4])
+                assert ref.Subspace(d, a[4]) == ref.Subspace(d, b[4])
                 assert classify(slot, gens) == classify(cols, gens)
             vecs = ({}, {0: 1}, {d - 1: Fraction(2, 3)},
                     {j: rng.choice((1, -2, Fraction(1, 2))) for j in range(d)

@@ -11,7 +11,6 @@ import pytest
 from artquot import reduced, suites
 from artquot.cli import main
 from artquot.instances import sample_modules
-from artquot.linalg import Subspace
 from artquot.quotient import QuotientModule, positive_degree_span, socle
 from artquot.ring import (
     AlgebraError,
@@ -59,7 +58,7 @@ def test_known_corner_sets():
         corners = outside_corners(m)
         assert len(corners) == count
         assert corners == tuple(e for e in m.basis if sum(e) == n)
-        assert largest_reduced_submodule(m, corners).dim == count
+        assert len(largest_reduced_submodule(m, corners)) == count
 
 
 def test_corners_and_inner_partition_the_basis():
@@ -78,7 +77,7 @@ def test_reduced_part_equals_socle():
         corners = outside_corners(m)
         span = largest_reduced_submodule(m, corners)  # raises if the sides differ
         assert span == socle(m)
-        assert span.dim == len(corners)
+        assert span == tuple(map(m.position, corners))
 
 
 def test_corner_span_is_killed_by_every_variable():
@@ -86,7 +85,7 @@ def test_corner_span_is_killed_by_every_variable():
     span = largest_reduced_submodule(m, outside_corners(m))
     for i in range(m.n):
         poly = poly_monomial(tuple(int(j == i) for j in range(m.n)))
-        for row in span.rows:
+        for row in ({b: 1} for b in span):
             assert m.act(poly, row) == {}
 
 
@@ -146,14 +145,18 @@ def test_positive_degree_span_is_not_coreduced_when_layered():
 
 def test_coreduced_rejects_non_submodules():
     m = module_from(FLAT7)
-    not_closed = Subspace(m.dim, [m.basis_element((1, 0))])
-    with pytest.raises(AlgebraError):
-        is_coreduced_subspace(m, not_closed, witness_candidates(m.n, 2, 8, 0))
+    witnesses = witness_candidates(m.n, 2, 8, 0)
+    not_closed = (m.position((1, 0)),)
+    with pytest.raises(AlgebraError, match="^subspace is not a submodule$"):
+        is_coreduced_subspace(m, not_closed, witnesses)
+    for outside in ((m.dim,), (-1, 0)):
+        with pytest.raises(AlgebraError, match="^subspace does not live in this module$"):
+            is_coreduced_subspace(m, outside, witnesses)
 
 
 def test_zero_subspace_is_coreduced():
     m = module_from(FLAT7)
-    assert is_coreduced_subspace(m, Subspace(m.dim), witness_candidates(m.n, 2, 8, 0))
+    assert is_coreduced_subspace(m, (), witness_candidates(m.n, 2, 8, 0))
 
 
 def test_coreduced_sampling_checks_are_live(monkeypatch):
@@ -167,7 +170,7 @@ def test_coreduced_sampling_checks_are_live(monkeypatch):
     with pytest.raises(InternalCheckError, match="said yes but sampling found"):
         is_coreduced_subspace(m, socle(m), witnesses)
     monkeypatch.setattr(reduced, "rank", lambda vectors, width: 0)
-    whole = Subspace(m.dim, [{j: 1} for j in range(m.dim)])
+    whole = tuple(range(m.dim))
     with pytest.raises(InternalCheckError, match="said no but sampling found no"):
         is_coreduced_subspace(m, whole, witnesses)
 

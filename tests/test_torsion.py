@@ -22,7 +22,6 @@ from artquot.instances import (
 )
 from artquot.linalg import (
     SlotMap,
-    Subspace,
     op_mul,
     op_power,
     op_transpose,
@@ -44,13 +43,12 @@ from artquot.torsion import (
     TtfTag,
     classify,
     conjugate,
-    image_span,
-    joint_kernel,
     matlis_dual,
     verify_ttf_duality,
 )
 import dense_reference as ref
 from dense_reference import (
+    Subspace,
     ev_add,
     full_space,
     operator_from_rows,
@@ -70,13 +68,15 @@ def module_from(text):
 
 
 def annihilator_of(module, gens):
-    """(0 : J), the joint kernel of the generator operators."""
-    return joint_kernel([module.poly_matrix(g) for g in gens], module.dim)
+    """(0 : J), the joint kernel of the generator operators, read by
+    elimination in the dense reference."""
+    return ref.joint_kernel([module.poly_matrix(g) for g in gens], module.dim)
 
 
 def image_of(module, gens):
-    """J M, the image span of the generator operators."""
-    return image_span([module.poly_matrix(g) for g in gens], module.dim)
+    """J M, the image span of the generator operators, read by elimination
+    in the dense reference."""
+    return ref.image_span([module.poly_matrix(g) for g in gens], module.dim)
 
 
 def scalar_module(*diags):
